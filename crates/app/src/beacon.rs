@@ -16,10 +16,9 @@
 //! per-epoch election instances are retained until the whole beacon run
 //! completes.
 //!
-//! For the *pipelined* variant — all epochs running concurrently over one
-//! network — host one election per epoch in a
-//! [`SessionHost`](setupfree_net::SessionHost) instead; the
-//! concurrent-session benchmarks do exactly that.
+//! For the *pipelined* variant — epochs running concurrently — admit one
+//! election per epoch as its own session of the runtime's `ShardedHost`
+//! instead; `tests/concurrent_sessions.rs` does exactly that.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

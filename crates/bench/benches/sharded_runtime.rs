@@ -1,7 +1,7 @@
 //! Sharded-runtime throughput: `k` full setup-free ABA sessions partitioned
 //! across worker shards (each session owning its scheduler, in-flight slab,
-//! budget and metrics), vs the same workload through PR 4's single-loop
-//! `SessionHost` — plus the admission-controlled pipelined beacon.
+//! budget and metrics), merged deterministically or run on parallel
+//! workers — plus the admission-controlled pipelined beacon.
 //!
 //! The criterion companion to the `aba-x{k}-shard*` rows of
 //! `BENCH_pr5.json` (which measures the full k ∈ {4, 8, 16} ×
@@ -10,9 +10,7 @@
 //! admission — cannot bit-rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use setupfree_bench::{
-    measure_concurrent_abas, measure_sharded_abas, measure_sharded_pipelined_beacon,
-};
+use setupfree_bench::{measure_sharded_abas, measure_sharded_pipelined_beacon};
 
 fn bench_sharded_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_runtime");
@@ -26,13 +24,6 @@ fn bench_sharded_runtime(c: &mut Criterion) {
         "sharded_runtime/aba_x{k}_n{n}: {} deliveries, {} honest bytes per iteration",
         m.deliveries, m.honest_bytes
     );
-    group.bench_function(&format!("aba_x{k}_n{n}_single_loop"), |b| {
-        let mut seed = 0xC0;
-        b.iter(|| {
-            seed += 1;
-            measure_concurrent_abas(n, k, seed)
-        })
-    });
     group.bench_function(&format!("aba_x{k}_n{n}_sharded_w4"), |b| {
         let mut seed = 0xC0;
         b.iter(|| {

@@ -7,9 +7,8 @@
 //! n ∈ {4, 10, 22}, the **clean-vs-chaos socket grid** (PR 8: the same
 //! coin / ABA / beacon at n ∈ {4, 10} over a mesh shaped by a seeded
 //! `LinkFaultPlan` — 1 % frame drops, ≤ 20 ms jitter, one forced link cut —
-//! recording wall-clock overhead, retransmissions and redials), a
-//! session-starvation fairness sweep (per-session delivery split under
-//! `SessionTargetedDelayScheduler`), the batched-vs-per-transcript PVSS
+//! recording wall-clock overhead, retransmissions and redials), the
+//! batched-vs-per-transcript PVSS
 //! verification micro-comparison, and the **cross-session verify-queue
 //! grid** (PR 9: the shard-level `VerifyQueue` flushing k sessions' pending
 //! RLC checks in one batch vs k per-session batches).  Results go to
@@ -27,8 +26,7 @@
 //!
 //! The `--smoke` mode is CI's regression gate.  It proves the binary still
 //! builds and runs, that **every run still reaches `AllOutputs` within its
-//! delivery budget**, that the **starved-session fairness sweep stays live**
-//! (a starved session that fails to terminate fails the job), that the
+//! delivery budget**, that the
 //! **socket transport is live** (a 4-peer beacon over real loopback TCP must
 //! decide, agree, and come home inside a minute), that the transport
 //! **survives chaos** (the same beacon under 1 % drops plus a forced link
@@ -38,7 +36,7 @@
 //! certificate-aggregation budget** (below 110 % of the PR 9 record, and at
 //! least 2× under the pre-aggregation PR 7 bytes — the PR 9 tentpole gate),
 //! that the **cross-session verify queue still beats per-session
-//! verification wall-clock**, and replays the single-loop ABA at
+//! verification wall-clock**, and replays the simulator ABA at
 //! n ∈ {22, 40} — the simulator is deterministic, so the delivery counts
 //! must match the post-aggregation goldens **exactly**
 //! (195 801 / 791 847); the committed `BENCH_pr4.json` comparison stays
@@ -56,8 +54,7 @@ use setupfree_bench::{
     measure_setupfree_aba, measure_sharded_abas, measure_sharded_pipelined_beacon,
     measure_socket_aba, measure_socket_aba_chaos, measure_socket_beacon,
     measure_socket_beacon_chaos, measure_socket_coin, measure_socket_coin_chaos,
-    measure_starved_session_abas, measure_trusted_aba, measure_trusted_vba, Measurement,
-    SocketMeasurement,
+    measure_trusted_aba, measure_trusted_vba, Measurement, SocketMeasurement,
 };
 use setupfree_transport::LinkFaultPlan;
 use setupfree_core::coin::CoreSetMode;
@@ -75,7 +72,7 @@ const MAX_REGRESSION: f64 = 0.20;
 /// Worker-shard count of the sharded rows.
 const WORKERS: usize = 4;
 
-/// Exact delivery counts of the deterministic single-loop ABA replays after
+/// Exact delivery counts of the deterministic simulator ABA replays after
 /// the PR 9 aggregated certificates + shared coin seeding, the re-pinned
 /// successors of PR 4's 405 666 / 1 398 566.  The simulator is
 /// deterministic, so under `--smoke` these must reproduce **exactly** —
@@ -242,40 +239,6 @@ fn committee_gate(cells: &[CommitteeCell]) {
         eprintln!("COMMITTEE GATE: {}", failures.join("; "));
         std::process::exit(1);
     }
-}
-
-/// One starved-session fairness run and its per-session delivery split.
-struct FairnessRow {
-    n: usize,
-    k: usize,
-    starved: u16,
-    wall_ms: f64,
-    m: Measurement,
-    per_session_deliveries: Vec<u64>,
-}
-
-fn fairness_row(n: usize, k: usize, starved: u16, seed: u64) -> FairnessRow {
-    let start = Instant::now();
-    let (m, per_session) = measure_starved_session_abas(n, k, starved, seed);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(m.reason, StopReason::AllOutputs, "the starved session must terminate");
-    let starved_deliv = per_session[starved as usize];
-    let others: Vec<u64> = per_session
-        .iter()
-        .enumerate()
-        .filter(|(s, _)| *s != starved as usize)
-        .map(|(_, &d)| d)
-        .collect();
-    let mean_other = others.iter().sum::<u64>() as f64 / others.len() as f64;
-    println!(
-        "  starve(n={n}, k={k}, s={starved}): {:>8.1} ms; starved session delivered {} msgs vs \
-         {:.0} mean elsewhere ({:.2}x interference)",
-        wall_ms,
-        starved_deliv,
-        mean_other,
-        starved_deliv as f64 / mean_other
-    );
-    FairnessRow { n, k, starved, wall_ms, m, per_session_deliveries: per_session }
 }
 
 /// One simulated-vs-socket comparison cell: the same protocol, same PKI
@@ -657,13 +620,12 @@ struct Recording<'a> {
     chaos: &'a [ChaosRow],
     pr4: &'a str,
     pr7: &'a str,
-    fairness: &'a [FairnessRow],
     pvss: &'a PvssComparison,
     vqueue: &'a [VerifyQueueRow],
 }
 
 fn json_escape_free(rec: &Recording<'_>) -> String {
-    let Recording { rows, committee, transport, chaos, pr4, pr7, fairness, pvss, vqueue } = *rec;
+    let Recording { rows, committee, transport, chaos, pr4, pr7, pvss, vqueue } = *rec;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"pr\": 9,\n");
@@ -678,7 +640,7 @@ fn json_escape_free(rec: &Recording<'_>) -> String {
          section is the second observable: k concurrent sessions' RLC transcript checks \
          flushed in one cross-session batch vs k per-session batches, amortising the fixed \
          pairing cost of each batch across the shard. The end_to_end, committee, transport, \
-         chaos, fairness and PVSS sections repeat the PR 8 instrumentation; the delivery \
+         chaos and PVSS sections repeat the previous baseline's instrumentation; the delivery \
          goldens are re-pinned to the post-aggregation replays (195801 / 791847 at n=22/40) \
          and must reproduce exactly. Timings are single-run, release build, on a single-core \
          container; socket runs include thread and mesh setup.\",\n",
@@ -828,30 +790,6 @@ fn json_escape_free(rec: &Recording<'_>) -> String {
         );
     }
     out.push_str("  ],\n");
-    out.push_str("  \"fairness\": [\n");
-    for (i, f) in fairness.iter().enumerate() {
-        let starved = f.per_session_deliveries[f.starved as usize];
-        let per_session: Vec<String> =
-            f.per_session_deliveries.iter().map(u64::to_string).collect();
-        let _ = write!(
-            out,
-            "    {{\"workload\": \"aba-x{}-starve{}\", \"n\": {}, \"k\": {}, \"starved_session\": \
-             {}, \"wall_ms\": {:.1}, \"terminated\": {}, \"deliveries\": {}, \
-             \"starved_session_deliveries\": {}, \"per_session_deliveries\": [{}]}}{}",
-            f.k,
-            f.starved,
-            f.n,
-            f.k,
-            f.starved,
-            f.wall_ms,
-            f.m.reason == StopReason::AllOutputs,
-            f.m.deliveries,
-            starved,
-            per_session.join(", "),
-            if i + 1 == fairness.len() { "\n" } else { ",\n" }
-        );
-    }
-    out.push_str("  ],\n");
     let _ = writeln!(
         out,
         "  \"pvss_verification\": {{\"n\": {}, \"transcripts\": {}, \"per_transcript_ms\": {:.3}, \
@@ -888,7 +826,7 @@ fn liveness_gate(rows: &[Timed]) {
     }
 }
 
-/// Checks the single-loop ABA at n ∈ {22, 40} against the pinned PR 9
+/// Checks the simulator ABA at n ∈ {22, 40} against the pinned
 /// delivery goldens and prints the historical PR 4 comparison.
 ///
 /// The *fatal* check (under `gate`, the `--smoke` CI mode) is on
@@ -1202,13 +1140,6 @@ fn main() {
         (transport, chaos_rows())
     };
 
-    println!("\nfairness — one session starved by SessionTargetedDelay, must still terminate");
-    let fairness = if smoke {
-        vec![fairness_row(4, 3, 0, 0x5717)]
-    } else {
-        vec![fairness_row(10, 4, 0, 0x5717), fairness_row(22, 4, 0, 0x5718)]
-    };
-
     println!(
         "\nregression check vs the PR 9 delivery goldens ({} on any drift; PR 4 history and \
          wall-clock advisory)",
@@ -1248,8 +1179,8 @@ fn main() {
 
     if smoke {
         println!(
-            "\n--smoke: all runners (single-loop, sharded, parallel) reached AllOutputs, the \
-             starved-session sweep terminated, the socket transport is live and survives chaos \
+            "\n--smoke: all runners (simulator, sharded, parallel) reached AllOutputs, the \
+             socket transport is live and survives chaos \
              (1 % drops + a forced cut), committee-sampled ABA at n=100 decided with listener \
              adoption, the ABA delivery counts match the PR 9 goldens exactly, the n=22 honest \
              bytes hold the 2x certificate reduction, the cross-session verify queue beat \
@@ -1269,7 +1200,6 @@ fn main() {
             chaos: &chaos,
             pr4: &pr4,
             pr7: &pr7,
-            fairness: &fairness,
             pvss: &pvss,
             vqueue: &vqueue,
         }),

@@ -31,8 +31,8 @@ use setupfree_core::traits::ElectionFactory;
 use setupfree_core::{Committee, CommitteeConfig, TrustedCoinFactory, TrustedElectionFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{
-    envelope_session, BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Scheduler,
-    SessionHost, SessionTargetedDelayScheduler, Sid, Simulation, StopReason,
+    BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Scheduler, Sid, Simulation,
+    StopReason,
 };
 use setupfree_runtime::{MaxConcurrent, SessionSetup, ShardedHost, ShardedRunReport};
 use setupfree_rbc::{Rbc, RbcMessage};
@@ -541,76 +541,6 @@ pub fn measure_beacon_with(
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent-session workloads (PR 4): many top-level sessions over ONE
-// simulated network, hosted by the session router's `SessionHost`.
-// ---------------------------------------------------------------------------
-
-/// Measures `k` **concurrent** full setup-free ABA sessions (every round of
-/// every session flips the real Coin) multiplexed over one network by a
-/// [`SessionHost`] per party — the workload studied for concurrent
-/// asynchronous BA (Cohen et al., arXiv:2312.14506).  Session `s` gets input
-/// `(i + s) % 2 == 0` at party `i`, so every session has mixed inputs.
-pub fn measure_concurrent_abas(n: usize, k: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, Vec<bool>>> = (0..n)
-        .map(|i| {
-            let sessions: Vec<MmrAba<CoinProtocolFactory>> = (0..k)
-                .map(|s| {
-                    let factory =
-                        CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-                    MmrAba::new(
-                        Sid::new(&format!("bench-kaba-{seed}-{s}")),
-                        PartyId(i),
-                        n,
-                        keyring.f(),
-                        (i + s) % 2 == 0,
-                        factory,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 32, all_equal)
-}
-
-/// Measures a **pipelined** beacon: `epochs` per-epoch elections all running
-/// concurrently over one network (instead of the sequential epoch-at-a-time
-/// [`RandomBeacon`]), hosted by a [`SessionHost`] per party.  Matches
-/// [`measure_beacon`]'s configuration (real Election + Coin per epoch,
-/// trusted-coin ABA inside) so the two are directly comparable.
-pub fn measure_pipelined_beacon(n: usize, epochs: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    type E = Election<MmrAbaFactory<TrustedCoinFactory>>;
-    let parties: Vec<BoxedParty<Envelope, Vec<ElectionOutput>>> = (0..n)
-        .map(|i| {
-            let sessions: Vec<E> = (0..epochs)
-                .map(|e| {
-                    let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-                    Election::new(
-                        Sid::new(&format!("bench-pipe-beacon-{seed}")).derive("epoch", e),
-                        PartyId(i),
-                        keyring.clone(),
-                        secrets[i].clone(),
-                        aba,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<ElectionOutput>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 32, |outs: &[Option<Vec<ElectionOutput>>]| {
-        let all: Vec<&Vec<ElectionOutput>> = outs.iter().flatten().collect();
-        all.windows(2).all(|w| {
-            w[0].len() == w[1].len()
-                && w[0].iter().zip(w[1].iter()).all(|(a, b)| a.leader == b.leader)
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Sharded-runtime workloads (PR 5): sessions partitioned across worker
 // shards, each owning its scheduler / slab / budget / metrics.
 // ---------------------------------------------------------------------------
@@ -644,10 +574,8 @@ fn summarize_sharded<O: PartialEq + Clone + std::fmt::Debug>(
 }
 
 /// Builds one full setup-free ABA session for [`measure_sharded_abas`]:
-/// session `s` over its own scheduler seeded by `(seed, s)` — the same
-/// ensemble family as [`measure_concurrent_abas`], minus the `SessionHost`
-/// wrapper (each sharded session is its own simulation, so no leading
-/// session segment is needed).
+/// session `s` over its own scheduler seeded by `(seed, s)`, with input
+/// `(i + s) % 2 == 0` at party `i`, so every session has mixed inputs.
 fn sharded_aba_session(
     n: usize,
     s: usize,
@@ -675,11 +603,12 @@ fn sharded_aba_session(
     )
 }
 
-/// Measures `k` concurrent full setup-free ABA sessions on the **sharded
-/// runtime**: sessions partitioned across `workers` shards, each with its
-/// own scheduler/slab/budget/metrics — the sharded counterpart of
-/// [`measure_concurrent_abas`].  `parallel` opts into one OS thread per
-/// shard; the deterministic merge is the default.
+/// Measures `k` concurrent full setup-free ABA sessions (every round of
+/// every session flips the real Coin) on the **sharded runtime** — the
+/// workload studied for concurrent asynchronous BA (Cohen et al.,
+/// arXiv:2312.14506): sessions partitioned across `workers` shards, each
+/// with its own scheduler/slab/budget/metrics.  `parallel` opts into one OS
+/// thread per shard; the deterministic merge is the default.
 pub fn measure_sharded_abas(
     n: usize,
     k: usize,
@@ -698,8 +627,8 @@ pub fn measure_sharded_abas(
 /// Measures a pipelined beacon on the sharded runtime with **admission
 /// control**: the `epochs` per-epoch elections are queued sessions opened
 /// under a `MaxConcurrent(window)` policy — a sliding window over the epoch
-/// stream instead of [`measure_pipelined_beacon`]'s pre-spawned k — so peak
-/// live state stays bounded no matter how many epochs are queued.
+/// stream instead of `epochs` pre-spawned elections — so peak live state
+/// stays bounded no matter how many epochs are queued.
 pub fn measure_sharded_pipelined_beacon(
     n: usize,
     epochs: usize,
@@ -737,55 +666,6 @@ pub fn measure_sharded_pipelined_beacon(
         leaders.windows(2).all(|w| w[0] == w[1])
     });
     m
-}
-
-/// The per-session delivery split of one starved-session run: aggregate
-/// measurement plus each session's delivered-message count (session 0 is
-/// the starved one) — the cross-session interference observable.
-pub type FairnessMeasurement = (Measurement, Vec<u64>);
-
-/// Measures `k` concurrent trusted-coin ABA sessions over ONE network via
-/// [`SessionHost`] while a [`SessionTargetedDelayScheduler`] starves
-/// session `starved`'s traffic: every other session's messages are
-/// delivered first, the starved session only progresses when nothing else
-/// is pending — yet it must still terminate (eventual delivery).  Returns
-/// the per-session delivered counts from the session-classified metrics.
-pub fn measure_starved_session_abas(n: usize, k: usize, starved: u16, seed: u64) -> FairnessMeasurement {
-    let parties: Vec<BoxedParty<Envelope, Vec<bool>>> = (0..n)
-        .map(|i| {
-            let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
-                .map(|s| {
-                    MmrAba::new(
-                        Sid::new(&format!("bench-starve-{seed}-{s}")),
-                        PartyId(i),
-                        n,
-                        (n - 1) / 3,
-                        (i + s) % 2 == 0,
-                        TrustedCoinFactory,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
-        })
-        .collect();
-    let mut sim = Simulation::new(parties, Box::new(SessionTargetedDelayScheduler::new(starved, seed)));
-    sim.set_session_of(envelope_session);
-    let report = sim.run(1 << 32);
-    assert_eq!(report.reason, StopReason::AllOutputs, "the starved session must still terminate");
-    let metrics = sim.metrics();
-    assert_eq!(metrics.session_conservation_violation(), None);
-    let per_session = metrics.session_delivered.clone();
-    let m = Measurement {
-        n,
-        f: (n - 1) / 3,
-        honest_bytes: metrics.honest_bytes,
-        honest_messages: metrics.honest_messages,
-        rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-        deliveries: report.deliveries,
-        agreed: all_equal(&sim.outputs()),
-        reason: report.reason,
-    };
-    (m, per_session)
 }
 
 /// The scheduler-determinism scenario grid.

@@ -4,11 +4,11 @@
 //! pairing-friendly curve under the SXDH assumption.  Reproducing the
 //! *protocol behaviour* (verification equations, aggregation, share
 //! reconstruction, complexity) does not require computational hardness, so —
-//! per the substitution policy in DESIGN.md §2 — this module provides a
-//! **functionally exact but non-hiding** bilinear group: `G1`, `G2` and `Gt`
-//! are sealed wrappers around the discrete log of the element with respect to
-//! the fixed generators, the group law is addition of exponents, and the
-//! pairing is multiplication of exponents.  Bilinearity
+//! per `ARCHITECTURE.md` §"Cryptographic substitutions" — this module
+//! provides a **functionally exact but non-hiding** bilinear group: `G1`,
+//! `G2` and `Gt` are sealed wrappers around the discrete log of the element
+//! with respect to the fixed generators, the group law is addition of
+//! exponents, and the pairing is multiplication of exponents.  Bilinearity
 //! `e(g1^a, g2^b) = gt^{ab}` holds *exactly*, so every pairing equation in
 //! the PVSS code is the same code a real pairing engine would run.
 //!

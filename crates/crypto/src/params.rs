@@ -7,11 +7,12 @@
 //! the order-`q` subgroup of `Z_p^*` derived by hashing (nothing-up-my-sleeve).
 //!
 //! The modulus is ~62 bits — a deliberately *toy-sized but structurally real*
-//! group (see DESIGN.md §2): all protocol algebra (commitments, Shamir in the
-//! exponent, Schnorr signatures, DLEQ proofs) is executed for real, while the
-//! small size keeps simulations of hundreds of protocol instances fast.  All
-//! serialized sizes are fixed, so communication-complexity measurements scale
-//! exactly as the paper's O(λ·nᵏ) terms.
+//! group (see `ARCHITECTURE.md` §"Cryptographic substitutions"): all protocol
+//! algebra (commitments, Shamir in the exponent, Schnorr signatures, DLEQ
+//! proofs) is executed for real, while the small size keeps simulations of
+//! hundreds of protocol instances fast.  All serialized sizes are fixed, so
+//! communication-complexity measurements scale exactly as the paper's
+//! O(λ·nᵏ) terms.
 
 use std::sync::OnceLock;
 

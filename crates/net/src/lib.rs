@@ -7,9 +7,8 @@
 //! * [`protocol`] — the deterministic state-machine model every protocol
 //!   implements,
 //! * [`mux`] — the hierarchical session router: instance paths, the flat
-//!   wire envelope, the child-instance [`Router`](mux::Router) with its
-//!   bounded pre-activation buffer, and the multi-session
-//!   [`SessionHost`](mux::SessionHost),
+//!   wire envelope, and the child-instance [`Router`](mux::Router) with its
+//!   bounded pre-activation buffer,
 //! * [`scheduler`] — adversarial delivery schedules (arbitrary delay and
 //!   reordering with eventual delivery),
 //! * [`sim`] — the simulator: exact byte accounting through the wire codec,
@@ -31,15 +30,15 @@ pub mod scheduler;
 pub mod sim;
 
 pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
-pub use metrics::{Metrics, SessionImbalance};
+pub use metrics::Metrics;
 pub use mux::{
-    decode_cache_stats, envelope_session, BufferStats, CapPolicy, DecodeCacheStats, Envelope,
-    InstancePath, Leaf, MuxNode, PathSeg, PreActivationBuffer, Router, SessionHost,
+    decode_cache_stats, BufferStats, CapPolicy, DecodeCacheStats, Envelope, InstancePath, Leaf,
+    MuxNode, PathSeg, PreActivationBuffer, Router,
 };
 pub use party::{PartyId, Sid};
 pub use protocol::{Dest, Outgoing, ProtocolInstance, Step};
 pub use scheduler::{
     FifoScheduler, PartitionScheduler, PendingInfo, RandomScheduler, Scheduler,
-    SessionPartitionScheduler, SessionTargetedDelayScheduler, TargetedDelayScheduler,
+    TargetedDelayScheduler,
 };
 pub use sim::{BoxedParty, RunReport, Simulation, StopReason};

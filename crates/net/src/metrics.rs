@@ -41,20 +41,6 @@ pub struct Metrics {
     /// Pre-activation envelopes dropped by the routers' per-sender caps,
     /// duplicate filters, or retirement tombstones over the whole run.
     pub pre_activation_dropped: u64,
-    /// Per-session messages sent (indexed by the leading session segment),
-    /// recorded only when the simulation has a session classifier installed
-    /// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of)).
-    pub session_sent: Vec<u64>,
-    /// Per-session messages delivered.
-    pub session_delivered: Vec<u64>,
-    /// Per-session messages purged (receiver crashed).
-    pub session_purged: Vec<u64>,
-    /// Per-session messages currently in flight.
-    pub session_in_flight: Vec<u64>,
-    /// Messages the session classifier could not attribute (no leading
-    /// session segment).  `Σ session_sent + unclassified_sent` equals the
-    /// total sent count whenever a classifier is installed.
-    pub unclassified_sent: u64,
 }
 
 impl Metrics {
@@ -139,108 +125,6 @@ impl Metrics {
     pub fn honest_bits(&self) -> u64 {
         self.honest_bytes * 8
     }
-
-    fn session_slot(vec: &mut Vec<u64>, session: u16) -> &mut u64 {
-        let idx = session as usize;
-        if vec.len() <= idx {
-            vec.resize(idx + 1, 0);
-        }
-        &mut vec[idx]
-    }
-
-    /// Records a sent message copy attributed to `session` (`None` counts as
-    /// unclassified).
-    pub fn record_session_send(&mut self, session: Option<u16>) {
-        match session {
-            Some(s) => *Self::session_slot(&mut self.session_sent, s) += 1,
-            None => self.unclassified_sent += 1,
-        }
-    }
-
-    /// Records that a copy attributed to `session` entered the network.
-    pub fn record_session_enqueue(&mut self, session: Option<u16>) {
-        if let Some(s) = session {
-            *Self::session_slot(&mut self.session_in_flight, s) += 1;
-        }
-    }
-
-    /// Decrements a session's in-flight count, failing loudly on misuse (a
-    /// delivery/withdrawal recorded without a matching enqueue) instead of
-    /// panicking on an index or wrapping to 2⁶⁴−1 in release builds.
-    fn session_in_flight_down(&mut self, session: u16) {
-        let in_flight = Self::session_slot(&mut self.session_in_flight, session);
-        debug_assert!(*in_flight > 0, "session {session} has nothing in flight to consume");
-        *in_flight = in_flight.saturating_sub(1);
-    }
-
-    /// Records a delivery attributed to `session`.
-    pub fn record_session_delivery(&mut self, session: Option<u16>) {
-        if let Some(s) = session {
-            *Self::session_slot(&mut self.session_delivered, s) += 1;
-            self.session_in_flight_down(s);
-        }
-    }
-
-    /// Records a purge attributed to `session`; `in_flight` is `true` when
-    /// the copy was withdrawn from flight (receiver crashed mid-run) rather
-    /// than dropped at send time.
-    pub fn record_session_purge(&mut self, session: Option<u16>, in_flight: bool) {
-        if let Some(s) = session {
-            *Self::session_slot(&mut self.session_purged, s) += 1;
-            if in_flight {
-                self.session_in_flight_down(s);
-            }
-        }
-    }
-
-    /// Number of sessions the classifier has attributed traffic to.
-    pub fn session_count(&self) -> usize {
-        self.session_sent
-            .len()
-            .max(self.session_delivered.len())
-            .max(self.session_purged.len())
-            .max(self.session_in_flight.len())
-    }
-
-    /// Per-session counter at `session` (zero beyond the recorded range).
-    fn at(vec: &[u64], session: usize) -> u64 {
-        vec.get(session).copied().unwrap_or(0)
-    }
-
-    /// The per-session conservation law: for every session,
-    /// `sent == delivered + purged + in-flight`, and the per-session counters
-    /// plus the unclassified remainder sum to the aggregate counters.
-    /// Returns the first violation found, or `None` when the books balance
-    /// (trivially true when no classifier was installed).
-    pub fn session_conservation_violation(&self) -> Option<SessionImbalance> {
-        for s in 0..self.session_count() {
-            let sent = Self::at(&self.session_sent, s);
-            let delivered = Self::at(&self.session_delivered, s);
-            let purged = Self::at(&self.session_purged, s);
-            let in_flight = Self::at(&self.session_in_flight, s);
-            if sent != delivered + purged + in_flight {
-                return Some(SessionImbalance::Session(s));
-            }
-        }
-        let total_sent: u64 = self.session_sent.iter().sum::<u64>() + self.unclassified_sent;
-        if self.session_count() > 0
-            && total_sent != self.honest_messages + self.byzantine_messages
-        {
-            return Some(SessionImbalance::Aggregate);
-        }
-        None
-    }
-}
-
-/// A violation of the per-session conservation law (see
-/// [`Metrics::session_conservation_violation`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionImbalance {
-    /// This session's `sent != delivered + purged + in-flight`.
-    Session(usize),
-    /// Every session balances individually, but the per-session sums plus
-    /// the unclassified remainder do not add up to the aggregate counters.
-    Aggregate,
 }
 
 #[cfg(test)]
@@ -291,32 +175,6 @@ mod tests {
         m.exclude(PartyId(0));
         m.exclude(PartyId(1));
         assert_eq!(m.rounds_to_all_outputs(), None);
-    }
-
-    #[test]
-    fn session_conservation_law_holds_and_violations_are_found() {
-        let mut m = Metrics::new(3);
-        assert_eq!(m.session_conservation_violation(), None, "trivially true without sessions");
-        // Session 0: two sends, one delivered, one in flight.
-        m.record_send(PartyId(0), 4, true);
-        m.record_session_send(Some(0));
-        m.record_session_enqueue(Some(0));
-        m.record_send(PartyId(0), 4, true);
-        m.record_session_send(Some(0));
-        m.record_session_enqueue(Some(0));
-        m.record_delivery(1);
-        m.record_session_delivery(Some(0));
-        // Session 2 (sparse indices work): one send purged at send time.
-        m.record_send(PartyId(1), 4, true);
-        m.record_session_send(Some(2));
-        m.record_purge();
-        m.record_session_purge(Some(2), false);
-        assert_eq!(m.session_conservation_violation(), None);
-        assert_eq!(m.session_sent, vec![2, 0, 1]);
-        assert_eq!(m.session_in_flight[0], 1);
-        // An unbalanced session is reported.
-        m.record_session_send(Some(1));
-        assert_eq!(m.session_conservation_violation(), Some(SessionImbalance::Session(1)));
     }
 
     #[test]

@@ -26,10 +26,7 @@
 //!   child exists" mechanism (replacing the hand-rolled `aba_buffer`,
 //!   `election_buffer`, `coin_buffer` and `avss_buffers`), with a
 //!   per-sender cap and duplicate dropping so a Byzantine flooder cannot
-//!   grow memory without bound;
-//! * [`SessionHost`] — runs many top-level sessions over one simulated
-//!   network (k concurrent ABA instances, pipelined beacon epochs, …) by
-//!   routing on a leading session segment.
+//!   grow memory without bound.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -44,8 +41,8 @@ use crate::protocol::{ProtocolInstance, Step};
 /// Maximum nesting depth of an [`InstancePath`].
 ///
 /// The deepest composite in the workspace is
-/// session → ADKG → VBA → Election → ABA → Coin → Seeding/AVSS
-/// (7 segments); one level of headroom is kept.
+/// ADKG → VBA → Election → ABA → Coin → Seeding/AVSS
+/// (6 segments); two levels of headroom are kept.
 pub const MAX_PATH_SEGMENTS: usize = 8;
 
 /// Encoded size of one [`PathSeg`]: kind byte + little-endian `u16` index.
@@ -1052,141 +1049,6 @@ impl<N: MuxNode> Router<N> {
     }
 }
 
-/// The reserved path kind of [`SessionHost`] session segments.
-pub const KIND_SESSION: u8 = 0xFE;
-
-/// The session a [`SessionHost`]-multiplexed envelope belongs to: the index
-/// of its leading [`KIND_SESSION`] segment, `None` for any other traffic.
-/// This is the session classifier the session-aware adversarial schedulers
-/// and the per-session metrics are keyed by
-/// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of)).
-pub fn envelope_session(env: &Envelope) -> Option<u16> {
-    env.path
-        .segments()
-        .next()
-        .filter(|seg| seg.kind == KIND_SESSION)
-        .map(|seg| seg.index)
-}
-
-/// Runs `k` independent top-level sessions of one protocol over a single
-/// simulated network — the concurrent-session workload (k parallel ABA
-/// instances, pipelined beacon epochs, …).
-///
-/// Each session is a [`MuxNode`]; its traffic is wrapped under a leading
-/// `(KIND_SESSION, session index)` segment.  The host's output is the
-/// vector of all session outputs, available once **every** session has
-/// produced one.
-pub struct SessionHost<N> {
-    sessions: Router<N>,
-    pending: Vec<N>,
-    count: usize,
-}
-
-impl<N: MuxNode> SessionHost<N> {
-    /// Creates a host over the given sessions (index `i` becomes session
-    /// segment `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty session list: a host with zero sessions could
-    /// never produce an output, wedging any simulation built over it.
-    pub fn new(sessions: Vec<N>) -> Self {
-        assert!(!sessions.is_empty(), "SessionHost needs at least one session");
-        let count = sessions.len();
-        SessionHost { sessions: Router::new(KIND_SESSION), pending: sessions, count }
-    }
-
-    /// Number of sessions.
-    pub fn session_count(&self) -> usize {
-        self.count
-    }
-
-    /// Access to a session (after activation).
-    pub fn session(&self, index: usize) -> Option<&N> {
-        self.sessions.get(index)
-    }
-
-    /// The outputs produced so far, by session index.
-    pub fn session_outputs(&self) -> Vec<Option<N::Output>> {
-        self.sessions.iter().map(|(_, s)| s.output()).collect()
-    }
-}
-
-impl<N: MuxNode> fmt::Debug for SessionHost<N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionHost")
-            .field("sessions", &self.session_count())
-            .field(
-                "decided",
-                &self.session_outputs().iter().filter(|o| o.is_some()).count(),
-            )
-            .finish()
-    }
-}
-
-impl<N: MuxNode> MuxNode for SessionHost<N> {
-    type Output = Vec<N::Output>;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        let mut step = Step::none();
-        for (i, session) in std::mem::take(&mut self.pending).into_iter().enumerate() {
-            step.extend(self.sessions.insert(i, session));
-        }
-        step
-    }
-
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
-        match path.split_first() {
-            // All sessions exist from activation; out-of-range indices are
-            // Byzantine and dropped outright (they must never reach the
-            // pre-activation buffer, where a flooder could park traffic for
-            // up to 65536 never-created slots).
-            Some((seg, rest)) if seg.kind == KIND_SESSION && (seg.index as usize) < self.count => {
-                self.sessions.route(from, seg.index, rest, payload)
-            }
-            _ => Step::none(),
-        }
-    }
-
-    fn output(&self) -> Option<Vec<N::Output>> {
-        let outs = self.session_outputs();
-        if outs.is_empty() || outs.iter().any(Option::is_none) {
-            return None;
-        }
-        Some(outs.into_iter().map(|o| o.expect("checked above")).collect())
-    }
-
-    fn pre_activation_stats(&self) -> BufferStats {
-        self.sessions.stats()
-    }
-}
-
-impl<N: MuxNode> ProtocolInstance for SessionHost<N> {
-    type Message = Envelope;
-    type Output = Vec<N::Output>;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<Vec<N::Output>> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> BufferStats {
-        MuxNode::pre_activation_stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1325,35 +1187,6 @@ mod tests {
         // Caps are per child index: the same sender can buffer for another
         // child.
         assert!(buffer.push(1, PartyId(1), InstancePath::root(), &payload(1)));
-    }
-
-    #[test]
-    fn session_host_runs_sessions_to_joint_output() {
-        let mut host = SessionHost::new(vec![
-            Leaf::new(SumLeaf { sum: 0, threshold: 5 }),
-            Leaf::new(SumLeaf { sum: 0, threshold: 5 }),
-        ]);
-        let step = MuxNode::on_activation(&mut host);
-        assert_eq!(step.outgoing.len(), 2);
-        let segs: Vec<PathSeg> = step.outgoing[0].msg.path.segments().collect();
-        assert_eq!(segs, vec![PathSeg::new(KIND_SESSION, 0)]);
-        assert!(MuxNode::output(&host).is_none());
-        let feed = |host: &mut SessionHost<Leaf<SumLeaf>>, session: u16, v: u32| {
-            let path = InstancePath::of(PathSeg { kind: KIND_SESSION, index: session });
-            let payload = setupfree_wire::to_shared_bytes(&v);
-            let _ = host.on_envelope(PartyId(0), path, &payload);
-        };
-        feed(&mut host, 0, 9);
-        assert!(MuxNode::output(&host).is_none(), "one session still undecided");
-        feed(&mut host, 1, 9);
-        assert_eq!(MuxNode::output(&host), Some(vec![9, 9]));
-        // Unknown leading kinds are dropped.
-        let stray = host.on_envelope(
-            PartyId(0),
-            InstancePath::of(PathSeg::new(3, 0)),
-            &setupfree_wire::to_shared_bytes(&1u32),
-        );
-        assert!(stray.is_empty());
     }
 
     #[test]
@@ -1499,18 +1332,6 @@ mod tests {
         let twinned = decode_cache_stats();
         assert_eq!(twinned.hits, after.hits, "a distinct allocation must not hit");
         assert_eq!(twinned.misses, after.misses + 1);
-    }
-
-    #[test]
-    fn envelope_session_reads_the_leading_session_segment() {
-        let mut path = InstancePath::of(PathSeg::new(3, 7));
-        path.push_front(PathSeg { kind: KIND_SESSION, index: 5 });
-        let env = Envelope { path, payload: setupfree_wire::to_shared_bytes(&1u8) };
-        assert_eq!(envelope_session(&env), Some(5));
-        let unsessioned = Envelope::seal(InstancePath::of(PathSeg::new(3, 7)), &1u8);
-        assert_eq!(envelope_session(&unsessioned), None);
-        let root = Envelope::seal(InstancePath::root(), &1u8);
-        assert_eq!(envelope_session(&root), None);
     }
 
     fn arb_path() -> impl Strategy<Value = InstancePath> {

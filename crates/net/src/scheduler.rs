@@ -45,12 +45,6 @@ pub struct PendingInfo {
     /// Sequence number assigned at send time (FIFO order).  Uniquely
     /// identifies the in-flight message.
     pub seq: u64,
-    /// The top-level session the message belongs to, when the simulation has
-    /// a session classifier installed
-    /// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of))
-    /// — the adversary may target a whole session's traffic, mirroring the
-    /// concurrent-BA regime where one instance is starved selectively.
-    pub session: Option<u16>,
 }
 
 /// Chooses which pending message the network delivers next.
@@ -433,85 +427,12 @@ impl Scheduler for PartitionScheduler {
     }
 }
 
-/// Starves one **session**: messages belonging to the target session (as
-/// classified at send time) are delayed as long as any other message is
-/// pending, while still being eventually delivered.  The per-session
-/// analogue of [`TargetedDelayScheduler`] — the adversarial schedule of the
-/// concurrent-BA regime (Cohen et al., arXiv:2312.14506), where the
-/// adversary sacrifices one instance's latency to probe cross-session
-/// interference.
-#[derive(Debug, Clone)]
-pub struct SessionTargetedDelayScheduler {
-    starved: u16,
-    inner: StarvationPool,
-}
-
-impl SessionTargetedDelayScheduler {
-    /// Creates a scheduler that starves session `starved`.
-    pub fn new(starved: u16, seed: u64) -> Self {
-        SessionTargetedDelayScheduler { starved, inner: StarvationPool::new(seed) }
-    }
-}
-
-impl Scheduler for SessionTargetedDelayScheduler {
-    fn on_enqueue(&mut self, info: PendingInfo) {
-        // Unclassified traffic is infrastructure, never starved.
-        let eligible = info.session != Some(self.starved);
-        self.inner.on_enqueue(info.seq, eligible);
-    }
-
-    fn select_next(&mut self) -> u64 {
-        self.inner.select_next()
-    }
-
-    fn on_remove(&mut self, seq: u64) {
-        self.inner.on_remove(seq);
-    }
-}
-
-/// Splits the **sessions** into two groups and delivers all traffic of
-/// sessions `< boundary` before any traffic of the rest — a whole group of
-/// concurrent instances is starved together (while unclassified traffic
-/// stays eligible), approximating a long scheduling bias against the tail
-/// sessions of a pipelined workload.
-#[derive(Debug, Clone)]
-pub struct SessionPartitionScheduler {
-    boundary: u16,
-    inner: StarvationPool,
-}
-
-impl SessionPartitionScheduler {
-    /// Sessions with index `< boundary` form the preferred group.
-    pub fn new(boundary: u16, seed: u64) -> Self {
-        SessionPartitionScheduler { boundary, inner: StarvationPool::new(seed) }
-    }
-}
-
-impl Scheduler for SessionPartitionScheduler {
-    fn on_enqueue(&mut self, info: PendingInfo) {
-        let eligible = info.session.is_none_or(|s| s < self.boundary);
-        self.inner.on_enqueue(info.seq, eligible);
-    }
-
-    fn select_next(&mut self) -> u64 {
-        self.inner.select_next()
-    }
-
-    fn on_remove(&mut self, seq: u64) {
-        self.inner.on_remove(seq);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn info(from: usize, to: usize, seq: u64) -> PendingInfo {
-        PendingInfo { from: PartyId(from), to: PartyId(to), len: 1, seq, session: None }
-    }
-
-    fn session_info(session: Option<u16>, seq: u64) -> PendingInfo {
-        PendingInfo { from: PartyId(0), to: PartyId(1), len: 1, seq, session }
+        PendingInfo { from: PartyId(from), to: PartyId(to), len: 1, seq }
     }
 
     /// Drives `scheduler` and a reference implementation of the historical
@@ -683,53 +604,6 @@ mod tests {
         assert!(delivered[first_cross..].iter().all(|q| q % 2 == 1));
         delivered.sort_unstable();
         assert_eq!(delivered, vec![2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19]);
-    }
-
-    #[test]
-    fn session_targeted_delay_starves_exactly_the_target_session() {
-        let mut s = SessionTargetedDelayScheduler::new(1, 7);
-        s.on_enqueue(session_info(Some(1), 0));
-        s.on_enqueue(session_info(Some(0), 1));
-        s.on_enqueue(session_info(None, 2));
-        s.on_enqueue(session_info(Some(2), 3));
-        // The three non-starved messages (sessions 0, 2 and unclassified)
-        // must all come out before the starved session's message.
-        let mut first: Vec<u64> = (0..3).map(|_| s.select_next()).collect();
-        first.sort_unstable();
-        assert_eq!(first, vec![1, 2, 3]);
-        // Eventual delivery: only starved traffic remains, it is delivered.
-        assert_eq!(s.select_next(), 0);
-    }
-
-    #[test]
-    fn session_partition_prefers_the_leading_group() {
-        let mut s = SessionPartitionScheduler::new(2, 5);
-        s.on_enqueue(session_info(Some(3), 0));
-        s.on_enqueue(session_info(Some(0), 1));
-        s.on_enqueue(session_info(Some(2), 2));
-        s.on_enqueue(session_info(Some(1), 3));
-        let mut first: Vec<u64> = [s.select_next(), s.select_next()].into();
-        first.sort_unstable();
-        assert_eq!(first, vec![1, 3], "sessions < boundary go first");
-        let mut rest: Vec<u64> = [s.select_next(), s.select_next()].into();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![0, 2]);
-    }
-
-    #[test]
-    fn session_schedulers_survive_removal() {
-        let mut s = SessionTargetedDelayScheduler::new(0, 11);
-        for seq in 0..10u64 {
-            s.on_enqueue(session_info(Some((seq % 2) as u16), seq));
-        }
-        s.on_remove(1); // non-starved
-        s.on_remove(2); // starved
-        let mut delivered: Vec<u64> = (0..8).map(|_| s.select_next()).collect();
-        // All surviving session-1 messages precede any session-0 message.
-        let first_starved = delivered.iter().position(|q| q % 2 == 0).unwrap();
-        assert!(delivered[first_starved..].iter().all(|q| q % 2 == 0));
-        delivered.sort_unstable();
-        assert_eq!(delivered, vec![0, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]

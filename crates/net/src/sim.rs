@@ -46,10 +46,6 @@ use crate::party::PartyId;
 use crate::protocol::{Dest, ProtocolInstance, Step};
 use crate::scheduler::{PendingInfo, Scheduler};
 
-/// A session classifier: maps an outgoing message to the top-level session
-/// it belongs to (see [`Simulation::set_session_of`]).
-pub type SessionClassifier<M> = Box<dyn Fn(&M) -> Option<u16>>;
-
 /// A trace-path classifier: maps an outgoing message to the instance path of
 /// its destination (see [`Simulation::set_trace_path_of`]).  Only consulted
 /// while tracing is enabled.
@@ -77,9 +73,6 @@ struct Pending<M> {
     payload: Rc<PayloadState<M>>,
     depth: u64,
     seq: u64,
-    /// The top-level session the send was classified into (when a session
-    /// classifier is installed).
-    session: Option<u16>,
 }
 
 /// Per-send shared state: the encoded bytes (one allocation per send, not
@@ -144,13 +137,6 @@ where
     metrics: Metrics,
     seq: u64,
     activated: bool,
-    /// Optional session classifier: maps an outgoing message to the
-    /// top-level session it belongs to (e.g.
-    /// [`envelope_session`](crate::mux::envelope_session) for
-    /// [`SessionHost`](crate::mux::SessionHost) workloads).  Enables the
-    /// session-aware adversarial schedulers and the per-session counters of
-    /// [`Metrics`].
-    session_of: Option<SessionClassifier<M>>,
     /// Optional trace-path classifier: maps an outgoing message to the
     /// destination instance path recorded on its trace `Send` event (e.g.
     /// the envelope path for mux workloads).  Only consulted while tracing
@@ -192,19 +178,8 @@ where
             metrics: Metrics::new(n),
             seq: 0,
             activated: false,
-            session_of: None,
             trace_path_of: None,
         }
-    }
-
-    /// Installs a session classifier: every send is attributed to the
-    /// session the closure returns, surfacing per-session counters in
-    /// [`Metrics`] and session identities to the scheduler (the
-    /// session-aware adversaries starve on them).  Install before any
-    /// traffic flows — typically right after construction.
-    pub fn set_session_of(&mut self, f: impl Fn(&M) -> Option<u16> + 'static) {
-        assert_eq!(self.seq, 0, "install the session classifier before any traffic flows");
-        self.session_of = Some(Box::new(f));
     }
 
     /// Installs a trace-path classifier: while tracing is enabled, every
@@ -257,12 +232,8 @@ where
             // Drop the copy's payload reference without decoding.
             msg.payload.outstanding.set(msg.payload.outstanding.get() - 1);
             self.metrics.record_purge();
-            self.metrics.record_session_purge(msg.session, true);
             if setupfree_obs::enabled() {
-                setupfree_obs::emit(setupfree_obs::EventKind::Purge {
-                    seq: Some(seq),
-                    session: msg.session,
-                });
+                setupfree_obs::emit(setupfree_obs::EventKind::Purge { seq: Some(seq) });
             }
         }
     }
@@ -442,8 +413,6 @@ where
         let sender_depth = self.parties[from.index()].depth;
         let honest = self.parties[from.index()].honest;
         for out in step.outgoing {
-            // Classified once per send (every copy shares the session).
-            let session = self.session_of.as_ref().and_then(|f| f(&out.msg));
             // Trace path extracted only while tracing (ObsPath is Copy).
             let trace_path = if setupfree_obs::enabled() {
                 self.trace_path_of.as_ref().map(|f| f(&out.msg)).unwrap_or_default()
@@ -465,13 +434,12 @@ where
                             &payload,
                             sender_depth,
                             honest,
-                            session,
                             trace_path,
                         );
                     }
                 }
                 Dest::One(to) => {
-                    self.push_pending(from, to, &payload, sender_depth, honest, session, trace_path);
+                    self.push_pending(from, to, &payload, sender_depth, honest, trace_path);
                 }
             }
         }
@@ -480,7 +448,6 @@ where
     /// Charges and enqueues one copy of a send; copies to crashed
     /// destinations are dropped (the sender is still charged — it cannot
     /// know its peer is gone).
-    #[allow(clippy::too_many_arguments)]
     fn push_pending(
         &mut self,
         from: PartyId,
@@ -488,18 +455,15 @@ where
         payload: &Rc<PayloadState<M>>,
         sender_depth: u64,
         honest: bool,
-        session: Option<u16>,
         trace_path: setupfree_obs::ObsPath,
     ) {
         self.metrics.record_send(from, payload.bytes.len(), honest);
-        self.metrics.record_session_send(session);
         if self.parties[to.index()].crashed {
             self.metrics.record_purge();
-            self.metrics.record_session_purge(session, false);
             if setupfree_obs::enabled() {
                 // Dropped at send time: charged to the sender but never in
                 // flight, so the trace carries no seq for it.
-                setupfree_obs::emit(setupfree_obs::EventKind::Purge { seq: None, session });
+                setupfree_obs::emit(setupfree_obs::EventKind::Purge { seq: None });
             }
             return;
         }
@@ -510,16 +474,13 @@ where
                 seq,
                 from: from.index() as u16,
                 to: to.index() as u16,
-                session,
                 bytes: payload.bytes.len() as u32,
                 path: trace_path,
             });
         }
         payload.outstanding.set(payload.outstanding.get() + 1);
-        self.metrics.record_session_enqueue(session);
-        self.scheduler.on_enqueue(PendingInfo { from, to, len: payload.bytes.len(), seq, session });
-        let msg =
-            Pending { from, to, payload: Rc::clone(payload), depth: sender_depth + 1, seq, session };
+        self.scheduler.on_enqueue(PendingInfo { from, to, len: payload.bytes.len(), seq });
+        let msg = Pending { from, to, payload: Rc::clone(payload), depth: sender_depth + 1, seq };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(msg);
@@ -540,7 +501,6 @@ where
         let to = msg.to;
         debug_assert!(!self.parties[to.index()].crashed, "traffic to crashed parties is purged");
         self.metrics.record_delivery(msg.depth);
-        self.metrics.record_session_delivery(msg.session);
         if setupfree_obs::enabled() {
             // Ambient context for everything this delivery triggers: the
             // receiving party, the delivery clock, and the delivered seq as
@@ -550,7 +510,6 @@ where
                 seq,
                 from: msg.from.index() as u16,
                 to: to.index() as u16,
-                session: msg.session,
             });
         }
         let decoded = take_decoded(&msg.payload);

@@ -221,8 +221,8 @@ pub fn aba_rounds_to_decide(events: &[TraceEvent]) -> u32 {
 
 /// Bytes and message copies sent, attributed by instance-path prefix of
 /// length `depth` — the general form of the ad-hoc `byte_histogram` bin
-/// (depth 1 over a `SessionHost` stream = bytes per session; depth 2 under
-/// a composite = bytes per sub-protocol).
+/// (depth 1 = bytes per child instance of the top-level protocol; depth 2 =
+/// one level further down).
 pub fn byte_attribution(events: &[TraceEvent], depth: usize) -> Vec<(ObsPath, u64, u64)> {
     let mut bins: BTreeMap<Vec<u8>, (ObsPath, u64, u64)> = BTreeMap::new();
     for e in events {
@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn byte_attribution_groups_by_prefix() {
         let send = |seq: u64, path: ObsPath, bytes: u32| {
-            ev(0, seq, None, EventKind::Send { seq, from: 0, to: 1, session: None, bytes, path })
+            ev(0, seq, None, EventKind::Send { seq, from: 0, to: 1, bytes, path })
         };
         let events = vec![
             send(0, p(&[(0xFE, 0), (1, 1)]), 100),
@@ -441,13 +441,13 @@ mod tests {
         // causes the decide.
         let events = vec![
             ev(0, 0, None, EventKind::Send {
-                seq: 0, from: 0, to: 1, session: None, bytes: 8, path: ObsPath::ROOT,
+                seq: 0, from: 0, to: 1, bytes: 8, path: ObsPath::ROOT,
             }),
-            ev(1, 1, Some(0), EventKind::Deliver { seq: 0, from: 0, to: 1, session: None }),
+            ev(1, 1, Some(0), EventKind::Deliver { seq: 0, from: 0, to: 1 }),
             ev(1, 1, Some(0), EventKind::Send {
-                seq: 5, from: 1, to: 0, session: None, bytes: 16, path: ObsPath::ROOT,
+                seq: 5, from: 1, to: 0, bytes: 16, path: ObsPath::ROOT,
             }),
-            ev(0, 2, Some(5), EventKind::Deliver { seq: 5, from: 1, to: 0, session: None }),
+            ev(0, 2, Some(5), EventKind::Deliver { seq: 5, from: 1, to: 0 }),
             ev(0, 2, Some(5), EventKind::Decided { path: ObsPath::ROOT }),
         ];
         let decide = first_decide(&events, 0).expect("decide exists");
@@ -463,14 +463,14 @@ mod tests {
     fn flow_counts_balance() {
         let events = vec![
             ev(0, 0, None, EventKind::Send {
-                seq: 0, from: 0, to: 1, session: None, bytes: 8, path: ObsPath::ROOT,
+                seq: 0, from: 0, to: 1, bytes: 8, path: ObsPath::ROOT,
             }),
             ev(0, 0, None, EventKind::Send {
-                seq: 1, from: 0, to: 2, session: None, bytes: 8, path: ObsPath::ROOT,
+                seq: 1, from: 0, to: 2, bytes: 8, path: ObsPath::ROOT,
             }),
-            ev(0, 0, None, EventKind::Purge { seq: None, session: None }),
-            ev(1, 1, Some(0), EventKind::Deliver { seq: 0, from: 0, to: 1, session: None }),
-            ev(0, 1, None, EventKind::Purge { seq: Some(1), session: None }),
+            ev(0, 0, None, EventKind::Purge { seq: None }),
+            ev(1, 1, Some(0), EventKind::Deliver { seq: 0, from: 0, to: 1 }),
+            ev(0, 1, None, EventKind::Purge { seq: Some(1) }),
         ];
         let c = FlowCounts::of(&events);
         assert_eq!(c.sent_copies(), 3);

@@ -256,8 +256,6 @@ pub enum EventKind {
         from: u16,
         /// Destination of this copy.
         to: u16,
-        /// Top-level session (when a session classifier is installed).
-        session: Option<u16>,
         /// Exact wire bytes of the payload.
         bytes: u32,
         /// The destination instance path (when a path classifier is
@@ -272,16 +270,12 @@ pub enum EventKind {
         from: u16,
         /// Receiver.
         to: u16,
-        /// Top-level session.
-        session: Option<u16>,
     },
     /// One copy was purged: withdrawn in flight (`seq` set) or dropped at
     /// send time because the destination had already crashed (`seq` none).
     Purge {
         /// Sequence of the withdrawn copy; `None` for send-time drops.
         seq: Option<u64>,
-        /// Top-level session.
-        session: Option<u16>,
     },
     /// The runtime consulted its admission policy about opening a session.
     Admission {

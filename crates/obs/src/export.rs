@@ -14,12 +14,6 @@ fn push_common(out: &mut String, e: &TraceEvent) {
     }
 }
 
-fn push_opt_session(out: &mut String, session: &Option<u16>) {
-    if let Some(s) = session {
-        let _ = write!(out, ",\"session\":{s}");
-    }
-}
-
 fn push_kind(out: &mut String, kind: &EventKind) {
     match kind {
         EventKind::Activated { path } => {
@@ -35,24 +29,21 @@ fn push_kind(out: &mut String, kind: &EventKind) {
                 phase.name()
             );
         }
-        EventKind::Send { seq, from, to, session, bytes, path } => {
+        EventKind::Send { seq, from, to, bytes, path } => {
             let _ = write!(
                 out,
-                ",\"ev\":\"send\",\"seq\":{seq},\"from\":{from},\"to\":{to},\"bytes\":{bytes}"
+                ",\"ev\":\"send\",\"seq\":{seq},\"from\":{from},\"to\":{to},\"bytes\":{bytes},\
+                 \"path\":\"{path}\""
             );
-            push_opt_session(out, session);
-            let _ = write!(out, ",\"path\":\"{path}\"");
         }
-        EventKind::Deliver { seq, from, to, session } => {
+        EventKind::Deliver { seq, from, to } => {
             let _ = write!(out, ",\"ev\":\"deliver\",\"seq\":{seq},\"from\":{from},\"to\":{to}");
-            push_opt_session(out, session);
         }
-        EventKind::Purge { seq, session } => {
+        EventKind::Purge { seq } => {
             let _ = write!(out, ",\"ev\":\"purge\"");
             if let Some(seq) = seq {
                 let _ = write!(out, ",\"seq\":{seq}");
             }
-            push_opt_session(out, session);
         }
         EventKind::Admission { session, admitted, forced, tokens, live } => {
             let _ = write!(

@@ -1,12 +1,11 @@
 //! Admission control: when may the host open the next queued session?
 //!
-//! PR 4's `SessionHost` pre-spawned every session at activation — `k`
-//! pipelined beacon epochs meant `k` live elections from the first
-//! delivery.  The sharded runtime instead holds a queue of *pending*
-//! sessions and asks an [`AdmissionPolicy`] before opening each one, so a
-//! pipelined workload becomes a stream of admitted sessions whose
-//! concurrency (and therefore peak memory and cross-session interference)
-//! is a policy knob rather than a workload constant.
+//! Pre-spawning every session at activation would make `k` pipelined beacon
+//! epochs `k` live elections from the first delivery.  The sharded runtime
+//! instead holds a queue of *pending* sessions and asks an
+//! [`AdmissionPolicy`] before opening each one, so a pipelined workload
+//! becomes a stream of admitted sessions whose concurrency (and therefore
+//! peak memory) is a policy knob rather than a workload constant.
 
 /// Decides when the host may open the next pending session.
 ///
@@ -45,7 +44,7 @@ pub trait AdmissionPolicy: Send {
     }
 }
 
-/// Admits every session immediately — the PR 4 pre-spawn behaviour.
+/// Admits every session immediately (pre-spawn).
 #[derive(Debug, Clone, Default)]
 pub struct Unlimited;
 

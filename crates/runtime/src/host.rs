@@ -1,21 +1,18 @@
 //! The worker-partitioned session host.
 //!
 //! [`ShardedHost`] runs `k` top-level protocol sessions partitioned across
-//! `W` worker shards by session index (the leading session segment of the
-//! mux's `InstancePath` is the shard key — shard `= session mod W`).  Where
-//! PR 4's `SessionHost` multiplexed every session through **one** simulator
-//! loop — one scheduler pool of all sessions' in-flight messages, one
-//! aggregate `Metrics`, one global delivery budget — each sharded session
-//! owns its complete execution state: party machines, adversarial
+//! `W` worker shards by session index (shard `= session mod W`).  Each
+//! session owns its complete execution state: party machines, adversarial
 //! scheduler, in-flight slab, delivery budget and [`SessionMetrics`].  That
-//! buys three things the single loop cannot offer:
+//! buys three things:
 //!
 //! * **isolation** — a session that exhausts its budget is reported as
 //!   [`StopReason::BudgetExhausted`] *for that session* while the rest run
 //!   to completion, and per-session metrics make cross-session interference
 //!   measurable instead of folded into one aggregate;
-//! * **scalability** — scheduler pools stay session-sized (the single
-//!   loop's pool grows with `k`, and its per-pick cost with `log` of that),
+//! * **scalability** — scheduler pools stay session-sized (one pool shared
+//!   by all sessions would grow with `k`, and its per-pick cost with `log`
+//!   of that),
 //!   and the shards can run on real OS threads ([`ShardedHost::run_parallel`]);
 //! * **admission** — sessions are *opened* by an
 //!   [`AdmissionPolicy`](crate::admission::AdmissionPolicy) instead of
@@ -94,12 +91,10 @@ where
     }
 
     /// Wraps party `i` so it crashes (goes permanently silent) after
-    /// `activations` deliveries — the testkit's mid-run crash fault, now
-    /// composable with per-session schedulers: a fairness sweep can starve
-    /// one session *and* crash a quorum member of another.  The party stays
-    /// honest (pre-crash traffic is charged to the honest complexity, a
-    /// pre-crash output joins the agreement quantifier); it is just no
-    /// longer awaited for termination.
+    /// `activations` deliveries — the testkit's mid-run crash fault, per
+    /// session.  The party stays honest (pre-crash traffic is charged to the
+    /// honest complexity, a pre-crash output joins the agreement
+    /// quantifier); it is just no longer awaited for termination.
     pub fn crash_after(mut self, i: usize, activations: usize) -> Self {
         let machine =
             std::mem::replace(&mut self.parties[i], Box::new(setupfree_net::SilentParty::new()));
@@ -262,8 +257,7 @@ impl<O> ShardedRunReport<O> {
     }
 
     /// Component-wise sum of every session's metrics (`rounds` is the
-    /// maximum over terminated sessions) — comparable to the single-loop
-    /// aggregate `Metrics`.
+    /// maximum over terminated sessions).
     pub fn aggregate(&self) -> SessionMetrics {
         let mut total = SessionMetrics::default();
         for r in &self.sessions {
@@ -379,8 +373,7 @@ where
     F: SessionFactory<M, O>,
 {
     /// Creates a host running `sessions` sessions over `workers` shards with
-    /// unlimited admission (every session opened immediately — the PR 4
-    /// pre-spawn behaviour).
+    /// unlimited admission (every session opened immediately).
     pub fn new(workers: usize, sessions: usize, factory: F) -> Self {
         assert!(workers > 0, "at least one worker shard is required");
         assert!(sessions > 0, "a host with zero sessions has nothing to run");

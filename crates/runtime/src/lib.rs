@@ -2,14 +2,11 @@
 //!
 //! The paper's protocols are built to run *many concurrent instances* —
 //! per-epoch beacons (§7.3), per-view VBAs (§7.1), `k` parallel BAs (the
-//! concurrent-agreement regime of Cohen et al., arXiv:2312.14506).  PR 4's
-//! `SessionHost` made that workload expressible (k sessions multiplexed
-//! over one network by a leading path segment); this crate makes it
-//! **operable at scale**:
+//! concurrent-agreement regime of Cohen et al., arXiv:2312.14506).  This
+//! crate is the workspace's one way to run such a workload:
 //!
 //! * [`ShardedHost`] — partitions sessions across `W` worker shards (shard
-//!   key = the leading session segment of the instance path, i.e. session
-//!   index mod `W`), each shard owning its sessions' complete execution
+//!   key = session index mod `W`), each shard owning its sessions' complete execution
 //!   state: party machines, adversarial scheduler, in-flight slab, delivery
 //!   budget, metrics.  A deterministic round-robin shard-step merge keeps
 //!   per-session results identical for every `W`
@@ -25,10 +22,8 @@
 //!   of pre-spawned, so pipelined beacon epochs become *admitted* sessions
 //!   with a bounded live-session window.
 //!
-//! The per-session fairness adversaries this runtime is measured under
-//! (`SessionTargetedDelayScheduler`, `SessionPartitionScheduler`) live in
-//! `setupfree_net::scheduler`, built on the same Fenwick-arena scheduler
-//! API as the party-level adversaries.
+//! Every session is its own `Simulation` with its own scheduler, so the
+//! party-level adversaries of `setupfree_net::scheduler` apply per session.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

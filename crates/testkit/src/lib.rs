@@ -16,7 +16,8 @@
 //!   plan (silent Byzantine parties, mid-run crashes via
 //!   [`CrashAfter`](setupfree_net::CrashAfter), pre-run crashes);
 //! * [`sweep`] — builds a fresh ensemble per adversary, runs each to
-//!   completion, and returns one [`SweepRun`] per schedule;
+//!   completion, checks the message-conservation law on every run, and
+//!   returns one [`SweepRun`] per schedule;
 //! * [`SweepRun`] — uniform assertions: [`SweepRun::assert_termination`],
 //!   [`SweepRun::assert_agreement`], [`SweepRun::assert_validity`].
 //!
@@ -66,8 +67,7 @@ use std::fmt;
 
 use setupfree_net::{
     BoxedParty, CrashAfter, FifoScheduler, Metrics, PartitionScheduler, PartyId, RandomScheduler,
-    RunReport, Scheduler, SessionPartitionScheduler, SessionTargetedDelayScheduler, SilentParty,
-    Simulation, StopReason, TargetedDelayScheduler,
+    RunReport, Scheduler, SilentParty, Simulation, StopReason, TargetedDelayScheduler,
 };
 
 /// One reproducible adversarial delivery schedule.
@@ -100,25 +100,6 @@ pub enum Adversary {
         /// Scheduler seed for tie-breaking.
         seed: u64,
     },
-    /// Starve a single **session** of a concurrent-session workload: every
-    /// message of the target session is delayed as long as any other message
-    /// is pending.  Requires the ensemble to install a session classifier
-    /// ([`Ensemble::with_session_of`]) — without one no message carries a
-    /// session and the schedule degenerates to uniform random.
-    SessionTargetedDelay {
-        /// The starved session index.
-        session: u16,
-        /// Scheduler seed for tie-breaking.
-        seed: u64,
-    },
-    /// Starve the trailing **group of sessions**: all traffic of sessions
-    /// `< boundary` is delivered before any traffic of the rest.
-    SessionPartition {
-        /// Sessions with index `< boundary` form the preferred group.
-        boundary: u16,
-        /// Scheduler seed for tie-breaking.
-        seed: u64,
-    },
 }
 
 impl Adversary {
@@ -133,12 +114,6 @@ impl Adversary {
             )),
             Adversary::Partition { boundary, seed } => {
                 Box::new(PartitionScheduler::new(*boundary, *seed))
-            }
-            Adversary::SessionTargetedDelay { session, seed } => {
-                Box::new(SessionTargetedDelayScheduler::new(*session, *seed))
-            }
-            Adversary::SessionPartition { boundary, seed } => {
-                Box::new(SessionPartitionScheduler::new(*boundary, *seed))
             }
         }
     }
@@ -179,19 +154,6 @@ impl Adversary {
         sweep.push(Adversary::Partition { boundary: n / 2, seed: 0xc2 });
         sweep
     }
-
-    /// The per-session fairness sweep for a `k`-session concurrent workload:
-    /// `seeds` random schedules, a targeted starvation of session 0, and a
-    /// partition starving the trailing half of the sessions.  Ensembles run
-    /// under it must install a session classifier
-    /// ([`Ensemble::with_session_of`]).
-    pub fn session_sweep(k: u16, seeds: u64) -> Vec<Adversary> {
-        let mut sweep: Vec<Adversary> =
-            (0..seeds).map(|seed| Adversary::Random { seed }).collect();
-        sweep.push(Adversary::SessionTargetedDelay { session: 0, seed: 0x5e5 });
-        sweep.push(Adversary::SessionPartition { boundary: k.div_ceil(2), seed: 0x5e6 });
-        sweep
-    }
 }
 
 impl fmt::Display for Adversary {
@@ -204,12 +166,6 @@ impl fmt::Display for Adversary {
             }
             Adversary::Partition { boundary, seed } => {
                 write!(f, "partition(boundary={boundary}, seed={seed})")
-            }
-            Adversary::SessionTargetedDelay { session, seed } => {
-                write!(f, "session-targeted-delay(session={session}, seed={seed})")
-            }
-            Adversary::SessionPartition { boundary, seed } => {
-                write!(f, "session-partition(boundary={boundary}, seed={seed})")
             }
         }
     }
@@ -229,7 +185,6 @@ where
     byzantine: Vec<usize>,
     crash_faulty: Vec<usize>,
     crashed_at_start: Vec<usize>,
-    session_of: Option<fn(&M) -> Option<u16>>,
 }
 
 impl<M, O> Ensemble<M, O>
@@ -244,21 +199,7 @@ where
             byzantine: Vec::new(),
             crash_faulty: Vec::new(),
             crashed_at_start: Vec::new(),
-            session_of: None,
         }
-    }
-
-    /// Installs a session classifier on the simulation (see
-    /// [`Simulation::set_session_of`]): per-session counters appear in the
-    /// run's [`Metrics`] — with their conservation law asserted by [`sweep`]
-    /// — and the session-aware adversaries
-    /// ([`Adversary::SessionTargetedDelay`], [`Adversary::SessionPartition`])
-    /// see which session each message belongs to.  Concurrent-session
-    /// ensembles (`SessionHost` workloads) pass
-    /// [`setupfree_net::envelope_session`].
-    pub fn with_session_of(mut self, f: fn(&M) -> Option<u16>) -> Self {
-        self.session_of = Some(f);
-        self
     }
 
     /// Builds an all-honest ensemble from a per-party constructor.
@@ -309,9 +250,6 @@ where
         let mut honest = vec![true; n];
         let mut awaited = vec![true; n];
         let mut sim = Simulation::new(self.parties, adversary.scheduler());
-        if let Some(f) = self.session_of {
-            sim.set_session_of(f);
-        }
         for &i in &self.byzantine {
             honest[i] = false;
             awaited[i] = false;
@@ -456,6 +394,12 @@ impl<O: Clone + fmt::Debug> SweepRun<O> {
 /// `make` is called once per adversary so each run starts from fresh state
 /// machines; the adversary is passed in so ensembles can derive
 /// schedule-distinct session identifiers if they want distinct randomness.
+///
+/// # Panics
+///
+/// Panics if a run's books do not balance: a delivery-budget unit spent on
+/// anything but a delivery, or a sent copy that was neither delivered,
+/// purged, nor left in flight.
 pub fn sweep<M, O>(
     adversaries: &[Adversary],
     budget: u64,
@@ -480,15 +424,16 @@ where
                 "budget/delivery mismatch under {adversary}: the engine burned budget on \
                  undeliverable messages"
             );
-            // Per-session conservation: for every session the classifier
-            // attributed traffic to, sent = delivered + purged + in-flight,
-            // and the per-session counters sum to the aggregate.  Trivially
-            // true for ensembles without a classifier, checked on every
-            // concurrent-session sweep for free.
+            // Conservation: every copy sent, by honest and Byzantine parties
+            // alike, was delivered, purged (receiver crashed), or is still in
+            // flight when the run stopped.
+            let m = sim.metrics();
+            let sent = m.honest_messages + m.byzantine_messages;
+            let settled = m.delivered_messages + m.purged_messages + sim.in_flight() as u64;
             assert_eq!(
-                sim.metrics().session_conservation_violation(),
-                None,
-                "per-session accounting books do not balance under {adversary}"
+                sent, settled,
+                "conservation violated under {adversary}: sent {sent} != delivered + purged + \
+                 in flight {settled}"
             );
             SweepRun {
                 adversary: adversary.clone(),

@@ -66,9 +66,8 @@ pub mod prelude {
     pub use setupfree_core::{TrustedCoin, TrustedCoinFactory};
     pub use setupfree_crypto::{generate_pki, generate_pki_with_malicious, Keyring, PartySecrets};
     pub use setupfree_net::{
-        envelope_session, BoxedParty, Envelope, FifoScheduler, InstancePath, Leaf, MuxNode,
-        PartyId, PathSeg, ProtocolInstance, RandomScheduler, Router, SessionHost,
-        SessionPartitionScheduler, SessionTargetedDelayScheduler, Sid, Simulation, StopReason,
+        BoxedParty, Envelope, FifoScheduler, InstancePath, Leaf, MuxNode, PartyId, PathSeg,
+        ProtocolInstance, RandomScheduler, Router, Sid, Simulation, StopReason,
         TargetedDelayScheduler,
     };
     pub use setupfree_rbc::{Rbc, RbcMessage};

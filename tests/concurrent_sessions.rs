@@ -1,227 +1,92 @@
-//! Concurrent-session workloads over one simulated network (PR 4).
+//! Concurrent sessions on the sharded runtime: pipelined beacon epochs.
 //!
-//! The session router's [`SessionHost`] multiplexes many top-level protocol
-//! sessions over a single network by routing on a leading session segment —
-//! the workload studied by Cohen et al. for concurrent asynchronous BA
-//! (arXiv:2312.14506).  These tests run the two workloads the benchmarks
-//! measure — `k` concurrent ABA instances and pipelined beacon epochs —
-//! through the shared adversarial harness, asserting per-session agreement
-//! and validity under every schedule.
+//! The beacon runs one leader election per epoch (§7.3); the pipelined
+//! variant runs several epochs at once.  Here every epoch is its own
+//! [`ShardedHost`] session — its own simulation, scheduler and delivery
+//! budget — and a `MaxConcurrent(2)` admission window keeps two epoch
+//! elections live side by side.
 
 use std::sync::Arc;
 
 use setupfree::prelude::*;
-use setupfree_testkit::{assert_agreement_sweep, Adversary, Ensemble};
+use setupfree::runtime::ShardedRunReport;
+
+const N: usize = 4;
+const EPOCHS: usize = 3;
 
 fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
     let (keyring, secrets) = generate_pki(n, seed);
     (Arc::new(keyring), secrets.into_iter().map(Arc::new).collect())
 }
 
-#[test]
-fn concurrent_trusted_abas_agree_per_session_across_schedules() {
-    let n = 4;
-    let k = 4usize;
-    // Session s has mixed inputs (i + s) % 2 — per-session validity is then
-    // trivially satisfied by any decision; agreement is the interesting part.
-    let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 10_000_000, |adv| {
-        Ensemble::build(n, |i| {
-            let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
-                .map(|s| {
-                    MmrAba::new(
-                        Sid::new(&format!("it-kaba-{adv}")).derive("session", s),
-                        i,
-                        n,
-                        1,
-                        (i.index() + s) % 2 == 0,
-                        TrustedCoinFactory,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
+/// Epoch `e`'s session: the real `Election` with a trusted-coin ABA inside,
+/// delivered by a `RandomScheduler` seeded per epoch.
+fn epoch_session(
+    e: usize,
+    keyring: &Arc<Keyring>,
+    secrets: &[Arc<PartySecrets>],
+) -> SessionSetup<Envelope, ElectionOutput> {
+    let parties: Vec<BoxedParty<Envelope, ElectionOutput>> = (0..N)
+        .map(|i| {
+            let aba = MmrAbaFactory::new(PartyId(i), N, keyring.f(), TrustedCoinFactory);
+            Box::new(Election::new(
+                Sid::new("it-pipe-beacon").derive("epoch", e),
+                PartyId(i),
+                keyring.clone(),
+                secrets[i].clone(),
+                aba,
+            )) as BoxedParty<Envelope, ElectionOutput>
         })
-        .with_session_of(envelope_session)
-    });
-    for run in &runs {
-        run.assert_validity(|out| out.len() == k);
-    }
+        .collect();
+    SessionSetup::new(parties, Box::new(RandomScheduler::new(0xE90C + e as u64)), 1 << 30)
 }
 
-#[test]
-fn concurrent_full_stack_abas_agree_per_session() {
-    // The real thing: two concurrent ABA sessions whose every round flips
-    // the private-setup-free Coin, multiplexed over one network.
-    let n = 4;
-    let k = 2usize;
-    let (keyring, secrets) = keys(n, 91);
-    let runs = assert_agreement_sweep(&Adversary::random_sweep(2), 1 << 30, |adv| {
-        Ensemble::build(n, |i| {
-            let sessions: Vec<MmrAba<CoinProtocolFactory>> = (0..k)
-                .map(|s| {
-                    let factory = CoinProtocolFactory::new(
-                        i,
-                        keyring.clone(),
-                        secrets[i.index()].clone(),
-                    );
-                    MmrAba::new(
-                        Sid::new(&format!("it-kaba-full-{adv}")).derive("session", s),
-                        i,
-                        n,
-                        keyring.f(),
-                        (i.index() + s) % 2 == 0,
-                        factory,
-                    )
-                })
+/// Each epoch's leader, after asserting that every party output one and
+/// all of them agree.  The winning VRF is speculative per-party state, so
+/// only leaders are compared.
+fn agreed_leaders(report: &ShardedRunReport<ElectionOutput>) -> Vec<PartyId> {
+    report
+        .outputs
+        .iter()
+        .enumerate()
+        .map(|(e, outs)| {
+            let leaders: Vec<PartyId> = outs
+                .iter()
+                .map(|o| o.as_ref().unwrap_or_else(|| panic!("epoch {e}: a party has no output")))
+                .map(|o| o.leader)
                 .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
+            assert!(
+                leaders.windows(2).all(|w| w[0] == w[1]),
+                "epoch {e} leaders disagree: {leaders:?}"
+            );
+            leaders[0]
         })
-        .with_session_of(envelope_session)
-    });
-    for run in &runs {
-        run.assert_validity(|out| out.len() == k);
-    }
-}
-
-#[test]
-fn concurrent_sessions_tolerate_a_silent_party() {
-    let n = 4;
-    let k = 3usize;
-    let runs = assert_agreement_sweep(&Adversary::random_sweep(3), 10_000_000, |adv| {
-        Ensemble::build(n, |i| {
-            let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
-                .map(|s| {
-                    MmrAba::new(
-                        Sid::new(&format!("it-kaba-crash-{adv}")).derive("session", s),
-                        i,
-                        n,
-                        1,
-                        (i.index() + s) % 2 == 1,
-                        TrustedCoinFactory,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
-        })
-        .with_session_of(envelope_session)
-        .silence(2)
-    });
-    for run in &runs {
-        assert_eq!(run.honest_outputs().len(), 3, "under {}", run.adversary);
-    }
-}
-
-#[test]
-fn starved_session_still_terminates_and_interference_is_measured() {
-    // The per-session fairness regime (Cohen et al., arXiv:2312.14506):
-    // the adversary starves ONE session's traffic — every other session's
-    // messages deliver first — and the starved session must still
-    // terminate by eventual delivery.  The session classifier exposes the
-    // per-session delivery split, so the sweep also *measures* the
-    // cross-session interference it creates, and asserts the per-session
-    // conservation law (checked inside `sweep` for every run).
-    let n = 4;
-    let k = 4usize;
-    let runs = assert_agreement_sweep(&Adversary::session_sweep(k as u16, 2), 10_000_000, |adv| {
-        Ensemble::build(n, |i| {
-            let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
-                .map(|s| {
-                    MmrAba::new(
-                        Sid::new(&format!("it-starve-{adv}")).derive("session", s),
-                        i,
-                        n,
-                        1,
-                        (i.index() + s) % 2 == 0,
-                        TrustedCoinFactory,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
-        })
-        .with_session_of(envelope_session)
-    });
-    for run in &runs {
-        run.assert_validity(|out| out.len() == k);
-        // Every session was attributed traffic, and none was silently lost.
-        assert_eq!(run.metrics.session_conservation_violation(), None);
-        assert!(run.metrics.session_count() >= k, "under {}", run.adversary);
-        assert_eq!(run.metrics.unclassified_sent, 0, "all SessionHost traffic has a session");
-        let delivered = &run.metrics.session_delivered;
-        assert!(
-            delivered.iter().take(k).all(|&d| d > 0),
-            "every session (starved included) makes progress under {}: {delivered:?}",
-            run.adversary
-        );
-    }
-}
-
-#[test]
-fn session_partition_starves_the_trailing_group_but_everyone_terminates() {
-    let n = 4;
-    let k = 4usize;
-    let boundary = 2u16;
-    let runs = assert_agreement_sweep(
-        &[setupfree_testkit::Adversary::SessionPartition { boundary, seed: 0xF00 }],
-        10_000_000,
-        |adv| {
-            Ensemble::build(n, |i| {
-                let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
-                    .map(|s| {
-                        MmrAba::new(
-                            Sid::new(&format!("it-spart-{adv}")).derive("session", s),
-                            i,
-                            n,
-                            1,
-                            (i.index() + s) % 2 == 1,
-                            TrustedCoinFactory,
-                        )
-                    })
-                    .collect();
-                Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
-            })
-            .with_session_of(envelope_session)
-        },
-    );
-    for run in &runs {
-        run.assert_validity(|out| out.len() == k);
-        assert_eq!(run.metrics.session_conservation_violation(), None);
-    }
+        .collect()
 }
 
 #[test]
 fn pipelined_beacon_epochs_agree_on_leaders() {
-    // Pipelined beacon: all epoch elections run concurrently in a
-    // SessionHost (the sequential variant is `RandomBeacon`).  Leaders must
-    // agree per epoch; the winning VRF is speculative per-party state, so
-    // compare leaders only.
-    let n = 4;
-    let epochs = 3usize;
-    let (keyring, secrets) = keys(n, 92);
-    let runs = setupfree_testkit::sweep(&Adversary::random_sweep(2), 1 << 30, |adv| {
-        Ensemble::build(n, |i| {
-            let sessions: Vec<Election<MmrAbaFactory<TrustedCoinFactory>>> = (0..epochs)
-                .map(|e| {
-                    let aba = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
-                    Election::new(
-                        Sid::new(&format!("it-pipe-beacon-{adv}")).derive("epoch", e),
-                        i,
-                        keyring.clone(),
-                        secrets[i.index()].clone(),
-                        aba,
-                    )
-                })
-                .collect();
-            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<ElectionOutput>>
-        })
-        .with_session_of(envelope_session)
-    });
-    for run in &runs {
-        run.assert_termination();
-        let outs = run.honest_outputs();
-        for pair in outs.windows(2) {
-            assert_eq!(pair[0].len(), epochs);
-            for (a, b) in pair[0].iter().zip(pair[1].iter()) {
-                assert_eq!(a.leader, b.leader, "per-epoch leader agreement under {}", run.adversary);
-            }
+    let (keyring, secrets) = keys(N, 92);
+    let run = |parallel: bool| {
+        let (keyring, secrets) = (keyring.clone(), secrets.clone());
+        let host = ShardedHost::new(2, EPOCHS, move |e| epoch_session(e, &keyring, &secrets))
+            .with_admission(MaxConcurrent(2));
+        if parallel {
+            host.run_parallel()
+        } else {
+            host.run()
         }
-    }
+    };
+
+    let merged = run(false);
+    assert!(merged.all_terminated());
+    merged.assert_conservation();
+    assert_eq!(merged.peak_live_sessions, 2, "two epochs run side by side, never more");
+    let leaders = agreed_leaders(&merged);
+    assert_eq!(leaders.len(), EPOCHS);
+
+    let parallel = run(true);
+    assert!(parallel.all_terminated());
+    assert_eq!(parallel.fingerprints(), merged.fingerprints());
+    assert_eq!(agreed_leaders(&parallel), leaders);
 }

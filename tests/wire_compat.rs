@@ -189,27 +189,6 @@ fn beacon_messages_survive_the_envelope() {
 }
 
 #[test]
-fn session_host_messages_survive_the_envelope() {
-    let n = 4;
-    let mk = |i: usize| {
-        let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..3)
-            .map(|s| {
-                MmrAba::new(
-                    Sid::new("wc-host").derive("session", s),
-                    PartyId(i),
-                    n,
-                    1,
-                    (i + s).is_multiple_of(2),
-                    TrustedCoinFactory,
-                )
-            })
-            .collect();
-        SessionHost::new(sessions)
-    };
-    exercise("session-host", mk(0), mk(1));
-}
-
-#[test]
 fn truncated_and_malformed_envelopes_are_rejected_not_panicking() {
     // Any prefix of a real envelope's path header must fail to decode
     // cleanly, and arbitrary junk must never panic.
