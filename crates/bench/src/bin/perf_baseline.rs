@@ -11,17 +11,20 @@
 //! batched-vs-per-transcript PVSS
 //! verification micro-comparison, and the **cross-session verify-queue
 //! grid** (PR 9: the shard-level `VerifyQueue` flushing k sessions' pending
-//! RLC checks in one batch vs k per-session batches).  Results go to
-//! `BENCH_pr9.json` at the workspace root — the trajectory every later
-//! performance PR is judged against.  (The PR 5 concurrent- and
-//! sharded-session grid is *not* re-recorded here; `BENCH_pr5.json` stays
-//! committed as that record.)
+//! RLC checks in one batch vs k per-session batches).  A full run prints
+//! every row and writes them as JSON to the path given with `--out`, and
+//! writes nothing without it, so re-running never overwrites a committed
+//! record such as `BENCH_pr9.json`, the point later performance changes
+//! are judged against.  (The concurrent- and sharded-session grid of
+//! `BENCH_pr5.json` is *not* re-recorded here; that file stays committed
+//! as its record.)
 //!
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p setupfree-bench --bin perf_baseline            # full run, writes BENCH_pr9.json
-//! cargo run --release -p setupfree-bench --bin perf_baseline -- --smoke # CI gate, prints only
+//! cargo run --release -p setupfree-bench --bin perf_baseline                            # full run, prints only
+//! cargo run --release -p setupfree-bench --bin perf_baseline -- --out BENCH_pr<k>.json  # full run, writes the record
+//! cargo run --release -p setupfree-bench --bin perf_baseline -- --smoke                 # CI gate, prints only
 //! ```
 //!
 //! The `--smoke` mode is CI's regression gate.  It proves the binary still
@@ -1051,7 +1054,14 @@ fn aba_rounds_gate(gate: bool) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out = args.iter().position(|a| a == "--out").map(|i| {
+        args.get(i + 1).cloned().unwrap_or_else(|| {
+            eprintln!("perf_baseline: --out needs a path");
+            std::process::exit(2)
+        })
+    });
     let pr4 = load_pr4_baseline();
     let pr7 = load_pr7_baseline();
     let mut rows: Vec<Timed> = Vec::new();
@@ -1190,9 +1200,12 @@ fn main() {
         );
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
+    let Some(path) = out else {
+        println!("\nno --out given; no baseline file written.");
+        return;
+    };
     std::fs::write(
-        path,
+        &path,
         json_escape_free(&Recording {
             rows: &rows,
             committee: &committee,
@@ -1204,6 +1217,6 @@ fn main() {
             vqueue: &vqueue,
         }),
     )
-    .expect("write BENCH_pr9.json");
+    .unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("\nwrote {path}");
 }

@@ -8,6 +8,7 @@
 //! provable broadcasts (§7.2).  Signatures are always domain-separated by a
 //! protocol session identifier, mirroring the paper's `Sign^ID_i(m)` notation.
 
+use std::cell::Cell;
 use std::fmt;
 
 use rand::Rng;
@@ -329,6 +330,20 @@ impl Decode for AggregateSignature {
     }
 }
 
+std::thread_local! {
+    /// [`QuorumCert::verify`] calls made on this thread (see
+    /// [`qc_verify_count`]).
+    static QC_VERIFY_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`QuorumCert::verify`] calls the calling thread has made —
+/// [`QuorumCert::verify_within`] included once it reaches the aggregate
+/// check.  A deterministic work counter: a simulation runs on one thread,
+/// so the difference across a run is that run's certificate work.
+pub fn qc_verify_count() -> u64 {
+    QC_VERIFY_COUNT.with(Cell::get)
+}
+
 /// A quorum certificate: an aggregated multi-signature plus the pinned quorum
 /// size it must meet.
 ///
@@ -379,6 +394,7 @@ impl QuorumCert {
     /// Verifies the certificate: at least `quorum` distinct registered
     /// signers and a valid aggregate on `(context, message)`.
     pub fn verify(&self, keys: &[VerifyingKey], context: &[u8], message: &[u8]) -> bool {
+        QC_VERIFY_COUNT.with(|count| count.set(count.get() + 1));
         self.agg.signer_count() >= self.quorum() && self.agg.verify(keys, context, message)
     }
 
@@ -652,6 +668,23 @@ mod tests {
         let cert = QuorumCert::new(4, &padded, &pks, b"ctx", b"msg").unwrap();
         assert!(cert.verify(&pks, b"ctx", b"msg"));
         assert!(!cert.verify_within(&pks, &members, b"ctx", b"msg"));
+    }
+
+    #[test]
+    fn qc_verify_count_counts_every_verify_call() {
+        let (sks, pks) = quorum_setup(4, 20);
+        let entries = signed_entries(&sks, &[0, 1, 2], b"ctx", b"msg");
+        let cert = QuorumCert::new(3, &entries, &pks, b"ctx", b"msg").unwrap();
+        let before = qc_verify_count();
+        assert!(cert.verify(&pks, b"ctx", b"msg"));
+        assert!(!cert.verify(&pks, b"ctx", b"other"), "a failed check is counted too");
+        assert!(cert.verify_within(&pks, &[0, 1, 2], b"ctx", b"msg"));
+        // Rejected by the membership check before reaching the aggregate.
+        assert!(!cert.verify_within(&pks, &[0, 1], b"ctx", b"msg"));
+        assert_eq!(qc_verify_count() - before, 3);
+        // Per thread: another thread's verifications are not charged here.
+        std::thread::spawn(move || cert.verify(&pks, b"ctx", b"msg")).join().unwrap();
+        assert_eq!(qc_verify_count() - before, 3);
     }
 
     #[test]

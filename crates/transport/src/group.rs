@@ -25,10 +25,10 @@
 //!   same pair) with exponential backoff, and reaps accept-side links
 //!   whose dialer has been gone too long;
 //! * **one reader thread per live connection** turns the byte stream back
-//!   into envelopes, enforces per-link sequencing (duplicates dropped,
-//!   gaps fatal), applies the fault plan's receive delay, and pushes into
-//!   the inbox; a full inbox blocks the reader, which backpressures the
-//!   sender through TCP.
+//!   into envelopes, enforces per-link sequencing (duplicates dropped, a
+//!   gap ends the connection), applies the fault plan's receive delay, and
+//!   pushes into the inbox; a full inbox blocks the reader, which
+//!   backpressures the sender through TCP.
 //!
 //! Self-addressed messages never touch a socket: the driver loops them
 //! through a local queue, sharing the payload just like the simulator.
@@ -255,6 +255,12 @@ impl<O> SocketRunReport<O> {
     /// Total frames eaten by the fault injector across all links.
     pub fn total_drops_injected(&self) -> u64 {
         self.peers.iter().flat_map(|p| &p.links).map(|l| l.drops_injected).sum()
+    }
+
+    /// Total data frames refused for a sequence gap across all links —
+    /// zero on any run whose peers follow the resume protocol.
+    pub fn total_seq_gaps(&self) -> u64 {
+        self.peers.iter().flat_map(|p| &p.links).map(|l| l.seq_gaps).sum()
     }
 
     /// The ordered link `from → to`'s counters.
@@ -880,17 +886,22 @@ impl Mesh {
     }
 
     /// Reads one connection generation for peer `me`: data frames pass the
-    /// per-link sequence check (duplicates discarded, gaps fatal), take the
-    /// fault plan's receive delay, and enter the inbox; acks prune the
-    /// writer's outbox.  On any stream end the reader severs its own
-    /// generation — never a successor installed by a concurrent resume.
+    /// per-link sequence check (duplicates discarded, a gap ends the
+    /// connection), take the fault plan's receive delay, and enter the
+    /// inbox; acks prune the writer's outbox.  On any stream end the reader
+    /// severs its own generation — never a successor installed by a
+    /// concurrent resume.
     fn reader_loop(&self, me: usize, from: usize, stream: Arc<TcpStream>, generation: u64) {
         let link = self.link(me, from);
         let mut r = BufReader::new(stream.as_ref());
         loop {
             match read_frame(&mut r) {
                 Ok(Some(Frame::Data { seq, env })) => {
-                    let (deliver, ack_now) = link.record_delivery(seq, &self.policy);
+                    // A sequence gap drops the connection like a malformed
+                    // frame does.
+                    let Ok((deliver, ack_now)) = link.record_delivery(seq, &self.policy) else {
+                        break;
+                    };
                     if deliver {
                         if let Some(delay) = self.plan.frame_delay(from, me, seq) {
                             // Only the head of a burst pays propagation

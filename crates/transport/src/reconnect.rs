@@ -22,9 +22,12 @@
 //! replays exactly the suffix the other side reports missing (the resume
 //! hello carries each side's `next_expected` sequence).  Sequence numbers
 //! make the whole thing exact — the receiver delivers frame `k` only after
-//! `k−1`, drops duplicates by number, and treats a gap as a transport bug
-//! (panic), which is what lets the chaos tests assert *zero lost, zero
-//! duplicated* frames across forced cuts.
+//! `k−1`, drops duplicates by number, and treats a gap as a fault of the
+//! connection: the sequence number is written by the peer, so a gap drops
+//! that connection (as a malformed frame does) and is counted in
+//! [`LinkStats::seq_gaps`]; peer input never panics the reader.  An
+//! honest mesh never gaps, which is what lets the chaos tests assert
+//! *zero lost, zero duplicated* frames across forced cuts, and zero gaps.
 //!
 //! Locking: all link state sits behind one `Mutex` per link.  The driver
 //! (writes), the reader (delivery bookkeeping + acks), and the redialer
@@ -145,10 +148,26 @@ pub struct LinkStats {
     pub duplicates: u64,
     /// Data frames the receiving side accepted and delivered in sequence.
     pub delivered: u64,
+    /// Data frames the receiving side refused because their sequence number
+    /// skipped ahead of the next expected one; each dropped its connection.
+    /// Zero on an honest mesh: anything else is a transport bug or a
+    /// hostile peer.
+    pub seq_gaps: u64,
     /// Time this link spent inside scheduled partition windows.
     pub partitioned_ms: u64,
     /// Health at teardown.
     pub status: LinkStatus,
+}
+
+/// A data frame whose sequence number skipped ahead: the resume protocol
+/// would have lost frames `expected..got`.  Returned by
+/// [`Link::record_delivery`]; the reader drops the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeqGap {
+    /// The next sequence number the link expected.
+    pub expected: u64,
+    /// The sequence number the frame carried.
+    pub got: u64,
 }
 
 /// What [`Link::send`] tells the fault injector it did, so the caller can
@@ -371,21 +390,25 @@ impl Link {
     /// reverse direction: returns `(deliver, ack_now)`.
     ///
     /// Duplicates (seq below the expected counter — retransmissions of
-    /// frames that *did* arrive) are counted and discarded.  A gap would
-    /// mean the resume protocol lost a frame; that is a transport bug, not
-    /// a tolerable fault, so it panics the reader (and the panic surfaces
-    /// as a peer failure rather than silent corruption).
-    pub fn record_delivery(&self, seq: u64, policy: &ReconnectPolicy) -> (bool, bool) {
+    /// frames that *did* arrive) are counted and discarded.  A gap means
+    /// the frame cannot be delivered in order; the peer wrote that seq, so
+    /// it is a fault of the connection, not of this process: it is counted
+    /// ([`LinkStats::seq_gaps`]) and returned, leaving the expected counter
+    /// where it was, and the reader drops the connection.
+    pub fn record_delivery(
+        &self,
+        seq: u64,
+        policy: &ReconnectPolicy,
+    ) -> Result<(bool, bool), SeqGap> {
         let mut g = self.inner.lock().unwrap();
         if seq < g.next_expected_in {
             g.stats.duplicates += 1;
-            return (false, false);
+            return Ok((false, false));
         }
-        assert_eq!(
-            seq, g.next_expected_in,
-            "sequence gap on a resumed link: expected {}, got {seq}",
-            g.next_expected_in
-        );
+        if seq != g.next_expected_in {
+            g.stats.seq_gaps += 1;
+            return Err(SeqGap { expected: g.next_expected_in, got: seq });
+        }
         g.next_expected_in += 1;
         g.unacked_in += 1;
         g.stats.delivered += 1;
@@ -393,7 +416,7 @@ impl Link {
         if ack_now {
             g.unacked_in = 0;
         }
-        (true, ack_now)
+        Ok((true, ack_now))
     }
 
     /// The next inbound sequence number this side expects — quoted in the
@@ -592,11 +615,11 @@ mod tests {
     fn delivery_sequencing_discards_duplicates_and_batches_acks() {
         let policy = ReconnectPolicy { ack_interval: 3, ..ReconnectPolicy::default() };
         let link = Link::new();
-        assert_eq!(link.record_delivery(0, &policy), (true, false));
-        assert_eq!(link.record_delivery(1, &policy), (true, false));
-        assert_eq!(link.record_delivery(0, &policy), (false, false), "retransmit of 0 discarded");
-        assert_eq!(link.record_delivery(1, &policy), (false, false));
-        assert_eq!(link.record_delivery(2, &policy), (true, true), "ack due every 3 deliveries");
+        assert_eq!(link.record_delivery(0, &policy), Ok((true, false)));
+        assert_eq!(link.record_delivery(1, &policy), Ok((true, false)));
+        assert_eq!(link.record_delivery(0, &policy), Ok((false, false)), "retransmit discarded");
+        assert_eq!(link.record_delivery(1, &policy), Ok((false, false)));
+        assert_eq!(link.record_delivery(2, &policy), Ok((true, true)), "ack every 3 deliveries");
         assert_eq!(link.next_expected_in(), 3);
         let stats = link.snapshot();
         assert_eq!(stats.delivered, 3);
@@ -604,14 +627,20 @@ mod tests {
     }
 
     #[test]
-    fn a_sequence_gap_is_a_panic_not_a_silent_loss() {
+    fn a_sequence_gap_is_a_counted_fault_not_a_silent_loss() {
         let policy = ReconnectPolicy::default();
         let link = Link::new();
-        assert_eq!(link.record_delivery(0, &policy), (true, false));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            link.record_delivery(2, &policy)
-        }));
-        assert!(r.is_err(), "skipping seq 1 must be rejected loudly");
+        assert_eq!(link.record_delivery(0, &policy), Ok((true, false)));
+        // A peer skipping seq 1 is refused, and the expected counter stays
+        // put: the resumed connection must still deliver seq 1 first.
+        assert_eq!(link.record_delivery(2, &policy), Err(SeqGap { expected: 1, got: 2 }));
+        assert_eq!(link.next_expected_in(), 1);
+        let far = link.record_delivery(u64::MAX, &policy);
+        assert_eq!(far, Err(SeqGap { expected: 1, got: u64::MAX }));
+        assert_eq!(link.record_delivery(1, &policy), Ok((true, false)));
+        let stats = link.snapshot();
+        assert_eq!(stats.seq_gaps, 2);
+        assert_eq!(stats.delivered, 2);
     }
 
     #[test]

@@ -117,6 +117,7 @@ fn a_forced_link_cut_heals_with_zero_lost_or_duplicated_frames() {
         .chaos(plan)
         .run(|i| Box::new(Chatter::new(i, n, rounds)) as BoxedParty<Envelope, u64>)
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     assert!(report.agreed(), "checksum agreement: {:?}", report.outputs);
 
@@ -152,6 +153,7 @@ fn a_peer_crash_within_budget_degrades_the_run_instead_of_killing_it() {
             )) as BoxedParty<Envelope, bool>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
 
     // No PeerStopped teardown: one crash is within f = 3.
     assert_eq!(report.failure, None, "failure: {:?}", report.failure);
@@ -198,6 +200,7 @@ fn a_partition_heal_mid_aba_still_reaches_agreement() {
             )) as BoxedParty<Envelope, bool>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
 
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     assert!(report.agreed(), "post-heal agreement: {:?}", report.outputs);
@@ -230,6 +233,7 @@ where
         .chaos(plan)
         .run(factory)
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "n={n} failure: {:?}", report.failure);
     assert!(report.agreed(), "n={n} agreement under chaos");
     report

@@ -77,6 +77,7 @@ fn every_peer_hears_every_peer() {
     let report = TcpPeerGroup::new(n)
         .run(|i| Box::new(Ping { me: i, n, seen: BTreeSet::new() }) as BoxedParty<Envelope, _>)
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     let roster: Vec<usize> = (0..n).collect();
     for (i, out) in report.outputs.iter().enumerate() {
@@ -135,6 +136,7 @@ fn the_setup_free_coin_flips_over_sockets() {
             )) as BoxedParty<Envelope, CoinOutput>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     let bits: Vec<bool> = report.outputs.iter().flatten().map(|o| o.bit).collect();
     assert_eq!(bits.len(), n);
@@ -159,6 +161,7 @@ fn the_full_setup_free_aba_decides_over_sockets() {
             )) as BoxedParty<Envelope, bool>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     assert!(report.agreed(), "ABA agreement over sockets: {:?}", report.outputs);
 }
@@ -181,6 +184,7 @@ fn the_random_beacon_runs_end_to_end_over_sockets() {
             )) as BoxedParty<Envelope, Vec<BeaconEpoch>>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     assert!(report.agreed(), "beacon agreement over sockets");
     let history = report.outputs[0].as_ref().unwrap();
@@ -208,6 +212,7 @@ fn committee_aba_over_sockets_keeps_non_members_nearly_silent() {
             )) as BoxedParty<Envelope, bool>
         })
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert!(report.all_decided(), "failure: {:?}", report.failure);
     assert!(report.agreed(), "committee ABA agreement over sockets: {:?}", report.outputs);
 
@@ -250,6 +255,7 @@ fn a_disconnecting_peer_surfaces_as_an_error_not_a_hang() {
         .disconnect_after(3, 1)
         .run(|i| Box::new(Ping { me: i, n, seen: BTreeSet::new() }) as BoxedParty<Envelope, _>)
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     assert_eq!(
         report.failure,
         Some(TransportFailure::PeerStopped { peer: 3, message: None }),
@@ -267,6 +273,7 @@ fn a_wedged_run_times_out_with_the_undecided_peers_named() {
         .timeout(Duration::from_millis(300))
         .run(|_| Box::new(Mute) as BoxedParty<Envelope, bool>)
         .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
     match report.failure {
         Some(TransportFailure::Timeout { waited_ms, ref undecided }) => {
             assert!(waited_ms >= 300, "the deadline was honoured");

@@ -56,6 +56,16 @@ pub type Cert = QuorumCert;
 /// The external validity predicate `Q_ID` (Definition 7).
 pub type Predicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
+/// Wire tag of [`VbaMessage::Confirm`]; its proposer index follows it.
+const CONFIRM_TAG: u8 = 2;
+
+/// The proposer a `Confirm` encoding names, read from its header without
+/// decoding the value or the certificate; `None` for any other message.
+fn confirm_proposer(bytes: &[u8]) -> Option<usize> {
+    let mut r = Reader::new(bytes);
+    (r.read_u8().ok()? == CONFIRM_TAG).then(|| r.read_u32().ok().map(|p| p as usize))?
+}
+
 /// The VBA's *local* messages (root instance path); election and vote-ABA
 /// traffic travels under the path kinds above.
 #[derive(Debug, Clone)]
@@ -85,8 +95,8 @@ pub enum VbaMessage {
     Vote {
         /// Election round.
         round: u32,
-        /// The leader's committed value and certificate, if known.
-        proposal: Option<(Vec<u8>, Cert)>,
+        /// The leader's `Confirm` message, byte for byte, if committed here.
+        confirm: Option<Vec<u8>>,
     },
     /// Committee mode only: a member announces its decided value to all `n`
     /// parties so non-members can adopt it.  A value is adopted once
@@ -112,15 +122,15 @@ impl Encode for VbaMessage {
                 signature.encode(w);
             }
             VbaMessage::Confirm { proposer, value, cert } => {
-                w.write_u8(2);
+                w.write_u8(CONFIRM_TAG);
                 w.write_u32(*proposer);
                 value.encode(w);
                 cert.encode(w);
             }
-            VbaMessage::Vote { round, proposal } => {
+            VbaMessage::Vote { round, confirm } => {
                 w.write_u8(3);
                 w.write_u32(*round);
-                proposal.encode(w);
+                confirm.encode(w);
             }
             VbaMessage::Decide { value } => {
                 w.write_u8(4);
@@ -135,15 +145,12 @@ impl Decode for VbaMessage {
         match r.read_u8()? {
             0 => Ok(VbaMessage::Propose { value: Vec::<u8>::decode(r)? }),
             1 => Ok(VbaMessage::Ack { proposer: r.read_u32()?, signature: Signature::decode(r)? }),
-            2 => Ok(VbaMessage::Confirm {
+            CONFIRM_TAG => Ok(VbaMessage::Confirm {
                 proposer: r.read_u32()?,
                 value: Vec::<u8>::decode(r)?,
                 cert: Cert::decode(r)?,
             }),
-            3 => Ok(VbaMessage::Vote {
-                round: r.read_u32()?,
-                proposal: Option::<(Vec<u8>, Cert)>::decode(r)?,
-            }),
+            3 => Ok(VbaMessage::Vote { round: r.read_u32()?, confirm: Option::decode(r)? }),
             4 => Ok(VbaMessage::Decide { value: Vec::<u8>::decode(r)? }),
             tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "VbaMessage" }),
         }
@@ -197,8 +204,8 @@ pub struct Vba<EF: ElectionFactory, AF: AbaFactory> {
     own_cert: Vec<(usize, Signature)>,
     own_cert_from: BTreeSet<usize>,
     confirm_sent: bool,
-    /// Committed proposals: proposer → (value, cert).
-    committed: BTreeMap<usize, (Vec<u8>, Cert)>,
+    /// Committed proposals: proposer → its verified `Confirm`, as received.
+    committed: BTreeMap<usize, Arc<[u8]>>,
     rounds: BTreeMap<u32, RoundState>,
     elections: Router<EF::Instance>,
     abas: Router<AF::Instance>,
@@ -410,8 +417,8 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
                     let state_vote_sent = self.round_state(round).vote_sent;
                     if !state_vote_sent {
                         self.round_state(round).vote_sent = true;
-                        let proposal = self.committed.get(&leader.index()).cloned();
-                        self.fan(&mut step, Self::local(&VbaMessage::Vote { round, proposal }));
+                        let confirm = self.committed.get(&leader.index()).map(|c| c.to_vec());
+                        self.fan(&mut step, Self::local(&VbaMessage::Vote { round, confirm }));
                         progressed = true;
                     }
                     // Enough votes → cast ABA input.
@@ -439,11 +446,12 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
                     };
                     match result {
                         Some(true) => {
-                            if let Some((value, _)) = self.committed.get(&leader.index()) {
+                            if let Some(VbaMessage::Confirm { value, .. }) =
+                                self.committed.get(&leader.index()).and_then(|c| decode_payload(c))
+                            {
                                 // Agreement: the leader's committed value is
                                 // unique (per-proposer uniqueness of the
                                 // consistent broadcast) and externally valid.
-                                let value = value.clone();
                                 self.output = Some(value.clone());
                                 // Committee mode: announce the decision to all
                                 // n parties so listeners terminate too.
@@ -456,7 +464,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
                                 progressed = true;
                             }
                             // Otherwise wait: some honest party voted 1, so its
-                            // Vote carries the value and certificate.
+                            // Vote carries the leader's Confirm.
                         }
                         Some(false) if round + 1 < self.max_rounds => {
                             self.current_round = round + 1;
@@ -541,53 +549,47 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         Step::none()
     }
 
-    fn record_committed(&mut self, proposer: usize, value: Vec<u8>, cert: Cert) {
+    /// Commits a `Confirm`, received directly or inside a Vote: for a proposer
+    /// not yet committed, checks the value and verifies the certificate once,
+    /// against the proposer the Confirm names, and keeps the bytes as received.
+    fn record_committed(&mut self, bytes: impl AsRef<[u8]> + Into<Arc<[u8]>>) {
+        let Some(proposer) = confirm_proposer(bytes.as_ref()) else { return };
         if proposer >= self.n() || self.committed.contains_key(&proposer) {
             return;
         }
-        if !(self.predicate)(&value) || !self.verify_cert(proposer, &value, &cert) {
+        let Some(VbaMessage::Confirm { value, cert, .. }) = decode_payload(bytes.as_ref()) else {
             return;
+        };
+        if (self.predicate)(&value) && self.verify_cert(proposer, &value, &cert) {
+            self.committed.insert(proposer, bytes.into());
         }
-        self.committed.insert(proposer, (value, cert));
     }
 
-    fn on_local(&mut self, from: PartyId, msg: VbaMessage) -> Step<Envelope> {
-        match msg {
-            VbaMessage::Propose { value } => self.on_propose(from, value),
-            VbaMessage::Ack { proposer, signature } => self.on_ack(from, proposer, signature),
-            VbaMessage::Confirm { proposer, value, cert } => {
-                if self.active_exchange(from) {
-                    self.record_committed(proposer as usize, value, cert);
-                }
-                Step::none()
+    fn on_local(&mut self, from: PartyId, payload: &Arc<[u8]>) -> Step<Envelope> {
+        // A Confirm stays encoded until `record_committed` needs its fields.
+        if confirm_proposer(payload).is_some() {
+            if self.active_exchange(from) {
+                self.record_committed(payload.clone());
             }
-            VbaMessage::Vote { round, proposal } => {
-                if !self.active_exchange(from) || round >= self.max_rounds {
-                    return Step::none();
-                }
-                // A vote may carry the leader's committed proposal; verify and
-                // adopt it regardless of whose round state we are in.
-                if let Some((value, cert)) = proposal {
-                    let leader = self.round_state(round).leader;
-                    if let Some(leader) = leader {
-                        self.record_committed(leader.index(), value, cert);
-                    } else {
-                        // Leader unknown yet: try to match the certificate
-                        // against any proposer (the certificate itself names
-                        // the proposer implicitly through the signed context,
-                        // so try all).
-                        for proposer in 0..self.n() {
-                            if self.verify_cert(proposer, &value, &cert) {
-                                self.record_committed(proposer, value.clone(), cert.clone());
-                                break;
-                            }
-                        }
+            return Step::none();
+        }
+        match decode_payload::<VbaMessage>(payload) {
+            Some(VbaMessage::Propose { value }) => self.on_propose(from, value),
+            Some(VbaMessage::Ack { proposer, signature }) => self.on_ack(from, proposer, signature),
+            Some(VbaMessage::Vote { round, confirm }) => {
+                // Only a sender's first Vote of a round is examined.
+                if self.active_exchange(from)
+                    && round < self.max_rounds
+                    && self.round_state(round).votes_from.insert(from.index())
+                {
+                    if let Some(confirm) = confirm {
+                        self.record_committed(confirm);
                     }
                 }
-                self.round_state(round).votes_from.insert(from.index());
                 Step::none()
             }
-            VbaMessage::Decide { value } => self.on_decide(from, value),
+            Some(VbaMessage::Decide { value }) => self.on_decide(from, value),
+            Some(VbaMessage::Confirm { .. }) | None => Step::none(),
         }
     }
 
@@ -642,10 +644,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Vba<EF, AF> {
             return Step::none();
         }
         let mut step = match path.split_first() {
-            None => match decode_payload::<VbaMessage>(payload) {
-                Some(msg) => self.on_local(from, msg),
-                None => Step::none(),
-            },
+            None => self.on_local(from, payload),
             Some((seg, rest)) => {
                 let round = seg.index as u32;
                 if round >= self.max_rounds {
@@ -949,11 +948,14 @@ mod tests {
         let entries: Vec<(usize, Signature)> =
             (0..3).map(|i| (i, secrets[i].sig.sign(b"x", b"y"))).collect();
         let cert = QuorumCert::new(3, &entries, keyring.sig_key_slice(), b"x", b"y").unwrap();
+        let confirm = VbaMessage::Confirm { proposer: 1, value: vec![9], cert };
+        let confirm_bytes = setupfree_wire::to_bytes(&confirm);
         let msgs: Vec<VbaMessage> = vec![
             VbaMessage::Propose { value: vec![1, 2, 3] },
             VbaMessage::Ack { proposer: 2, signature: sig },
-            VbaMessage::Confirm { proposer: 1, value: vec![9], cert: cert.clone() },
-            VbaMessage::Vote { round: 1, proposal: Some((vec![4], cert)) },
+            confirm,
+            VbaMessage::Vote { round: 1, confirm: Some(confirm_bytes.clone()) },
+            VbaMessage::Vote { round: 2, confirm: None },
             VbaMessage::Decide { value: vec![7, 7, 7] },
         ];
         for msg in msgs {
@@ -963,6 +965,18 @@ mod tests {
             assert_eq!(decoded, env);
             assert_eq!(setupfree_wire::to_bytes(&decoded), bytes);
         }
+        // The Vote forwards the Confirm byte for byte: its embedded bytes
+        // decode back to the same Confirm, proposer index included.
+        let vote = Envelope::seal(
+            InstancePath::root(),
+            &VbaMessage::Vote { round: 1, confirm: Some(confirm_bytes.clone()) },
+        );
+        let Some(VbaMessage::Vote { confirm: Some(embedded), .. }) = vote.open() else {
+            panic!("the Vote lost its Confirm");
+        };
+        assert_eq!(embedded, confirm_bytes);
+        assert_eq!(confirm_proposer(&embedded), Some(1));
+        assert!(matches!(decode_payload(&embedded), Some(VbaMessage::Confirm { proposer: 1, .. })));
     }
 
     #[test]
@@ -1034,5 +1048,121 @@ mod tests {
         )
         .unwrap();
         assert!(!vba.verify_cert(proposer.index(), value, &small));
+    }
+
+    type TrustedVba =
+        Vba<setupfree_core::TrustedElectionFactory, MmrAbaFactory<TrustedCoinFactory>>;
+
+    /// Party 0 of an n = 4 VBA whose predicate wants the magic byte 0x42,
+    /// with every party's secrets for forging traffic at it.
+    fn lone_member() -> (TrustedVba, Arc<Keyring>, Vec<Arc<PartySecrets>>) {
+        let (keyring, secrets) = generate_pki(4, 21);
+        let keyring = Arc::new(keyring);
+        let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
+        let vba = Vba::new(
+            Sid::new("hostile-vba"),
+            PartyId(0),
+            keyring.clone(),
+            secrets[0].clone(),
+            vec![0x42, 0],
+            Arc::new(|v: &[u8]| v.first() == Some(&0x42)),
+            setupfree_core::TrustedElectionFactory::new(4),
+            MmrAbaFactory::new(PartyId(0), 4, keyring.f(), TrustedCoinFactory),
+        );
+        (vba, keyring, secrets)
+    }
+
+    /// A `Confirm` naming `named`, carrying a quorum certificate that parties
+    /// 1..=3 really signed over `value` for proposer `signed_for`.
+    fn forged_confirm(
+        vba: &TrustedVba,
+        keyring: &Keyring,
+        secrets: &[Arc<PartySecrets>],
+        signed_for: usize,
+        named: u32,
+        value: &[u8],
+    ) -> Vec<u8> {
+        let ctx = vba.ack_context(signed_for);
+        let digest = sha256(value);
+        let entries: Vec<(usize, Signature)> =
+            (1..4).map(|i| (i, secrets[i].sig.sign(&ctx, &digest))).collect();
+        let cert = QuorumCert::new(3, &entries, keyring.sig_key_slice(), &ctx, &digest).unwrap();
+        let confirm = VbaMessage::Confirm { proposer: named, value: value.to_vec(), cert };
+        setupfree_wire::to_bytes(&confirm)
+    }
+
+    fn feed(vba: &mut TrustedVba, from: usize, msg: &VbaMessage) {
+        let env = Envelope::seal(InstancePath::root(), msg);
+        let _ = vba.on_envelope(PartyId(from), InstancePath::root(), &env.payload);
+    }
+
+    fn vote(round: u32, confirm: Vec<u8>) -> VbaMessage {
+        VbaMessage::Vote { round, confirm: Some(confirm) }
+    }
+
+    #[test]
+    fn hostile_votes_commit_nothing_and_never_panic() {
+        use setupfree_crypto::sig::qc_verify_count;
+        let (mut vba, keyring, secrets) = lone_member();
+        let good = forged_confirm(&vba, &keyring, &secrets, 2, 2, &[0x42, 2]);
+        let nested = setupfree_wire::to_bytes(&vote(0, good.clone()));
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", vec![]),
+            ("unknown tag", vec![0xff, 1, 2, 3]),
+            ("truncated Confirm header", vec![CONFIRM_TAG, 2, 0]),
+            ("Confirm cut short", good[..good.len() - 1].to_vec()),
+            ("Confirm with trailing bytes", [&good[..], &[0]].concat()),
+            ("not a Confirm", setupfree_wire::to_bytes(&VbaMessage::Propose { value: vec![0x42] })),
+            ("a Vote nested in a Vote", setupfree_wire::to_bytes(&vote(0, nested))),
+            ("proposer out of range", forged_confirm(&vba, &keyring, &secrets, 2, 9, &[0x42, 2])),
+            (
+                "certificate collected for another proposer",
+                forged_confirm(&vba, &keyring, &secrets, 2, 3, &[0x42, 2]),
+            ),
+            ("value fails the predicate", forged_confirm(&vba, &keyring, &secrets, 2, 2, &[7, 2])),
+        ];
+        // Each from a fresh (sender, round), so each is examined.
+        for (round, (what, bytes)) in hostile.into_iter().enumerate() {
+            for from in 1..4 {
+                feed(&mut vba, from, &vote(round as u32, bytes.clone()));
+            }
+            assert!(vba.committed.is_empty(), "{what}: committed something");
+        }
+        // A repeated Vote from one sender for one round costs at most one
+        // verification, and the repeat is ignored even when it is valid.
+        let wrong_proposer = forged_confirm(&vba, &keyring, &secrets, 2, 3, &[0x42, 2]);
+        let before = qc_verify_count();
+        for _ in 0..5 {
+            feed(&mut vba, 1, &vote(20, wrong_proposer.clone()));
+        }
+        assert_eq!(qc_verify_count() - before, 1, "one verification for five repeats");
+        feed(&mut vba, 1, &vote(20, good.clone()));
+        assert!(vba.committed.is_empty(), "a repeat Vote was examined");
+        assert_eq!(qc_verify_count() - before, 1);
+        // The same valid Confirm from a fresh sender commits, stored byte for
+        // byte; once committed, the proposer is never verified again.
+        feed(&mut vba, 2, &vote(20, good.clone()));
+        assert_eq!(vba.committed.get(&2).map(|c| c.to_vec()), Some(good.clone()));
+        assert_eq!(qc_verify_count() - before, 2);
+        feed(&mut vba, 3, &vote(20, good));
+        assert_eq!(qc_verify_count() - before, 2);
+    }
+
+    #[test]
+    fn a_direct_confirm_is_verified_once_and_stored_as_received() {
+        use setupfree_crypto::sig::qc_verify_count;
+        let (mut vba, keyring, secrets) = lone_member();
+        let (mut other, _, _) = lone_member();
+        let bytes = forged_confirm(&vba, &keyring, &secrets, 1, 1, &[0x42, 1]);
+        let payload: Arc<[u8]> = bytes.into();
+        let before = qc_verify_count();
+        for _ in 0..3 {
+            let _ = vba.on_envelope(PartyId(1), InstancePath::root(), &payload);
+        }
+        let _ = other.on_envelope(PartyId(1), InstancePath::root(), &payload);
+        assert_eq!(qc_verify_count() - before, 2, "one verification per recipient");
+        // Both recipients hold the multicast's one allocation.
+        assert!(Arc::ptr_eq(&vba.committed[&1], &payload));
+        assert!(Arc::ptr_eq(&other.committed[&1], &payload));
     }
 }

@@ -141,6 +141,43 @@ fn vba_messages_survive_the_envelope() {
         )
     };
     exercise("vba", mk(0), mk(1));
+
+    // A Vote forwards a Confirm byte for byte: run P0's proposal through
+    // its peers' acknowledgements until P0 emits its real Confirm, then
+    // round-trip a Vote embedding that encoding and feed it to a peer.
+    let mut parties: Vec<_> = (0..n).map(mk).collect();
+    let propose =
+        assert_roundtrip("vba propose", &ProtocolInstance::on_activation(&mut parties[0]));
+    let mut confirm = None;
+    for i in 1..n {
+        let _ = ProtocolInstance::on_activation(&mut parties[i]);
+        for env in &propose {
+            let acks = parties[i].on_message(PartyId(0), env.clone());
+            for ack in assert_roundtrip("vba ack", &acks) {
+                let step = parties[0].on_message(PartyId(i), ack);
+                let found = step.outgoing.iter().map(|o| &o.msg).find(|env| {
+                    matches!(env.open::<VbaMessage>(), Some(VbaMessage::Confirm { .. }))
+                });
+                confirm = confirm.or(found.cloned());
+            }
+        }
+    }
+    let confirm = confirm.expect("P0 confirms once n − f peers acknowledged");
+    let vote = Envelope::seal(
+        InstancePath::root(),
+        &VbaMessage::Vote { round: 0, confirm: Some(confirm.payload.to_vec()) },
+    );
+    let sent = Step {
+        outgoing: vec![setupfree_net::Outgoing { dest: setupfree_net::Dest::All, msg: vote }],
+    };
+    for env in assert_roundtrip("vba vote", &sent) {
+        let Some(VbaMessage::Vote { confirm: Some(embedded), .. }) = env.open::<VbaMessage>()
+        else {
+            panic!("vba: the Vote lost its Confirm across the wire");
+        };
+        assert_eq!(embedded, confirm.payload.to_vec(), "vba: the Confirm changed inside the Vote");
+        let _ = parties[1].on_message(PartyId(2), env);
+    }
 }
 
 #[test]
