@@ -13,14 +13,14 @@
 //!
 //! Output is the Rust source of the `GOLDEN` constant, ready to paste.
 
-use setupfree_bench::determinism::{adversary_grid, run_cell, PROTOCOLS, SIZES};
+use setupfree_bench::determinism::{adversary_grid, run_cell, Fingerprint, PROTOCOLS, SIZES};
 
 fn main() {
     println!("const GOLDEN: &[(&str, usize, usize, Fingerprint)] = &[");
     for &protocol in PROTOCOLS {
         for &n in SIZES {
             for (ai, adversary) in adversary_grid(n).iter().enumerate() {
-                let fp = run_cell(protocol, n, adversary);
+                let fp = Fingerprint::of(&run_cell(protocol, n, adversary));
                 println!(
                     "    (\"{protocol}\", {n}, {ai}, Fingerprint {{ honest_bytes: {}, \
                      honest_messages: {}, rounds: {}, deliveries: {} }}), // {adversary}",

@@ -15,17 +15,21 @@ fn main() {
         .unwrap_or(4);
 
     println!("DKG-free random beacon (per-epoch election over the real Coin)");
-    println!("{:>4} {:>8} {:>16} {:>14} {:>12}", "n", "epochs", "bits total", "bits/epoch", "values");
+    println!(
+        "{:>4} {:>8} {:>16} {:>14} {:>12} {:>7}",
+        "n", "epochs", "bits total", "bits/epoch", "values", "agreed"
+    );
     for &n in &[4usize, 7] {
         let (m, results) = measure_beacon(n, epochs, 900 + n as u64);
         let produced = results.iter().filter(|e| e.value.is_some()).count();
         println!(
-            "{:>4} {:>8} {:>16} {:>14} {:>12}",
+            "{:>4} {:>8} {:>16} {:>14} {:>12} {:>7}",
             n,
             epochs,
             fmt_bytes(m.honest_bytes * 8),
             fmt_bytes(m.honest_bytes * 8 / u64::from(epochs)),
-            format!("{produced}/{epochs}")
+            format!("{produced}/{epochs}"),
+            if m.agreed { "yes" } else { "no" }
         );
         let values: Vec<String> = results
             .iter()

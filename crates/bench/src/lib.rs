@@ -14,7 +14,7 @@
 
 /// Traced measurement harness (PR 10): the same workloads with an obs sink
 /// installed, plus the instruments behind the tracing-overhead and
-/// ABA-round-distribution CI gates.
+/// ABA-round-distribution tests.
 pub mod tracing;
 
 use std::collections::BTreeSet;
@@ -39,6 +39,7 @@ use setupfree_rbc::{Rbc, RbcMessage};
 use setupfree_seeding::{Seed, Seeding, SeedingMessage};
 use setupfree_vba::{accept_all, Vba};
 use setupfree_wcs::{Wcs, WcsHarness, WcsMessage};
+use setupfree_wire::{Decode, Encode};
 
 /// The metrics of one protocol execution.
 #[derive(Debug, Clone, Copy)]
@@ -57,10 +58,6 @@ pub struct Measurement {
     pub deliveries: u64,
     /// Whether all honest outputs were identical (when meaningful).
     pub agreed: bool,
-    /// Why the run stopped (always [`StopReason::AllOutputs`] for the
-    /// asserting `measure_*` helpers; recorded so callers like
-    /// `perf_baseline --smoke` can enforce liveness explicitly).
-    pub reason: StopReason,
 }
 
 fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
@@ -68,13 +65,13 @@ fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
     (Arc::new(keyring), secrets.into_iter().map(Arc::new).collect())
 }
 
-fn finish<M, O>(mut sim: Simulation<M, O>, n: usize, budget: u64, agreed: impl Fn(&[Option<O>]) -> bool) -> Measurement
+/// The metrics of a simulation that has stopped after `deliveries`.
+fn measurement<M, O>(sim: &Simulation<M, O>, deliveries: u64, agreed: bool) -> Measurement
 where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
     O: Clone + std::fmt::Debug,
 {
-    let report = sim.run(budget);
-    assert_eq!(report.reason, StopReason::AllOutputs, "execution did not terminate within budget");
+    let n = sim.n();
     let metrics = sim.metrics();
     Measurement {
         n,
@@ -82,15 +79,58 @@ where
         honest_bytes: metrics.honest_bytes,
         honest_messages: metrics.honest_messages,
         rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-        deliveries: report.deliveries,
-        agreed: agreed(&sim.outputs()),
-        reason: report.reason,
+        deliveries,
+        agreed,
     }
+}
+
+/// Runs `sim` until every honest party outputs (panicking if `budget` runs
+/// out first) and returns its metrics with every party's output; `agreed`
+/// judges the outputs.
+fn run_to_outputs<M, O>(
+    mut sim: Simulation<M, O>,
+    budget: u64,
+    agreed: impl Fn(&[Option<O>]) -> bool,
+) -> (Measurement, Vec<Option<O>>)
+where
+    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
+    O: Clone + std::fmt::Debug,
+{
+    let report = sim.run(budget);
+    assert_eq!(report.reason, StopReason::AllOutputs, "execution did not terminate within budget");
+    let outputs = sim.outputs();
+    let m = measurement(&sim, report.deliveries, agreed(&outputs));
+    (m, outputs)
+}
+
+fn finish<M, O>(
+    sim: Simulation<M, O>,
+    budget: u64,
+    agreed: impl Fn(&[Option<O>]) -> bool,
+) -> Measurement
+where
+    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
+    O: Clone + std::fmt::Debug,
+{
+    run_to_outputs(sim, budget, agreed).0
 }
 
 fn all_equal<T: PartialEq>(outputs: &[Option<T>]) -> bool {
     let vals: Vec<&T> = outputs.iter().flatten().collect();
     vals.windows(2).all(|w| w[0] == w[1])
+}
+
+/// Coin agreement is on the bit; the certificate sets may differ.
+fn same_bit(outputs: &[Option<CoinOutput>]) -> bool {
+    let bits: Vec<bool> = outputs.iter().flatten().map(|o| o.bit).collect();
+    bits.windows(2).all(|w| w[0] == w[1])
+}
+
+/// Election agreement is on the leader; the winning VRF is speculative
+/// per-party state.
+fn same_leader(outputs: &[Option<ElectionOutput>]) -> bool {
+    let leaders: Vec<PartyId> = outputs.iter().flatten().map(|o| o.leader).collect();
+    leaders.windows(2).all(|w| w[0] == w[1])
 }
 
 /// Measures a single Bracha RBC with a payload of `payload` bytes.
@@ -104,7 +144,7 @@ pub fn measure_rbc(n: usize, payload: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 26, all_equal)
+    finish(sim, 1 << 26, all_equal)
 }
 
 /// Measures a single AVSS (share + reconstruct) with dealer `P_0`.
@@ -131,7 +171,7 @@ pub fn measure_avss_with(n: usize, seed: u64, scheduler: Box<dyn Scheduler>) -> 
         })
         .collect();
     let sim = Simulation::new(parties, scheduler);
-    finish(sim, n, 1 << 26, all_equal)
+    finish(sim, 1 << 26, all_equal)
 }
 
 /// Measures a single WCS instance with full input sets.
@@ -147,7 +187,7 @@ pub fn measure_wcs(n: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 26, |_| true)
+    finish(sim, 1 << 26, |_| true)
 }
 
 /// Measures a single Seeding instance led by `P_0`.
@@ -165,7 +205,7 @@ pub fn measure_seeding(n: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 26, all_equal)
+    finish(sim, 1 << 26, all_equal)
 }
 
 /// Measures one instance of the paper's Coin (Alg 4) with the chosen core-set
@@ -194,10 +234,7 @@ pub fn measure_coin_with(
         })
         .collect();
     let sim = Simulation::new(parties, scheduler);
-    finish(sim, n, 1 << 28, |outs: &[Option<CoinOutput>]| {
-        let bits: Vec<bool> = outs.iter().flatten().map(|o| o.bit).collect();
-        bits.windows(2).all(|w| w[0] == w[1])
-    })
+    finish(sim, 1 << 28, same_bit)
 }
 
 /// Measures the CKLS02-style `n²`-AVSS baseline coin.
@@ -214,10 +251,7 @@ pub fn measure_squared_coin(n: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 28, |outs: &[Option<CoinOutput>]| {
-        let bits: Vec<bool> = outs.iter().flatten().map(|o| o.bit).collect();
-        bits.windows(2).all(|w| w[0] == w[1])
-    })
+    finish(sim, 1 << 28, same_bit)
 }
 
 /// Measures the paper's full private-setup-free ABA (every round flips the
@@ -243,7 +277,7 @@ pub fn measure_setupfree_aba_with(n: usize, seed: u64, scheduler: Box<dyn Schedu
         })
         .collect();
     let sim = Simulation::new(parties, scheduler);
-    finish(sim, n, 1 << 30, all_equal)
+    finish(sim, 1 << 30, all_equal)
 }
 
 /// Measures the ABA with the idealised trusted-setup coin (the
@@ -264,7 +298,7 @@ pub fn measure_trusted_aba(n: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 26, all_equal)
+    finish(sim, 1 << 26, all_equal)
 }
 
 /// Measures the ABA with purely local coins (the Ben-Or baseline).  Returns
@@ -286,20 +320,8 @@ pub fn measure_local_coin_aba(n: usize, seed: u64, budget: u64) -> Option<Measur
         .collect();
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
     let report = sim.run(budget);
-    if report.reason != StopReason::AllOutputs {
-        return None;
-    }
-    let metrics = sim.metrics();
-    Some(Measurement {
-        n,
-        f,
-        honest_bytes: metrics.honest_bytes,
-        honest_messages: metrics.honest_messages,
-        rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-        deliveries: report.deliveries,
-        agreed: all_equal(&sim.outputs()),
-        reason: report.reason,
-    })
+    (report.reason == StopReason::AllOutputs)
+        .then(|| measurement(&sim, report.deliveries, all_equal(&sim.outputs())))
 }
 
 /// The full setup-free Election factory used by the VBA and beacon
@@ -344,25 +366,9 @@ pub fn measure_election(n: usize, seed: u64) -> (Measurement, Vec<ElectionOutput
                 as BoxedParty<<E as ProtocolInstance>::Message, ElectionOutput>
         })
         .collect();
-    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    let report = sim.run(1 << 30);
-    assert_eq!(report.reason, StopReason::AllOutputs, "election did not terminate");
-    let metrics = sim.metrics();
-    let outputs: Vec<ElectionOutput> = sim.outputs().into_iter().flatten().collect();
-    let agreed = outputs.windows(2).all(|w| w[0].leader == w[1].leader);
-    (
-        Measurement {
-            n,
-            f: (n - 1) / 3,
-            honest_bytes: metrics.honest_bytes,
-            honest_messages: metrics.honest_messages,
-            rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-            deliveries: report.deliveries,
-            agreed,
-            reason: report.reason,
-        },
-        outputs,
-    )
+    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
+    let (m, outputs) = run_to_outputs(sim, 1 << 30, same_leader);
+    (m, outputs.into_iter().flatten().collect())
 }
 
 /// Measures one full setup-free VBA (proposals of `payload` bytes).
@@ -391,7 +397,7 @@ pub fn measure_vba(n: usize, payload: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 30, all_equal)
+    finish(sim, 1 << 30, all_equal)
 }
 
 // ---------------------------------------------------------------------------
@@ -430,7 +436,7 @@ pub fn measure_committee_aba(n: usize, m: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 28, all_equal)
+    finish(sim, 1 << 28, all_equal)
 }
 
 /// Measures the all-to-all VBA with the trusted (zero-message) election and
@@ -455,7 +461,7 @@ pub fn measure_trusted_vba(n: usize, payload: usize, seed: u64) -> Measurement {
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 30, all_equal)
+    finish(sim, 1 << 30, all_equal)
 }
 
 /// Measures one committee-sampled VBA (trusted election + committee
@@ -488,7 +494,7 @@ pub fn measure_committee_vba(n: usize, m: usize, payload: usize, seed: u64) -> M
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, n, 1 << 30, all_equal)
+    finish(sim, 1 << 30, all_equal)
 }
 
 /// Measures a multi-epoch run of the DKG-free random beacon (using the
@@ -520,24 +526,10 @@ pub fn measure_beacon_with(
             )) as BoxedParty<<B as ProtocolInstance>::Message, Vec<BeaconEpoch>>
         })
         .collect();
-    let mut sim = Simulation::new(parties, scheduler);
-    let report = sim.run(1 << 30);
-    assert_eq!(report.reason, StopReason::AllOutputs, "beacon did not terminate");
-    let metrics = sim.metrics();
-    let outputs = sim.outputs().into_iter().flatten().next().unwrap_or_default();
-    (
-        Measurement {
-            n,
-            f: (n - 1) / 3,
-            honest_bytes: metrics.honest_bytes,
-            honest_messages: metrics.honest_messages,
-            rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-            deliveries: report.deliveries,
-            agreed: true,
-            reason: report.reason,
-        },
-        outputs,
-    )
+    let sim = Simulation::new(parties, scheduler);
+    // Every party must report the same whole history, as over sockets.
+    let (m, outputs) = run_to_outputs(sim, 1 << 30, all_equal);
+    (m, outputs.into_iter().flatten().next().unwrap_or_default())
 }
 
 // ---------------------------------------------------------------------------
@@ -547,16 +539,19 @@ pub fn measure_beacon_with(
 
 /// Summarises a [`ShardedRunReport`] into the common [`Measurement`] shape
 /// (aggregate = per-session sums; `agreed` = per-session output agreement).
+/// Panics unless every session terminated, as [`finish`] does for a single
+/// simulation.
 fn summarize_sharded<O: PartialEq + Clone + std::fmt::Debug>(
     n: usize,
     report: &ShardedRunReport<O>,
 ) -> Measurement {
     report.assert_conservation();
+    assert!(
+        report.all_terminated(),
+        "a sharded session did not terminate within budget"
+    );
     let agg = report.aggregate();
-    let agreed = report.outputs.iter().all(|session| {
-        let vals: Vec<&O> = session.iter().flatten().collect();
-        vals.windows(2).all(|w| w[0] == w[1])
-    });
+    let agreed = report.outputs.iter().all(|session| all_equal(session));
     Measurement {
         n,
         f: (n - 1) / 3,
@@ -565,11 +560,6 @@ fn summarize_sharded<O: PartialEq + Clone + std::fmt::Debug>(
         rounds: agg.rounds.unwrap_or(0),
         deliveries: agg.delivered,
         agreed,
-        reason: if report.all_terminated() {
-            StopReason::AllOutputs
-        } else {
-            StopReason::BudgetExhausted
-        },
     }
 }
 
@@ -658,13 +648,10 @@ pub fn measure_sharded_pipelined_beacon(
     })
     .with_admission(MaxConcurrent(window));
     let report = host.run();
-    // Leaders must agree per epoch; the winning VRF is speculative
-    // per-party state, so the generic output comparison is too strict here.
+    // Leaders must agree per epoch; the generic output comparison is too
+    // strict here.
     let mut m = summarize_sharded::<ElectionOutput>(n, &report);
-    m.agreed = report.outputs.iter().all(|session| {
-        let leaders: Vec<PartyId> = session.iter().flatten().map(|o| o.leader).collect();
-        leaders.windows(2).all(|w| w[0] == w[1])
-    });
+    m.agreed = report.outputs.iter().all(|session| same_leader(session));
     m
 }
 
@@ -683,6 +670,7 @@ pub mod determinism {
 
     use super::{
         measure_avss_with, measure_beacon_with, measure_coin_with, measure_setupfree_aba_with,
+        Measurement,
     };
 
     /// The metrics a determinism cell pins seed-for-seed: the paper's three
@@ -697,6 +685,18 @@ pub mod determinism {
         pub rounds: u64,
         /// Deliveries performed by the simulator.
         pub deliveries: u64,
+    }
+
+    impl Fingerprint {
+        /// The pinned part of one run's metrics.
+        pub fn of(m: &Measurement) -> Self {
+            Fingerprint {
+                honest_bytes: m.honest_bytes,
+                honest_messages: m.honest_messages,
+                rounds: m.rounds,
+                deliveries: m.deliveries,
+            }
+        }
     }
 
     /// Protocols covered by the suite.
@@ -719,20 +719,14 @@ pub mod determinism {
 
     /// Runs one grid cell.  The PKI/session seed is a fixed function of `n`
     /// so the recorded and replayed runs build byte-identical ensembles.
-    pub fn run_cell(protocol: &str, n: usize, adversary: &Adversary) -> Fingerprint {
+    pub fn run_cell(protocol: &str, n: usize, adversary: &Adversary) -> Measurement {
         let seed = 0xD00 + n as u64;
-        let m = match protocol {
+        match protocol {
             "coin" => measure_coin_with(n, seed, CoreSetMode::Weak, adversary.scheduler()),
             "avss" => measure_avss_with(n, seed, adversary.scheduler()),
             "beacon" => measure_beacon_with(n, 2, seed, adversary.scheduler()).0,
             "aba" => measure_setupfree_aba_with(n, seed, adversary.scheduler()),
             other => panic!("unknown determinism protocol {other:?}"),
-        };
-        Fingerprint {
-            honest_bytes: m.honest_bytes,
-            honest_messages: m.honest_messages,
-            rounds: m.rounds,
-            deliveries: m.deliveries,
         }
     }
 }
@@ -829,9 +823,7 @@ pub fn measure_socket_coin_chaos(
         })
         .expect("loopback socket setup");
     let mut m = socket_measurement(n, &report);
-    // Coin agreement is on the bit; the certificate set may differ.
-    let bits: Vec<bool> = report.outputs.iter().flatten().map(|o| o.bit).collect();
-    m.agreed = report.all_decided() && bits.windows(2).all(|w| w[0] == w[1]);
+    m.agreed = report.all_decided() && same_bit(&report.outputs);
     m
 }
 
@@ -975,5 +967,9 @@ mod tests {
         );
         let vba = measure_committee_vba(22, 10, 8, 9);
         assert!(vba.agreed);
+        // Committee liveness at scale: 22 members inside n = 100 decide and
+        // the 78 listeners adopt the same value.
+        let sampled = measure_committee_aba(100, 22, 7_900);
+        assert!(sampled.agreed, "committee n=100 m=22 disagreed");
     }
 }

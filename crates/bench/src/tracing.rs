@@ -4,10 +4,11 @@
 //! to phase-latency breakdowns, ABA round distributions, and critical-path
 //! extraction (`trace_baseline` renders them into `BENCH_pr10.json`).
 //!
-//! Also home to the two instruments the `perf_baseline --smoke` CI gates
-//! use: [`aba_overhead_arm`] (what does tracing cost when off / when
-//! counting?) and [`aba_round_distribution`] (does the round count still
-//! look expected-constant across seeds?).
+//! Also home to the two instruments behind the tests that gate tracing and
+//! the ABA's rounds: [`aba_overhead_arm`] (what does tracing cost when off /
+//! when counting?, bounded by `tests/tracing_overhead.rs`) and
+//! [`aba_round_distribution`] (does the round count still look
+//! expected-constant across seeds?, banded by `tests/determinism.rs`).
 
 use std::time::{Duration, Instant};
 
@@ -21,7 +22,7 @@ use setupfree_net::{
 use setupfree_obs::analysis::aba_rounds_to_decide;
 use setupfree_obs::{ObsPath, TraceEvent, VecSink};
 
-use crate::{keys, Measurement};
+use crate::{all_equal, keys, measurement, same_bit, Measurement};
 
 /// One traced execution: the usual metrics plus the recorded event stream.
 pub struct TracedRun {
@@ -33,31 +34,21 @@ pub struct TracedRun {
 
 /// Drives `parties` to completion with a [`VecSink`] installed and the
 /// envelope-path classifier wired, so sends are attributed to destination
-/// instance paths.
+/// instance paths; `agreed` judges every party's output.
 fn run_traced<O: Clone + std::fmt::Debug>(
     parties: Vec<BoxedParty<Envelope, O>>,
     seed: u64,
     budget: u64,
+    agreed: impl Fn(&[Option<O>]) -> bool,
 ) -> TracedRun {
-    let n = parties.len();
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
     sim.set_trace_path_of(|e: &Envelope| ObsPath::from_bytes(e.path.as_bytes()));
     setupfree_obs::install(Box::new(VecSink::new()));
     let report = sim.run(budget);
     let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
     assert_eq!(report.reason, StopReason::AllOutputs, "traced run did not terminate");
-    let metrics = sim.metrics();
     TracedRun {
-        measurement: Measurement {
-            n,
-            f: (n - 1) / 3,
-            honest_bytes: metrics.honest_bytes,
-            honest_messages: metrics.honest_messages,
-            rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-            deliveries: report.deliveries,
-            agreed: true,
-            reason: report.reason,
-        },
+        measurement: measurement(&sim, report.deliveries, agreed(&sim.outputs())),
         trace,
     }
 }
@@ -97,13 +88,13 @@ fn aba_parties(n: usize, seed: u64) -> Vec<BoxedParty<Envelope, bool>> {
 /// Traces one instance of the paper's Coin (weak core-set mode) — the same
 /// workload as [`crate::measure_coin`].
 pub fn trace_coin(n: usize, seed: u64) -> TracedRun {
-    run_traced(coin_parties(n, seed), seed, 1 << 28)
+    run_traced(coin_parties(n, seed), seed, 1 << 28, same_bit)
 }
 
 /// Traces one full setup-free ABA (real coin per round) — the same workload
 /// as [`crate::measure_setupfree_aba`], seed-for-seed.
 pub fn trace_setupfree_aba(n: usize, seed: u64) -> TracedRun {
-    run_traced(aba_parties(n, seed), seed, 1 << 30)
+    run_traced(aba_parties(n, seed), seed, 1 << 30, all_equal)
 }
 
 /// Traces a multi-epoch beacon run (real Election + Coin per epoch,
@@ -124,7 +115,7 @@ pub fn trace_beacon(n: usize, epochs: u32, seed: u64) -> TracedRun {
             )) as BoxedParty<Envelope, Vec<setupfree_app::beacon::BeaconEpoch>>
         })
         .collect();
-    run_traced(parties, seed, 1 << 30)
+    run_traced(parties, seed, 1 << 30, all_equal)
 }
 
 /// The three tracing configurations the overhead gate compares.
@@ -139,10 +130,11 @@ pub enum OverheadArm {
     CountingSink,
 }
 
-/// Runs the standard ABA workload (same seed as `perf_baseline`'s rows)
-/// under one tracing arm and returns `(wall, deliveries, events)` —
-/// deliveries must be bit-identical across arms (tracing observes, never
-/// steers), and the wall-clock ratio between arms is the overhead gate.
+/// Runs the standard ABA workload (seed-for-seed with
+/// [`crate::measure_setupfree_aba`]) under one tracing arm and returns
+/// `(wall, deliveries, events)` — deliveries must be bit-identical across
+/// arms (tracing observes, never steers), and the wall-clock ratio between
+/// arms is what the overhead test bounds.
 pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64, u64) {
     let parties = aba_parties(n, seed);
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
@@ -169,7 +161,7 @@ pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64
 }
 
 /// Trace-derived rounds-to-decide of the standard ABA workload for each of
-/// `seeds` — the distribution whose mean the round-sanity gate bands and
+/// `seeds` — the distribution whose mean the determinism suite bands and
 /// `BENCH_pr10.json` records.
 pub fn aba_round_distribution(n: usize, seeds: impl IntoIterator<Item = u64>) -> Vec<u64> {
     seeds

@@ -26,10 +26,32 @@
 //! delivery order; the diff of the regenerated table is then the
 //! behavioural change under review.
 //!
+//! Every avss, aba and beacon cell must also agree: each honest party's
+//! whole output is compared (the beacon's complete epoch history).  Coin
+//! cells are exempt, because the paper's coin may legitimately disagree.
+//!
+//! Beside the grid, the suite pins the paper-facing replays at larger n:
+//!
+//! * the full setup-free ABA at n = 22 (seed 7 322) and n = 40 (seed 7 340)
+//!   replays **exactly** 195 801 and 791 847 deliveries — the simulator is
+//!   deterministic, so the counts are machine-independent;
+//! * the aggregated-certificate byte budget: the n = 22 replay's honest
+//!   bytes stay within 110 % of the 9 479 964 recorded when `QuorumCert`s
+//!   landed, and at least 2× under the 31 092 836 recorded before them;
+//! * expected-constant rounds (§6.2): the trace-derived rounds-to-decide
+//!   of the ABA at n = 10 over seeds 9 000–9 019 average within ±1 of the
+//!   recorded 4.00.
+//!
+//! The n = 40 replay and the round sweep take about 100 s and 25 s in a
+//! debug build, so they run only in release
+//! (`cargo test --release -p setupfree-bench`).
+//!
 //! The suite is split into one test per (protocol, n) so the cells run in
 //! parallel under the default test harness.
 
 use setupfree_bench::determinism::{adversary_grid, run_cell, Fingerprint};
+use setupfree_bench::measure_setupfree_aba;
+use setupfree_bench::tracing::aba_round_distribution;
 
 const GOLDEN: &[(&str, usize, usize, Fingerprint)] = &[
     ("coin", 4, 0, Fingerprint { honest_bytes: 35488, honest_messages: 656, rounds: 20, deliveries: 652 }), // fifo
@@ -83,9 +105,14 @@ fn check(protocol: &str, n: usize) {
             .3;
         let got = run_cell(protocol, n, adversary);
         assert_eq!(
-            got, expected,
+            Fingerprint::of(&got),
+            expected,
             "delivery engine diverged from the recorded pre-overhaul schedule \
              for {protocol} at n={n} under {adversary}"
+        );
+        assert!(
+            protocol == "coin" || got.agreed,
+            "{protocol} at n={n} under {adversary}: honest outputs differ"
         );
     }
 }
@@ -128,4 +155,62 @@ fn aba_n4_matches_recorded_engine() {
 #[test]
 fn aba_n10_matches_recorded_engine() {
     check("aba", 10);
+}
+
+/// ABA n = 22 honest bytes recorded after the aggregated quorum
+/// certificates, varint wire lengths and shared coin seeding landed.
+const ABA22_CERT_BYTES: u64 = 9_479_964;
+
+/// ABA n = 22 honest bytes recorded before certificate aggregation, when
+/// every quorum message carried n − f raw signatures.
+const ABA22_PRE_AGGREGATION_BYTES: u64 = 31_092_836;
+
+#[test]
+fn aba_n22_replays_its_golden_within_the_certificate_byte_budget() {
+    let m = measure_setupfree_aba(22, 7_322);
+    assert_eq!(
+        m.deliveries, 195_801,
+        "the default all-to-all ABA path changed behaviour"
+    );
+    assert!(m.agreed, "aba n=22 disagreed");
+    assert!(
+        m.honest_bytes <= ABA22_CERT_BYTES + ABA22_CERT_BYTES / 10,
+        "aba n=22 honest bytes {} grew past 110 % of {ABA22_CERT_BYTES}",
+        m.honest_bytes
+    );
+    assert!(
+        m.honest_bytes <= ABA22_PRE_AGGREGATION_BYTES / 2,
+        "aba n=22 honest bytes {} lost the 2x reduction vs {ABA22_PRE_AGGREGATION_BYTES}",
+        m.honest_bytes
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 100 s unoptimised; runs under --release"
+)]
+fn aba_n40_replays_its_golden() {
+    let m = measure_setupfree_aba(40, 7_340);
+    assert_eq!(
+        m.deliveries, 791_847,
+        "the default all-to-all ABA path changed behaviour"
+    );
+    assert!(m.agreed, "aba n=40 disagreed");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 25 s unoptimised; runs under --release"
+)]
+fn aba_round_mean_stays_expected_constant() {
+    const GOLDEN_MEAN: f64 = 4.00;
+    const BAND: f64 = 1.0;
+    let rounds = aba_round_distribution(10, 9_000..9_020);
+    let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
+    assert!(
+        (mean - GOLDEN_MEAN).abs() <= BAND,
+        "ABA n=10 round mean {mean:.2} over 20 seeds left {GOLDEN_MEAN:.2} ± {BAND:.1}: {rounds:?}"
+    );
 }

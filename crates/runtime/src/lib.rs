@@ -31,7 +31,6 @@
 pub mod admission;
 pub mod host;
 pub mod queue;
-pub mod verify;
 
 pub use admission::{AdmissionPolicy, MaxConcurrent, TokenBucket, Unlimited};
 pub use host::{
@@ -39,7 +38,6 @@ pub use host::{
     WorkerFailure,
 };
 pub use queue::ShardQueue;
-pub use verify::{FlushReport, SessionVerdict, VerifyQueue, VerifyQueueStats};
 
 // Re-exported so downstream code can name the session stop reason without a
 // separate net import.

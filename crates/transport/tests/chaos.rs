@@ -13,7 +13,10 @@
 //!   mid-ABA stalls the run, and the heal un-stalls it — every peer
 //!   decides, agreement holds;
 //! * a **chaos soak** (1 % drop, ≤ 20 ms jitter) leaves coin, ABA, and
-//!   beacon live and in agreement at n ∈ {4, 10}.
+//!   beacon live and in agreement at n ∈ {4, 10}; on top of the soak, a
+//!   4-peer beacon whose 0 → 1 link is also cut at its 50th frame must
+//!   redial that link, replay its outbox, and still decide and agree
+//!   within 120 s.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -218,18 +221,30 @@ fn a_partition_heal_mid_aba_still_reaches_agreement() {
     assert_eq!(report.link(5, 9).partitioned_ms, 0);
 }
 
-/// One seeded soak: `drop_probability` 1 %, jitter ≤ 20 ms, fixed seed —
-/// the protocol must decide and agree anyway.
-fn soak<O, F>(n: usize, seed: u64, factory: F) -> setupfree_transport::SocketRunReport<O>
+/// The deadline of a plain soak run.
+const SOAK_DEADLINE: Duration = Duration::from_secs(240);
+
+/// The seeded soak plan: `drop_probability` 1 %, jitter ≤ 20 ms.
+fn drop_and_jitter(seed: u64) -> LinkFaultPlan {
+    LinkFaultPlan::new(seed)
+        .drop_probability(0.01)
+        .delay(Duration::ZERO, Duration::from_millis(20))
+}
+
+/// One seeded soak under `plan`: the protocol must decide and agree within
+/// `deadline` anyway, with no sequence gap on any link.
+fn soak<O, F>(
+    n: usize,
+    plan: LinkFaultPlan,
+    deadline: Duration,
+    factory: F,
+) -> setupfree_transport::SocketRunReport<O>
 where
     O: Clone + std::fmt::Debug + Send + PartialEq,
     F: Fn(usize) -> BoxedParty<Envelope, O> + Sync,
 {
-    let plan = LinkFaultPlan::new(seed)
-        .drop_probability(0.01)
-        .delay(Duration::ZERO, Duration::from_millis(20));
     let report = TcpPeerGroup::new(n)
-        .timeout(Duration::from_secs(240))
+        .timeout(deadline)
         .chaos(plan)
         .run(factory)
         .expect("loopback setup");
@@ -244,7 +259,7 @@ fn the_coin_survives_the_chaos_soak() {
     for &n in &[4usize, 10] {
         let (keyring, secrets) = keys(n, 0x50C7 + n as u64);
         use setupfree_core::coin::{Coin, CoinOutput, CoreSetMode};
-        soak(n, 0xC01A + n as u64, |i| {
+        soak(n, drop_and_jitter(0xC01A + n as u64), SOAK_DEADLINE, |i| {
             Box::new(Coin::with_core_mode(
                 Sid::new("chaos-coin"),
                 PartyId(i),
@@ -260,7 +275,7 @@ fn the_coin_survives_the_chaos_soak() {
 fn the_aba_survives_the_chaos_soak() {
     for &n in &[4usize, 10] {
         let (keyring, secrets) = keys(n, 0xABA5 + n as u64);
-        let report = soak(n, 0xAB0C + n as u64, |i| {
+        let report = soak(n, drop_and_jitter(0xAB0C + n as u64), SOAK_DEADLINE, |i| {
             let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
             Box::new(MmrAba::new(
                 Sid::new("chaos-aba"),
@@ -290,10 +305,20 @@ fn the_aba_survives_the_chaos_soak() {
 
 #[test]
 fn the_beacon_survives_the_chaos_soak() {
-    for &n in &[4usize, 10] {
-        let epochs = 2;
+    let epochs = 2;
+    // (n, plan seed, frame of link 0 → 1 to cut at, deadline)
+    let cases = [
+        (4usize, 0xBEA7 + 4, None, SOAK_DEADLINE),
+        (10, 0xBEA7 + 10, None, SOAK_DEADLINE),
+        (4, 0x0C8A05, Some(50), Duration::from_secs(120)),
+    ];
+    for (n, plan_seed, cut_at, deadline) in cases {
+        let mut plan = drop_and_jitter(plan_seed);
+        if let Some(frame) = cut_at {
+            plan = plan.cut_link(0, 1, frame);
+        }
         let (keyring, secrets) = keys(n, 0xBEAC + n as u64);
-        let report = soak(n, 0xBEA7 + n as u64, |i| {
+        let report = soak(n, plan, deadline, |i| {
             let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
             Box::new(RandomBeacon::new(
                 Sid::new("chaos-beacon"),
@@ -306,5 +331,9 @@ fn the_beacon_survives_the_chaos_soak() {
         });
         let history = report.outputs[0].as_ref().unwrap();
         assert_eq!(history.len(), epochs as usize, "every epoch closed under chaos");
+        if cut_at.is_some() {
+            let cut = report.link(0, 1);
+            assert!(cut.redials >= 1, "the cut link was redialed: {cut:?}");
+        }
     }
 }
