@@ -21,16 +21,16 @@
 
 pub mod harness;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use setupfree_crypto::hash::{sha256, stream_xor, Digest};
+use setupfree_crypto::hash::{sha256, stream_xor};
 use setupfree_crypto::pedersen::PedersenCommitment;
 use setupfree_crypto::poly::{interpolate_at_zero, Polynomial};
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 const CIPHER_DOMAIN: &str = "setupfree/avss/cipher";
@@ -199,11 +199,15 @@ pub struct Avss {
     pending_cipher: Option<PendingCipher>,
     echo_sent: bool,
     ready_sent: bool,
-    echoes: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
-    readies: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    /// Each sender's first `Echo` and first `Ready` (Bracha's rule).
+    echoes: VoteTally<Vec<u8>>,
+    readies: VoteTally<Vec<u8>>,
     share_output: Option<AvssShareOutput>,
     // --- reconstruction phase ---
     rec_activated: bool,
+    /// Reconstruction traffic that arrived before activation, in arrival
+    /// order: at most one `KeyRec` and one `Key` per sender, the only ones
+    /// that would count.
     rec_buffer: Vec<(PartyId, AvssMessage)>,
     key_rec_seen: BTreeSet<usize>,
     /// Arrived-but-unverified key shares `(point, A(point), B(point))`; they
@@ -212,7 +216,8 @@ pub struct Avss {
     key_rec_pending: Vec<(usize, Scalar, Scalar)>,
     key_rec_shares: Vec<(usize, Scalar)>,
     key_sent: bool,
-    key_votes: BTreeMap<u64, BTreeSet<usize>>,
+    /// Each sender's first `Key`.
+    key_votes: VoteTally<Scalar>,
     reconstructed: Option<Vec<u8>>,
 }
 
@@ -228,6 +233,7 @@ impl Avss {
         secrets: Arc<PartySecrets>,
         dealer_secret: Option<Vec<u8>>,
     ) -> Self {
+        let n = keyring.n();
         let dealer_state = if me == dealer {
             let secret = dealer_secret.expect("the dealer must provide a secret");
             Some(Self::make_dealer_state(&keyring, secret, &sid, &secrets))
@@ -248,8 +254,8 @@ impl Avss {
             pending_cipher: None,
             echo_sent: false,
             ready_sent: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: VoteTally::new(n),
+            readies: VoteTally::new(n),
             share_output: None,
             rec_activated: false,
             rec_buffer: Vec::new(),
@@ -257,7 +263,7 @@ impl Avss {
             key_rec_pending: Vec::new(),
             key_rec_shares: Vec::new(),
             key_sent: false,
-            key_votes: BTreeMap::new(),
+            key_votes: VoteTally::new(n),
             reconstructed: None,
         }
     }
@@ -373,8 +379,17 @@ impl Avss {
                 } else {
                     // Buffer reconstruction traffic until this party activates
                     // the reconstruction phase (secrecy: it must not help
-                    // reconstruct before being asked to).
-                    self.rec_buffer.push((from, msg));
+                    // reconstruct before being asked to).  Only a sender's
+                    // first message of each kind would count, so only that
+                    // one is kept.
+                    let kind = std::mem::discriminant(&msg);
+                    if !self
+                        .rec_buffer
+                        .iter()
+                        .any(|(f, m)| *f == from && std::mem::discriminant(m) == kind)
+                    {
+                        self.rec_buffer.push((from, msg));
+                    }
                     Step::none()
                 }
             }
@@ -502,12 +517,10 @@ impl Avss {
 
     fn on_echo(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
         let quorum = 2 * self.f() + 1;
-        let digest = sha256(&cipher);
-        let entry = self.echoes.entry(digest).or_insert_with(|| (BTreeSet::new(), cipher));
-        entry.0.insert(from.index());
-        if entry.0.len() >= quorum && !self.ready_sent {
+        let Some((cipher, count)) = self.echoes.vote(from, cipher) else { return Step::none() };
+        if count >= quorum && !self.ready_sent {
             self.ready_sent = true;
-            return Step::multicast(AvssMessage::Ready { cipher: entry.1.clone() });
+            return Step::multicast(AvssMessage::Ready { cipher: cipher.clone() });
         }
         Step::none()
     }
@@ -515,11 +528,7 @@ impl Avss {
     fn on_ready(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
         let quorum = 2 * self.f() + 1;
         let amplify = self.f() + 1;
-        let digest = sha256(&cipher);
-        let entry = self.readies.entry(digest).or_insert_with(|| (BTreeSet::new(), cipher));
-        entry.0.insert(from.index());
-        let count = entry.0.len();
-        let value = entry.1.clone();
+        let Some((value, count)) = self.readies.vote(from, cipher) else { return Step::none() };
         let mut step = Step::none();
         if count >= amplify && !self.ready_sent {
             self.ready_sent = true;
@@ -533,7 +542,8 @@ impl Avss {
                 (None, None, None)
             };
             setupfree_obs::phase(setupfree_obs::Phase::AvssShare, share_a.is_some() as u32);
-            self.share_output = Some(AvssShareOutput { cipher: value, share_a, share_b, commitment });
+            self.share_output =
+                Some(AvssShareOutput { cipher: value.clone(), share_a, share_b, commitment });
         }
         step
     }
@@ -644,9 +654,9 @@ impl Avss {
     }
 
     fn on_key(&mut self, from: PartyId, key: Scalar) -> Step<AvssMessage> {
-        let votes = self.key_votes.entry(key.to_u64()).or_default();
-        votes.insert(from.index());
-        if votes.len() > self.f() && self.reconstructed.is_none() {
+        let f = self.f();
+        let Some((_, votes)) = self.key_votes.vote(from, key) else { return Step::none() };
+        if votes > f && self.reconstructed.is_none() {
             if let Some(output) = &self.share_output {
                 let plain = self.encrypt(key, &output.cipher);
                 self.reconstructed = Some(plain);

@@ -83,6 +83,32 @@ pub enum CoreSetMode {
 #[derive(Debug)]
 pub struct SeedStore {
     seeds: Vec<Option<Seed>>,
+    /// Seeds published so far.  A sibling remembers the count it last read,
+    /// so a poke that finds it unchanged knows nothing new can have happened.
+    published: usize,
+}
+
+impl SeedStore {
+    fn publish(&mut self, leader: usize, seed: Seed) {
+        self.seeds[leader] = Some(seed);
+        self.published += 1;
+    }
+}
+
+/// The child instance an envelope reached, so that [`Coin::advance`]
+/// re-checks only the conditions that delivery can have changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touched {
+    /// Every child: the coin's activation.
+    All,
+    /// The Seeding instance led by this party.
+    Seeding(usize),
+    /// The AVSS instance dealt by this party.
+    Avss(usize),
+    /// A coin message at the root path (a `RecRequest` or `Candidate`).
+    Local,
+    /// The WCS, a gather RBC, or a dropped envelope.
+    Other,
 }
 
 /// Handle to a [`SeedStore`] shared between the coin rounds of one ABA.
@@ -156,6 +182,8 @@ pub struct Coin {
     /// Whether this coin mounts (and publishes from) the Seeding instances.
     /// `false` for sibling rounds sharing the first round's seeds.
     seeding_owner: bool,
+    /// The store's publish count when this (sibling) coin last read it.
+    seen_published: usize,
     avss: Router<Leaf<Avss>>,
     completed_sharings: BTreeSet<usize>,
     core_mode: CoreSetMode,
@@ -211,7 +239,7 @@ impl Coin {
         core_mode: CoreSetMode,
     ) -> Self {
         let n = keyring.n();
-        let store = Rc::new(RefCell::new(SeedStore { seeds: vec![None; n] }));
+        let store = Rc::new(RefCell::new(SeedStore { seeds: vec![None; n], published: 0 }));
         Self::build(sid, me, keyring, secrets, core_mode, store, true)
     }
 
@@ -254,6 +282,7 @@ impl Coin {
             seeds: vec![None; n],
             shared_seeds,
             seeding_owner,
+            seen_published: 0,
             avss: Router::new(K_AVSS),
             completed_sharings: BTreeSet::new(),
             core_mode,
@@ -314,44 +343,77 @@ impl Coin {
 
     /// Runs all "upon"-style pending conditions of Alg 4 until no further
     /// progress is possible, collecting any messages generated along the way.
-    fn advance(&mut self) -> Step<Envelope> {
+    ///
+    /// Only the conditions `touched` can have changed are re-checked: a new
+    /// seed comes from the touched Seeding instance (or, in a sibling, from
+    /// the store once the owner has published), a completed sharing from the
+    /// touched AVSS or one a new seed just spawned.  The conditions run in
+    /// the same order as a full rescan would, so the outgoing messages are
+    /// the same, in the same order.
+    fn advance(&mut self, touched: Touched) -> Step<Envelope> {
         let mut step = Step::none();
+
+        // Lines 4–8: seeds that became known spawn the corresponding AVSS
+        // instance (as dealer of our own, as participant otherwise).  The
+        // owner harvests its Seeding instances and publishes into the
+        // shared store; sibling rounds read the store.  Nothing later in
+        // this call can produce a seed, so this runs once.
+        let mut fresh: Vec<usize> = match touched {
+            Touched::Avss(j) => vec![j],
+            _ => Vec::new(),
+        };
+        let leaders = if self.seeding_owner {
+            match touched {
+                Touched::All => 0..self.n(),
+                Touched::Seeding(j) => j..j + 1,
+                _ => 0..0,
+            }
+        } else {
+            let published = self.shared_seeds.borrow().published;
+            if published == self.seen_published {
+                0..0
+            } else {
+                self.seen_published = published;
+                0..self.n()
+            }
+        };
+        for j in leaders {
+            if self.seeds[j].is_some() {
+                continue;
+            }
+            let seed = if self.seeding_owner {
+                let seed = self.seedings.get(j).and_then(|s| s.inner().seed());
+                if let Some(seed) = seed {
+                    self.shared_seeds.borrow_mut().publish(j, seed);
+                }
+                seed
+            } else {
+                self.shared_seeds.borrow().seeds[j]
+            };
+            if let Some(seed) = seed {
+                self.seeds[j] = Some(seed);
+                step.extend(self.spawn_avss(j));
+                fresh.push(j);
+            }
+        }
+        fresh.sort_unstable();
+        fresh.dedup();
+        // Reconstructions can become due when Ŝ, a request or a sharing
+        // output appears.
+        let mut rec_due = matches!(touched, Touched::Local) || !fresh.is_empty();
+
         loop {
             let mut progressed = false;
 
-            // Lines 4–8: seeds that became known spawn the corresponding AVSS
-            // instance (as dealer of our own, as participant otherwise).  The
-            // owner harvests its Seeding instances and publishes into the
-            // shared store; sibling rounds read the store.
-            for j in 0..self.n() {
-                if self.seeds[j].is_none() {
-                    if self.seeding_owner {
-                        if let Some(seed) = self.seedings.get(j).and_then(|s| s.inner().seed()) {
-                            self.seeds[j] = Some(seed);
-                            self.shared_seeds.borrow_mut().seeds[j] = Some(seed);
-                            progressed = true;
-                        }
-                    } else if let Some(seed) = self.shared_seeds.borrow().seeds[j] {
-                        self.seeds[j] = Some(seed);
-                        progressed = true;
-                    }
-                }
-                if self.seeds[j].is_some() && !self.avss.contains(j) {
-                    step.extend(self.spawn_avss(j));
-                    progressed = true;
-                }
-            }
-
             // Lines 9–12: record completed sharings, feed the core-set
             // selection, start it at n − f completions.
-            for j in 0..self.n() {
+            for j in std::mem::take(&mut fresh) {
                 let completed = self
                     .avss
                     .get(j)
                     .map(|a| a.inner().sharing_output().is_some())
                     .unwrap_or(false);
-                if completed && !self.completed_sharings.contains(&j) {
-                    self.completed_sharings.insert(j);
+                if completed && self.completed_sharings.insert(j) {
                     if self.core_mode == CoreSetMode::Weak {
                         step.extend(sealed_step(Self::wcs_seg(), self.wcs.add_index(j)));
                     }
@@ -389,6 +451,7 @@ impl Coin {
                     CoreSetMode::Weak => {
                         if let Some(s_hat) = self.wcs.output_set().cloned() {
                             self.core_set = Some(s_hat);
+                            rec_due = true;
                             progressed = true;
                         }
                     }
@@ -415,15 +478,16 @@ impl Coin {
                                 .flat_map(|s| s.iter().map(|i| *i as usize))
                                 .collect();
                             self.core_set = Some(union);
+                            rec_due = true;
                             progressed = true;
                         }
                     }
                 }
             }
-            if let Some(s_hat) = self.core_set.clone() {
-                if !self.rec_requests_sent {
+            if !self.rec_requests_sent {
+                if let Some(s_hat) = &self.core_set {
                     self.rec_requests_sent = true;
-                    for k in &s_hat {
+                    for k in s_hat {
                         step.push_multicast(Self::local(&CoinMessage::RecRequest {
                             index: *k as u32,
                         }));
@@ -434,8 +498,9 @@ impl Coin {
 
             // Lines 22–24: start reconstruction for requested indices once the
             // preconditions hold (Ŝ fixed and the sharing completed locally).
-            if self.core_set.is_some() {
-                for k in self.requested_indices.clone() {
+            if rec_due && self.core_set.is_some() {
+                rec_due = false;
+                for &k in &self.requested_indices {
                     let seg = self.avss.seg(k);
                     if let Some(avss) = self.avss.get_mut(k) {
                         let avss = avss.inner_mut();
@@ -522,14 +587,13 @@ impl Coin {
     }
 
     fn try_send_candidate(&mut self) -> Option<Step<Envelope>> {
-        let s_hat = self.core_set.clone()?;
         // Wait until every AVSS in Ŝ has been reconstructed locally.
-        for k in &s_hat {
-            let done = self.avss.get(*k).and_then(|a| a.inner().reconstructed()).is_some();
-            if !done {
-                return None;
-            }
+        let s_hat = self.core_set.as_ref()?;
+        let avss = &self.avss;
+        if !s_hat.iter().all(|k| avss.get(*k).and_then(|a| a.inner().reconstructed()).is_some()) {
+            return None;
         }
+        let s_hat: Vec<usize> = s_hat.iter().copied().collect();
         // Verify each revealed VRF against its dealer's seed (line 17); the
         // verdicts are memoised so the candidates multicast back to us later
         // do not pay a second verification.
@@ -649,7 +713,7 @@ impl MuxNode for Coin {
             );
             step.extend(self.gather_rbcs.insert(j, Leaf::new(rbc)));
         }
-        step.extend(self.advance());
+        step.extend(self.advance(Touched::All));
         step
     }
 
@@ -662,42 +726,42 @@ impl MuxNode for Coin {
         if from.index() >= self.n() {
             return Step::none();
         }
-        let mut step = match path.split_first() {
+        let (mut step, touched) = match path.split_first() {
             None => {
                 if let Some(msg) = decode_payload::<CoinMessage>(payload) {
                     self.on_local(from, msg);
                 }
-                Step::none()
+                (Step::none(), Touched::Local)
             }
             Some((seg, rest)) => {
                 let index = seg.index as usize;
                 match seg.kind {
-                    K_SEEDING if index < self.n() => {
-                        if self.seeding_owner {
-                            self.seedings.route(from, seg.index, rest, payload)
-                        } else {
-                            // Sibling rounds never mount Seeding instances;
-                            // honest parties never address seeding traffic to
-                            // them, so this is Byzantine and dropped outright
-                            // (buffering it would leak — nothing ever mounts).
-                            Step::none()
-                        }
+                    // Sibling rounds never mount Seeding instances; honest
+                    // parties never address seeding traffic to them, so it
+                    // is Byzantine and dropped outright (buffering it would
+                    // leak — nothing ever mounts).
+                    K_SEEDING if index < self.n() && self.seeding_owner => (
+                        self.seedings.route(from, seg.index, rest, payload),
+                        Touched::Seeding(index),
+                    ),
+                    K_AVSS if index < self.n() => {
+                        (self.avss.route(from, seg.index, rest, payload), Touched::Avss(index))
                     }
-                    K_AVSS if index < self.n() => self.avss.route(from, seg.index, rest, payload),
                     K_WCS if rest.is_root() && index == 0 => {
-                        match decode_payload(payload) {
+                        let step = match decode_payload(payload) {
                             Some(msg) => sealed_step(Self::wcs_seg(), self.wcs.handle(from, msg)),
                             None => Step::none(),
-                        }
+                        };
+                        (step, Touched::Other)
                     }
                     K_GATHER if index < self.n() => {
-                        self.gather_rbcs.route(from, seg.index, rest, payload)
+                        (self.gather_rbcs.route(from, seg.index, rest, payload), Touched::Other)
                     }
-                    _ => Step::none(),
+                    _ => (Step::none(), Touched::Other),
                 }
             }
         };
-        step.extend(self.advance());
+        step.extend(self.advance(touched));
         step
     }
 
@@ -708,8 +772,13 @@ impl MuxNode for Coin {
     fn poke(&mut self) -> Step<Envelope> {
         // A sibling round's progress can be unblocked by seeds the owner
         // round just published into the shared store, without any envelope of
-        // this round arriving; re-run the pending conditions.
-        self.advance()
+        // this round arriving.  Nothing else reaches a coin out of band, so
+        // the pending conditions are re-run only after a publish: the owner
+        // and an up-to-date sibling return at once.
+        if self.seeding_owner || self.shared_seeds.borrow().published == self.seen_published {
+            return Step::none();
+        }
+        self.advance(Touched::Other)
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
@@ -955,7 +1024,7 @@ mod tests {
         // Once the owner's store learns a seed, a poke surfaces it in the
         // sibling (and spawns the dealer's AVSS — the step is non-empty for
         // our own dealer index because we share our VRF evaluation).
-        owner.seed_store().borrow_mut().seeds[0] = Some([7u8; 32]);
+        owner.seed_store().borrow_mut().publish(0, [7u8; 32]);
         let step = MuxNode::poke(&mut sibling);
         assert_eq!(sibling.seed_of(0), Some([7u8; 32]));
         assert!(!step.is_empty());

@@ -5,6 +5,8 @@
 //! The implementation is validated against the NIST test vectors in the unit
 //! tests below.
 
+use std::cell::Cell;
+
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
@@ -115,6 +117,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        COMPRESSION_COUNT.with(|count| count.set(count.get() + 1));
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -150,6 +153,20 @@ impl Sha256 {
         self.state[6] = self.state[6].wrapping_add(g);
         self.state[7] = self.state[7].wrapping_add(h);
     }
+}
+
+std::thread_local! {
+    /// SHA-256 block compressions run on this thread (see
+    /// [`compression_count`]).
+    static COMPRESSION_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many SHA-256 block compressions the calling thread has run — the
+/// unit of hashing work, one per 64-byte block absorbed or padded.  A
+/// deterministic work counter: a simulation runs on one thread, so the
+/// difference across a run is that run's hashing work.
+pub fn compression_count() -> u64 {
+    COMPRESSION_COUNT.with(Cell::get)
 }
 
 /// One-shot SHA-256 of `data`.
@@ -249,6 +266,18 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
+    }
+
+    #[test]
+    fn compression_count_counts_blocks_per_thread() {
+        let before = compression_count();
+        let _ = sha256(b"abc");
+        // 55 bytes still pad into one block; 56 need a second.
+        let _ = sha256(&[0u8; 55]);
+        let _ = sha256(&[0u8; 56]);
+        assert_eq!(compression_count() - before, 4);
+        std::thread::spawn(|| sha256(&[0u8; 1000])).join().unwrap();
+        assert_eq!(compression_count() - before, 4);
     }
 
     #[test]

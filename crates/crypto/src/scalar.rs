@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
-use crate::hash::hash_fields;
+use crate::hash::{hash_fields, Digest};
 use crate::modarith::{add_mod, inv_mod, mul_mod, pow_mod, sub_mod};
 use crate::params::group_params;
 
@@ -100,7 +100,11 @@ impl Scalar {
     /// Derives a field element from a domain-separated hash of `fields`
     /// (used for Fiat–Shamir challenges and derandomized nonces).
     pub fn from_hash(domain: &str, fields: &[&[u8]]) -> Self {
-        let digest = hash_fields(domain, fields);
+        Self::from_digest(&hash_fields(domain, fields))
+    }
+
+    /// Reduces a random-oracle digest to a field element.
+    pub(crate) fn from_digest(digest: &Digest) -> Self {
         // Reduce 128 bits mod q: the bias is < 2^-60, negligible for our use.
         let wide = u128::from_le_bytes(digest[..16].try_into().expect("16 bytes"));
         Scalar((wide % Self::modulus() as u128) as u64)

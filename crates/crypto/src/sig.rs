@@ -15,11 +15,19 @@ use rand::Rng;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::group::GroupElement;
+use crate::hash::Sha256;
 use crate::multiexp;
 use crate::scalar::Scalar;
 
 /// Serialized signature length in bytes (challenge + response scalars).
 pub const SIGNATURE_LEN: usize = 16;
+
+/// Domain of every hash a signature operation makes.
+const SIG_DOMAIN: &[u8] = b"setupfree/sig/v2";
+/// Role tags absorbed after the shared `(context, message)` prefix.
+const TAG_NONCE: u8 = 0;
+const TAG_CHALLENGE: u8 = 1;
+const TAG_AGG_BIND: u8 = 2;
 
 /// A Schnorr signing key.
 #[derive(Clone)]
@@ -78,15 +86,16 @@ impl SigningKey {
     /// Signs `message` under the given domain-separation `context`
     /// (the paper's `Sign^ID_i(m)`).
     pub fn sign(&self, context: &[u8], message: &[u8]) -> Signature {
-        // Derandomized nonce: k = H(sk, ctx, m).  Deterministic signing keeps
+        let prefix = message_state(context, message);
+        // Derandomized nonce: k = H(ctx, m, sk).  Deterministic signing keeps
         // the protocol state machines reproducible under a fixed seed.
-        let k = Scalar::from_hash(
-            "setupfree/sig/nonce",
-            &[&self.sk.to_bytes(), context, message],
-        );
+        let mut nonce = prefix.clone();
+        nonce.update(&[TAG_NONCE]);
+        nonce.update(&self.sk.to_bytes());
+        let k = Scalar::from_digest(&nonce.finalize());
         let k = if k.is_zero() { Scalar::one() } else { k };
         let r = multiexp::fixed_pow_g1(k);
-        let c = challenge(&r, &self.pk, context, message);
+        let c = challenge(&prefix, &r, &self.pk);
         let s = k + c * self.sk;
         Signature { c, s }
     }
@@ -100,7 +109,7 @@ impl VerifyingKey {
         // with the negated scalar (order-q elements satisfy x^{-c} = x^{q-c}),
         // avoiding the full field inversion the naive form would pay.
         let r = multiexp::fixed_pow_g1(sig.s) * self.0.pow(sig.c.negate());
-        challenge(&r, self, context, message) == sig.c
+        challenge(&message_state(context, message), &r, self) == sig.c
     }
 
     /// The underlying group element.
@@ -109,11 +118,29 @@ impl VerifyingKey {
     }
 }
 
-fn challenge(r: &GroupElement, pk: &VerifyingKey, context: &[u8], message: &[u8]) -> Scalar {
-    Scalar::from_hash(
-        "setupfree/sig/challenge",
-        &[&r.to_bytes(), &pk.0.to_bytes(), context, message],
-    )
+/// The random-oracle prefix shared by every hash of one signature
+/// operation: the domain, the context and the message, each length-framed.
+/// Each `sign`, `verify`, `aggregate` and aggregate `verify` call absorbs it
+/// once and clones the state for every nonce, challenge and transcript hash,
+/// so a long message (Seeding certifies a whole aggregated PVSS script) is
+/// hashed once per call, not once per signer.  The message goes in as given:
+/// a signature binds exactly these bytes, never a digest of them.
+fn message_state(context: &[u8], message: &[u8]) -> Sha256 {
+    let mut h = Sha256::new();
+    h.update_framed(SIG_DOMAIN);
+    h.update_framed(context);
+    h.update_framed(message);
+    h
+}
+
+/// The Fiat–Shamir challenge `H(ctx, m, R, pk)`.  `R` and `pk` have fixed
+/// width, so the input stays injective without framing them.
+fn challenge(prefix: &Sha256, r: &GroupElement, pk: &VerifyingKey) -> Scalar {
+    let mut h = prefix.clone();
+    h.update(&[TAG_CHALLENGE]);
+    h.update(&r.to_bytes());
+    h.update(&pk.0.to_bytes());
+    Scalar::from_digest(&h.finalize())
 }
 
 // ---------------------------------------------------------------------------
@@ -230,13 +257,14 @@ impl AggregateSignature {
         if let Some(&(i, _)) = sorted.iter().find(|(i, _)| *i >= keys.len()) {
             return Err(AggregateError::SignerOutOfRange(i));
         }
+        let prefix = message_state(context, message);
         let mut bad = Vec::new();
         let mut rs = Vec::with_capacity(sorted.len());
         for &(i, sig) in &sorted {
             // R_i = g^{s_i} · pk_i^{-c_i}; the signature is valid iff the
             // challenge recomputed from R_i matches c_i.
             let r = multiexp::fixed_pow_g1(sig.s) * keys[i].0.pow(sig.c.negate());
-            if challenge(&r, &keys[i], context, message) != sig.c {
+            if challenge(&prefix, &r, &keys[i]) != sig.c {
                 bad.push(i);
             }
             rs.push(r);
@@ -251,7 +279,7 @@ impl AggregateSignature {
         while signers.last() == Some(&0) {
             signers.pop();
         }
-        let digest = Self::transcript_digest(&signers, &rs, context, message);
+        let digest = Self::transcript_digest(&prefix, &signers, &rs);
         let mut s = Scalar::zero();
         for (slot, &(_, sig)) in sorted.iter().enumerate() {
             s += agg_weight(&digest, slot) * sig.s;
@@ -259,17 +287,16 @@ impl AggregateSignature {
         Ok(AggregateSignature { signers, rs, s })
     }
 
-    fn transcript_digest(
-        signers: &[u8],
-        rs: &[GroupElement],
-        context: &[u8],
-        message: &[u8],
-    ) -> [u8; 32] {
-        let mut r_bytes = Vec::with_capacity(rs.len() * 8);
+    /// `H(ctx, m, signer bitmap, all R_i)`, from the call's shared prefix.
+    fn transcript_digest(prefix: &Sha256, signers: &[u8], rs: &[GroupElement]) -> [u8; 32] {
+        let mut h = prefix.clone();
+        h.update(&[TAG_AGG_BIND]);
+        h.update_framed(signers);
+        h.update(&(rs.len() as u64).to_le_bytes());
         for r in rs {
-            r_bytes.extend_from_slice(&r.to_bytes());
+            h.update(&r.to_bytes());
         }
-        crate::hash::hash_fields("setupfree/sig/agg-bind", &[signers, &r_bytes, context, message])
+        h.finalize()
     }
 
     /// Verifies the aggregate against the registered keys with one fixed-base
@@ -282,12 +309,13 @@ impl AggregateSignature {
         if indices.len() != self.rs.len() || indices.last().is_some_and(|&i| i >= keys.len()) {
             return false;
         }
-        let digest = Self::transcript_digest(&self.signers, &self.rs, context, message);
+        let prefix = message_state(context, message);
+        let digest = Self::transcript_digest(&prefix, &self.signers, &self.rs);
         let mut bases = Vec::with_capacity(2 * indices.len());
         let mut exps = Vec::with_capacity(2 * indices.len());
         for (slot, (&i, &r)) in indices.iter().zip(&self.rs).enumerate() {
             let z = agg_weight(&digest, slot);
-            let c = challenge(&r, &keys[i], context, message);
+            let c = challenge(&prefix, &r, &keys[i]);
             bases.push(r);
             exps.push(z);
             bases.push(keys[i].0);
@@ -491,6 +519,70 @@ mod tests {
         let sk2 = keypair(5);
         let sig = sk1.sign(b"ctx", b"hello");
         assert!(!sk2.verifying_key().verify(b"ctx", b"hello", &sig));
+    }
+
+    #[test]
+    fn digests_and_re_encodings_of_the_message_are_rejected() {
+        // A signature binds the message bytes themselves: neither a digest
+        // of them nor a re-framing across the context boundary verifies.
+        let sk = keypair(9);
+        let pk = sk.verifying_key();
+        let message = b"an aggregated script";
+        let sig = sk.sign(b"ctx", message);
+        assert!(pk.verify(b"ctx", message, &sig));
+        let digest = crate::hash::sha256(message);
+        let framed = setupfree_wire::to_bytes(&message.to_vec());
+        let mut shifted_ctx = b"ctx".to_vec();
+        shifted_ctx.push(message[0]);
+        for (ctx, m) in [
+            (&b"ctx"[..], &digest[..]),
+            (&b"ctx"[..], &framed[..]),
+            (&shifted_ctx[..], &message[1..]),
+            (&b"ct"[..], &b"xan aggregated script"[..]),
+        ] {
+            assert!(!pk.verify(ctx, m, &sig), "{ctx:?} / {m:?}");
+        }
+        let (sks, pks) = quorum_setup(5, 21);
+        let entries = signed_entries(&sks, &[0, 1, 2, 4], b"ctx", message);
+        let cert = QuorumCert::new(4, &entries, &pks, b"ctx", message).unwrap();
+        assert!(cert.verify(&pks, b"ctx", message));
+        assert!(!cert.verify(&pks, b"ctx", &digest));
+        assert!(!cert.verify(&pks, b"ctx", &framed));
+        let signed_digest = signed_entries(&sks, &[0, 1, 2, 4], b"ctx", &digest);
+        assert_eq!(
+            AggregateSignature::aggregate(&signed_digest, &pks, b"ctx", message),
+            Err(AggregateError::BadContributors(vec![0, 1, 2, 4]))
+        );
+    }
+
+    #[test]
+    fn each_call_hashes_the_message_once() {
+        use crate::hash::compression_count;
+        // A 4 KiB message is 64 blocks; per-signer hashing would cost 64 more
+        // compressions for every signer.
+        let message = vec![7u8; 4096];
+        let (sks, pks) = quorum_setup(13, 22);
+        let work = |signers: &[usize]| {
+            let entries = signed_entries(&sks, signers, b"ctx", &message);
+            let before = compression_count();
+            let cert = QuorumCert::new(signers.len(), &entries, &pks, b"ctx", &message).unwrap();
+            let aggregate = compression_count() - before;
+            let before = compression_count();
+            assert!(cert.verify(&pks, b"ctx", &message));
+            (aggregate, compression_count() - before)
+        };
+        let (agg3, verify3) = work(&[0, 1, 2]);
+        let (agg9, verify9) = work(&[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        for total in [agg3, verify3, agg9, verify9] {
+            assert!((65..65 + 50).contains(&total), "{total} compressions");
+        }
+        // Six more signers cost a few blocks each (challenge and weight),
+        // not a pass over 4 KiB.
+        assert!(agg9 - agg3 <= 6 * 5 && verify9 - verify3 <= 6 * 5);
+        let before = compression_count();
+        let sig = sks[0].sign(b"ctx", &message);
+        assert!(pks[0].verify(b"ctx", &message, &sig));
+        assert!((2 * 65..2 * 65 + 8).contains(&(compression_count() - before)));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`metrics`] — the three performance metrics of §3 (communication,
 //!   messages, asynchronous rounds),
 //! * [`faults`] — generic Byzantine/crash behaviours for fault-injection
-//!   testing.
+//!   testing,
+//! * [`tally`] — Bracha's one-vote-per-sender counting, shared by every
+//!   `Echo`/`Ready` amplification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +30,7 @@ pub mod party;
 pub mod protocol;
 pub mod scheduler;
 pub mod sim;
+pub mod tally;
 
 pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
 pub use metrics::Metrics;
@@ -42,3 +45,4 @@ pub use scheduler::{
     TargetedDelayScheduler,
 };
 pub use sim::{BoxedParty, RunReport, Simulation, StopReason};
+pub use tally::VoteTally;

@@ -36,10 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use setupfree_crypto::hash::{sha256, Digest};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Messages exchanged by one RBC instance.
@@ -96,11 +93,11 @@ pub struct Rbc {
     echo_sent: bool,
     ready_sent: bool,
     init_seen: bool,
-    /// For each candidate value (keyed by digest): the distinct parties that
-    /// echoed it, plus the value itself.
-    echoes: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    /// Each sender's first echo (Bracha's rule: one vote per sender, so at
+    /// most `n` stored values).
+    echoes: VoteTally<Vec<u8>>,
     /// Same for ready messages.
-    readies: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    readies: VoteTally<Vec<u8>>,
     output: Option<Vec<u8>>,
 }
 
@@ -125,8 +122,8 @@ impl Rbc {
             echo_sent: false,
             ready_sent: false,
             init_seen: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: VoteTally::new(n),
+            readies: VoteTally::new(n),
             output: None,
         }
     }
@@ -157,30 +154,24 @@ impl Rbc {
 
     fn handle_echo(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
         let quorum = self.quorum();
-        let digest = sha256(&value);
-        let entry = self.echoes.entry(digest).or_insert_with(|| (BTreeSet::new(), value));
-        entry.0.insert(from.index());
-        if entry.0.len() >= quorum && !self.ready_sent {
+        let Some((value, count)) = self.echoes.vote(from, value) else { return Step::none() };
+        if count >= quorum && !self.ready_sent {
             self.ready_sent = true;
-            return Step::multicast(RbcMessage::Ready(entry.1.clone()));
+            return Step::multicast(RbcMessage::Ready(value.clone()));
         }
         Step::none()
     }
 
     fn handle_ready(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
         let quorum = self.quorum();
-        let digest = sha256(&value);
-        let entry = self.readies.entry(digest).or_insert_with(|| (BTreeSet::new(), value));
-        entry.0.insert(from.index());
-        let count = entry.0.len();
-        let value = entry.1.clone();
+        let Some((value, count)) = self.readies.vote(from, value) else { return Step::none() };
         let mut step = Step::none();
         if count > self.f && !self.ready_sent {
             self.ready_sent = true;
             step.push_multicast(RbcMessage::Ready(value.clone()));
         }
         if count >= quorum && self.output.is_none() {
-            self.output = Some(value);
+            self.output = Some(value.clone());
         }
         step
     }

@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ use setupfree_crypto::pvss::{
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// The λ-bit seed output by the protocol.
@@ -145,6 +145,21 @@ impl Decode for SeedingMessage {
     }
 }
 
+/// An aggregated script together with its wire encoding — the message every
+/// signature and certificate on it binds — encoded once when recorded.
+#[derive(Debug)]
+struct Recorded {
+    script: PvssScript,
+    bytes: Vec<u8>,
+}
+
+impl Recorded {
+    fn new(script: PvssScript) -> Self {
+        let bytes = setupfree_wire::to_bytes(&script);
+        Recorded { script, bytes }
+    }
+}
+
 /// Leader-side state.
 #[derive(Debug, Default)]
 struct LeaderState {
@@ -154,7 +169,7 @@ struct LeaderState {
     pending: Vec<(usize, PvssScript)>,
     contributions: Vec<PvssScript>,
     contributed_by: BTreeSet<usize>,
-    aggregated: Option<PvssScript>,
+    aggregated: Option<Recorded>,
     agg_sent: bool,
     stored_sigs: Vec<(usize, Signature)>,
     stored_by: BTreeSet<usize>,
@@ -178,14 +193,19 @@ pub struct Seeding {
     params: PvssParams,
     leader_state: Option<LeaderState>,
     /// The aggregated script this party recorded and signed (line 5).
-    recorded: Option<PvssScript>,
+    recorded: Option<Recorded>,
     /// Whether we have seen a valid commitment quorum for the recorded script.
     committed: bool,
+    /// The first commitment certificate that verified against the recorded
+    /// script.  The leader sends it twice (`AggPvssCommit` and `Seed`); the
+    /// second, byte-identical copy is compared, not verified again.
+    verified_commit: Option<QuorumCert>,
     share_sent: bool,
     echo_sent: bool,
     ready_sent: bool,
-    echoes: BTreeMap<[u8; 32], (BTreeSet<usize>, PvssSecret)>,
-    readies: BTreeMap<[u8; 32], (BTreeSet<usize>, PvssSecret)>,
+    /// Each sender's first `SeedEcho` and first `SeedReady` (Bracha's rule).
+    echoes: VoteTally<PvssSecret>,
+    readies: VoteTally<PvssSecret>,
     output: Option<Seed>,
 }
 
@@ -199,7 +219,8 @@ impl Seeding {
         keyring: Arc<Keyring>,
         secrets: Arc<PartySecrets>,
     ) -> Self {
-        let params = PvssParams::new(keyring.n(), 2 * keyring.f());
+        let n = keyring.n();
+        let params = PvssParams::new(n, 2 * keyring.f());
         let leader_state = if me == leader { Some(LeaderState::default()) } else { None };
         Seeding {
             sid,
@@ -211,11 +232,12 @@ impl Seeding {
             leader_state,
             recorded: None,
             committed: false,
+            verified_commit: None,
             share_sent: false,
             echo_sent: false,
             ready_sent: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: VoteTally::new(n),
+            readies: VoteTally::new(n),
             output: None,
         }
     }
@@ -263,20 +285,24 @@ impl Seeding {
         )
     }
 
-    fn secret_digest(secret: &PvssSecret) -> [u8; 32] {
-        sha256(&setupfree_wire::to_bytes(secret))
-    }
-
-    fn verify_quorum(&self, script: &PvssScript, quorum: &QuorumCert) -> bool {
+    /// Checks a commitment certificate against the recorded script.  A
+    /// certificate byte-identical to one that already verified binds the
+    /// same context and script, so it is accepted by comparison; any other
+    /// is verified in full.
+    fn check_commit(&mut self, quorum: &QuorumCert) -> bool {
+        if self.verified_commit.as_ref() == Some(quorum) {
+            return true;
+        }
+        let Some(recorded) = &self.recorded else { return false };
         // The declared quorum must itself be ≥ n − f: `verify` only enforces
         // signer_count ≥ the *declared* quorum, so a cert declaring a smaller
         // quorum must not pass.
-        quorum.quorum() >= self.quorum()
-            && quorum.verify(
-                self.keyring.sig_key_slice(),
-                &self.sig_context(),
-                &setupfree_wire::to_bytes(script),
-            )
+        let ok = quorum.quorum() >= self.quorum()
+            && quorum.verify(self.keyring.sig_key_slice(), &self.sig_context(), &recorded.bytes);
+        if ok && self.verified_commit.is_none() {
+            self.verified_commit = Some(quorum.clone());
+        }
+        ok
     }
 }
 
@@ -362,7 +388,7 @@ impl Seeding {
         if ls.contributions.len() >= quorum {
             let aggregated = PvssScript::aggregate_all(&ls.contributions)
                 .expect("verified single-dealer scripts always aggregate");
-            ls.aggregated = Some(aggregated.clone());
+            ls.aggregated = Some(Recorded::new(aggregated.clone()));
             ls.agg_sent = true;
             return Step::multicast(SeedingMessage::AggPvss { script: aggregated });
         }
@@ -380,22 +406,22 @@ impl Seeding {
         {
             return Step::none();
         }
-        let signature = self.secrets.sig.sign(&self.sig_context(), &setupfree_wire::to_bytes(&script));
-        self.recorded = Some(script);
+        let recorded = Recorded::new(script);
+        let signature = self.secrets.sig.sign(&self.sig_context(), &recorded.bytes);
+        self.recorded = Some(recorded);
         Step::send(self.leader, SeedingMessage::AggPvssStored { signature })
     }
 
     fn on_agg_stored(&mut self, from: PartyId, signature: Signature) -> Step<SeedingMessage> {
         let ctx = self.sig_context();
         let quorum = self.quorum();
-        let vk = *self.keyring.sig_key(from.index());
-        let vks = self.keyring.sig_keys();
+        let vks = self.keyring.sig_key_slice();
         let Some(ls) = &mut self.leader_state else { return Step::none() };
         if ls.commit_sent || ls.stored_by.contains(&from.index()) {
             return Step::none();
         }
         let Some(agg) = &ls.aggregated else { return Step::none() };
-        if !vk.verify(&ctx, &setupfree_wire::to_bytes(agg), &signature) {
+        if !vks[from.index()].verify(&ctx, &agg.bytes, &signature) {
             return Step::none();
         }
         ls.stored_by.insert(from.index());
@@ -405,8 +431,7 @@ impl Seeding {
             // Build the aggregated certificate once, draining the raw
             // signatures; it is reused verbatim by the later `Seed` message.
             let entries = std::mem::take(&mut ls.stored_sigs);
-            let msg_bytes = setupfree_wire::to_bytes(agg);
-            let cert = QuorumCert::new(quorum, &entries, &vks, &ctx, &msg_bytes)
+            let cert = QuorumCert::new(quorum, &entries, vks, &ctx, &agg.bytes)
                 .expect("individually verified quorum signatures always aggregate");
             ls.commit_cert = Some(cert.clone());
             return Step::multicast(SeedingMessage::AggPvssCommit { quorum: cert });
@@ -415,17 +440,14 @@ impl Seeding {
     }
 
     fn on_agg_commit(&mut self, from: PartyId, quorum: QuorumCert) -> Step<SeedingMessage> {
-        if from != self.leader || self.share_sent {
+        if from != self.leader || self.share_sent || !self.check_commit(&quorum) {
             return Step::none();
         }
-        let Some(recorded) = self.recorded.clone() else { return Step::none() };
-        if !self.verify_quorum(&recorded, &quorum) {
-            return Step::none();
-        }
+        let Some(recorded) = &self.recorded else { return Step::none() };
         // Alg 7 line 8: the script is now committed; release our share.
         self.committed = true;
         self.share_sent = true;
-        let share = recorded.decrypt_share(self.me.index(), &self.secrets.pvss_dk);
+        let share = recorded.script.decrypt_share(self.me.index(), &self.secrets.pvss_dk);
         Step::send(self.leader, SeedingMessage::SeedShare { share })
     }
 
@@ -444,7 +466,7 @@ impl Seeding {
         ls.shares_by.insert(from.index());
         ls.shares.push((from.index(), share));
         if ls.shares.len() >= params.reconstruction_threshold() && ls.commit_sent {
-            if let Ok(secret) = agg.reconstruct(&params, &ls.shares) {
+            if let Ok(secret) = agg.script.reconstruct(&params, &ls.shares) {
                 ls.seed_sent = true;
                 let quorum = ls.commit_cert.clone().expect("commit_sent implies commit_cert");
                 return Step::multicast(SeedingMessage::Seed { quorum, secret });
@@ -463,7 +485,7 @@ impl Seeding {
             return Step::none();
         }
         let Some(recorded) = &self.recorded else { return Step::none() };
-        if !recorded.verify_secret(&secret) || !self.verify_quorum(recorded, &quorum) {
+        if !recorded.script.verify_secret(&secret) || !self.check_commit(&quorum) {
             return Step::none();
         }
         self.echo_sent = true;
@@ -472,12 +494,9 @@ impl Seeding {
 
     fn on_seed_echo(&mut self, from: PartyId, secret: PvssSecret) -> Step<SeedingMessage> {
         let quorum = 2 * self.f() + 1;
-        let digest = Self::secret_digest(&secret);
-        let entry = self.echoes.entry(digest).or_insert_with(|| (BTreeSet::new(), secret));
-        entry.0.insert(from.index());
-        if entry.0.len() >= quorum && !self.ready_sent {
+        let Some((&secret, count)) = self.echoes.vote(from, secret) else { return Step::none() };
+        if count >= quorum && !self.ready_sent {
             self.ready_sent = true;
-            let secret = entry.1;
             return Step::multicast(SeedingMessage::SeedReady { secret });
         }
         Step::none()
@@ -486,11 +505,7 @@ impl Seeding {
     fn on_seed_ready(&mut self, from: PartyId, secret: PvssSecret) -> Step<SeedingMessage> {
         let quorum = 2 * self.f() + 1;
         let amplify = self.f() + 1;
-        let digest = Self::secret_digest(&secret);
-        let entry = self.readies.entry(digest).or_insert_with(|| (BTreeSet::new(), secret));
-        entry.0.insert(from.index());
-        let count = entry.0.len();
-        let secret = entry.1;
+        let Some((&secret, count)) = self.readies.vote(from, secret) else { return Step::none() };
         let mut step = Step::none();
         if count >= amplify && !self.ready_sent {
             self.ready_sent = true;
@@ -670,6 +685,66 @@ mod tests {
         let cert = QuorumCert::new(1, &[(1, sig)], keyring.sig_key_slice(), b"x", b"y").unwrap();
         let step = party.on_message(PartyId(0), SeedingMessage::Seed { quorum: cert, secret: bogus });
         assert!(step.is_empty());
+    }
+
+    #[test]
+    fn a_seed_repeating_the_verified_commit_certificate_is_not_verified_again() {
+        use setupfree_crypto::sig::qc_verify_count;
+        use setupfree_net::Dest;
+        use std::collections::VecDeque;
+        let n = 4;
+        let (keyring, secrets) = setup(n);
+        let sid = Sid::new("seeding-commit-once");
+        let mut parties: Vec<Seeding> = (0..n)
+            .map(|i| Seeding::new(sid.clone(), PartyId(i), PartyId(0), keyring.clone(), secrets[i].clone()))
+            .collect();
+        let mut queue = VecDeque::new();
+        let push = |queue: &mut VecDeque<(usize, usize, SeedingMessage)>, from, step: Step<SeedingMessage>| {
+            for o in step.outgoing {
+                match o.dest {
+                    Dest::All => (0..n).for_each(|to| queue.push_back((from, to, o.msg.clone()))),
+                    Dest::One(to) => queue.push_back((from, to.index(), o.msg)),
+                }
+            }
+        };
+        for (i, party) in parties.iter_mut().enumerate() {
+            let step = party.on_activation();
+            push(&mut queue, i, step);
+        }
+        // Certificates that are not the leader's: valid signatures over
+        // another message, and over the script under another context.
+        let ctx = [sid.as_bytes(), b"/seeding/agg"].concat();
+        let forged = |ctx: &[u8], msg: &[u8]| {
+            let sigs: Vec<(usize, Signature)> = (0..n).map(|i| (i, secrets[i].sig.sign(ctx, msg))).collect();
+            QuorumCert::new(3, &sigs, keyring.sig_key_slice(), ctx, msg).unwrap()
+        };
+        let mut seed_checked = false;
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let seed_to_party_1 = to == 1 && matches!(msg, SeedingMessage::Seed { .. });
+            if let (true, SeedingMessage::Seed { secret, .. }) = (seed_to_party_1, &msg) {
+                // FIFO delivery: the AggPvssCommit (same certificate) came first.
+                assert!(parties[1].verified_commit.is_some());
+                let script = parties[1].recorded.as_ref().unwrap().bytes.clone();
+                for quorum in [forged(&ctx, b"another script"), forged(b"another context", &script)] {
+                    let before = qc_verify_count();
+                    let forged_seed = SeedingMessage::Seed { quorum, secret: *secret };
+                    assert!(parties[1].on_message(PartyId(0), forged_seed).is_empty());
+                    assert_eq!(qc_verify_count() - before, 1, "another certificate is verified");
+                }
+                assert!(!parties[1].echo_sent);
+            }
+            let before = qc_verify_count();
+            let step = parties[to].on_message(PartyId(from), msg);
+            if seed_to_party_1 {
+                assert_eq!(qc_verify_count() - before, 0, "the repeated certificate is compared only");
+                assert!(!step.is_empty(), "and accepted: the party echoes the secret");
+                seed_checked = true;
+            }
+            push(&mut queue, to, step);
+        }
+        assert!(seed_checked);
+        let outs: Vec<Seed> = parties.iter().map(|p| p.seed().expect("every party outputs")).collect();
+        assert!(outs.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -1,0 +1,85 @@
+//! Crypto work of the setup-free ABA at the benchmark's `aba-sim` shape,
+//! pinned by deterministic counters.
+//!
+//! Every round flips the paper's Coin (n Seedings, n AVSS and one WCS per
+//! party), so certificate checks and hashing are most of a decision's
+//! work.  The gate pins, per decision, the exact number of
+//! `QuorumCert::verify` calls (`sig::qc_verify_count`) and of SHA-256 block
+//! compressions (`hash::compression_count`).  Both count per thread and the
+//! simulation runs on the test thread, so the counts are machine-independent.
+//! The delivery count is pinned beside them: it fixes the schedule, so a
+//! change in work can be told apart from a change in what was delivered.
+//!
+//! What keeps the counts where they are: a signature absorbs its message
+//! once per call, not once per signer; a Seeding party verifies the
+//! leader's commitment certificate once, although it arrives twice; and
+//! `Echo`/`Ready` votes are compared by equality instead of hashed.
+//!
+//! Shape: n = 13, f = 4, all honest, `CoinProtocolFactory` in every round,
+//! mixed inputs (party 0 proposes 0, party 1 proposes 1, the rest by
+//! seed), `RandomScheduler`, three seeds.
+
+use std::sync::Arc;
+
+use setupfree_aba::MmrAba;
+use setupfree_core::coin::CoinProtocolFactory;
+use setupfree_crypto::hash::compression_count;
+use setupfree_crypto::sig::qc_verify_count;
+use setupfree_crypto::{generate_pki, PartySecrets};
+use setupfree_net::mux::Envelope;
+use setupfree_net::{BoxedParty, PartyId, RandomScheduler, Sid, Simulation, StopReason};
+
+const N: usize = 13;
+const F: usize = 4;
+
+/// One decision's counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Work {
+    deliveries: u64,
+    qc_verifies: u64,
+    compressions: u64,
+}
+
+/// `(seed, work)` per decision.
+const GOLDEN: [(u64, Work); 3] = [
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260 }),
+];
+
+fn inputs(seed: u64) -> Vec<bool> {
+    (0..N).map(|p| if p < 2 { p == 1 } else { (seed + p as u64 * 7).is_multiple_of(3) }).collect()
+}
+
+#[test]
+fn aba_crypto_work_per_decision_is_pinned() {
+    let (keyring, secrets) = generate_pki(N, 1);
+    let keyring = Arc::new(keyring);
+    let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
+    for (seed, expected) in GOLDEN {
+        let inputs = inputs(seed);
+        let parties: Vec<BoxedParty<Envelope, bool>> = (0..N)
+            .map(|i| {
+                let coins = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
+                let sid = Sid::new(&format!("aba-crypto-work-{seed}"));
+                Box::new(MmrAba::new(sid, PartyId(i), N, F, inputs[i], coins))
+                    as BoxedParty<Envelope, bool>
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
+        let (qc_before, hash_before) = (qc_verify_count(), compression_count());
+        let report = sim.run(2_000_000);
+        let work = Work {
+            deliveries: report.deliveries,
+            qc_verifies: qc_verify_count() - qc_before,
+            compressions: compression_count() - hash_before,
+        };
+
+        assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}: termination");
+        let decided: Vec<bool> =
+            sim.outputs().into_iter().map(|o| o.expect("every party decides")).collect();
+        assert!(decided.windows(2).all(|w| w[0] == w[1]), "seed {seed}: agreement");
+        assert!(inputs.contains(&decided[0]), "seed {seed}: validity");
+        assert_eq!(work, expected, "seed {seed}: crypto work per decision");
+    }
+}
