@@ -2,7 +2,7 @@
 //! common coin — §6.2 of the paper.
 //!
 //! The protocol is the signature-free binary agreement of Mostéfaoui, Moumen
-//! and Raynal (JACM '15) as referenced by the paper ([55]), augmented with a
+//! and Raynal (JACM '15) as referenced by the paper (\[55\]), augmented with a
 //! standard termination gadget (`Finish` amplification) so parties can halt.
 //! Each round consists of:
 //!
@@ -39,7 +39,7 @@ use setupfree_core::coin::CoinOutput;
 use setupfree_core::traits::{AbaFactory, CoinFactory};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{committee_cap, composite_cap, decode_payload, Envelope, InstancePath};
-use setupfree_net::{MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Path kind of the per-round coin instances (keyed by round number).
@@ -360,9 +360,10 @@ impl<F: CoinFactory> MmrAba<F> {
         step
     }
 
-    /// Nudges every live coin other than `round`: rounds share the first
-    /// round's seed store, so traffic processed by one round's coin can
-    /// publish seeds that unblock siblings whose own traffic never arrives.
+    /// Pokes every live coin other than `round` through the factory:
+    /// rounds share the first round's seed store, so traffic processed by
+    /// one round's coin can publish seeds that unblock siblings whose own
+    /// traffic never arrives.
     fn poke_sibling_coins(&mut self, round: u32) -> Step<Envelope> {
         let live: Vec<usize> =
             self.coins.iter().map(|(i, _)| i).filter(|&i| i != round as usize).collect();
@@ -370,7 +371,7 @@ impl<F: CoinFactory> MmrAba<F> {
         for i in live {
             let seg = self.coins.seg(i);
             if let Some(coin) = self.coins.get_mut(i) {
-                step.extend(coin.poke().prefix(seg));
+                step.extend(self.coin_factory.poke(coin).prefix(seg));
             }
             step.extend(self.after_coin(i as u32));
         }
@@ -490,28 +491,24 @@ impl<F: CoinFactory> MmrAba<F> {
     }
 }
 
-impl<F: CoinFactory> MuxNode for MmrAba<F> {
+impl<F: CoinFactory> ProtocolInstance for MmrAba<F> {
+    type Message = Envelope;
     type Output = bool;
 
     fn on_activation(&mut self) -> Step<Envelope> {
         self.start_round(0)
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         if from.index() >= self.n {
             return Step::none();
         }
-        match path.split_first() {
-            None => match decode_payload::<AbaMessage>(payload) {
-                Some(msg) => self.on_local(from, msg),
+        match msg.path.split_first() {
+            None => match decode_payload::<AbaMessage>(&msg.payload) {
+                Some(local) => self.on_local(from, local),
                 None => Step::none(),
             },
-            Some((seg, rest)) => {
+            Some((seg, path)) => {
                 let round = seg.index as u32;
                 if seg.kind != K_COIN || round >= self.max_rounds {
                     return Step::none();
@@ -525,7 +522,8 @@ impl<F: CoinFactory> MuxNode for MmrAba<F> {
                 if !self.active_exchange(from) {
                     return Step::none();
                 }
-                let mut step = self.coins.route(from, seg.index, rest, payload);
+                let child = Envelope { path, payload: msg.payload };
+                let mut step = self.coins.route(from, seg.index, child);
                 step.extend(self.after_coin(round));
                 step.extend(self.poke_sibling_coins(round));
                 step
@@ -539,27 +537,6 @@ impl<F: CoinFactory> MuxNode for MmrAba<F> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.coins.stats()
-    }
-}
-
-impl<F: CoinFactory> ProtocolInstance for MmrAba<F> {
-    type Message = Envelope;
-    type Output = bool;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<bool> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
     }
 }
 
@@ -625,7 +602,8 @@ pub fn setup_free_aba_factory(
 }
 
 /// Convenience constructor for the setup-based comparison stack: an ABA
-/// factory whose rounds use the idealised [`TrustedCoin`].
+/// factory whose rounds use the idealised
+/// [`TrustedCoin`](setupfree_core::TrustedCoin).
 pub fn trusted_coin_aba_factory(me: PartyId, n: usize, f: usize) -> MmrAbaFactory<setupfree_core::TrustedCoinFactory> {
     MmrAbaFactory::new(me, n, f, setupfree_core::TrustedCoinFactory)
 }
@@ -852,7 +830,7 @@ mod tests {
             TrustedCoinFactory,
             committee.clone(),
         );
-        assert!(MuxNode::on_activation(&mut aba).is_empty(), "listeners never speak");
+        assert!(aba.on_activation().is_empty(), "listeners never speak");
         // Coin-path traffic is dropped, not buffered (the listener will
         // never mount round coins).
         let member = committee.members()[0];
@@ -860,15 +838,15 @@ mod tests {
             InstancePath::of(setupfree_net::PathSeg::new(K_COIN, 1)),
             &42u64,
         );
-        let step = aba.on_envelope(member, env.path, &env.payload);
+        let step = aba.on_message(member, env);
         assert!(step.is_empty());
         assert_eq!(aba.buffered_coin_messages(), 0, "listeners must not buffer coin traffic");
         // Adoption: f_c + 1 = 2 member Finishes decide the listener.
         for &m in committee.members().iter().take(2) {
             let fin = Envelope::seal(InstancePath::root(), &AbaMessage::Finish { value: false });
-            let _ = aba.on_envelope(m, fin.path, &fin.payload);
+            let _ = aba.on_message(m, fin);
         }
-        assert_eq!(MuxNode::output(&aba), Some(false));
+        assert_eq!(aba.output(), Some(false));
     }
 
     #[test]

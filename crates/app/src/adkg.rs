@@ -29,7 +29,7 @@ use setupfree_crypto::pvss::{PvssParams, PvssScript, PvssShare};
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
-use setupfree_net::{MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_vba::{Predicate, Vba};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -174,7 +174,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Adkg<EF, AF> {
         }
         // Once the VBA decides, decrypt our share.
         if self.output.is_none() {
-            if let Some(bytes) = self.vba.get(0).and_then(MuxNode::output) {
+            if let Some(bytes) = self.vba.get(0).and_then(ProtocolInstance::output) {
                 let script = setupfree_wire::from_bytes::<PvssScript>(&bytes)
                     .expect("the VBA's external validity guarantees a well-formed script");
                 let share = script.decrypt_share(self.me.index(), &self.secrets.pvss_dk);
@@ -189,7 +189,8 @@ impl<EF: ElectionFactory, AF: AbaFactory> Adkg<EF, AF> {
     }
 }
 
-impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Adkg<EF, AF> {
+impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Adkg<EF, AF> {
+    type Message = Envelope;
     type Output = AdkgOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
@@ -217,18 +218,14 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Adkg<EF, AF> {
         step
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         if from.index() >= self.n() {
             return Step::none();
         }
-        let mut step = match path.split_first() {
+        let mut step = match msg.path.split_first() {
             None => {
-                if let Some(AdkgMessage::Pvss { script }) = decode_payload::<AdkgMessage>(payload) {
+                let contribution = decode_payload::<AdkgMessage>(&msg.payload);
+                if let Some(AdkgMessage::Pvss { script }) = contribution {
                     if !self.contributions.contains_key(&from.index())
                         && script.verify_single_dealer(
                             &self.params,
@@ -242,8 +239,8 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Adkg<EF, AF> {
                 }
                 Step::none()
             }
-            Some((seg, rest)) if seg.kind == K_VBA && seg.index == 0 => {
-                self.vba.route(from, seg.index, rest, payload)
+            Some((seg, path)) if seg.kind == K_VBA && seg.index == 0 => {
+                self.vba.route(from, seg.index, Envelope { path, payload: msg.payload })
             }
             Some(_) => Step::none(),
         };
@@ -257,26 +254,5 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Adkg<EF, AF> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.vba.stats()
-    }
-}
-
-impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Adkg<EF, AF> {
-    type Message = Envelope;
-    type Output = AdkgOutput;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<AdkgOutput> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
     }
 }

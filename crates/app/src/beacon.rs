@@ -27,7 +27,7 @@ use setupfree_core::election::{Election, ElectionOutput};
 use setupfree_core::traits::AbaFactory;
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
-use setupfree_net::{MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Path kind of the per-epoch election instances (keyed by epoch).
@@ -196,7 +196,7 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
         let mut step = Step::none();
         while self.output.is_none() {
             let Some(out) =
-                self.elections.get(self.current as usize).and_then(MuxNode::output)
+                self.elections.get(self.current as usize).and_then(ProtocolInstance::output)
             else {
                 break;
             };
@@ -242,7 +242,8 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
     }
 }
 
-impl<F: AbaFactory + Clone> MuxNode for RandomBeacon<F> {
+impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
+    type Message = Envelope;
     type Output = Vec<BeaconEpoch>;
 
     fn on_activation(&mut self) -> Step<Envelope> {
@@ -251,20 +252,15 @@ impl<F: AbaFactory + Clone> MuxNode for RandomBeacon<F> {
         step
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
-        let Some((seg, rest)) = path.split_first() else {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
+        let Some((seg, path)) = msg.path.split_first() else {
             // The only local message is the child-GC acknowledgement.  Acks
             // are only state worth holding while GC is on and the epoch is
             // still ahead of the retirement frontier — recording them
             // otherwise (GC off, or a straggler's late ack for an already
             // retired epoch) would accumulate exactly the per-epoch state
             // the GC exists to bound.
-            if let Some(BeaconMessage::Done { epoch }) = decode_payload::<BeaconMessage>(payload) {
+            if let Some(BeaconMessage::Done { epoch }) = decode_payload(&msg.payload) {
                 if self.gc && epoch >= self.gc_frontier && epoch < self.epochs {
                     self.done_from.entry(epoch).or_default().insert(from.index());
                     self.try_retire();
@@ -284,7 +280,7 @@ impl<F: AbaFactory + Clone> MuxNode for RandomBeacon<F> {
         if !self.elections.contains(epoch as usize) && !self.elections.is_retired(epoch as usize) {
             step.extend(self.start_epoch(epoch));
         }
-        step.extend(self.elections.route(from, seg.index, rest, payload));
+        step.extend(self.elections.route(from, seg.index, Envelope { path, payload: msg.payload }));
         step.extend(self.advance());
         step
     }
@@ -295,26 +291,5 @@ impl<F: AbaFactory + Clone> MuxNode for RandomBeacon<F> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.elections.stats()
-    }
-}
-
-impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
-    type Message = Envelope;
-    type Output = Vec<BeaconEpoch>;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<Vec<BeaconEpoch>> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
     }
 }

@@ -9,7 +9,10 @@
 //!   the paper's `O(λn³)` construction improves on.  (It is a *cost-model*
 //!   baseline: the dealing/reconstruction pattern and the gather are those of
 //!   CKLS02, while the final bit-extraction is simplified; see
-//!   `ARCHITECTURE.md` §"Cryptographic substitutions".)
+//!   `ARCHITECTURE.md` §"Cryptographic substitutions".)  Like every other
+//!   composite it mounts its children in session routers: the AVSS of
+//!   `(dealer, slot)` at path kind [`K_AVSS`], index `dealer · n + slot`, and
+//!   the gather RBCs at [`K_GATHER`], index broadcaster.
 //! * The gather-based core-set variant of the paper's own coin
 //!   ([`setupfree_core::coin::CoreSetMode::RbcGather`]) serves as the
 //!   AJM+21-style ablation and is exercised by the benchmark harness.
@@ -29,15 +32,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use setupfree_avss::{Avss, AvssMessage};
+use setupfree_avss::Avss;
 use setupfree_core::coin::CoinOutput;
 use setupfree_core::traits::CoinFactory;
 use setupfree_crypto::hash::hash_fields;
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
-use setupfree_rbc::{Rbc, RbcMessage};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_net::mux::sealed_step;
+use setupfree_net::{Envelope, Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_rbc::Rbc;
 
 // ---------------------------------------------------------------------------
 // Local (non-common) coin — the Ben-Or baseline.
@@ -106,58 +109,11 @@ impl CoinFactory for LocalCoinFactory {
 // CKLS02-style coin: n² AVSS + reliable-broadcast gather.
 // ---------------------------------------------------------------------------
 
-/// Messages of the [`SquaredAvssCoin`].
-#[derive(Debug, Clone)]
-pub enum SquaredCoinMessage {
-    /// Traffic of the AVSS instance `(dealer, slot)`.
-    Avss {
-        /// The dealing party.
-        dealer: u32,
-        /// The slot (one secret is dealt per receiving party).
-        slot: u32,
-        /// Wrapped AVSS message.
-        inner: AvssMessage,
-    },
-    /// Gather traffic: reliable broadcast of a party's completed-dealer set.
-    Gather {
-        /// The broadcasting party.
-        sender: u32,
-        /// Wrapped RBC message.
-        inner: RbcMessage,
-    },
-}
-
-impl Encode for SquaredCoinMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SquaredCoinMessage::Avss { dealer, slot, inner } => {
-                w.write_u8(0);
-                w.write_u32(*dealer);
-                w.write_u32(*slot);
-                inner.encode(w);
-            }
-            SquaredCoinMessage::Gather { sender, inner } => {
-                w.write_u8(1);
-                w.write_u32(*sender);
-                inner.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for SquaredCoinMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(SquaredCoinMessage::Avss {
-                dealer: r.read_u32()?,
-                slot: r.read_u32()?,
-                inner: AvssMessage::decode(r)?,
-            }),
-            1 => Ok(SquaredCoinMessage::Gather { sender: r.read_u32()?, inner: RbcMessage::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "SquaredCoinMessage" }),
-        }
-    }
-}
+/// Path kind of the [`SquaredAvssCoin`]'s AVSS instances, keyed by
+/// `dealer · n + slot`.
+pub const K_AVSS: u8 = 0;
+/// Path kind of the [`SquaredAvssCoin`]'s gather RBCs, keyed by broadcaster.
+pub const K_GATHER: u8 = 1;
 
 /// A CR93/CKLS02-style common coin: every party deals `n` AVSS instances
 /// (one secret per receiving slot), completed dealers are gathered through
@@ -165,15 +121,15 @@ impl Decode for SquaredCoinMessage {
 /// reconstructed; the coin is the low bit of a hash over the reconstructed
 /// secrets.
 pub struct SquaredAvssCoin {
-    #[allow(dead_code)]
     sid: Sid,
     me: PartyId,
     keyring: Arc<Keyring>,
-    /// avss[dealer][slot]
-    avss: Vec<Vec<Avss>>,
+    secrets: Arc<PartySecrets>,
+    /// The AVSS of `(dealer, slot)` at index `dealer · n + slot`.
+    avss: Router<Leaf<Avss>>,
     /// Dealers whose full slot row completed locally.
     complete_dealers: BTreeSet<usize>,
-    gather_rbcs: Vec<Rbc>,
+    gather_rbcs: Router<Leaf<Rbc>>,
     gather_sent: bool,
     gather_outputs: BTreeMap<usize, Vec<u32>>,
     core: Option<BTreeSet<usize>>,
@@ -194,52 +150,14 @@ impl std::fmt::Debug for SquaredAvssCoin {
 impl SquaredAvssCoin {
     /// Creates the baseline coin for party `me`.
     pub fn new(sid: Sid, me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
-        let n = keyring.n();
-        let avss = (0..n)
-            .map(|dealer| {
-                (0..n)
-                    .map(|slot| {
-                        let secret = if dealer == me.index() {
-                            // A fresh random secret per slot, derandomized from
-                            // the session and the dealer's key material.
-                            Some(
-                                Scalar::from_hash(
-                                    "setupfree/squared-coin/secret",
-                                    &[
-                                        sid.as_bytes(),
-                                        &(dealer as u64).to_le_bytes(),
-                                        &(slot as u64).to_le_bytes(),
-                                        &secrets.index.to_le_bytes(),
-                                    ],
-                                )
-                                .to_bytes()
-                                .to_vec(),
-                            )
-                        } else {
-                            None
-                        };
-                        Avss::new(
-                            sid.derive("sq-avss", dealer * n + slot),
-                            me,
-                            PartyId(dealer),
-                            keyring.clone(),
-                            secrets.clone(),
-                            secret,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let gather_rbcs = (0..n)
-            .map(|j| Rbc::new(sid.derive("sq-gather", j), me, n, keyring.f(), PartyId(j), None))
-            .collect();
         SquaredAvssCoin {
             sid,
             me,
             keyring,
-            avss,
+            secrets,
+            avss: Router::new(K_AVSS),
             complete_dealers: BTreeSet::new(),
-            gather_rbcs,
+            gather_rbcs: Router::new(K_GATHER),
             gather_sent: false,
             gather_outputs: BTreeMap::new(),
             core: None,
@@ -256,19 +174,17 @@ impl SquaredAvssCoin {
         self.keyring.quorum()
     }
 
-    fn wrap_avss(dealer: usize, slot: usize, step: Step<AvssMessage>) -> Step<SquaredCoinMessage> {
-        step.map(move |inner| SquaredCoinMessage::Avss {
-            dealer: dealer as u32,
-            slot: slot as u32,
-            inner,
-        })
+    /// The AVSS of `(dealer, slot)`; every one is mounted at activation.
+    fn avss(&self, dealer: usize, slot: usize) -> &Avss {
+        self.avss.get(dealer * self.n() + slot).expect("mounted at activation").inner()
     }
 
-    fn wrap_gather(sender: usize, step: Step<RbcMessage>) -> Step<SquaredCoinMessage> {
-        step.map(move |inner| SquaredCoinMessage::Gather { sender: sender as u32, inner })
+    /// Whether every slot `dealer` deals has completed its sharing here.
+    fn row_shared(&self, dealer: usize) -> bool {
+        (0..self.n()).all(|slot| self.avss(dealer, slot).sharing_output().is_some())
     }
 
-    fn advance(&mut self) -> Step<SquaredCoinMessage> {
+    fn advance(&mut self) -> Step<Envelope> {
         let mut step = Step::none();
         loop {
             let mut progressed = false;
@@ -277,7 +193,7 @@ impl SquaredAvssCoin {
                 if self.complete_dealers.contains(&dealer) {
                     continue;
                 }
-                if self.avss[dealer].iter().all(|a| a.sharing_output().is_some()) {
+                if self.row_shared(dealer) {
                     self.complete_dealers.insert(dealer);
                     progressed = true;
                 }
@@ -287,10 +203,9 @@ impl SquaredAvssCoin {
                 self.gather_sent = true;
                 let set: Vec<u32> = self.complete_dealers.iter().map(|d| *d as u32).collect();
                 let me = self.me.index();
-                step.extend(Self::wrap_gather(
-                    me,
-                    self.gather_rbcs[me].provide_input(setupfree_wire::to_bytes(&set)),
-                ));
+                let seg = self.gather_rbcs.seg(me);
+                let rbc = self.gather_rbcs.get_mut(me).expect("mounted at activation").inner_mut();
+                step.extend(sealed_step(seg, rbc.provide_input(setupfree_wire::to_bytes(&set))));
                 progressed = true;
             }
             // Union of the first n − f gathered sets becomes the core.
@@ -299,7 +214,7 @@ impl SquaredAvssCoin {
                     if self.gather_outputs.contains_key(&j) {
                         continue;
                     }
-                    if let Some(bytes) = self.gather_rbcs[j].output() {
+                    if let Some(bytes) = self.gather_rbcs.get(j).and_then(|r| r.inner().output()) {
                         if let Ok(set) = setupfree_wire::from_bytes::<Vec<u32>>(&bytes) {
                             if set.len() >= self.quorum()
                                 && set.iter().all(|d| (*d as usize) < self.n())
@@ -322,30 +237,28 @@ impl SquaredAvssCoin {
             }
             // Reconstruct every slot of every core dealer.
             if let Some(core) = self.core.clone() {
-                if !self.rec_started
-                    && core.iter().all(|d| {
-                        self.avss[*d].iter().all(|a| a.sharing_output().is_some())
-                    })
-                {
+                if !self.rec_started && core.iter().all(|d| self.row_shared(*d)) {
                     self.rec_started = true;
                     for dealer in &core {
                         for slot in 0..self.n() {
-                            let avss = &mut self.avss[*dealer][slot];
-                            step.extend(Self::wrap_avss(*dealer, slot, avss.start_reconstruction()));
+                            let index = dealer * self.n() + slot;
+                            let seg = self.avss.seg(index);
+                            let avss = self.avss.get_mut(index).expect("mounted at activation");
+                            step.extend(sealed_step(seg, avss.inner_mut().start_reconstruction()));
                         }
                     }
                     progressed = true;
                 }
                 if self.rec_started && self.output.is_none() {
                     let all_done = core.iter().all(|d| {
-                        self.avss[*d].iter().all(|a| a.reconstructed().is_some())
+                        (0..self.n()).all(|slot| self.avss(*d, slot).reconstructed().is_some())
                     });
                     if all_done {
                         let mut hasher_fields: Vec<Vec<u8>> = Vec::new();
                         for dealer in &core {
                             for slot in 0..self.n() {
-                                hasher_fields
-                                    .push(self.avss[*dealer][slot].reconstructed().unwrap().to_vec());
+                                let secret = self.avss(*dealer, slot).reconstructed().unwrap();
+                                hasher_fields.push(secret.to_vec());
                             }
                         }
                         let refs: Vec<&[u8]> = hasher_fields.iter().map(Vec::as_slice).collect();
@@ -364,40 +277,60 @@ impl SquaredAvssCoin {
 }
 
 impl ProtocolInstance for SquaredAvssCoin {
-    type Message = SquaredCoinMessage;
+    type Message = Envelope;
     type Output = CoinOutput;
 
-    fn on_activation(&mut self) -> Step<SquaredCoinMessage> {
+    fn on_activation(&mut self) -> Step<Envelope> {
+        let n = self.n();
         let mut step = Step::none();
-        for dealer in 0..self.n() {
-            for slot in 0..self.n() {
-                step.extend(Self::wrap_avss(dealer, slot, self.avss[dealer][slot].activate()));
+        for dealer in 0..n {
+            for slot in 0..n {
+                let secret = (dealer == self.me.index()).then(|| {
+                    // A fresh random secret per slot, derandomized from the
+                    // session and the dealer's key material.
+                    Scalar::from_hash(
+                        "setupfree/squared-coin/secret",
+                        &[
+                            self.sid.as_bytes(),
+                            &(dealer as u64).to_le_bytes(),
+                            &(slot as u64).to_le_bytes(),
+                            &self.secrets.index.to_le_bytes(),
+                        ],
+                    )
+                    .to_bytes()
+                    .to_vec()
+                });
+                let avss = Avss::new(
+                    self.sid.derive("sq-avss", dealer * n + slot),
+                    self.me,
+                    PartyId(dealer),
+                    self.keyring.clone(),
+                    self.secrets.clone(),
+                    secret,
+                );
+                step.extend(self.avss.insert(dealer * n + slot, Leaf::new(avss)));
             }
+        }
+        for j in 0..n {
+            let sid = self.sid.derive("sq-gather", j);
+            let rbc = Rbc::new(sid, self.me, n, self.keyring.f(), PartyId(j), None);
+            step.extend(self.gather_rbcs.insert(j, Leaf::new(rbc)));
         }
         step.extend(self.advance());
         step
     }
 
-    fn on_message(&mut self, from: PartyId, msg: SquaredCoinMessage) -> Step<SquaredCoinMessage> {
-        if from.index() >= self.n() {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
+        let n = self.n();
+        if from.index() >= n {
             return Step::none();
         }
-        let mut step = match msg {
-            SquaredCoinMessage::Avss { dealer, slot, inner } => {
-                let dealer = dealer as usize;
-                let slot = slot as usize;
-                if dealer >= self.n() || slot >= self.n() {
-                    return Step::none();
-                }
-                Self::wrap_avss(dealer, slot, self.avss[dealer][slot].handle(from, inner))
-            }
-            SquaredCoinMessage::Gather { sender, inner } => {
-                let sender = sender as usize;
-                if sender >= self.n() {
-                    return Step::none();
-                }
-                Self::wrap_gather(sender, self.gather_rbcs[sender].on_message(from, inner))
-            }
+        let Some((seg, path)) = msg.path.split_first() else { return Step::none() };
+        let child = Envelope { path, payload: msg.payload };
+        let mut step = match seg.kind {
+            K_AVSS if (seg.index as usize) < n * n => self.avss.route(from, seg.index, child),
+            K_GATHER if (seg.index as usize) < n => self.gather_rbcs.route(from, seg.index, child),
+            _ => return Step::none(),
         };
         step.extend(self.advance());
         step
@@ -405,6 +338,10 @@ impl ProtocolInstance for SquaredAvssCoin {
 
     fn output(&self) -> Option<CoinOutput> {
         self.output.clone()
+    }
+
+    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
+        self.avss.stats().merge(self.gather_rbcs.stats())
     }
 }
 
@@ -424,10 +361,10 @@ impl SquaredAvssCoinFactory {
 }
 
 impl CoinFactory for SquaredAvssCoinFactory {
-    type Instance = setupfree_net::Leaf<SquaredAvssCoin>;
+    type Instance = SquaredAvssCoin;
 
     fn create(&self, sid: Sid) -> Self::Instance {
-        setupfree_net::Leaf::new(SquaredAvssCoin::new(sid, self.me, self.keyring.clone(), self.secrets.clone()))
+        SquaredAvssCoin::new(sid, self.me, self.keyring.clone(), self.secrets.clone())
     }
 }
 
@@ -457,14 +394,14 @@ mod tests {
     fn squared_coin_terminates_and_agrees_under_fifo() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let parties: Vec<BoxedParty<SquaredCoinMessage, CoinOutput>> = (0..n)
+        let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
             .map(|i| {
                 Box::new(SquaredAvssCoin::new(
                     Sid::new("sq"),
                     PartyId(i),
                     keyring.clone(),
                     secrets[i].clone(),
-                )) as BoxedParty<SquaredCoinMessage, CoinOutput>
+                )) as BoxedParty<Envelope, CoinOutput>
             })
             .collect();
         let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
@@ -483,14 +420,14 @@ mod tests {
         // the byte-growth factor from n = 4 to n = 7 for both.
         let measure_sq = |n: usize| {
             let (keyring, secrets) = setup(n);
-            let parties: Vec<BoxedParty<SquaredCoinMessage, CoinOutput>> = (0..n)
+            let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
                 .map(|i| {
                     Box::new(SquaredAvssCoin::new(
                         Sid::new("sq-cost"),
                         PartyId(i),
                         keyring.clone(),
                         secrets[i].clone(),
-                    )) as BoxedParty<SquaredCoinMessage, CoinOutput>
+                    )) as BoxedParty<Envelope, CoinOutput>
                 })
                 .collect();
             let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
@@ -499,7 +436,6 @@ mod tests {
         };
         let measure_paper = |n: usize| {
             use setupfree_core::coin::Coin;
-            use setupfree_net::Envelope;
             let (keyring, secrets) = setup(n);
             let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
                 .map(|i| {
@@ -524,30 +460,19 @@ mod tests {
         let n = 4;
         let (keyring, secrets) = setup(n);
         for seed in 0..3 {
-            let parties: Vec<BoxedParty<SquaredCoinMessage, CoinOutput>> = (0..n)
+            let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
                 .map(|i| {
                     Box::new(SquaredAvssCoin::new(
                         Sid::new("sq-rand"),
                         PartyId(i),
                         keyring.clone(),
                         secrets[i].clone(),
-                    )) as BoxedParty<SquaredCoinMessage, CoinOutput>
+                    )) as BoxedParty<Envelope, CoinOutput>
                 })
                 .collect();
             let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
             let report = sim.run(30_000_000);
             assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn message_wire_roundtrip() {
-        let msg = SquaredCoinMessage::Gather {
-            sender: 1,
-            inner: RbcMessage::Echo(vec![1, 2, 3]),
-        };
-        let bytes = setupfree_wire::to_bytes(&msg);
-        let decoded: SquaredCoinMessage = setupfree_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(setupfree_wire::to_bytes(&decoded), bytes);
     }
 }

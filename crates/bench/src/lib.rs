@@ -12,9 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Traced measurement harness (PR 10): the same workloads with an obs sink
-/// installed, plus the instruments behind the tracing-overhead and
-/// ABA-round-distribution tests.
 pub mod tracing;
 
 use std::collections::BTreeSet;
@@ -24,7 +21,7 @@ use setupfree_aba::{MmrAba, MmrAbaFactory};
 use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
 use setupfree_avss::harness::AvssEndToEnd;
 use setupfree_avss::{Avss, AvssMessage};
-use setupfree_baselines::{LocalCoinFactory, SquaredAvssCoin, SquaredCoinMessage};
+use setupfree_baselines::{LocalCoinFactory, SquaredAvssCoin};
 use setupfree_core::coin::{Coin, CoinOutput, CoinProtocolFactory, CoreSetMode};
 use setupfree_core::election::{Election, ElectionOutput};
 use setupfree_core::traits::ElectionFactory;
@@ -240,14 +237,14 @@ pub fn measure_coin_with(
 /// Measures the CKLS02-style `n²`-AVSS baseline coin.
 pub fn measure_squared_coin(n: usize, seed: u64) -> Measurement {
     let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<SquaredCoinMessage, CoinOutput>> = (0..n)
+    let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
         .map(|i| {
             Box::new(SquaredAvssCoin::new(
                 Sid::new(&format!("bench-sq-{seed}")),
                 PartyId(i),
                 keyring.clone(),
                 secrets[i].clone(),
-            )) as BoxedParty<SquaredCoinMessage, CoinOutput>
+            )) as BoxedParty<Envelope, CoinOutput>
         })
         .collect();
     let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
@@ -802,7 +799,8 @@ pub fn measure_socket_coin(n: usize, seed: u64) -> SocketMeasurement {
     measure_socket_coin_chaos(n, seed, None)
 }
 
-/// [`measure_socket_coin`] with an optional [`LinkFaultPlan`] underneath —
+/// [`measure_socket_coin`] with an optional
+/// [`LinkFaultPlan`](setupfree_transport::LinkFaultPlan) underneath —
 /// the clean-vs-chaos comparison rows of `perf_baseline` run the *same*
 /// machines through both.
 pub fn measure_socket_coin_chaos(

@@ -37,7 +37,7 @@ use setupfree_avss::Avss;
 use setupfree_crypto::vrf::{VrfOutput, VrfProof};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{decode_payload, sealed_step, Envelope, InstancePath, PathSeg};
-use setupfree_net::{Leaf, MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::Rbc;
 use setupfree_seeding::{Seed, Seeding};
 use setupfree_wcs::Wcs;
@@ -79,7 +79,8 @@ pub enum CoreSetMode {
 /// sibling rounds created via
 /// [`CoinFactory::create_sibling`](crate::traits::CoinFactory::create_sibling)
 /// read the store instead of re-running the seeding — by far the dominant
-/// byte cost of a multi-round ABA.
+/// byte cost of a multi-round ABA — and are re-checked through
+/// [`CoinFactory::poke`](crate::traits::CoinFactory::poke) when it changes.
 #[derive(Debug)]
 pub struct SeedStore {
     seeds: Vec<Option<Seed>>,
@@ -679,9 +680,22 @@ impl Coin {
             }
         }
     }
+
+    /// Re-runs the pending conditions of a sibling round whose progress the
+    /// owner round may have unblocked by publishing seeds into the shared
+    /// store, without any envelope of this round arriving.  Nothing else
+    /// reaches a coin out of band, so the conditions are re-run only after a
+    /// publish: the owner and an up-to-date sibling return at once.
+    pub fn poke(&mut self) -> Step<Envelope> {
+        if self.seeding_owner || self.shared_seeds.borrow().published == self.seen_published {
+            return Step::none();
+        }
+        self.advance(Touched::Other)
+    }
 }
 
-impl MuxNode for Coin {
+impl ProtocolInstance for Coin {
+    type Message = Envelope;
     type Output = CoinOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
@@ -717,45 +731,45 @@ impl MuxNode for Coin {
         step
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         if from.index() >= self.n() {
             return Step::none();
         }
-        let (mut step, touched) = match path.split_first() {
+        let (mut step, touched) = match msg.path.split_first() {
             None => {
-                if let Some(msg) = decode_payload::<CoinMessage>(payload) {
-                    self.on_local(from, msg);
+                if let Some(local) = decode_payload::<CoinMessage>(&msg.payload) {
+                    self.on_local(from, local);
                 }
                 (Step::none(), Touched::Local)
             }
-            Some((seg, rest)) => {
+            Some((seg, path)) => {
                 let index = seg.index as usize;
+                let child = Envelope { path, payload: msg.payload };
                 match seg.kind {
                     // Sibling rounds never mount Seeding instances; honest
                     // parties never address seeding traffic to them, so it
                     // is Byzantine and dropped outright (buffering it would
                     // leak — nothing ever mounts).
-                    K_SEEDING if index < self.n() && self.seeding_owner => (
-                        self.seedings.route(from, seg.index, rest, payload),
-                        Touched::Seeding(index),
-                    ),
-                    K_AVSS if index < self.n() => {
-                        (self.avss.route(from, seg.index, rest, payload), Touched::Avss(index))
+                    K_SEEDING if index < self.n() && self.seeding_owner => {
+                        (self.seedings.route(from, seg.index, child), Touched::Seeding(index))
                     }
-                    K_WCS if rest.is_root() && index == 0 => {
-                        let step = match decode_payload(payload) {
-                            Some(msg) => sealed_step(Self::wcs_seg(), self.wcs.handle(from, msg)),
+                    K_AVSS if index < self.n() => {
+                        (self.avss.route(from, seg.index, child), Touched::Avss(index))
+                    }
+                    K_WCS if path.is_root() && index == 0 => {
+                        // The WCS is held directly, not in a router: push its
+                        // trace path here so its phases land on its span.
+                        let _trace = setupfree_obs::PathGuard::push(K_WCS, 0);
+                        let step = match decode_payload(&child.payload) {
+                            Some(wcs_msg) => {
+                                sealed_step(Self::wcs_seg(), self.wcs.handle(from, wcs_msg))
+                            }
                             None => Step::none(),
                         };
                         (step, Touched::Other)
                     }
                     K_GATHER if index < self.n() => {
-                        (self.gather_rbcs.route(from, seg.index, rest, payload), Touched::Other)
+                        (self.gather_rbcs.route(from, seg.index, child), Touched::Other)
                     }
                     _ => (Step::none(), Touched::Other),
                 }
@@ -769,41 +783,8 @@ impl MuxNode for Coin {
         self.output.clone()
     }
 
-    fn poke(&mut self) -> Step<Envelope> {
-        // A sibling round's progress can be unblocked by seeds the owner
-        // round just published into the shared store, without any envelope of
-        // this round arriving.  Nothing else reaches a coin out of band, so
-        // the pending conditions are re-run only after a publish: the owner
-        // and an up-to-date sibling return at once.
-        if self.seeding_owner || self.shared_seeds.borrow().published == self.seen_published {
-            return Step::none();
-        }
-        self.advance(Touched::Other)
-    }
-
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.seedings.stats().merge(self.avss.stats()).merge(self.gather_rbcs.stats())
-    }
-}
-
-impl ProtocolInstance for Coin {
-    type Message = Envelope;
-    type Output = CoinOutput;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<CoinOutput> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
     }
 }
 
@@ -841,6 +822,10 @@ impl crate::traits::CoinFactory for CoinProtocolFactory {
             self.secrets.clone(),
             first.seed_store(),
         )
+    }
+
+    fn poke(&self, coin: &mut Coin) -> Step<Envelope> {
+        coin.poke()
     }
 }
 
@@ -970,7 +955,7 @@ mod tests {
     fn message_wire_roundtrip() {
         let (keyring, secrets) = setup(4, 6);
         let mut coin = Coin::new(Sid::new("wire"), PartyId(0), keyring, secrets[0].clone());
-        let step = MuxNode::on_activation(&mut coin);
+        let step = coin.on_activation();
         assert!(!step.is_empty());
         for o in step.outgoing.iter().take(10) {
             let bytes = setupfree_wire::to_bytes(&o.msg);
@@ -987,16 +972,16 @@ mod tests {
     fn misrouted_and_malformed_envelopes_are_dropped() {
         let (keyring, secrets) = setup(4, 8);
         let mut coin = Coin::new(Sid::new("drop"), PartyId(0), keyring, secrets[0].clone());
-        let _ = MuxNode::on_activation(&mut coin);
+        let _ = coin.on_activation();
         // Unknown kind.
         let stray = Envelope::seal(InstancePath::of(PathSeg::new(200, 0)), &1u8);
-        assert!(coin.on_envelope(PartyId(1), stray.path, &stray.payload).is_empty());
+        assert!(coin.on_message(PartyId(1), stray).is_empty());
         // Out-of-range seeding index.
         let oob = Envelope::seal(InstancePath::of(PathSeg::new(K_SEEDING, 99)), &1u8);
-        assert!(coin.on_envelope(PartyId(1), oob.path, &oob.payload).is_empty());
+        assert!(coin.on_message(PartyId(1), oob).is_empty());
         // Malformed local payload.
-        let junk: Arc<[u8]> = vec![99u8, 1, 2].into();
-        assert!(coin.on_envelope(PartyId(1), InstancePath::root(), &junk).is_empty());
+        let junk = Envelope { path: InstancePath::root(), payload: vec![99u8, 1, 2].into() };
+        assert!(coin.on_message(PartyId(1), junk).is_empty());
     }
 
     #[test]
@@ -1005,12 +990,12 @@ mod tests {
         let (keyring, secrets) = setup(4, 9);
         let factory = CoinProtocolFactory::new(PartyId(0), keyring, secrets[0].clone());
         let mut owner = factory.create(Sid::new("shared").derive("coin", 0));
-        let owner_step = MuxNode::on_activation(&mut owner);
+        let owner_step = owner.on_activation();
         // The owner round runs the seedings (its activation contributes).
         assert!(!owner_step.is_empty());
 
         let mut sibling = factory.create_sibling(Sid::new("shared").derive("coin", 1), &owner);
-        let sibling_step = MuxNode::on_activation(&mut sibling);
+        let sibling_step = sibling.on_activation();
         // A sibling mounts no Seeding instances: it is quiescent until the
         // owner publishes seeds into the shared store.
         assert!(sibling_step.is_empty());
@@ -1018,14 +1003,14 @@ mod tests {
 
         // Seeding traffic addressed to a sibling is dropped, not buffered.
         let stray = Envelope::seal(InstancePath::of(PathSeg::new(K_SEEDING, 2)), &1u8);
-        assert!(sibling.on_envelope(PartyId(1), stray.path, &stray.payload).is_empty());
-        assert_eq!(MuxNode::pre_activation_stats(&sibling).buffered, 0);
+        assert!(sibling.on_message(PartyId(1), stray).is_empty());
+        assert_eq!(sibling.pre_activation_stats().buffered, 0);
 
         // Once the owner's store learns a seed, a poke surfaces it in the
         // sibling (and spawns the dealer's AVSS — the step is non-empty for
         // our own dealer index because we share our VRF evaluation).
         owner.seed_store().borrow_mut().publish(0, [7u8; 32]);
-        let step = MuxNode::poke(&mut sibling);
+        let step = factory.poke(&mut sibling);
         assert_eq!(sibling.seed_of(0), Some([7u8; 32]));
         assert!(!step.is_empty());
     }

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use setupfree_crypto::vrf::{VrfOutput, VrfProof};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, sealed_step, Envelope, InstancePath, PathSeg};
-use setupfree_net::{Leaf, MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::mux::{composite_cap, sealed_step, Envelope, PathSeg};
+use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::Rbc;
 
 use crate::coin::Coin;
@@ -123,8 +123,12 @@ impl<F: AbaFactory> Election<F> {
         self.keyring.quorum()
     }
 
-    fn coin_seg() -> PathSeg {
-        PathSeg::new(K_COIN, 0)
+    /// Runs `f` on the embedded coin and wraps its step under the coin's
+    /// segment.  The coin is held directly, not in a router, so its trace
+    /// path is pushed here for its phases to land on its own span.
+    fn with_coin(&mut self, f: impl FnOnce(&mut Coin) -> Step<Envelope>) -> Step<Envelope> {
+        let _trace = setupfree_obs::PathGuard::push(K_COIN, 0);
+        f(&mut self.coin).prefix(PathSeg::new(K_COIN, 0))
     }
 
     /// Read access to the embedded coin (used by tests and by the random
@@ -288,11 +292,12 @@ impl<F: AbaFactory> Election<F> {
     }
 }
 
-impl<F: AbaFactory> MuxNode for Election<F> {
+impl<F: AbaFactory> ProtocolInstance for Election<F> {
+    type Message = Envelope;
     type Output = ElectionOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
-        let mut step = MuxNode::on_activation(&mut self.coin).prefix(Self::coin_seg());
+        let mut step = self.with_coin(Coin::on_activation);
         for j in 0..self.n() {
             let rbc = Rbc::new(
                 self.sid.derive("rbc", j),
@@ -308,26 +313,22 @@ impl<F: AbaFactory> MuxNode for Election<F> {
         step
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         if from.index() >= self.n() {
             return Step::none();
         }
-        let mut step = match path.split_first() {
-            Some((seg, rest)) => match seg.kind {
-                K_COIN if seg.index == 0 => {
-                    self.coin.on_envelope(from, rest, payload).prefix(Self::coin_seg())
+        let mut step = match msg.path.split_first() {
+            Some((seg, path)) => {
+                let child = Envelope { path, payload: msg.payload };
+                match seg.kind {
+                    K_COIN if seg.index == 0 => self.with_coin(|coin| coin.on_message(from, child)),
+                    K_RBC if (seg.index as usize) < self.n() => {
+                        self.rbcs.route(from, seg.index, child)
+                    }
+                    K_ABA if seg.index == 0 => self.aba.route(from, seg.index, child),
+                    _ => Step::none(),
                 }
-                K_RBC if (seg.index as usize) < self.n() => {
-                    self.rbcs.route(from, seg.index, rest, payload)
-                }
-                K_ABA if seg.index == 0 => self.aba.route(from, seg.index, rest, payload),
-                _ => Step::none(),
-            },
+            }
             // The election has no local messages.
             None => Step::none(),
         };
@@ -340,29 +341,6 @@ impl<F: AbaFactory> MuxNode for Election<F> {
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(&self.coin)
-            .merge(self.rbcs.stats())
-            .merge(self.aba.stats())
-    }
-}
-
-impl<F: AbaFactory> ProtocolInstance for Election<F> {
-    type Message = Envelope;
-    type Output = ElectionOutput;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<ElectionOutput> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
+        self.coin.pre_activation_stats().merge(self.rbcs.stats()).merge(self.aba.stats())
     }
 }

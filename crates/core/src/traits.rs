@@ -8,13 +8,13 @@
 //! [`CoinFactory`], the Election over an [`AbaFactory`], and the VBA over an
 //! [`ElectionFactory`].
 //!
-//! Factories produce [`MuxNode`]s — path-routing instances the parent
-//! mounts in its session [`Router`](setupfree_net::Router).  Composite
-//! protocols (the real Coin, the MMR ABA, the Election) implement `MuxNode`
-//! directly; message-typed leaf protocols (the trusted coin, the local-coin
-//! baseline) are adapted with [`Leaf`](setupfree_net::Leaf).
+//! Factories produce `ProtocolInstance<Message = Envelope>`s — the
+//! instances a parent mounts in its session [`Router`](setupfree_net::Router).
+//! Composite protocols (the real Coin, the MMR ABA, the Election) exchange
+//! envelopes directly; message-typed leaf protocols (the trusted coin, the
+//! local-coin baseline) are adapted with [`Leaf`](setupfree_net::Leaf).
 
-use setupfree_net::{MuxNode, PartyId, Sid};
+use setupfree_net::{Envelope, PartyId, ProtocolInstance, Sid, Step};
 
 use crate::coin::CoinOutput;
 use crate::election::ElectionOutput;
@@ -22,7 +22,7 @@ use crate::election::ElectionOutput;
 /// Creates fresh common-coin instances on demand (one per ABA round).
 pub trait CoinFactory {
     /// The coin protocol instance type.
-    type Instance: MuxNode<Output = CoinOutput>;
+    type Instance: ProtocolInstance<Message = Envelope, Output = CoinOutput>;
 
     /// Creates the coin instance with session identifier `sid` for this
     /// party.
@@ -36,13 +36,23 @@ pub trait CoinFactory {
     fn create_sibling(&self, sid: Sid, _first: &Self::Instance) -> Self::Instance {
         self.create(sid)
     }
+
+    /// Re-evaluates `coin`'s pending conditions although no envelope of its
+    /// own arrived.  The ABA calls this on every live round's coin after
+    /// another round's coin processed traffic: a sibling built by
+    /// [`create_sibling`](Self::create_sibling) can be unblocked by setup the
+    /// first round shared with it.  Coins that share nothing — the default —
+    /// have nothing to re-evaluate.
+    fn poke(&self, _coin: &mut Self::Instance) -> Step<Envelope> {
+        Step::none()
+    }
 }
 
 /// Creates a binary-agreement instance on demand (the Election protocol
 /// spawns exactly one, Alg 5 line 12).
 pub trait AbaFactory {
     /// The binary agreement instance type.
-    type Instance: MuxNode<Output = bool>;
+    type Instance: ProtocolInstance<Message = Envelope, Output = bool>;
 
     /// Creates an ABA instance with session identifier `sid` and the given
     /// input bit for this party.
@@ -52,7 +62,7 @@ pub trait AbaFactory {
 /// Creates a leader-election instance on demand (one per VBA view).
 pub trait ElectionFactory {
     /// The election instance type.
-    type Instance: MuxNode<Output = ElectionOutput>;
+    type Instance: ProtocolInstance<Message = Envelope, Output = ElectionOutput>;
 
     /// Creates an election instance with session identifier `sid` for this
     /// party.

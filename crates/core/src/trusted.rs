@@ -138,7 +138,6 @@ impl ElectionFactory for TrustedElectionFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setupfree_net::MuxNode;
 
     #[test]
     fn same_sid_same_bit_zero_messages() {

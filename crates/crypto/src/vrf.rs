@@ -7,7 +7,7 @@
 //! (a malicious party cannot produce two different valid evaluations for the
 //! same input) and *verifiability* — both provided by the DLEQ proof — and
 //! *unpredictability under malicious key generation*, modelled here in the
-//! random-oracle style of David et al. [26]: the output is a hash of
+//! random-oracle style of David et al. \[26\]: the output is a hash of
 //! `Γ = H(m)^sk`, so without evaluating the VRF (which requires `sk`) the
 //! output is indistinguishable from random even for adversarially chosen
 //! keys, as long as the seed `m` is unpredictable.

@@ -7,7 +7,7 @@
 //! * [`protocol`] — the deterministic state-machine model every protocol
 //!   implements,
 //! * [`mux`] — the hierarchical session router: instance paths, the flat
-//!   wire envelope, and the child-instance [`Router`](mux::Router) with its
+//!   wire envelope, and the child-instance [`Router`] with its
 //!   bounded pre-activation buffer,
 //! * [`scheduler`] — adversarial delivery schedules (arbitrary delay and
 //!   reordering with eventual delivery),
@@ -36,7 +36,7 @@ pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
 pub use metrics::Metrics;
 pub use mux::{
     decode_cache_stats, BufferStats, CapPolicy, DecodeCacheStats, Envelope, InstancePath, Leaf,
-    MuxNode, PathSeg, PreActivationBuffer, Router,
+    PathSeg, PreActivationBuffer, Router,
 };
 pub use party::{PartyId, Sid};
 pub use protocol::{Dest, Outgoing, ProtocolInstance, Step};

@@ -12,21 +12,18 @@
 //!   per wrapping level;
 //! * [`Envelope`] — the **flat wire format**: `(path bytes, leaf payload)`
 //!   encoded once at the leaf and routed by a single path dispatch per
-//!   level, instead of the former recursive enum-tag encode/decode descent;
-//! * [`MuxNode`] — the interface composite protocols implement (a
-//!   path-routing state machine), with [`Leaf`] adapting any typed
-//!   [`ProtocolInstance`] into the tree;
+//!   level.  Every composite protocol is a
+//!   [`ProtocolInstance`]`<Message = Envelope>`, and [`Leaf`] adapts any
+//!   typed [`ProtocolInstance`] into the tree;
 //! * [`Router`] — owns the child instances of one kind, keyed by path
-//!   segment, and handles wrapping *without per-hop re-allocation*: a
+//!   segment, and handles wrapping *without per-hop re-allocation*: an
+//!   inbound envelope moves down the tree with its path stripped, and a
 //!   child's outgoing [`Step<Envelope>`] is prefixed in place
 //!   ([`Step::prefix`]), so a message crossing `d` wrapping levels costs one
-//!   payload encoding and zero intermediate `Vec`s (the former `Step::map`
-//!   chain allocated a fresh `Vec` per level);
+//!   payload encoding and zero intermediate `Vec`s;
 //! * [`PreActivationBuffer`] — the **single** well-tested "buffer until the
-//!   child exists" mechanism (replacing the hand-rolled `aba_buffer`,
-//!   `election_buffer`, `coin_buffer` and `avss_buffers`), with a
-//!   per-sender cap and duplicate dropping so a Byzantine flooder cannot
-//!   grow memory without bound.
+//!   child exists" mechanism, with a per-sender cap and duplicate dropping
+//!   so a Byzantine flooder cannot grow memory without bound.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -477,47 +474,6 @@ impl Step<Envelope> {
     }
 }
 
-/// A path-routing protocol state machine — the interface every *composite*
-/// protocol implements (leaves implement [`ProtocolInstance`] and are
-/// adapted by [`Leaf`]).
-///
-/// The contract mirrors [`ProtocolInstance`]: deterministic, activated
-/// exactly once before any envelope is delivered.  [`Router::insert`]
-/// upholds the activation-before-delivery order for children created
-/// mid-run.
-pub trait MuxNode {
-    /// The output type produced by this node.
-    type Output: Clone + fmt::Debug;
-
-    /// Called exactly once when the instance starts.
-    fn on_activation(&mut self) -> Step<Envelope>;
-
-    /// Called for every envelope routed to this node; `path` is relative to
-    /// the node (the parent has stripped its own segment).
-    fn on_envelope(&mut self, from: PartyId, path: InstancePath, payload: &Arc<[u8]>)
-        -> Step<Envelope>;
-
-    /// Returns the output, once produced.
-    fn output(&self) -> Option<Self::Output>;
-
-    /// Nudges the node to re-evaluate its pending "upon" conditions even
-    /// though no envelope of its own arrived.  Parents call this on a child
-    /// whose progress can be driven by state shared *out of band* with a
-    /// sibling (e.g. ABA coin rounds reading seeds a sibling round's seeding
-    /// published); a self-contained node — the default — has nothing to
-    /// re-evaluate and returns an empty step.
-    fn poke(&mut self) -> Step<Envelope> {
-        Step::none()
-    }
-
-    /// Buffer-pressure telemetry: the recursive sum of this node's (and its
-    /// children's) [`PreActivationBuffer`] counters.  Composite nodes built
-    /// on [`Router`] override this with [`Router::stats`].
-    fn pre_activation_stats(&self) -> BufferStats {
-        BufferStats::default()
-    }
-}
-
 /// Adapts a typed leaf [`ProtocolInstance`] (RBC, AVSS, Seeding, a trusted
 /// coin, …) into the mux tree: inbound payloads are decoded to the leaf's
 /// message type, outbound messages are sealed at the root path (the parent
@@ -547,25 +503,21 @@ impl<P> Leaf<P> {
     }
 }
 
-impl<P: ProtocolInstance> MuxNode for Leaf<P> {
+impl<P: ProtocolInstance> ProtocolInstance for Leaf<P> {
+    type Message = Envelope;
     type Output = P::Output;
 
     fn on_activation(&mut self) -> Step<Envelope> {
         local_step(self.inner.on_activation())
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
-        if !path.is_root() {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
+        if !msg.path.is_root() {
             // A leaf has no sub-instances: deeper paths are misrouted or
             // Byzantine and are dropped.
             return Step::none();
         }
-        match decode_payload_cached::<P::Message>(payload) {
+        match decode_payload_cached::<P::Message>(&msg.payload) {
             Some(msg) => local_step(self.inner.on_message(from, msg)),
             None => Step::none(),
         }
@@ -668,8 +620,7 @@ pub fn committee_cap(committee_size: usize) -> CapPolicy {
 #[derive(Debug, Clone)]
 struct BufferedEnvelope {
     from: PartyId,
-    path: InstancePath,
-    payload: Arc<[u8]>,
+    msg: Envelope,
     /// FNV-1a digest of `(path, payload)` — the cheap first-stage key of
     /// the duplicate filter.
     digest: u64,
@@ -767,20 +718,14 @@ impl PreActivationBuffer {
 
     /// Buffers one envelope for the child at `index`; returns `false` when
     /// the message was dropped (cap reached or duplicate).
-    pub fn push(
-        &mut self,
-        index: u16,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> bool {
+    pub fn push(&mut self, index: u16, from: PartyId, msg: Envelope) -> bool {
         let count = self.counts.get(&(index, from)).copied().unwrap_or(0);
         let cap = self.effective_cap(index, count);
         if count >= cap {
             self.dropped += 1;
             return false;
         }
-        let digest = envelope_digest(&path, payload);
+        let digest = envelope_digest(&msg.path, &msg.payload);
         let bucket = self.entries.entry(index).or_default();
         if !self.seen.insert((index, from, digest)) {
             // Digest already buffered for this (child, sender): confirm it
@@ -788,8 +733,8 @@ impl PreActivationBuffer {
             let duplicate = bucket.iter().any(|b| {
                 b.from == from
                     && b.digest == digest
-                    && b.path == path
-                    && b.payload[..] == payload[..]
+                    && b.msg.path == msg.path
+                    && b.msg.payload[..] == msg.payload[..]
             });
             if duplicate {
                 self.dropped += 1;
@@ -802,7 +747,7 @@ impl PreActivationBuffer {
             }
         }
         *self.counts.entry((index, from)).or_insert(0) += 1;
-        bucket.push(BufferedEnvelope { from, path, payload: Arc::clone(payload), digest });
+        bucket.push(BufferedEnvelope { from, msg, digest });
         true
     }
 
@@ -852,8 +797,9 @@ impl PreActivationBuffer {
 /// Owns the child instances of one *kind* inside a composite protocol,
 /// keyed by path-segment index, and implements the two halves of routing:
 ///
-/// * **inbound** ([`Router::route`]) — strip the segment, deliver to the
-///   child (or buffer until it exists), prefix the child's response;
+/// * **inbound** ([`Router::route`]) — move the envelope the parent stripped
+///   of its segment to the child (or buffer it until the child exists),
+///   prefix the child's response;
 /// * **outbound** ([`Router::insert`], [`sealed_step`] +
 ///   [`Router::seg`]) — wrap child steps by prefixing the segment in
 ///   place.
@@ -875,7 +821,7 @@ pub struct Router<N> {
     buffer: PreActivationBuffer,
 }
 
-impl<N: MuxNode> Router<N> {
+impl<N: ProtocolInstance<Message = Envelope>> Router<N> {
     /// Creates an empty router for children of `kind` with the default
     /// pre-activation cap.
     pub fn new(kind: u8) -> Self {
@@ -938,7 +884,7 @@ impl<N: MuxNode> Router<N> {
         setupfree_obs::activated();
         let mut step = child.on_activation();
         for b in self.buffer.drain(seg.index) {
-            step.extend(child.on_envelope(b.from, b.path, &b.payload));
+            step.extend(child.on_message(b.from, b.msg));
         }
         if self.children.len() <= index {
             self.children.resize_with(index + 1, || None);
@@ -995,26 +941,20 @@ impl<N: MuxNode> Router<N> {
         self.retired.iter().filter(|&&r| r).count()
     }
 
-    /// Routes one inbound envelope (whose leading segment this router's
-    /// parent already stripped and matched to this router's kind) to the
-    /// child at `index`; buffers if the child does not exist yet.
-    pub fn route(
-        &mut self,
-        from: PartyId,
-        index: u16,
-        rest: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    /// Routes one inbound envelope to the child at `index`; buffers it if
+    /// the child does not exist yet.  The parent has already stripped its
+    /// own segment from `msg.path` and matched it to this router's kind.
+    pub fn route(&mut self, from: PartyId, index: u16, msg: Envelope) -> Step<Envelope> {
         match self.children.get_mut(index as usize).and_then(Option::as_mut) {
             Some(child) => {
                 let _trace = setupfree_obs::PathGuard::push(self.kind, index);
-                child.on_envelope(from, rest, payload).prefix(PathSeg { kind: self.kind, index })
+                child.on_message(from, msg).prefix(PathSeg { kind: self.kind, index })
             }
             None => {
                 if self.is_retired(index as usize) {
                     self.retired_drops += 1;
                 } else {
-                    self.buffer.push(index, from, rest, payload);
+                    self.buffer.push(index, from, msg);
                 }
                 Step::none()
             }
@@ -1146,11 +1086,11 @@ mod tests {
     #[test]
     fn router_buffers_until_insert_and_replays_in_order() {
         let mut router: Router<Leaf<SumLeaf>> = Router::new(7);
-        let payload = |v: u32| setupfree_wire::to_shared_bytes(&v);
+        let env = |v: u32| Envelope::seal(InstancePath::root(), &v);
         // Traffic for child 3 before it exists.
-        let s = router.route(PartyId(0), 3, InstancePath::root(), &payload(10));
+        let s = router.route(PartyId(0), 3, env(10));
         assert!(s.is_empty());
-        let s = router.route(PartyId(1), 3, InstancePath::root(), &payload(20));
+        let s = router.route(PartyId(1), 3, env(20));
         assert!(s.is_empty());
         assert_eq!(router.buffered(), 2);
         // Creation replays both, and the activation multicast is wrapped.
@@ -1160,39 +1100,39 @@ mod tests {
         assert_eq!(segs, vec![PathSeg::new(7, 3)]);
         assert_eq!(router.buffered(), 0);
         assert_eq!(router.get(3).unwrap().inner().sum, 30);
-        assert_eq!(MuxNode::output(router.get_mut(3).unwrap()), Some(30));
+        assert_eq!(router.get_mut(3).unwrap().output(), Some(30));
         // Post-creation traffic is delivered directly.
-        let _ = router.route(PartyId(2), 3, InstancePath::root(), &payload(5));
+        let _ = router.route(PartyId(2), 3, env(5));
         assert_eq!(router.get(3).unwrap().inner().sum, 35);
     }
 
     #[test]
     fn buffer_enforces_per_sender_cap_and_drops_duplicates() {
         let mut buffer = PreActivationBuffer::new(4);
-        let payload = |v: u32| setupfree_wire::to_shared_bytes(&v);
+        let env = |v: u32| Envelope::seal(InstancePath::root(), &v);
         // Duplicates (same sender, path, bytes) are dropped.
-        let p = payload(9);
-        assert!(buffer.push(0, PartyId(1), InstancePath::root(), &p));
-        assert!(!buffer.push(0, PartyId(1), InstancePath::root(), &p));
+        let p = env(9);
+        assert!(buffer.push(0, PartyId(1), p.clone()));
+        assert!(!buffer.push(0, PartyId(1), p.clone()));
         assert_eq!(buffer.len(), 1);
         // A different sender with the same bytes is kept.
-        assert!(buffer.push(0, PartyId(2), InstancePath::root(), &p));
+        assert!(buffer.push(0, PartyId(2), p));
         // Distinct payloads count towards the per-sender cap.
         for v in 0..10u32 {
-            buffer.push(0, PartyId(1), InstancePath::root(), &payload(100 + v));
+            buffer.push(0, PartyId(1), env(100 + v));
         }
         let from_p1 = buffer.entries[&0].iter().filter(|b| b.from == PartyId(1)).count();
         assert_eq!(from_p1, 4, "per-sender cap");
         assert!(buffer.dropped() > 0);
         // Caps are per child index: the same sender can buffer for another
         // child.
-        assert!(buffer.push(1, PartyId(1), InstancePath::root(), &payload(1)));
+        assert!(buffer.push(1, PartyId(1), env(1)));
     }
 
     #[test]
     fn retired_children_drop_traffic_and_cannot_be_recreated() {
         let mut router: Router<Leaf<SumLeaf>> = Router::new(7);
-        let payload = |v: u32| setupfree_wire::to_shared_bytes(&v);
+        let env = |v: u32| Envelope::seal(InstancePath::root(), &v);
         let _ = router.insert(0, Leaf::new(SumLeaf { sum: 0, threshold: 1 }));
         let _ = router.insert(1, Leaf::new(SumLeaf { sum: 0, threshold: 1 }));
         assert_eq!(router.live_children(), 2);
@@ -1204,14 +1144,14 @@ mod tests {
         assert_eq!(router.retired_children(), 1);
         assert!(router.is_retired(0));
         assert!(!router.contains(0));
-        let step = router.route(PartyId(2), 0, InstancePath::root(), &payload(5));
+        let step = router.route(PartyId(2), 0, env(5));
         assert!(step.is_empty());
         assert_eq!(router.buffered(), 0, "traffic to a retired child is not buffered");
         assert_eq!(router.stats().dropped, 1);
         // Retiring twice is idempotent; retiring a never-created child
         // leaves a tombstone and flushes its buffered traffic.
         assert!(!router.retire(0));
-        let _ = router.route(PartyId(0), 5, InstancePath::root(), &payload(9));
+        let _ = router.route(PartyId(0), 5, env(9));
         assert_eq!(router.buffered(), 1);
         assert!(!router.retire(5));
         assert_eq!(router.buffered(), 0, "retirement flushes the pre-activation buffer");
@@ -1223,14 +1163,15 @@ mod tests {
     #[derive(Debug)]
     struct StatNode(BufferStats);
 
-    impl MuxNode for StatNode {
+    impl ProtocolInstance for StatNode {
+        type Message = Envelope;
         type Output = u32;
 
         fn on_activation(&mut self) -> Step<Envelope> {
             Step::none()
         }
 
-        fn on_envelope(&mut self, _: PartyId, _: InstancePath, _: &Arc<[u8]>) -> Step<Envelope> {
+        fn on_message(&mut self, _: PartyId, _: Envelope) -> Step<Envelope> {
             Step::none()
         }
 

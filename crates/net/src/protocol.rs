@@ -12,9 +12,12 @@
 //! computations, update its states, possibly generate some outgoing
 //! messages, and wait for the next activation".
 //!
-//! Parent protocols own their sub-protocol instances and wrap the children's
-//! messages in their own message enum (matching the paper's hierarchical
-//! instance identifiers `⟨ID, j⟩`), using [`Step::map`].
+//! Parent protocols own their sub-protocol instances and exchange one flat
+//! message type, [`Envelope`](crate::mux::Envelope), whose path carries the
+//! paper's hierarchical instance identifiers `⟨ID, j⟩`: a composite is a
+//! `ProtocolInstance<Message = Envelope>` that mounts its children in
+//! [`Router`](crate::mux::Router)s, and a typed leaf joins the tree through
+//! [`Leaf`](crate::mux::Leaf).
 
 use crate::party::PartyId;
 
@@ -85,12 +88,6 @@ impl<M> Step<M> {
     /// Appends all messages of `other` to this step.
     pub fn extend(&mut self, other: Step<M>) {
         self.outgoing.extend(other.outgoing);
-    }
-
-    /// Maps the message type, used by parent protocols to wrap sub-protocol
-    /// messages into their own message enum.
-    pub fn map<N>(self, f: impl Fn(M) -> N) -> Step<N> {
-        Step { outgoing: self.outgoing.into_iter().map(|o| Outgoing { dest: o.dest, msg: f(o.msg) }).collect() }
     }
 
     /// `true` if the step sends nothing.
@@ -167,15 +164,6 @@ mod tests {
         assert_eq!(s.outgoing.len(), 2);
         assert_eq!(s.outgoing[0].dest, Dest::All);
         assert_eq!(s.outgoing[1].dest, Dest::One(PartyId(2)));
-    }
-
-    #[test]
-    fn step_map_preserves_destinations() {
-        let mut s: Step<u32> = Step::multicast(5);
-        s.push_send(PartyId(1), 6);
-        let mapped: Step<String> = s.map(|v| format!("m{v}"));
-        assert_eq!(mapped.outgoing[0].msg, "m5");
-        assert_eq!(mapped.outgoing[1].dest, Dest::One(PartyId(1)));
     }
 
     #[test]

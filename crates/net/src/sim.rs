@@ -3,7 +3,7 @@
 //! The simulator executes one protocol instance per party, routes every
 //! outgoing message through the wire codec (charging its exact byte length to
 //! the sender), feeds every in-flight message to an adversarial
-//! [`Scheduler`](crate::scheduler::Scheduler) that decides delivery order,
+//! [`Scheduler`] that decides delivery order,
 //! and tracks causal depth ("asynchronous rounds", §3).
 //!
 //! Fault injection: parties can be marked *byzantine* (their traffic is not
@@ -380,11 +380,12 @@ where
         RunReport { reason, deliveries }
     }
 
-    /// Polls every party's [`PreActivationBuffer`] counters
+    /// Polls every party's
+    /// [`PreActivationBuffer`](crate::mux::PreActivationBuffer) counters
     /// ([`ProtocolInstance::pre_activation_stats`]) into [`Metrics`] —
     /// called automatically at the end of [`Self::run`] /
-    /// [`Self::run_to_quiescence`]; [`Self::poll`]-driven callers refresh
-    /// explicitly when they close the simulation.
+    /// [`Self::run_to_quiescence`]; [`Self::step_with_budget`]-driven
+    /// callers refresh explicitly when they close the simulation.
     pub fn refresh_buffer_telemetry(&mut self) {
         let stats = self
             .parties

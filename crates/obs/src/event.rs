@@ -8,7 +8,7 @@ pub const MAX_SEGMENTS: usize = 8;
 /// Bytes of one `(kind, index)` segment: kind `u8` + index `u16` LE.
 const SEG_BYTES: usize = 3;
 
-/// A compact mirror of the mux's `InstancePath`: up to [`MAX_SEGMENTS`]
+/// A compact mirror of the mux's `InstancePath`: up to `MAX_SEGMENTS`
 /// `(kind: u8, index: u16)` segments, outermost first, stored inline.
 ///
 /// `obs` keeps its own copy of the representation (rather than depending on
@@ -27,7 +27,7 @@ impl ObsPath {
     pub const ROOT: ObsPath = ObsPath { len: 0, buf: [0; MAX_SEGMENTS * SEG_BYTES] };
 
     /// Builds a path from mux path bytes (3-byte segments, outermost first).
-    /// Trailing bytes beyond [`MAX_SEGMENTS`] segments are ignored.
+    /// Trailing bytes beyond `MAX_SEGMENTS` segments are ignored.
     pub fn from_bytes(bytes: &[u8]) -> ObsPath {
         let mut p = ObsPath::ROOT;
         let take = bytes.len().min(MAX_SEGMENTS * SEG_BYTES);

@@ -15,7 +15,7 @@
 //!   of that),
 //!   and the shards can run on real OS threads ([`ShardedHost::run_parallel`]);
 //! * **admission** — sessions are *opened* by an
-//!   [`AdmissionPolicy`](crate::admission::AdmissionPolicy) instead of
+//!   [`AdmissionPolicy`] instead of
 //!   pre-spawned, so pipelined workloads (beacon epochs, view streams)
 //!   become admitted sessions under a concurrency/rate policy.
 //!

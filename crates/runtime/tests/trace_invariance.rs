@@ -12,12 +12,12 @@
 use std::sync::Arc;
 
 use setupfree_aba::{MmrAba, MmrAbaFactory};
-use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
-use setupfree_core::TrustedCoinFactory;
+use setupfree_app::beacon::{BeaconEpoch, RandomBeacon, K_ELECTION};
+use setupfree_core::{coin, election, TrustedCoinFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{BoxedParty, Envelope, PartyId, RandomScheduler, Sid};
-use setupfree_obs::analysis::span_tree;
-use setupfree_obs::{EventKind, Phase, NO_PARTY};
+use setupfree_obs::analysis::{span_tree, SpanNode};
+use setupfree_obs::{EventKind, ObsPath, Phase, NO_PARTY};
 use setupfree_runtime::{SessionSetup, ShardedHost, TokenBucket};
 
 fn trusted_aba_session(n: usize, session: usize, base_seed: u64) -> SessionSetup<Envelope, bool> {
@@ -179,4 +179,45 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
         }
     }
     walk(&tree, &tree);
+
+    // Phases land on their own instance's span, also inside the children a
+    // parent holds directly rather than in a router (the election's coin,
+    // the coin's WCS): each epoch's election has a coin child that reveals
+    // the bit, its WCS commits at the coin's WCS path, and every sharing and
+    // seeding phase sits below that coin.
+    let has = |node: &SpanNode, phase: Phase| node.phases.iter().any(|&(p, ..)| p == phase);
+    let coins: Vec<ObsPath> = (0..epochs as u16)
+        .map(|epoch| ObsPath::from_segments(&[(K_ELECTION, epoch), (election::K_COIN, 0)]))
+        .collect();
+    let wcs_of = |coin: &ObsPath| {
+        let mut wcs = *coin;
+        wcs.push_back(coin::K_WCS, 0);
+        wcs
+    };
+    for (epoch, coin) in coins.iter().enumerate() {
+        let span = tree.find(coin).unwrap_or_else(|| panic!("epoch {epoch}: no coin span"));
+        assert!(has(span, Phase::CoinRevealed), "epoch {epoch}: the coin span reveals no bit");
+        let wcs = tree.find(&wcs_of(coin));
+        assert!(wcs.is_some_and(|w| has(w, Phase::WcsCommit)), "epoch {epoch}: no WCS commit");
+    }
+    fn visit(node: &SpanNode, check: &mut impl FnMut(&SpanNode)) {
+        check(node);
+        node.children.iter().for_each(|c| visit(c, check));
+    }
+    visit(&tree, &mut |node| {
+        for &(phase, ..) in &node.phases {
+            let below_a_coin = coins.iter().any(|c| node.path.starts_with(c) && node.path != *c);
+            match phase {
+                Phase::AvssShare | Phase::AvssCipher | Phase::CoinSeeded => {
+                    assert!(below_a_coin, "{} at {:?} is not below a coin", phase.name(), node.path)
+                }
+                Phase::WcsCommit => assert!(
+                    coins.iter().any(|c| node.path == wcs_of(c)),
+                    "WcsCommit at {:?} is not a coin's WCS",
+                    node.path
+                ),
+                _ => {}
+            }
+        }
+    });
 }

@@ -11,10 +11,10 @@
 //! * [`Adversary`] — a seeded, reproducible description of one delivery
 //!   schedule (FIFO, uniformly random, targeted delay of a victim set, or a
 //!   half/half partition), instantiable into a
-//!   [`Scheduler`](setupfree_net::Scheduler);
+//!   [`Scheduler`];
 //! * [`Ensemble`] — a set of [`BoxedParty`] state machines plus a fault
 //!   plan (silent Byzantine parties, mid-run crashes via
-//!   [`CrashAfter`](setupfree_net::CrashAfter), pre-run crashes);
+//!   [`CrashAfter`], pre-run crashes);
 //! * [`sweep`] — builds a fresh ensemble per adversary, runs each to
 //!   completion, checks the message-conservation law on every run, and
 //!   returns one [`SweepRun`] per schedule;

@@ -37,7 +37,7 @@ use setupfree_crypto::hash::sha256;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{committee_cap, composite_cap, decode_payload, Envelope, InstancePath};
-use setupfree_net::{MuxNode, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Path kind of the per-round election instances (keyed by round).
@@ -211,8 +211,8 @@ pub struct Vba<EF: ElectionFactory, AF: AbaFactory> {
     abas: Router<AF::Instance>,
     current_round: u32,
     election_started: bool,
-    /// Committee mode: decided-value digest → (value, announcing members).
-    decides: BTreeMap<[u8; 32], (Vec<u8>, BTreeSet<usize>)>,
+    /// Committee mode: each member's first announced decision.
+    decides: VoteTally<Vec<u8>>,
     decide_sent: bool,
     output: Option<Vec<u8>>,
     max_rounds: u32,
@@ -300,7 +300,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
             abas: Router::with_cap(K_VOTE_ABA, cap),
             current_round: 0,
             election_started: false,
-            decides: BTreeMap::new(),
+            decides: VoteTally::new(n),
             decide_sent: false,
             output: None,
             max_rounds: 32,
@@ -565,15 +565,15 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         }
     }
 
-    fn on_local(&mut self, from: PartyId, payload: &Arc<[u8]>) -> Step<Envelope> {
+    fn on_local(&mut self, from: PartyId, payload: Arc<[u8]>) -> Step<Envelope> {
         // A Confirm stays encoded until `record_committed` needs its fields.
-        if confirm_proposer(payload).is_some() {
+        if confirm_proposer(&payload).is_some() {
             if self.active_exchange(from) {
-                self.record_committed(payload.clone());
+                self.record_committed(payload);
             }
             return Step::none();
         }
-        match decode_payload::<VbaMessage>(payload) {
+        match decode_payload::<VbaMessage>(&payload) {
             Some(VbaMessage::Propose { value }) => self.on_propose(from, value),
             Some(VbaMessage::Ack { proposer, signature }) => self.on_ack(from, proposer, signature),
             Some(VbaMessage::Vote { round, confirm }) => {
@@ -595,7 +595,9 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
 
     /// Committee mode: adopt a value once `f_c + 1` distinct members
     /// announced it — at least one of them is honest, and honest members
-    /// only announce their actual (agreed) output.
+    /// only announce their actual (agreed) output.  Only a member's first
+    /// `Decide` counts (an honest member sends one), so a Byzantine member
+    /// cannot grow a listener's state by announcing many values.
     fn on_decide(&mut self, from: PartyId, value: Vec<u8>) -> Step<Envelope> {
         if !self.committee.is_proper()
             || !self.committee.is_member(from)
@@ -603,19 +605,17 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         {
             return Step::none();
         }
-        let entry = self
-            .decides
-            .entry(sha256(&value))
-            .or_insert_with(|| (value, BTreeSet::new()));
-        entry.1.insert(from.index());
-        if entry.1.len() >= self.committee.adopt_threshold() {
-            self.output = Some(entry.0.clone());
+        if let Some((value, count)) = self.decides.vote(from, value) {
+            if count >= self.committee.adopt_threshold() {
+                self.output = Some(value.clone());
+            }
         }
         Step::none()
     }
 }
 
-impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Vba<EF, AF> {
+impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Vba<EF, AF> {
+    type Message = Envelope;
     type Output = Vec<u8>;
 
     fn on_activation(&mut self) -> Step<Envelope> {
@@ -634,18 +634,13 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Vba<EF, AF> {
         step
     }
 
-    fn on_envelope(
-        &mut self,
-        from: PartyId,
-        path: InstancePath,
-        payload: &Arc<[u8]>,
-    ) -> Step<Envelope> {
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         if from.index() >= self.n() {
             return Step::none();
         }
-        let mut step = match path.split_first() {
-            None => self.on_local(from, payload),
-            Some((seg, rest)) => {
+        let mut step = match msg.path.split_first() {
+            None => self.on_local(from, msg.payload),
+            Some((seg, path)) => {
                 let round = seg.index as u32;
                 if round >= self.max_rounds {
                     return Step::none();
@@ -656,9 +651,10 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Vba<EF, AF> {
                 if !self.active_exchange(from) {
                     return Step::none();
                 }
+                let child = Envelope { path, payload: msg.payload };
                 match seg.kind {
-                    K_ELECTION => self.elections.route(from, seg.index, rest, payload),
-                    K_VOTE_ABA => self.abas.route(from, seg.index, rest, payload),
+                    K_ELECTION => self.elections.route(from, seg.index, child),
+                    K_VOTE_ABA => self.abas.route(from, seg.index, child),
                     _ => Step::none(),
                 }
             }
@@ -673,27 +669,6 @@ impl<EF: ElectionFactory, AF: AbaFactory> MuxNode for Vba<EF, AF> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.elections.stats().merge(self.abas.stats())
-    }
-}
-
-impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Vba<EF, AF> {
-    type Message = Envelope;
-    type Output = Vec<u8>;
-
-    fn on_activation(&mut self) -> Step<Envelope> {
-        MuxNode::on_activation(self)
-    }
-
-    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
-        self.on_envelope(from, msg.path, &msg.payload)
-    }
-
-    fn output(&self) -> Option<Vec<u8>> {
-        MuxNode::output(self)
-    }
-
-    fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        MuxNode::pre_activation_stats(self)
     }
 }
 
@@ -1093,7 +1068,7 @@ mod tests {
 
     fn feed(vba: &mut TrustedVba, from: usize, msg: &VbaMessage) {
         let env = Envelope::seal(InstancePath::root(), msg);
-        let _ = vba.on_envelope(PartyId(from), InstancePath::root(), &env.payload);
+        let _ = vba.on_message(PartyId(from), env);
     }
 
     fn vote(round: u32, confirm: Vec<u8>) -> VbaMessage {
@@ -1155,11 +1130,12 @@ mod tests {
         let (mut other, _, _) = lone_member();
         let bytes = forged_confirm(&vba, &keyring, &secrets, 1, 1, &[0x42, 1]);
         let payload: Arc<[u8]> = bytes.into();
+        let confirm = Envelope { path: InstancePath::root(), payload: payload.clone() };
         let before = qc_verify_count();
         for _ in 0..3 {
-            let _ = vba.on_envelope(PartyId(1), InstancePath::root(), &payload);
+            let _ = vba.on_message(PartyId(1), confirm.clone());
         }
-        let _ = other.on_envelope(PartyId(1), InstancePath::root(), &payload);
+        let _ = other.on_message(PartyId(1), confirm);
         assert_eq!(qc_verify_count() - before, 2, "one verification per recipient");
         // Both recipients hold the multicast's one allocation.
         assert!(Arc::ptr_eq(&vba.committed[&1], &payload));

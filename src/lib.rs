@@ -66,7 +66,7 @@ pub mod prelude {
     pub use setupfree_core::{TrustedCoin, TrustedCoinFactory};
     pub use setupfree_crypto::{generate_pki, generate_pki_with_malicious, Keyring, PartySecrets};
     pub use setupfree_net::{
-        BoxedParty, Envelope, FifoScheduler, InstancePath, Leaf, MuxNode, PartyId, PathSeg,
+        BoxedParty, Envelope, FifoScheduler, InstancePath, Leaf, PartyId, PathSeg,
         ProtocolInstance, RandomScheduler, Router, Sid, Simulation, StopReason,
         TargetedDelayScheduler,
     };

@@ -35,13 +35,13 @@ fn coin_flood_envelope(round: usize, nonce: u64) -> Envelope {
 fn per_sender_cap_bounds_the_pre_activation_buffer() {
     let n = 4;
     let mut aba = TrustedAba::new(Sid::new("flood"), PartyId(0), n, 1, true, TrustedCoinFactory);
-    let _ = MuxNode::on_activation(&mut aba);
+    let _ = aba.on_activation();
 
     // One Byzantine sender floods 20 × cap *distinct* messages for round 63
     // (whose coin is never created this early).
     for nonce in 0..(20 * DEFAULT_PER_SENDER_CAP as u64) {
         let env = coin_flood_envelope(63, nonce);
-        let step = aba.on_envelope(PartyId(3), env.path, &env.payload);
+        let step = aba.on_message(PartyId(3), env);
         assert!(step.is_empty(), "flood traffic must not trigger sends");
     }
     assert_eq!(
@@ -53,7 +53,7 @@ fn per_sender_cap_bounds_the_pre_activation_buffer() {
     // Duplicates from a second sender are stored once.
     let dup = coin_flood_envelope(62, 7);
     for _ in 0..100 {
-        let _ = aba.on_envelope(PartyId(2), dup.path, &dup.payload);
+        let _ = aba.on_message(PartyId(2), dup.clone());
     }
     assert_eq!(
         aba.buffered_coin_messages(),
@@ -69,7 +69,7 @@ fn per_sender_cap_bounds_the_pre_activation_buffer() {
     // stays bounded by O(senders · ceiling), never unbounded.
     for nonce in 0..(2 * DEFAULT_PER_SENDER_CAP as u64) {
         let env = coin_flood_envelope(63, nonce);
-        let _ = aba.on_envelope(PartyId(1), env.path, &env.payload);
+        let _ = aba.on_message(PartyId(1), env);
     }
     assert_eq!(aba.buffered_coin_messages(), 3 * DEFAULT_PER_SENDER_CAP + 1);
 }
@@ -89,7 +89,7 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
     assert_eq!(witnesses, f + 1, "a raise needs at least one honest witness");
 
     let mut aba = TrustedAba::new(Sid::new("lag"), PartyId(0), n, f, true, TrustedCoinFactory);
-    let _ = MuxNode::on_activation(&mut aba);
+    let _ = aba.on_activation();
 
     // Honest multi-round lag: this party is the straggler, and all n − 1
     // peers run ahead together, streaming round-42 coin traffic that
@@ -102,10 +102,10 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
     for seq in 0..per_sender {
         for s in 1..n {
             let env = coin_flood_envelope(42, (seq * n + s) as u64);
-            let _ = aba.on_envelope(PartyId(s), env.path, &env.payload);
+            let _ = aba.on_message(PartyId(s), env);
         }
     }
-    let lag = MuxNode::pre_activation_stats(&aba);
+    let lag = aba.pre_activation_stats();
     assert_eq!(lag.dropped, 0, "honest multi-round lag must survive the adaptive cap");
     assert_eq!(lag.buffered, (senders * per_sender) as u64);
 
@@ -113,9 +113,9 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
     // its cap is the floor, exactly as under the old static policy.
     for nonce in 0..(2 * floor) as u64 {
         let env = coin_flood_envelope(43, nonce);
-        let _ = aba.on_envelope(PartyId(7), env.path, &env.payload);
+        let _ = aba.on_message(PartyId(7), env);
     }
-    let flooded = MuxNode::pre_activation_stats(&aba);
+    let flooded = aba.pre_activation_stats();
     assert_eq!(flooded.dropped - lag.dropped, floor as u64, "a lone flooder still hits the cap");
     assert_eq!(flooded.buffered - lag.buffered, floor as u64);
 
@@ -125,9 +125,9 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
     let budget = ceiling - per_sender + overshoot;
     for extra in 0..budget {
         let env = coin_flood_envelope(42, (1 << 32) + extra as u64);
-        let _ = aba.on_envelope(PartyId(1), env.path, &env.payload);
+        let _ = aba.on_message(PartyId(1), env);
     }
-    let capped = MuxNode::pre_activation_stats(&aba);
+    let capped = aba.pre_activation_stats();
     assert_eq!(capped.dropped - flooded.dropped, overshoot as u64, "the ceiling still bounds");
     assert_eq!(capped.buffered - flooded.buffered, (ceiling - per_sender) as u64);
 }
@@ -176,13 +176,13 @@ fn committee_cap_scales_to_the_committee_and_non_members_never_buffer() {
         TrustedCoinFactory,
         committee.clone(),
     );
-    let _ = MuxNode::on_activation(&mut aba);
+    let _ = aba.on_activation();
 
     // An outsider sprays twice the *all-to-all* floor at a member: zero
     // slots occupied — the membership filter runs before the buffer.
     for nonce in 0..(2 * full_floor) as u64 {
         let env = coin_flood_envelope(63, nonce);
-        let step = aba.on_envelope(outsider, env.path, &env.payload);
+        let step = aba.on_message(outsider, env);
         assert!(step.is_empty(), "outsider flood must not trigger sends");
     }
     assert_eq!(aba.buffered_coin_messages(), 0, "non-member flood must never buffer");
@@ -191,7 +191,7 @@ fn committee_cap_scales_to_the_committee_and_non_members_never_buffer() {
     // committee floor — 1024 here, not the 2560 the n-sized cap allowed.
     for nonce in 0..(2 * full_floor) as u64 {
         let env = coin_flood_envelope(63, nonce);
-        let _ = aba.on_envelope(insider, env.path, &env.payload);
+        let _ = aba.on_message(insider, env);
     }
     assert_eq!(aba.buffered_coin_messages(), floor, "member flooder pinned at committee floor");
 
@@ -206,10 +206,10 @@ fn committee_cap_scales_to_the_committee_and_non_members_never_buffer() {
         TrustedCoinFactory,
         committee,
     );
-    let _ = MuxNode::on_activation(&mut listener);
+    let _ = listener.on_activation();
     for nonce in 0..floor as u64 {
         let env = coin_flood_envelope(2, nonce);
-        let _ = listener.on_envelope(insider, env.path, &env.payload);
+        let _ = listener.on_message(insider, env);
     }
     assert_eq!(listener.buffered_coin_messages(), 0, "listeners never buffer coin traffic");
 }

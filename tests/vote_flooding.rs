@@ -2,10 +2,11 @@
 //!
 //! One Byzantine sender floods an activated instance with K distinct
 //! `Echo` and `Ready` values — and, for AVSS, `KeyRec`s and `Key`s, both
-//! before and after reconstruction starts.  Bracha's rule (each sender's
-//! first vote counts) bounds what an instance keeps to one value per sender
-//! and vote kind, so the live heap the flood leaves behind must not grow
-//! with K.  The honest parties must still decide afterwards.
+//! before and after reconstruction starts; for a committee VBA, one member
+//! floods a listener with `Decide`s.  Bracha's rule (each sender's first
+//! vote counts) bounds what an instance keeps to one value per sender and
+//! vote kind, so the live heap the flood leaves behind must not grow with
+//! K.  The honest parties must still decide afterwards.
 //!
 //! The live heap comes from the counting global allocator below.  It counts
 //! per thread, and each flood runs on its test's thread, so the tests can
@@ -16,13 +17,16 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use setupfree_aba::MmrAbaFactory;
 use setupfree_avss::harness::AvssEndToEnd;
 use setupfree_avss::{Avss, AvssMessage};
+use setupfree_core::{Committee, CommitteeConfig, TrustedCoinFactory, TrustedElectionFactory};
 use setupfree_crypto::pairing::G2;
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets, PvssSecret, Scalar};
-use setupfree_net::{Dest, PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{Dest, Envelope, InstancePath, PartyId, ProtocolInstance, Sid, Step};
 use setupfree_rbc::{Rbc, RbcMessage};
 use setupfree_seeding::{Seeding, SeedingMessage};
+use setupfree_vba::{accept_all, Vba, VbaMessage};
 use setupfree_wire::Decode;
 
 struct Counting;
@@ -256,4 +260,46 @@ fn a_seeding_flood_leaves_bounded_state() {
         grown
     });
     assert_bounded("seeding", growth);
+}
+
+#[test]
+fn a_vba_decide_flood_leaves_a_listener_bounded_state() {
+    let n = 10;
+    let (keyring, secrets) = generate_pki(n, 0xDEC1DE);
+    let keyring = Arc::new(keyring);
+    let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
+    let config = CommitteeConfig::new(4, "decide-flood");
+    let committee = Committee::sample(&config, &7u64.to_le_bytes(), n);
+    let listener = (0..n).map(PartyId).find(|p| !committee.is_member(*p)).expect("a listener");
+    let (&flooder, honest) = committee.members().split_first().expect("four members");
+    let decision = b"the committee's decision".to_vec();
+    let decide = |value| Envelope::seal(InstancePath::root(), &VbaMessage::Decide { value });
+    let votes =
+        MmrAbaFactory::with_committee(listener, n, keyring.f(), TrustedCoinFactory, committee.clone());
+    let growth = growth_per_flood(|k| {
+        let mut vba = Vba::with_committee(
+            Sid::new("decide-flood"),
+            listener,
+            keyring.clone(),
+            secrets[listener.index()].clone(),
+            b"a listener proposes nothing".to_vec(),
+            accept_all(),
+            TrustedElectionFactory::new(n),
+            votes.clone(),
+            committee.clone(),
+        );
+        assert!(vba.on_activation().is_empty(), "listeners send nothing");
+        let before = live();
+        for j in 0..k {
+            assert!(vba.on_message(flooder, decide((j as u64).to_le_bytes().to_vec())).is_empty());
+        }
+        let grown = live() - before;
+        // f_c + 1 honest members announce the decision: the listener adopts it.
+        for &member in &honest[..committee.adopt_threshold()] {
+            let _ = vba.on_message(member, decide(decision.clone()));
+        }
+        assert_eq!(vba.output(), Some(decision.clone()), "the listener adopts the honest decision");
+        grown
+    });
+    assert_bounded("vba decide", growth);
 }
