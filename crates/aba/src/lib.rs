@@ -38,7 +38,7 @@ use std::sync::Arc;
 use setupfree_core::coin::CoinOutput;
 use setupfree_core::traits::{AbaFactory, CoinFactory};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{committee_cap, composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -190,11 +190,7 @@ impl<F: CoinFactory> MmrAba<F> {
         committee: Committee,
     ) -> Self {
         assert_eq!(committee.n(), n, "committee sampled over a different party set");
-        let cap = if committee.is_proper() {
-            committee_cap(committee.size())
-        } else {
-            composite_cap(n)
-        };
+        let cap = composite_cap(committee.size());
         MmrAba {
             sid,
             me,
@@ -599,13 +595,6 @@ pub fn setup_free_aba_factory(
     let n = keyring.n();
     let f = keyring.f();
     MmrAbaFactory::new(me, n, f, setupfree_core::coin::CoinProtocolFactory::new(me, keyring, secrets))
-}
-
-/// Convenience constructor for the setup-based comparison stack: an ABA
-/// factory whose rounds use the idealised
-/// [`TrustedCoin`](setupfree_core::TrustedCoin).
-pub fn trusted_coin_aba_factory(me: PartyId, n: usize, f: usize) -> MmrAbaFactory<setupfree_core::TrustedCoinFactory> {
-    MmrAbaFactory::new(me, n, f, setupfree_core::TrustedCoinFactory)
 }
 
 // Re-export for downstream convenience (`Committee` doubles as this

@@ -1,13 +1,13 @@
 //! Sharded-runtime throughput: `k` full setup-free ABA sessions partitioned
-//! across worker shards (each session owning its scheduler, in-flight slab,
-//! budget and metrics), merged deterministically or run on parallel
-//! workers — plus the admission-controlled pipelined beacon.
+//! across worker shards, one OS thread per shard (each session owning its
+//! scheduler, in-flight slab, budget and metrics) — plus the
+//! admission-controlled pipelined beacon.
 //!
 //! The criterion companion to the `aba-x{k}-shard*` rows of
 //! `BENCH_pr5.json` (which measures the full k ∈ {4, 8, 16} ×
 //! n ∈ {10, 22, 40} grid single-shot).  CI runs this with `--test` so the
-//! sharded execution paths — deterministic merge, parallel workers,
-//! admission — cannot bit-rot.
+//! sharded execution path — parallel workers and admission — cannot
+//! bit-rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use setupfree_bench::{measure_sharded_abas, measure_sharded_pipelined_beacon};
@@ -19,23 +19,16 @@ fn bench_sharded_runtime(c: &mut Criterion) {
     let k = 4;
     // Print the per-iteration workload once so deliveries/sec can be read
     // off the criterion time.
-    let m = measure_sharded_abas(n, k, 4, 0xC0, false);
+    let m = measure_sharded_abas(n, k, 4, 0xC0);
     println!(
         "sharded_runtime/aba_x{k}_n{n}: {} deliveries, {} honest bytes per iteration",
         m.deliveries, m.honest_bytes
     );
-    group.bench_function(&format!("aba_x{k}_n{n}_sharded_w4"), |b| {
-        let mut seed = 0xC0;
-        b.iter(|| {
-            seed += 1;
-            measure_sharded_abas(n, k, 4, seed, false)
-        })
-    });
     group.bench_function(&format!("aba_x{k}_n{n}_sharded_w4_parallel"), |b| {
         let mut seed = 0xC0;
         b.iter(|| {
             seed += 1;
-            measure_sharded_abas(n, k, 4, seed, true)
+            measure_sharded_abas(n, k, 4, seed)
         })
     });
     let epochs = 4;

@@ -593,21 +593,14 @@ fn sharded_aba_session(
 /// Measures `k` concurrent full setup-free ABA sessions (every round of
 /// every session flips the real Coin) on the **sharded runtime** — the
 /// workload studied for concurrent asynchronous BA (Cohen et al.,
-/// arXiv:2312.14506): sessions partitioned across `workers` shards, each
-/// with its own scheduler/slab/budget/metrics.  `parallel` opts into one OS
-/// thread per shard; the deterministic merge is the default.
-pub fn measure_sharded_abas(
-    n: usize,
-    k: usize,
-    workers: usize,
-    seed: u64,
-    parallel: bool,
-) -> Measurement {
+/// arXiv:2312.14506): sessions partitioned across `workers` shards, one OS
+/// thread per shard, each session with its own scheduler/slab/budget/metrics.
+pub fn measure_sharded_abas(n: usize, k: usize, workers: usize, seed: u64) -> Measurement {
     let (keyring, secrets) = keys(n, seed);
-    let host = ShardedHost::new(workers, k, move |s| {
+    let report = ShardedHost::new(workers, k, move |s| {
         sharded_aba_session(n, s, seed, &keyring, &secrets)
-    });
-    let report = if parallel { host.run_parallel() } else { host.run() };
+    })
+    .run_parallel();
     summarize_sharded(n, &report)
 }
 
@@ -644,7 +637,7 @@ pub fn measure_sharded_pipelined_beacon(
         )
     })
     .with_admission(MaxConcurrent(window));
-    let report = host.run();
+    let report = host.run_parallel();
     // Leaders must agree per epoch; the generic output comparison is too
     // strict here.
     let mut m = summarize_sharded::<ElectionOutput>(n, &report);

@@ -17,7 +17,7 @@ use std::fmt;
 use rand::Rng;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
-use crate::hash::{hash_fields, Digest};
+use crate::hash::hash_fields;
 use crate::group::GroupElement;
 use crate::multiexp;
 use crate::scalar::Scalar;
@@ -174,11 +174,6 @@ fn dleq_challenge(
             input,
         ],
     )
-}
-
-/// Hashes a digest-like value; helper for deriving beacon outputs.
-pub fn hash_output(domain: &str, fields: &[&[u8]]) -> Digest {
-    hash_fields(domain, fields)
 }
 
 impl Encode for VrfPublicKey {

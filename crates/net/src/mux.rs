@@ -594,26 +594,15 @@ impl From<usize> for CapPolicy {
 /// filling up together (at least one of them honest), the cap raises to an
 /// 8× ceiling — while a lone flooder still hits the floor, exactly as under
 /// the old static cap.
+///
+/// `n` is the number of parties that legitimately send child traffic: the
+/// committee size `m` for a router inside a committee.  Only members can
+/// lag or witness there, so sizing from the full `n` would hand every
+/// non-member flooder an `n/m`-times-too-generous budget and make the
+/// adaptive raise unreachable for small committees.
 pub fn composite_cap(n: usize) -> CapPolicy {
     let floor = DEFAULT_PER_SENDER_CAP.max(64 * n);
     CapPolicy::Adaptive { floor, ceiling: 8 * floor, witnesses: n.saturating_sub(1) / 3 + 1 }
-}
-
-/// Cap policy for composite children hosted *inside a committee*: only the
-/// `m` committee members ever legitimately send child traffic, so both the
-/// floor (honest per-sender lag is `O(m)` per pending round, not `O(n)`)
-/// and the witness quorum (`f_c + 1` of the committee's own tolerance,
-/// since only members can be honest witnesses) scale with the committee
-/// size.  Sizing these from the full `n` — as [`composite_cap`] does —
-/// would hand every non-member flooder an `n/m`-times-too-generous budget
-/// and make the adaptive raise unreachable for small committees.
-pub fn committee_cap(committee_size: usize) -> CapPolicy {
-    let floor = DEFAULT_PER_SENDER_CAP.max(64 * committee_size);
-    CapPolicy::Adaptive {
-        floor,
-        ceiling: 8 * floor,
-        witnesses: committee_size.saturating_sub(1) / 3 + 1,
-    }
 }
 
 /// One buffered pre-activation message.
@@ -668,9 +657,6 @@ pub struct PreActivationBuffer {
     /// races ahead of the local Aux quorum).
     seen: BTreeSet<(u16, PartyId, u64)>,
     dropped: u64,
-    /// Envelopes accepted *above* the floor by an adaptive raise — the
-    /// telemetry that shows the adaptive cap actually fired.
-    raised: u64,
 }
 
 impl PreActivationBuffer {
@@ -687,7 +673,6 @@ impl PreActivationBuffer {
             counts: BTreeMap::new(),
             seen: BTreeSet::new(),
             dropped: 0,
-            raised: 0,
         }
     }
 
@@ -741,11 +726,6 @@ impl PreActivationBuffer {
                 return false;
             }
         }
-        if let CapPolicy::Adaptive { floor, .. } = self.policy {
-            if count >= floor {
-                self.raised += 1;
-            }
-        }
         *self.counts.entry((index, from)).or_insert(0) += 1;
         bucket.push(BufferedEnvelope { from, msg, digest });
         true
@@ -780,12 +760,6 @@ impl PreActivationBuffer {
     /// Number of envelopes dropped by the cap or duplicate filter.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Number of envelopes accepted above the floor by an adaptive cap
-    /// raise (always 0 under [`CapPolicy::Static`]).
-    pub fn raised(&self) -> u64 {
-        self.raised
     }
 
     /// The buffer's occupancy/drop counters.
@@ -964,18 +938,6 @@ impl<N: ProtocolInstance<Message = Envelope>> Router<N> {
     /// Number of pre-activation envelopes currently buffered.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
-    }
-
-    /// Number of pre-activation envelopes dropped by the cap/duplicate
-    /// filter.
-    pub fn buffer_dropped(&self) -> u64 {
-        self.buffer.dropped()
-    }
-
-    /// Number of pre-activation envelopes accepted above the adaptive
-    /// floor (see [`CapPolicy::Adaptive`]; always 0 under a static cap).
-    pub fn buffer_raised(&self) -> u64 {
-        self.buffer.raised()
     }
 
     /// The recursive buffer telemetry of this router: its own pre-activation

@@ -279,25 +279,8 @@ where
         self.parties[party.index()].machine.output()
     }
 
-    /// Access to a party's state machine (for tests that need to feed
-    /// protocol-specific inputs mid-run).
-    pub fn party_mut(&mut self, party: PartyId) -> &mut dyn ProtocolInstance<Message = M, Output = O> {
-        &mut *self.parties[party.index()].machine
-    }
-
-    /// Feeds a locally generated step (e.g. the result of calling a
-    /// protocol-specific input method via [`Self::party_mut`]) into the
-    /// network on behalf of `party`.
-    pub fn inject_step(&mut self, party: PartyId, step: Step<M>) {
-        if setupfree_obs::enabled() {
-            // Injected steps are external input, not caused by a delivery.
-            setupfree_obs::begin_activation(party.index() as u16, self.metrics.delivered_messages);
-        }
-        self.enqueue(party, step);
-    }
-
     /// Activates every non-crashed party (calls `on_activation` once).
-    pub fn activate_all(&mut self) {
+    fn activate_all(&mut self) {
         assert!(!self.activated, "activate_all may only be called once");
         self.activated = true;
         for i in 0..self.parties.len() {
@@ -314,51 +297,36 @@ where
         }
     }
 
-    /// Runs until all honest, non-crashed parties have produced an output,
-    /// the network is quiescent, or `max_deliveries` messages have been
-    /// delivered.
+    /// Activates the parties on the first call, then runs until all honest,
+    /// non-crashed parties have produced an output, the network is
+    /// quiescent, or `max_deliveries` messages have been delivered.
     pub fn run(&mut self, max_deliveries: u64) -> RunReport {
+        if !self.activated {
+            self.activate_all();
+        }
         let delivered_before = self.metrics.delivered_messages;
         let mut deliveries = 0;
+        // Stop order: outputs, then quiescence, then the budget verdict, and
+        // only then one delivery — so a zero budget closes a session with
+        // zero deliveries.
         let reason = loop {
-            match self.step_with_budget(deliveries, max_deliveries) {
-                Some(reason) => break reason,
-                None => deliveries += 1,
+            if self.all_honest_output() {
+                break StopReason::AllOutputs;
             }
+            if self.in_flight == 0 {
+                break StopReason::Quiescent;
+            }
+            if deliveries >= max_deliveries {
+                break StopReason::BudgetExhausted;
+            }
+            self.deliver_one();
+            deliveries += 1;
         };
         // Budget reconciliation: every budget unit is an actual delivery —
         // messages to crashed parties are purged, never "delivered".
         debug_assert_eq!(deliveries, self.metrics.delivered_messages - delivered_before);
         self.refresh_buffer_telemetry();
         RunReport { reason, deliveries }
-    }
-
-    /// One budget-aware step with [`Self::run`]'s **exact** stop-order —
-    /// outputs, then quiescence, then the budget verdict, and only then one
-    /// delivery.  Returns the stop reason when the run is over without
-    /// consuming budget, `None` after delivering one message.  This is the
-    /// single-step interface the sharded runtime's round-robin shard merge
-    /// drives sessions with; `run` itself is this in a loop, so the
-    /// incremental and batch paths can never disagree on a close state.
-    pub fn step_with_budget(
-        &mut self,
-        deliveries_so_far: u64,
-        max_deliveries: u64,
-    ) -> Option<StopReason> {
-        if !self.activated {
-            self.activate_all();
-        }
-        if self.all_honest_output() {
-            return Some(StopReason::AllOutputs);
-        }
-        if self.in_flight == 0 {
-            return Some(StopReason::Quiescent);
-        }
-        if deliveries_so_far >= max_deliveries {
-            return Some(StopReason::BudgetExhausted);
-        }
-        self.deliver_one();
-        None
     }
 
     /// Runs until no messages remain in flight (or the budget is exhausted).
@@ -382,11 +350,9 @@ where
 
     /// Polls every party's
     /// [`PreActivationBuffer`](crate::mux::PreActivationBuffer) counters
-    /// ([`ProtocolInstance::pre_activation_stats`]) into [`Metrics`] —
-    /// called automatically at the end of [`Self::run`] /
-    /// [`Self::run_to_quiescence`]; [`Self::step_with_budget`]-driven
-    /// callers refresh explicitly when they close the simulation.
-    pub fn refresh_buffer_telemetry(&mut self) {
+    /// ([`ProtocolInstance::pre_activation_stats`]) into [`Metrics`] at the
+    /// end of [`Self::run`] / [`Self::run_to_quiescence`].
+    fn refresh_buffer_telemetry(&mut self) {
         let stats = self
             .parties
             .iter()

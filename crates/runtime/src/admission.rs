@@ -11,12 +11,11 @@
 ///
 /// The host calls [`AdmissionPolicy::admit`] whenever it has a pending
 /// session and a free moment (after start-up, after every session close,
-/// and periodically between deliveries); a `true` return *consumes* the
-/// admission (token-bucket policies debit a token).  [`AdmissionPolicy::on_delivery`]
-/// ticks the policy's clock — the deterministic host calls it once per
-/// delivered message, the parallel host once per message of every session
-/// it closes (deliveries happen inside the workers there, so the clock
-/// advances in session-sized batches).
+/// and periodically while sessions run); a `true` return *consumes* the
+/// admission (token-bucket policies debit a token).  The policy's clock
+/// counts delivered messages: deliveries happen inside the workers, so the
+/// host ticks it once per closed session, through
+/// [`AdmissionPolicy::on_deliveries`] with that session's delivery count.
 pub trait AdmissionPolicy: Send {
     /// May a new session be opened, given `active` sessions currently live?
     /// Returning `true` commits the admission.
@@ -26,7 +25,7 @@ pub trait AdmissionPolicy: Send {
     fn on_delivery(&mut self) {}
 
     /// Advances the policy clock by `n` delivered messages at once (the
-    /// parallel host reports a whole session's deliveries when it closes).
+    /// host reports a whole session's deliveries when it closes).
     fn on_deliveries(&mut self, n: u64) {
         for _ in 0..n {
             self.on_delivery();
@@ -115,8 +114,8 @@ impl AdmissionPolicy for TokenBucket {
     }
 
     fn on_deliveries(&mut self, n: u64) {
-        // Closed-form bulk tick (the parallel host reports millions of
-        // deliveries per close; looping would be wasteful).
+        // Closed-form bulk tick (the host reports millions of deliveries
+        // per close; looping would be wasteful).
         let refills = (self.clock + n) / self.refill_every - self.clock / self.refill_every;
         self.clock += n;
         self.tokens = (self.tokens + refills).min(self.capacity);

@@ -1,10 +1,11 @@
 //! The worker-partitioned session host.
 //!
 //! [`ShardedHost`] runs `k` top-level protocol sessions partitioned across
-//! `W` worker shards by session index (shard `= session mod W`).  Each
-//! session owns its complete execution state: party machines, adversarial
-//! scheduler, in-flight slab, delivery budget and [`SessionMetrics`].  That
-//! buys three things:
+//! `W` worker shards by session index (shard `= session mod W`), one OS
+//! thread per shard ([`ShardedHost::run_parallel`]).  Each session owns its
+//! complete execution state: party machines, adversarial scheduler,
+//! in-flight slab, delivery budget and [`SessionMetrics`].  That buys three
+//! things:
 //!
 //! * **isolation** — a session that exhausts its budget is reported as
 //!   [`StopReason::BudgetExhausted`] *for that session* while the rest run
@@ -12,8 +13,7 @@
 //!   measurable instead of folded into one aggregate;
 //! * **scalability** — scheduler pools stay session-sized (one pool shared
 //!   by all sessions would grow with `k`, and its per-pick cost with `log`
-//!   of that),
-//!   and the shards can run on real OS threads ([`ShardedHost::run_parallel`]);
+//!   of that), and the shards run on real OS threads;
 //! * **admission** — sessions are *opened* by an
 //!   [`AdmissionPolicy`] instead of
 //!   pre-spawned, so pipelined workloads (beacon epochs, view streams)
@@ -21,21 +21,16 @@
 //!
 //! # Determinism contract
 //!
-//! [`ShardedHost::run`] merges the shards on one thread by a round-robin
-//! shard step (shard 0, 1, …, W−1, repeat; within a shard, round-robin over
-//! its live sessions), and every session's scheduler is seeded by the
-//! caller per session.  Because top-level sessions exchange no cross-shard
-//! traffic today, a session's delivery sequence is a pure function of its
-//! own setup — so per-session results (deliveries, rounds, bytes, outputs)
-//! are **identical for every `W`**, and identical to
-//! [`ShardedHost::run_parallel`]'s.  The golden tests pin exactly this.
-//! Host-level *telemetry* (e.g. [`ShardedRunReport::peak_live_sessions`])
-//! depends on the merge interleaving and is excluded from the contract.
-//! `run_parallel` is the opt-in mode: today it happens to preserve
-//! per-session determinism because sessions are isolated; once cross-shard
-//! traffic exists (shared seeding), only `run` will keep the guarantee.
+//! Each session runs start to finish on one worker thread, delivered by the
+//! scheduler the caller seeded for that session.  Top-level sessions
+//! exchange no traffic, so a session's delivery sequence is a pure function
+//! of its own setup: per-session results (deliveries, rounds, bytes,
+//! outputs, trace streams) are **identical for every `W`** and every thread
+//! interleaving.  The golden tests pin exactly this against recorded
+//! tables.  Host-level *telemetry* ([`ShardedRunReport::peak_live_sessions`]
+//! and the admission trace) depends on when workers report back and is
+//! excluded from the contract.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use setupfree_net::{BoxedParty, PartyId, Scheduler, Simulation, StopReason};
@@ -44,7 +39,7 @@ use setupfree_obs::{EventKind, TraceEvent, VecSink, NO_PARTY};
 use crate::admission::{AdmissionPolicy, Unlimited};
 use crate::queue::ShardQueue;
 
-/// What closing a session yields: its report, its outputs, and its trace
+/// What running a session yields: its report, its outputs, and its trace
 /// stream (empty unless tracing is on).
 type ClosedSession<O> = (SessionReport, Vec<Option<O>>, Vec<TraceEvent>);
 
@@ -214,17 +209,17 @@ impl fmt::Display for WorkerFailure {
 pub struct ShardedRunReport<O> {
     /// One report per *closed* session, indexed by session.  Complete
     /// (`sessions.len() == k`) exactly when [`ShardedRunReport::failures`]
-    /// is empty; a failed parallel run reports only the sessions that
-    /// closed before (or despite) the failure.
+    /// is empty; a failed run reports only the sessions that closed before
+    /// (or despite) the failure.
     pub sessions: Vec<SessionReport>,
     /// Every session's per-party outputs, indexed by session then party
     /// (empty for sessions lost to a worker failure).
     pub outputs: Vec<Vec<Option<O>>>,
-    /// Maximum number of concurrently live sessions observed (merge-order
-    /// dependent telemetry — *not* covered by the determinism contract).
+    /// Maximum number of concurrently live sessions observed (telemetry
+    /// that depends on when workers report back — *not* covered by the
+    /// determinism contract).
     pub peak_live_sessions: usize,
-    /// Worker shards that died mid-run (always empty for the deterministic
-    /// [`ShardedHost::run`], which executes sessions on the host thread).
+    /// Worker shards that died mid-run.
     pub failures: Vec<WorkerFailure>,
     /// Per-session trace streams (indexed by session; all empty unless the
     /// host was built [`ShardedHost::with_tracing`]).  Each stream is the
@@ -233,8 +228,9 @@ pub struct ShardedRunReport<O> {
     pub session_traces: Vec<Vec<TraceEvent>>,
     /// The host's admission-decision trace ([`EventKind::Admission`]): one
     /// event per committed admission (and per first refusal of a delayed
-    /// session), stamped with the host-level delivery clock.  Empty unless
-    /// tracing is on.  Merge-order-dependent telemetry, like
+    /// session), stamped with the host-level delivery clock (the deliveries
+    /// of every session closed so far).  Empty unless tracing is on.
+    /// Report-order-dependent telemetry, like
     /// [`ShardedRunReport::peak_live_sessions`].
     pub admission_trace: Vec<TraceEvent>,
 }
@@ -293,8 +289,7 @@ impl<O> ShardedRunReport<O> {
 
     /// The per-session fingerprint the determinism golden pins:
     /// `(session, deliveries, rounds, sent, honest_bytes)` must be
-    /// cell-for-cell identical for every worker count and for the parallel
-    /// mode.
+    /// cell-for-cell identical for every worker count.
     pub fn fingerprints(&self) -> Vec<(usize, u64, Option<u64>, u64, u64)> {
         self.sessions
             .iter()
@@ -303,52 +298,10 @@ impl<O> ShardedRunReport<O> {
     }
 }
 
-/// Capacity of each worker inbox in parallel mode: deep enough to keep a
-/// worker busy while the coordinator does other work, small enough that
-/// admission (and its policy) stays in control of how much work is
-/// committed ahead.
+/// Capacity of each worker inbox: deep enough to keep a worker busy while
+/// the coordinator does other work, small enough that admission (and its
+/// policy) stays in control of how much work is committed ahead.
 const INBOX_CAPACITY: usize = 4;
-
-/// One live session inside a shard (deterministic mode).
-struct LiveSession<M, O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    session: usize,
-    sim: Simulation<M, O>,
-    budget: u64,
-    deliveries: u64,
-    /// `true` when this session records a trace stream.
-    traced: bool,
-    /// The session's suspended trace sink while another session (or host
-    /// code) runs on this thread; taken while the sink is installed.
-    trace: Option<Box<dyn setupfree_obs::TraceSink>>,
-}
-
-/// Re-installs a suspended session trace sink on the current thread (no-op
-/// for untraced sessions).
-fn resume_trace<M, O>(slot: &mut LiveSession<M, O>)
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    if let Some(sink) = slot.trace.take() {
-        setupfree_obs::install(sink);
-    }
-}
-
-/// Uninstalls the current thread's sink back into the session slot, so the
-/// next session's deliveries cannot leak into this session's stream.
-fn suspend_trace<M, O>(slot: &mut LiveSession<M, O>)
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    if slot.traced {
-        slot.trace = setupfree_obs::uninstall();
-    }
-}
 
 /// Runs `k` sessions over `W` worker shards.  See the module docs for the
 /// execution and determinism model.
@@ -407,103 +360,14 @@ where
         self
     }
 
-    /// Runs every session to its close on the current thread, merging the
-    /// shards deterministically: one round-robin pass over the shards per
-    /// step, one delivery from each shard's next live session per pass.
-    pub fn run(mut self) -> ShardedRunReport<O> {
-        let k = self.sessions;
-        let w = self.workers;
-        let mut shards: Vec<VecDeque<LiveSession<M, O>>> = (0..w).map(|_| VecDeque::new()).collect();
-        let mut reports: Vec<Option<SessionReport>> = (0..k).map(|_| None).collect();
-        let mut outputs: Vec<Vec<Option<O>>> = (0..k).map(|_| Vec::new()).collect();
-        let mut session_traces: Vec<Vec<TraceEvent>> = (0..k).map(|_| Vec::new()).collect();
-        let mut admission_trace: Vec<TraceEvent> = Vec::new();
-        let mut next = 0usize;
-        let mut active = 0usize;
-        let mut peak = 0usize;
-        let mut host_clock = 0u64;
-        // Dedup refusal events: one per delayed session, not one per pass.
-        let mut last_refused: Option<usize> = None;
-
-        loop {
-            // Admission: open pending sessions while the policy allows, with
-            // the liveness floor of one forced admission on an idle host.
-            while next < k {
-                let verdict = self.policy.admit(active);
-                let forced = !verdict && active == 0;
-                if self.tracing && (verdict || forced || last_refused != Some(next)) {
-                    admission_trace.push(admission_event(
-                        next,
-                        verdict,
-                        forced,
-                        self.policy.token_state(),
-                        active,
-                        host_clock,
-                    ));
-                }
-                if !(verdict || forced) {
-                    last_refused = Some(next);
-                    break;
-                }
-                let session = open_session(&self.factory, next, self.tracing);
-                shards[next % w].push_back(session);
-                next += 1;
-                active += 1;
-                peak = peak.max(active);
-            }
-            if active == 0 {
-                debug_assert!(next >= k, "idle host with pending sessions must force-admit");
-                break;
-            }
-            // One deterministic merge pass: each shard steps its next live
-            // session once (delivering one message or closing it).
-            for shard in shards.iter_mut() {
-                let Some(mut slot) = shard.pop_front() else { continue };
-                // `step_with_budget` IS `Simulation::run`'s loop body, so a
-                // session's close state (reason and delivery count, zero
-                // budgets included) is identical to what `sim.run(budget)` —
-                // the parallel workers' path — produces.
-                resume_trace(&mut slot);
-                let closed = slot.sim.step_with_budget(slot.deliveries, slot.budget);
-                suspend_trace(&mut slot);
-                if closed.is_none() {
-                    slot.deliveries += 1;
-                    host_clock += 1;
-                    self.policy.on_delivery();
-                }
-                match closed {
-                    None => shard.push_back(slot),
-                    Some(reason) => {
-                        let shard_id = slot.session % w;
-                        let (report, outs, trace) = close_session(slot, reason, shard_id);
-                        outputs[report.session] = outs;
-                        session_traces[report.session] = trace;
-                        reports[report.session] = Some(report);
-                        active -= 1;
-                        self.policy.on_session_closed();
-                    }
-                }
-            }
-        }
-
-        ShardedRunReport {
-            sessions: reports.into_iter().map(|r| r.expect("every session closed")).collect(),
-            outputs,
-            peak_live_sessions: peak,
-            failures: Vec::new(),
-            session_traces,
-            admission_trace,
-        }
-    }
-
-    /// Runs the shards on `W` OS threads — the opt-in parallel mode.
+    /// Runs every session to its close on `W` worker threads, one per
+    /// shard.
     ///
-    /// Admitted session indices flow to the workers over bounded
-    /// [`ShardQueue`]s and reports flow back the same way (the seam
-    /// cross-shard protocol traffic would use in a shared-seeding future).
-    /// Today's sessions are isolated, so per-session results still match
-    /// [`ShardedHost::run`] bit-for-bit; the *guarantee*, however, is only
-    /// made by the deterministic mode, which is why golden tests pin `run`.
+    /// The calling thread coordinates: it admits session indices under the
+    /// policy and hands each to its shard's worker over a bounded
+    /// [`ShardQueue`]; the worker runs the session start to finish and sends
+    /// the report back the same way.  The policy's delivery clock advances
+    /// by a session's deliveries when its report arrives.
     pub fn run_parallel(self) -> ShardedRunReport<O>
     where
         O: Send,
@@ -534,13 +398,7 @@ where
                     // The whole session lives and dies on this thread; only
                     // the index in and the report out cross threads.
                     while let Some(index) = inbox.pop() {
-                        let mut slot = open_session(factory, index, tracing);
-                        resume_trace(&mut slot);
-                        let run = slot.sim.run(slot.budget);
-                        suspend_trace(&mut slot);
-                        slot.deliveries = run.deliveries;
-                        let result = close_session(slot, run.reason, shard);
-                        if outbox.push(result).is_err() {
+                        if outbox.push(run_session(factory, index, shard, tracing)).is_err() {
                             break;
                         }
                     }
@@ -706,14 +564,12 @@ fn admission_event(
     }
 }
 
-/// Opens one session (shared by the deterministic merge and the parallel
-/// workers, so the two paths can never diverge in how a session starts):
-/// builds the setup, applies the fault plan, and activates every party.
-/// Activation happens at admission because the deterministic merge checks
-/// outputs/quiescence *before* each delivery — those checks must never
-/// observe pre-activation state (an unactivated session has zero in-flight
-/// messages and would be misread as quiescent).
-fn open_session<M, O, F>(factory: &F, index: usize, traced: bool) -> LiveSession<M, O>
+/// Runs session `index` start to finish on the calling thread: builds its
+/// setup, applies the fault plan, installs a trace sink if the session is
+/// traced, runs the simulation to its close, then drains the sink and
+/// reports.  The session's state is freed on return (the runtime-level
+/// analogue of router child GC — a completed session retains nothing).
+fn run_session<M, O, F>(factory: &F, index: usize, shard: usize, traced: bool) -> ClosedSession<O>
 where
     M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
     O: Clone + fmt::Debug,
@@ -732,47 +588,30 @@ where
         // the honest communication metrics, just not awaited.
         sim.mark_crash_faulty(PartyId(i));
     }
-    // The sink must be live across activation so the session's stream opens
-    // with its activation events (and activation-time sends).
-    let mut slot =
-        LiveSession { session: index, sim, budget: setup.budget, deliveries: 0, traced, trace: None };
+    // The sink is live before `run` activates the parties, so the session's
+    // stream opens with its activation events (and activation-time sends).
     if traced {
         setupfree_obs::install(Box::new(VecSink::new()));
     }
-    slot.sim.activate_all();
-    suspend_trace(&mut slot);
-    slot
-}
-
-/// Finalises one session: refreshes its buffer telemetry, snapshots its
-/// metrics and outputs, and frees its state (the runtime-level analogue of
-/// router child GC — a completed session retains nothing).
-fn close_session<M, O>(
-    mut slot: LiveSession<M, O>,
-    reason: StopReason,
-    shard: usize,
-) -> ClosedSession<O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    let trace = slot.trace.take().map(|mut sink| sink.drain()).unwrap_or_default();
-    slot.sim.refresh_buffer_telemetry();
-    let m = slot.sim.metrics();
-    debug_assert_eq!(slot.deliveries, m.delivered_messages, "budget units must be deliveries");
+    let run = sim.run(setup.budget);
+    let trace = if traced {
+        setupfree_obs::uninstall().map(|mut sink| sink.drain()).unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let m = sim.metrics();
     let metrics = SessionMetrics {
         sent: m.honest_messages + m.byzantine_messages,
         honest_messages: m.honest_messages,
         honest_bytes: m.honest_bytes,
         delivered: m.delivered_messages,
         purged: m.purged_messages,
-        in_flight: slot.sim.in_flight() as u64,
+        in_flight: sim.in_flight() as u64,
         rounds: m.rounds_to_all_outputs(),
     };
-    let outputs = slot.sim.outputs();
     (
-        SessionReport { session: slot.session, shard, reason, deliveries: slot.deliveries, metrics },
-        outputs,
+        SessionReport { session: index, shard, reason: run.reason, deliveries: run.deliveries, metrics },
+        sim.outputs(),
         trace,
     )
 }

@@ -6,13 +6,12 @@
 //! crate is the workspace's one way to run such a workload:
 //!
 //! * [`ShardedHost`] — partitions sessions across `W` worker shards (shard
-//!   key = session index mod `W`), each shard owning its sessions' complete execution
-//!   state: party machines, adversarial scheduler, in-flight slab, delivery
-//!   budget, metrics.  A deterministic round-robin shard-step merge keeps
-//!   per-session results identical for every `W`
-//!   ([`ShardedHost::run`]); [`ShardedHost::run_parallel`] is the opt-in
-//!   mode that runs each shard on its own OS thread, with admitted work and
-//!   reports flowing over bounded [`ShardQueue`]s.
+//!   key = session index mod `W`), one OS thread per shard
+//!   ([`ShardedHost::run_parallel`]), with admitted session indices and
+//!   reports flowing over bounded [`ShardQueue`]s.  Each session owns its
+//!   complete execution state (party machines, adversarial scheduler,
+//!   in-flight slab, delivery budget, metrics) and runs start to finish on
+//!   one worker, so per-session results are identical for every `W`.
 //! * [`SessionMetrics`] / [`SessionReport`] — per-session accounting
 //!   (sent/delivered/purged/in-flight/rounds) with the conservation law
 //!   checked per session, and [`StopReason::BudgetExhausted`] attributed to

@@ -3,9 +3,9 @@
 //! threads and its driver.
 //!
 //! Each shard owns one inbox (coordinator → shard: admitted session
-//! indices — and, in a shared-seeding future, cross-shard envelopes) and one
-//! outbox (shard → coordinator: per-session reports); a socket-backed peer
-//! owns one inbox fed by `n − 1` connection reader threads (MPSC).  All are
+//! indices) and one outbox (shard → coordinator: per-session reports); a
+//! socket-backed peer owns one inbox fed by `n − 1` connection reader
+//! threads (MPSC).  All are
 //! **bounded**: a producer that outruns its consumer blocks instead of
 //! growing memory, so a misbehaving shard (or a flooding connection) can
 //! never buffer the whole workload.  The implementation is a

@@ -55,6 +55,24 @@ fn faulted_session(s: usize) -> SessionSetup<Envelope, bool> {
     }
 }
 
+/// `fingerprints()` of the fault grid, recorded from the single-thread shard
+/// merge: `(session, deliveries, rounds, sent, honest_bytes)`.
+const FAULT_FINGERPRINTS: [(usize, u64, Option<u64>, u64, u64); 4] = [
+    (0, 82, Some(11), 116, 748),
+    (1, 1349, Some(262), 1696, 11808),
+    (2, 73, Some(9), 92, 596),
+    (3, 144, Some(26), 160, 1072),
+];
+
+/// The grid's recorded outputs: every party decides `true`, except the
+/// member crashed in sessions 2 and 3.
+const FAULT_OUTPUTS: [[Option<bool>; N]; 4] = [
+    [Some(true), Some(true), Some(true), Some(true)],
+    [Some(true), Some(true), Some(true), Some(true)],
+    [Some(true), Some(true), Some(true), None],
+    [Some(true), Some(true), Some(true), None],
+];
+
 fn agreement(outputs: &[Option<bool>]) -> bool {
     let decided: Vec<bool> = outputs.iter().flatten().copied().collect();
     decided.windows(2).all(|w| w[0] == w[1])
@@ -62,7 +80,7 @@ fn agreement(outputs: &[Option<bool>]) -> bool {
 
 #[test]
 fn starved_and_crash_faulted_sessions_still_terminate_and_agree() {
-    let report = ShardedHost::new(2, 4, faulted_session).run();
+    let report = ShardedHost::new(2, 4, faulted_session).run_parallel();
     for r in &report.sessions {
         assert_eq!(
             r.reason,
@@ -89,10 +107,14 @@ fn starved_and_crash_faulted_sessions_still_terminate_and_agree() {
 
 #[test]
 fn fault_plans_do_not_break_worker_invariance() {
-    let golden = ShardedHost::new(1, 4, faulted_session).run();
+    let golden = ShardedHost::new(1, 4, faulted_session).run_parallel();
     assert!(golden.all_terminated());
+    assert_eq!(golden.fingerprints(), FAULT_FINGERPRINTS, "the recorded per-session table");
+    for (s, outputs) in FAULT_OUTPUTS.iter().enumerate() {
+        assert_eq!(golden.outputs[s], outputs, "session {s} recorded outputs");
+    }
     for workers in [2, 4] {
-        let report = ShardedHost::new(workers, 4, faulted_session).run();
+        let report = ShardedHost::new(workers, 4, faulted_session).run_parallel();
         assert_eq!(
             report.fingerprints(),
             golden.fingerprints(),
@@ -118,7 +140,7 @@ fn a_silenced_party_is_byzantine_not_awaited() {
         );
         if s == 1 { setup.silence(0) } else { setup }
     };
-    let report = ShardedHost::new(2, 2, make).run();
+    let report = ShardedHost::new(2, 2, make).run_parallel();
     for r in &report.sessions {
         assert_eq!(r.reason, StopReason::AllOutputs, "session {}", r.session);
     }

@@ -4,10 +4,10 @@
 //! reconstructs into the protocol's span tree.
 //!
 //! The W-invariance pin matters because traces are recorded by
-//! thread-local sinks that are suspended and resumed as the host
-//! interleaves sessions on its workers: if any event leaked to the wrong
-//! session's sink, or the interleave reordered a session's own events,
-//! the streams would differ between worker counts.
+//! thread-local sinks, one installed per session on the worker that runs
+//! it, and a worker runs its shard's sessions one after another: if any
+//! event leaked into the next session's sink, the streams would differ
+//! between worker counts.
 
 use std::sync::Arc;
 
@@ -40,16 +40,20 @@ fn trusted_aba_session(n: usize, session: usize, base_seed: u64) -> SessionSetup
     )
 }
 
+/// Each session's trace event count in the grid below (seed `0x7E`),
+/// recorded from the single-thread shard merge.
+const TRACE_EVENT_COUNTS: [usize; 5] = [260, 449, 232, 337, 498];
+
 #[test]
 fn session_traces_are_identical_for_every_worker_count() {
     let n = 4;
     let k = 5;
-    let run_with = |workers: usize, parallel: bool| {
-        let host =
-            ShardedHost::new(workers, k, move |s| trusted_aba_session(n, s, 0x7E)).with_tracing();
-        if parallel { host.run_parallel() } else { host.run() }
+    let run_with = |workers: usize| {
+        ShardedHost::new(workers, k, move |s| trusted_aba_session(n, s, 0x7E))
+            .with_tracing()
+            .run_parallel()
     };
-    let golden = run_with(1, false);
+    let golden = run_with(1);
     assert!(golden.all_terminated());
     for (s, trace) in golden.session_traces.iter().enumerate() {
         assert!(!trace.is_empty(), "session {s} recorded no events");
@@ -57,22 +61,20 @@ fn session_traces_are_identical_for_every_worker_count() {
         // pure function of the session, so it can be a golden at all.
         assert!(trace.iter().all(|e| e.wall_ns == 0), "session streams are wall-free");
     }
+    let counts: Vec<usize> = golden.session_traces.iter().map(Vec::len).collect();
+    assert_eq!(counts, TRACE_EVENT_COUNTS, "the recorded per-session event counts");
     for workers in [2, 4] {
-        let report = run_with(workers, false);
+        let report = run_with(workers);
         assert_eq!(
             report.session_traces, golden.session_traces,
             "W={workers} must replay every session's exact event stream"
         );
     }
-    // The opt-in parallel mode records the same streams too — suspension
-    // hands each session's sink to whichever worker thread resumes it.
-    let parallel = run_with(4, true);
-    assert_eq!(parallel.session_traces, golden.session_traces);
 }
 
 #[test]
 fn untraced_runs_record_nothing() {
-    let report = ShardedHost::new(2, 3, move |s| trusted_aba_session(4, s, 0x7E)).run();
+    let report = ShardedHost::new(2, 3, move |s| trusted_aba_session(4, s, 0x7E)).run_parallel();
     assert!(report.all_terminated());
     assert!(report.session_traces.iter().all(Vec::is_empty));
     assert!(report.admission_trace.is_empty());
@@ -85,7 +87,7 @@ fn the_admission_trace_records_every_decision() {
     let report = ShardedHost::new(2, k, move |s| trusted_aba_session(n, s, 0xAD))
         .with_admission(TokenBucket::new(2, 2000))
         .with_tracing()
-        .run();
+        .run_parallel();
     assert!(report.all_terminated());
 
     let decisions: Vec<_> = report
@@ -143,7 +145,7 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
             SessionSetup::new(parties, Box::new(RandomScheduler::new(0xB0)), 1 << 30)
         }
     };
-    let report = ShardedHost::new(1, 1, make).with_tracing().run();
+    let report = ShardedHost::new(1, 1, make).with_tracing().run_parallel();
     assert!(report.all_terminated());
     let trace = &report.session_traces[0];
 

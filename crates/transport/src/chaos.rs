@@ -121,12 +121,6 @@ impl LinkFaultPlan {
             && self.partitions.is_empty()
     }
 
-    /// `true` when any partition window is configured (the redial loop
-    /// needs to know whether "can't connect" might mean "wait it out").
-    pub fn has_partitions(&self) -> bool {
-        !self.partitions.is_empty()
-    }
-
     /// Should the `seq`-th frame of `from → to` be dropped at the writer?
     /// Deterministic in `(seed, from, to, seq)`.
     pub fn should_drop(&self, from: usize, to: usize, seq: u64) -> bool {

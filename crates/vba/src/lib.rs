@@ -36,7 +36,7 @@ use setupfree_core::traits::{AbaFactory, ElectionFactory};
 use setupfree_crypto::hash::sha256;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{committee_cap, composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -275,11 +275,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
     ) -> Self {
         let n = keyring.n();
         assert_eq!(committee.n(), n, "committee sampled over a different party set");
-        let cap = if committee.is_proper() {
-            committee_cap(committee.size())
-        } else {
-            composite_cap(n)
-        };
+        let cap = composite_cap(committee.size());
         Vba {
             sid,
             me,

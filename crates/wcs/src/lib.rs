@@ -141,11 +141,6 @@ impl Wcs {
         ctx
     }
 
-    /// The current local input set.
-    pub fn local_set(&self) -> &BTreeSet<usize> {
-        &self.local
-    }
-
     /// The output set `Ŝ`, once produced.
     pub fn output_set(&self) -> Option<&BTreeSet<usize>> {
         self.output.as_ref()

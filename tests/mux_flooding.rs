@@ -138,7 +138,7 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
 /// The first property is the cap-scaling fix: a committee ABA's coin router
 /// used to inherit `composite_cap(n)`, so at n = 40 a single Byzantine
 /// *member* could park `64n = 2560` envelopes per victim child even though
-/// only `m = 10` parties may legitimately lag.  [`committee_cap`] pins the
+/// only `m = 10` parties may legitimately lag.  `composite_cap(m)` pins the
 /// floor to the committee size.  The second property is the listener
 /// filter: coin traffic from outside the committee (or arriving at a
 /// listener) is dropped before the pre-activation buffer, so an outsider
@@ -146,11 +146,10 @@ fn adaptive_cap_spares_honest_lag_while_a_flooder_still_hits_the_cap() {
 #[test]
 fn committee_cap_scales_to_the_committee_and_non_members_never_buffer() {
     use setupfree_core::{Committee, CommitteeConfig};
-    use setupfree_net::mux::committee_cap;
 
     let (n, m) = (40, 10);
     let f = (n - 1) / 3;
-    let CapPolicy::Adaptive { floor, ceiling, witnesses } = committee_cap(m) else {
+    let CapPolicy::Adaptive { floor, ceiling, witnesses } = composite_cap(m) else {
         panic!("committee routers must use the adaptive cap");
     };
     assert_eq!(floor, DEFAULT_PER_SENDER_CAP.max(64 * m));
