@@ -38,7 +38,7 @@ use std::sync::Arc;
 use setupfree_core::coin::CoinOutput;
 use setupfree_core::traits::{AbaFactory, CoinFactory};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -500,7 +500,7 @@ impl<F: CoinFactory> ProtocolInstance for MmrAba<F> {
             return Step::none();
         }
         match msg.path.split_first() {
-            None => match decode_payload::<AbaMessage>(&msg.payload) {
+            None => match msg.open::<AbaMessage>() {
                 Some(local) => self.on_local(from, local),
                 None => Step::none(),
             },

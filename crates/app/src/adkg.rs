@@ -28,7 +28,7 @@ use setupfree_crypto::pairing::G1;
 use setupfree_crypto::pvss::{PvssParams, PvssScript, PvssShare};
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_vba::{Predicate, Vba};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -224,8 +224,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Adkg<EF, AF> {
         }
         let mut step = match msg.path.split_first() {
             None => {
-                let contribution = decode_payload::<AdkgMessage>(&msg.payload);
-                if let Some(AdkgMessage::Pvss { script }) = contribution {
+                if let Some(AdkgMessage::Pvss { script }) = msg.open() {
                     if !self.contributions.contains_key(&from.index())
                         && script.verify_single_dealer(
                             &self.params,

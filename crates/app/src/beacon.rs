@@ -26,7 +26,7 @@ use std::sync::Arc;
 use setupfree_core::election::{Election, ElectionOutput};
 use setupfree_core::traits::AbaFactory;
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -260,7 +260,7 @@ impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
             // otherwise (GC off, or a straggler's late ack for an already
             // retired epoch) would accumulate exactly the per-epoch state
             // the GC exists to bound.
-            if let Some(BeaconMessage::Done { epoch }) = decode_payload(&msg.payload) {
+            if let Some(BeaconMessage::Done { epoch }) = msg.open() {
                 if self.gc && epoch >= self.gc_frontier && epoch < self.epochs {
                     self.done_from.entry(epoch).or_default().insert(from.index());
                     self.try_retire();

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use setupfree_avss::Avss;
 use setupfree_crypto::vrf::{VrfOutput, VrfProof};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{decode_payload, sealed_step, Envelope, InstancePath, PathSeg};
+use setupfree_net::mux::{sealed_step, Envelope, InstancePath, PathSeg};
 use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::Rbc;
 use setupfree_seeding::{Seed, Seeding};
@@ -737,7 +737,7 @@ impl ProtocolInstance for Coin {
         }
         let (mut step, touched) = match msg.path.split_first() {
             None => {
-                if let Some(local) = decode_payload::<CoinMessage>(&msg.payload) {
+                if let Some(local) = msg.open::<CoinMessage>() {
                     self.on_local(from, local);
                 }
                 (Step::none(), Touched::Local)
@@ -760,7 +760,7 @@ impl ProtocolInstance for Coin {
                         // The WCS is held directly, not in a router: push its
                         // trace path here so its phases land on its span.
                         let _trace = setupfree_obs::PathGuard::push(K_WCS, 0);
-                        let step = match decode_payload(&child.payload) {
+                        let step = match child.open() {
                             Some(wcs_msg) => {
                                 sealed_step(Self::wcs_seg(), self.wcs.handle(from, wcs_msg))
                             }

@@ -7,8 +7,8 @@
 //! * [`protocol`] — the deterministic state-machine model every protocol
 //!   implements,
 //! * [`mux`] — the hierarchical session router: instance paths, the flat
-//!   wire envelope, and the child-instance [`Router`] with its
-//!   bounded pre-activation buffer,
+//!   wire envelope with its decode-once [`Payload`], and the
+//!   child-instance [`Router`] with its bounded pre-activation buffer,
 //! * [`scheduler`] — adversarial delivery schedules (arbitrary delay and
 //!   reordering with eventual delivery),
 //! * [`sim`] — the simulator: exact byte accounting through the wire codec,
@@ -35,8 +35,8 @@ pub mod tally;
 pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
 pub use metrics::Metrics;
 pub use mux::{
-    decode_cache_stats, BufferStats, CapPolicy, DecodeCacheStats, Envelope, InstancePath, Leaf,
-    PathSeg, PreActivationBuffer, Router,
+    BufferStats, CapPolicy, Envelope, InstancePath, Leaf, PathSeg, Payload, PreActivationBuffer,
+    Router,
 };
 pub use party::{PartyId, Sid};
 pub use protocol::{Dest, Outgoing, ProtocolInstance, Step};

@@ -15,6 +15,9 @@
 //!   level.  Every composite protocol is a
 //!   [`ProtocolInstance`]`<Message = Envelope>`, and [`Leaf`] adapts any
 //!   typed [`ProtocolInstance`] into the tree;
+//! * [`Payload`] — the envelope's shared payload bytes and the one way to
+//!   decode them ([`Payload::open`]): the first typed decode of an
+//!   allocation is memoized on it, so all holders of one send share it;
 //! * [`Router`] — owns the child instances of one kind, keyed by path
 //!   segment, and handles wrapping *without per-hop re-allocation*: an
 //!   inbound envelope moves down the tree with its path stripped, and a
@@ -25,10 +28,12 @@
 //!   child exists" mechanism, with a per-sender cap and duplicate dropping
 //!   so a Byzantine flooder cannot grow memory without bound.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -183,6 +188,95 @@ impl Decode for InstancePath {
     }
 }
 
+/// A leaf message's encoding: the bytes in one shared allocation, plus a
+/// once-set slot that memoizes their first typed decode.
+///
+/// Clones share both, so every holder of one allocation — the `n`
+/// recipients of one simulator send, a router's pre-activation buffer, the
+/// VBA's committed store — pays one decode between them ([`Payload::open`]).
+/// Only decoding the payload's own bytes fills the slot, and no constructor
+/// takes a decoded value, so the slot is a pure function of the bytes: two
+/// allocations never share a decode, even when their bytes are equal, and
+/// no sender can plant one.
+#[derive(Clone)]
+pub struct Payload(Arc<PayloadInner>);
+
+struct PayloadInner {
+    bytes: Box<[u8]>,
+    decoded: OnceLock<Box<dyn Any + Send + Sync>>,
+}
+
+std::thread_local! {
+    /// Payload decodes run on this thread (see [`payload_decode_count`]).
+    static PAYLOAD_DECODES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many payload decodes [`Payload::open`] has run on the calling thread,
+/// failed decodes included; memoized opens are not counted.  A
+/// deterministic work counter: a simulation runs on one thread, so the
+/// difference across a run is that run's decoding work.
+pub fn payload_decode_count() -> u64 {
+    PAYLOAD_DECODES.with(Cell::get)
+}
+
+impl Payload {
+    /// Decodes the bytes as a message of type `M`, requiring full
+    /// consumption; `None` when malformed (a misrouted or Byzantine payload —
+    /// dropped by routers).
+    ///
+    /// The first successful decode is memoized, and later opens of the same
+    /// allocation as the same type return clones of it.  The slot keeps the
+    /// first type decoded: an open as another type decodes afresh and is not
+    /// memoized.  In debug builds every memoized clone is re-encoded and
+    /// checked against the bytes (clone transparency).
+    pub fn open<M>(&self) -> Option<M>
+    where
+        M: Encode + Decode + Clone + Send + Sync + 'static,
+    {
+        if let Some(memo) = self.0.decoded.get().and_then(|d| d.downcast_ref::<M>()) {
+            let value = memo.clone();
+            debug_assert_eq!(
+                setupfree_wire::to_bytes(&value)[..],
+                self.0.bytes[..],
+                "memoized decode is not clone-transparent for this message type"
+            );
+            return Some(value);
+        }
+        PAYLOAD_DECODES.with(|count| count.set(count.get() + 1));
+        let value: M = setupfree_wire::from_bytes(&self.0.bytes).ok()?;
+        let _ = self.0.decoded.set(Box::new(value.clone()));
+        Some(value)
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload(Arc::new(PayloadInner { bytes: bytes.into_boxed_slice(), decoded: OnceLock::new() }))
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.bytes == other.0.bytes
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Payload({} bytes)", self.0.bytes.len())
+    }
+}
+
 /// The flat wire envelope every composite protocol exchanges: the instance
 /// path plus the *leaf* payload, encoded exactly once at the leaf that
 /// produced it.
@@ -191,27 +285,29 @@ impl Decode for InstancePath {
 /// the end of the message, so wrapping a message `d` levels deep costs
 /// `1 + 3d` bytes of header and **zero** re-encodings, and decoding is one
 /// path read plus one payload slice instead of a recursive enum-tag
-/// descent.  The payload is reference-counted so routing a message down the
-/// tree, buffering it, and the simulator's decode-once cache all share one
-/// allocation.
+/// descent.  The [`Payload`] is reference-counted, so routing a message down
+/// the tree, buffering it, and handing one simulator send to all its
+/// recipients share one allocation and one typed decode.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Which instance in the hierarchy the payload belongs to.
     pub path: InstancePath,
     /// The leaf message's encoding.
-    pub payload: Arc<[u8]>,
+    pub payload: Payload,
 }
 
 impl Envelope {
     /// Encodes a leaf message under the given path.
     pub fn seal<M: Encode>(path: InstancePath, msg: &M) -> Self {
-        Envelope { path, payload: setupfree_wire::to_shared_bytes(msg) }
+        Envelope { path, payload: setupfree_wire::to_bytes(msg).into() }
     }
 
-    /// Decodes the payload as a leaf message of type `M`, `None` when
-    /// malformed (a misrouted or Byzantine payload — dropped by routers).
-    pub fn open<M: Decode>(&self) -> Option<M> {
-        decode_payload(&self.payload)
+    /// [`Payload::open`] on this envelope's payload.
+    pub fn open<M>(&self) -> Option<M>
+    where
+        M: Encode + Decode + Clone + Send + Sync + 'static,
+    {
+        self.payload.open()
     }
 }
 
@@ -231,190 +327,9 @@ impl Encode for Envelope {
 impl Decode for Envelope {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let path = InstancePath::decode(r)?;
-        let payload: Arc<[u8]> = r.read_bytes(r.remaining())?.into();
+        let payload = r.read_bytes(r.remaining())?.to_vec().into();
         Ok(Envelope { path, payload })
     }
-}
-
-/// Decodes a leaf payload, requiring full consumption; `None` on malformed
-/// input (routers drop such messages, mirroring the old enum decoders'
-/// `InvalidTag` rejection).
-pub fn decode_payload<M: Decode>(payload: &[u8]) -> Option<M> {
-    setupfree_wire::from_bytes(payload).ok()
-}
-
-/// Capacity of the thread-local typed-decode cache (distinct payloads).
-///
-/// A multicast is decoded by up to `n` recipient leaves in short succession
-/// (the simulator delivers all copies of one send within a window of at most
-/// a few hundred other deliveries under every scheduler here), so a small
-/// FIFO window captures the n-fold fan-out without retaining payloads for
-/// the whole run.
-const DECODE_CACHE_CAPACITY: usize = 128;
-
-struct DecodeCacheEntry {
-    /// The cached payload.  Holding the `Arc` pins its allocation, so the
-    /// pointer identity used as the lookup key cannot be recycled by a new
-    /// payload while the entry lives.
-    payload: Arc<[u8]>,
-    decoded: Box<dyn std::any::Any>,
-}
-
-/// The decode-cache key: the payload's allocation address plus the decoded
-/// type.  Every live entry holds its `Arc`, so a live key's address cannot
-/// be handed to a new allocation — address equality on a *live* entry
-/// therefore implies `Arc::ptr_eq`, which is the same key-safety argument
-/// the pre-index linear scan made by calling `Arc::ptr_eq` directly.
-type DecodeCacheKey = (usize, std::any::TypeId);
-
-fn decode_cache_key<M: 'static>(payload: &Arc<[u8]>) -> DecodeCacheKey {
-    (Arc::as_ptr(payload).cast::<u8>() as usize, std::any::TypeId::of::<M>())
-}
-
-/// Hit/occupancy counters of the calling thread's typed-decode cache (see
-/// [`decode_cache_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeCacheStats {
-    /// Lookups served by a cached clone.
-    pub hits: u64,
-    /// Lookups that paid a real decode (failed decodes included).
-    pub misses: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-}
-
-/// Hasher for the decode-cache index.  The key's dominant component is an
-/// allocation address, already well-spread by the allocator, so a
-/// multiply-xor mix of the written words is plenty — and the index is not
-/// attacker-seedable (capacity 128, keyed by *local* allocation identity,
-/// never by attacker-chosen bytes), so SipHash's flooding resistance buys
-/// nothing here while costing more per lookup than the 1–3-step linear
-/// probe this index replaced.
-#[derive(Default)]
-struct PtrHasher(u64);
-
-impl std::hash::Hasher for PtrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for hash impls that feed raw bytes (TypeId on some
-        // toolchains): fold them FNV-style into the running state.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
-    }
-}
-
-type BuildPtrHasher = std::hash::BuildHasherDefault<PtrHasher>;
-
-/// The typed-decode cache: a FIFO window of recently decoded payloads with
-/// an O(1) index keyed by allocation identity + decoded type.  The FIFO
-/// (`order`) decides eviction exactly as the old `VecDeque`-only cache did;
-/// the map makes the per-delivery lookup O(1) instead of an O(capacity)
-/// reverse scan (at capacity 128 that scan sat on the hot path of every
-/// leaf delivery whose payload was *not* recently shared — i.e. most of a
-/// big run under a reordering scheduler).
-struct DecodeCache {
-    order: VecDeque<DecodeCacheKey>,
-    entries: HashMap<DecodeCacheKey, DecodeCacheEntry, BuildPtrHasher>,
-    hits: u64,
-    misses: u64,
-}
-
-impl DecodeCache {
-    fn new() -> Self {
-        DecodeCache {
-            order: VecDeque::with_capacity(DECODE_CACHE_CAPACITY),
-            entries: HashMap::with_capacity_and_hasher(
-                DECODE_CACHE_CAPACITY,
-                BuildPtrHasher::default(),
-            ),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-std::thread_local! {
-    /// Per-payload typed-decode cache shared by every [`Leaf`] on the
-    /// thread, keyed by **`Arc` allocation identity** (plus the decoded
-    /// type): the simulator shares one `Arc<[u8]>` among all `n` in-flight
-    /// copies of a send, so the first recipient's decode can be cloned to
-    /// the other `n − 1` — while two *different* sends (even with equal
-    /// bytes, even from an equivocating Byzantine sender) never share an
-    /// entry, exactly like the simulator's envelope-level cache.
-    static DECODE_CACHE: RefCell<DecodeCache> = RefCell::new(DecodeCache::new());
-}
-
-/// [`decode_payload`] with the per-payload typed-decode cache in front: the
-/// first recipient of a shared payload pays the real decode (group
-/// decompression included), later recipients of the **same allocation** get
-/// `M::clone`s.  In debug builds every cached clone is re-encoded and
-/// checked against the wire bytes (clone transparency), mirroring the
-/// simulator's envelope-level assert.
-pub fn decode_payload_cached<M>(payload: &Arc<[u8]>) -> Option<M>
-where
-    M: Encode + Decode + Clone + 'static,
-{
-    let key = decode_cache_key::<M>(payload);
-    DECODE_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(entry) = cache.entries.get(&key) {
-            debug_assert!(
-                Arc::ptr_eq(&entry.payload, payload),
-                "decode-cache address collision on a live entry (pinned Arc recycled?)"
-            );
-            let value = entry
-                .decoded
-                .downcast_ref::<M>()
-                .expect("decode-cache entry type mismatch despite TypeId key")
-                .clone();
-            debug_assert_eq!(
-                setupfree_wire::to_bytes(&value)[..],
-                payload[..],
-                "cached typed decode is not clone-transparent for this message type"
-            );
-            cache.hits += 1;
-            return Some(value);
-        }
-        cache.misses += 1;
-        let value: M = decode_payload(payload)?;
-        if cache.order.len() >= DECODE_CACHE_CAPACITY {
-            let oldest = cache.order.pop_front().expect("a full cache has an oldest entry");
-            let evicted = cache.entries.remove(&oldest);
-            debug_assert!(evicted.is_some(), "FIFO order and index must stay in lockstep");
-        }
-        cache.order.push_back(key);
-        cache
-            .entries
-            .insert(key, DecodeCacheEntry { payload: Arc::clone(payload), decoded: Box::new(value.clone()) });
-        Some(value)
-    })
-}
-
-/// Snapshot of the calling thread's typed-decode cache counters — hit-rate
-/// telemetry for benches and the cache's own regression tests.
-pub fn decode_cache_stats() -> DecodeCacheStats {
-    DECODE_CACHE.with(|cache| {
-        let cache = cache.borrow();
-        DecodeCacheStats { hits: cache.hits, misses: cache.misses, entries: cache.entries.len() }
-    })
 }
 
 /// Occupancy and drop counters of one (or the recursive sum of many)
@@ -475,9 +390,9 @@ impl Step<Envelope> {
 }
 
 /// Adapts a typed leaf [`ProtocolInstance`] (RBC, AVSS, Seeding, a trusted
-/// coin, …) into the mux tree: inbound payloads are decoded to the leaf's
-/// message type, outbound messages are sealed at the root path (the parent
-/// prefixes its segment).
+/// coin, …) into the mux tree: inbound payloads are opened
+/// ([`Payload::open`]) as the leaf's message type, outbound messages are
+/// sealed at the root path (the parent prefixes its segment).
 #[derive(Debug)]
 pub struct Leaf<P> {
     inner: P,
@@ -503,7 +418,10 @@ impl<P> Leaf<P> {
     }
 }
 
-impl<P: ProtocolInstance> ProtocolInstance for Leaf<P> {
+impl<P: ProtocolInstance> ProtocolInstance for Leaf<P>
+where
+    P::Message: Send + Sync,
+{
     type Message = Envelope;
     type Output = P::Output;
 
@@ -517,7 +435,7 @@ impl<P: ProtocolInstance> ProtocolInstance for Leaf<P> {
             // Byzantine and are dropped.
             return Step::none();
         }
-        match decode_payload_cached::<P::Message>(&msg.payload) {
+        match msg.open::<P::Message>() {
             Some(msg) => local_step(self.inner.on_message(from, msg)),
             None => Step::none(),
         }
@@ -1169,72 +1087,51 @@ mod tests {
     }
 
     #[test]
-    fn typed_decode_cache_hits_share_one_decode_per_allocation() {
-        let payload = setupfree_wire::to_shared_bytes(&(41u32, true));
-        // Same allocation: first call decodes, second is served by the cache
-        // (the debug re-encode assert inside verifies clone transparency).
-        let a: Option<(u32, bool)> = decode_payload_cached(&payload);
-        let b: Option<(u32, bool)> = decode_payload_cached(&payload);
-        assert_eq!(a, Some((41, true)));
-        assert_eq!(a, b);
-        // A byte-identical but *distinct* allocation gets its own entry —
-        // allocation identity, not byte equality, is the key (an
-        // equivocating sender cannot poison another recipient's decode).
-        let twin: Arc<[u8]> = payload.to_vec().into();
-        assert!(!Arc::ptr_eq(&payload, &twin));
-        let c: Option<(u32, bool)> = decode_payload_cached(&twin);
-        assert_eq!(c, Some((41, true)));
-        // Same allocation, different target type: entries are keyed by type
-        // too, and a wrong-type decode still fails.
-        let d: Option<(u64, u64)> = decode_payload_cached(&payload);
-        assert_eq!(d, None);
+    fn ten_opens_of_one_allocation_make_one_decode() {
+        let sent = Envelope::seal(InstancePath::root(), &0xfeedu16);
+        let before = payload_decode_count();
+        for _ in 0..10 {
+            // The n-fold multicast fan-out: every recipient holds a clone of
+            // the same envelope, so all of them share one payload.
+            assert_eq!(sent.clone().open::<u16>(), Some(0xfeed));
+        }
+        assert_eq!(payload_decode_count() - before, 1);
     }
 
     #[test]
-    fn typed_decode_cache_is_bounded() {
-        // Flood the cache far past its capacity; the oldest entries are
-        // evicted and re-decodes still succeed (correctness never depends on
-        // a hit).
-        let payloads: Vec<Arc<[u8]>> =
-            (0..3 * DECODE_CACHE_CAPACITY as u32).map(|v| setupfree_wire::to_shared_bytes(&v)).collect();
-        for (v, p) in payloads.iter().enumerate() {
-            assert_eq!(decode_payload_cached::<u32>(p), Some(v as u32));
-        }
-        assert!(decode_cache_stats().entries <= DECODE_CACHE_CAPACITY);
-        DECODE_CACHE.with(|c| {
-            let c = c.borrow();
-            assert_eq!(c.order.len(), c.entries.len(), "FIFO order and index stay in lockstep");
-        });
-        for (v, p) in payloads.iter().enumerate() {
-            assert_eq!(decode_payload_cached::<u32>(p), Some(v as u32), "evicted entries re-decode");
-        }
+    fn a_byte_identical_twin_allocation_decodes_on_its_own() {
+        let payload = Payload::from(setupfree_wire::to_bytes(&(41u32, true)));
+        let twin = Payload::from(payload.to_vec());
+        assert_eq!(payload, twin);
+        let before = payload_decode_count();
+        assert_eq!(payload.open::<(u32, bool)>(), Some((41, true)));
+        assert_eq!(twin.open::<(u32, bool)>(), Some((41, true)));
+        // Allocation identity, not byte equality, shares a decode: an
+        // equivocating sender cannot hand one recipient another's decode.
+        assert_eq!(payload_decode_count() - before, 2);
     }
 
     #[test]
-    fn typed_decode_cache_hit_rate_and_equivocation_safety_survive_the_index() {
-        // The O(1) index must not change *what* hits: same allocation hits,
-        // byte-identical twins and other types miss.  Counters are
-        // thread-local, so deltas are taken inside one test thread.
-        let before = decode_cache_stats();
-        let payload = setupfree_wire::to_shared_bytes(&0xfeedu16);
-        assert_eq!(decode_payload_cached::<u16>(&payload), Some(0xfeed));
-        for _ in 0..9 {
-            // The n-fold multicast fan-out: every further recipient of the
-            // same allocation is a hit.
-            assert_eq!(decode_payload_cached::<u16>(&payload), Some(0xfeed));
-        }
-        let after = decode_cache_stats();
-        assert_eq!(after.hits - before.hits, 9, "9 of 10 same-allocation decodes hit");
-        assert_eq!(after.misses - before.misses, 1, "exactly one real decode");
+    fn a_wrong_type_open_fails_and_the_slot_still_serves_the_right_type() {
+        let payload = Payload::from(setupfree_wire::to_bytes(&(41u32, true)));
+        let before = payload_decode_count();
+        assert_eq!(payload.open::<(u64, u64)>(), None, "a failed decode fills nothing");
+        assert_eq!(payload.open::<(u32, bool)>(), Some((41, true)));
+        assert_eq!(payload.open::<(u64, u64)>(), None);
+        assert_eq!(payload.open::<(u32, bool)>(), Some((41, true)));
+        assert_eq!(payload_decode_count() - before, 3, "only the last open is memoized");
+    }
 
-        // Equivocation safety: a byte-identical twin allocation never hits
-        // another send's entry, exactly as before the index.
-        let twin: Arc<[u8]> = payload.to_vec().into();
-        assert!(!Arc::ptr_eq(&payload, &twin));
-        assert_eq!(decode_payload_cached::<u16>(&twin), Some(0xfeed));
-        let twinned = decode_cache_stats();
-        assert_eq!(twinned.hits, after.hits, "a distinct allocation must not hit");
-        assert_eq!(twinned.misses, after.misses + 1);
+    #[test]
+    fn an_envelope_decoded_off_the_wire_starts_unmemoized() {
+        let sent = Envelope::seal(InstancePath::of(PathSeg::new(2, 9)), &7u32);
+        assert_eq!(sent.open::<u32>(), Some(7));
+        let received: Envelope = setupfree_wire::from_bytes(&setupfree_wire::to_bytes(&sent)).unwrap();
+        assert_eq!(received, sent);
+        let before = payload_decode_count();
+        assert_eq!(received.open::<u32>(), Some(7));
+        assert_eq!(received.open::<u32>(), Some(7));
+        assert_eq!(payload_decode_count() - before, 1);
     }
 
     fn arb_path() -> impl Strategy<Value = InstancePath> {

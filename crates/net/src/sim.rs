@@ -24,15 +24,18 @@
 //! * **Shared payloads** — a multicast is encoded once into an
 //!   `Arc<[u8]>` shared by all `n` in-flight copies; each destination is
 //!   still charged the exact per-destination byte length.
-//! * **Decode-once cache** — the first delivery of a payload decodes it;
+//! * **Decode once per send** — the first delivery of a send decodes it;
 //!   the remaining recipients of the *same send* receive clones
-//!   (`M: Clone`), eliminating n−1 redundant decodes (group-element
-//!   decompression included) per multicast.  The cache lives in per-send
-//!   shared state whose allocation is its own key, so two sends never
-//!   share an entry even when their bytes are equal — a Byzantine sender
-//!   that sends different (or equal) unicasts to different recipients
-//!   cannot poison another recipient's decode.  In debug builds every
-//!   cached clone is checked to re-encode to the exact wire bytes.
+//!   (`M: Clone`).  For an [`Envelope`](crate::mux::Envelope) the clones
+//!   share one [`Payload`](crate::mux::Payload), whose memoized typed
+//!   decode ([`Payload::open`](crate::mux::Payload::open)) then serves every
+//!   recipient's leaf or root-path handler: one decode per multicast, group
+//!   element decompression included, instead of n.  The decode lives in
+//!   per-send shared state, so two sends never share one even when their
+//!   bytes are equal — a Byzantine sender that sends different (or equal)
+//!   unicasts to different recipients cannot poison another recipient's
+//!   decode.  In debug builds every cloned decode is checked to re-encode
+//!   to the exact wire bytes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -76,10 +79,9 @@ struct Pending<M> {
 }
 
 /// Per-send shared state: the encoded bytes (one allocation per send, not
-/// per recipient) and the decode-once cache.  The `Rc` allocation itself is
-/// the cache key — two sends never share one, even with equal bytes — and
-/// the state is freed with the last in-flight copy, no bookkeeping map
-/// needed.
+/// per recipient) and the send's decode.  Each send has its own `Rc`, so two
+/// sends never share a decode, even with equal bytes, and the state is freed
+/// with the last in-flight copy, no bookkeeping map needed.
 struct PayloadState<M> {
     /// Encoded payload, shared by every in-flight copy of the same send.
     bytes: Arc<[u8]>,

@@ -10,9 +10,9 @@
 /// Decides when the host may open the next pending session.
 ///
 /// The host calls [`AdmissionPolicy::admit`] whenever it has a pending
-/// session and a free moment (after start-up, after every session close,
-/// and periodically while sessions run); a `true` return *consumes* the
-/// admission (token-bucket policies debit a token).  The policy's clock
+/// session and a free moment (after start-up and after every report a
+/// worker sends back); a `true` return *consumes* the admission
+/// (token-bucket policies debit a token).  The policy's clock
 /// counts delivered messages: deliveries happen inside the workers, so the
 /// host ticks it once per closed session, through
 /// [`AdmissionPolicy::on_deliveries`] with that session's delivery count.

@@ -366,8 +366,8 @@ where
     /// The calling thread coordinates: it admits session indices under the
     /// policy and hands each to its shard's worker over a bounded
     /// [`ShardQueue`]; the worker runs the session start to finish and sends
-    /// the report back the same way.  The policy's delivery clock advances
-    /// by a session's deliveries when its report arrives.
+    /// the report back on one queue all workers share.  The policy's delivery
+    /// clock advances by a session's deliveries when its report arrives.
     pub fn run_parallel(self) -> ShardedRunReport<O>
     where
         O: Send,
@@ -377,10 +377,10 @@ where
         let ShardedHost { factory, mut policy, tracing, .. } = self;
         let factory = &factory;
         let inboxes: Vec<ShardQueue<usize>> = (0..w).map(|_| ShardQueue::new(INBOX_CAPACITY)).collect();
-        // Outbox capacity k: a worker can always hand its report back
-        // without blocking, so the coordinator can never deadlock it.
-        let outboxes: Vec<ShardQueue<ClosedSession<O>>> =
-            (0..w).map(|_| ShardQueue::new(k)).collect();
+        // One report per session plus one exit notice per worker: a worker
+        // never blocks on a push, so the coordinator can never deadlock it.
+        let results: ShardQueue<WorkerReport<O>> = ShardQueue::new(k + w);
+        let results = &results;
 
         let mut reports: Vec<Option<SessionReport>> = (0..k).map(|_| None).collect();
         let mut outputs: Vec<Vec<Option<O>>> = (0..k).map(|_| Vec::new()).collect();
@@ -393,14 +393,16 @@ where
 
         std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(w);
-            for (shard, (inbox, outbox)) in inboxes.iter().zip(&outboxes).enumerate() {
+            for (shard, inbox) in inboxes.iter().enumerate() {
                 workers.push(scope.spawn(move || {
+                    // Dropped on return and on a panic's unwind alike, so the
+                    // coordinator always learns that this worker is gone.
+                    let _exit = ExitNotice(results);
                     // The whole session lives and dies on this thread; only
                     // the index in and the report out cross threads.
                     while let Some(index) = inbox.pop() {
-                        if outbox.push(run_session(factory, index, shard, tracing)).is_err() {
-                            break;
-                        }
+                        let closed = run_session(factory, index, shard, tracing);
+                        let _ = results.push(WorkerReport::Closed(closed));
                     }
                 }));
             }
@@ -411,16 +413,18 @@ where
             let mut next = 0usize;
             let mut active = 0usize;
             let mut closed = 0usize;
+            let mut exited = 0usize;
             let mut aborted = false;
+            let mut inboxes_closed = false;
             let mut last_refused: Option<usize> = None;
-            while closed < k {
+            while exited < w {
                 // Room is checked BEFORE the policy is consulted: `admit`
                 // commits the admission (a token bucket debits a token), so
                 // asking it while the target inbox is full would burn
                 // admissions without admitting anything.  The coordinator is
                 // each inbox's only producer, so observed room cannot vanish
                 // before the push.
-                while next < k && inboxes[next % w].has_capacity() {
+                while !aborted && next < k && inboxes[next % w].has_capacity() {
                     let verdict = policy.admit(active);
                     let forced = !verdict && active == 0;
                     if tracing && (verdict || forced || last_refused != Some(next)) {
@@ -448,9 +452,18 @@ where
                     active += 1;
                     peak = peak.max(active);
                 }
-                let mut got = false;
-                for outbox in &outboxes {
-                    while let Some((report, outs, trace)) = outbox.try_pop() {
+                if (closed == k || aborted) && !inboxes_closed {
+                    // Closing the inboxes releases every healthy worker: each
+                    // drains its queued indices, reports them, and exits.
+                    for inbox in &inboxes {
+                        inbox.close();
+                    }
+                    inboxes_closed = true;
+                }
+                // Something is always coming: a live session's report, or
+                // the exit notice of a worker that is gone or going.
+                match results.pop().expect("the report queue is never closed") {
+                    WorkerReport::Closed((report, outs, trace)) => {
                         policy.on_deliveries(report.deliveries);
                         host_clock += report.deliveries;
                         policy.on_session_closed();
@@ -459,34 +472,19 @@ where
                         reports[report.session] = Some(report);
                         active -= 1;
                         closed += 1;
-                        got = true;
+                    }
+                    // A worker only exits before its inbox closes by
+                    // panicking, and its sessions will never report: stop
+                    // admitting and collect what the healthy shards produce.
+                    WorkerReport::Exited => {
+                        exited += 1;
+                        aborted |= !inboxes_closed;
                     }
                 }
-                if aborted {
-                    break;
-                }
-                if !got {
-                    // A worker only exits after its inbox closes (below), so
-                    // one finishing early has panicked — its sessions will
-                    // never report.  Stop admitting and collect what the
-                    // healthy shards produced instead of spinning forever (or
-                    // panicking the host thread, as this path once did).
-                    if workers.iter().any(|h| h.is_finished()) {
-                        aborted = true;
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-            }
-            // Closing the inboxes releases every healthy worker: each drains
-            // its queued indices, runs them to close, and exits.
-            for inbox in &inboxes {
-                inbox.close();
             }
             // Join explicitly, consuming panic payloads so the scope does not
             // re-panic on drop.  A `Err` here is the worker's own panic; its
             // payload becomes the structured failure message.
-            let mut dead: Vec<(usize, String)> = Vec::new();
             for (shard, handle) in workers.into_iter().enumerate() {
                 if let Err(payload) = handle.join() {
                     let message = payload
@@ -494,26 +492,11 @@ where
                         .map(|s| (*s).to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "worker panicked with a non-string payload".into());
-                    dead.push((shard, message));
+                    let lost_sessions = (0..k)
+                        .filter(|&i| i % w == shard && reports[i].is_none())
+                        .collect();
+                    failures.push(WorkerFailure { shard, message, lost_sessions });
                 }
-            }
-            // Healthy workers kept reporting while we joined the dead one;
-            // drain the outboxes once more so their sessions are not misread
-            // as lost.
-            for outbox in &outboxes {
-                while let Some((report, outs, trace)) = outbox.try_pop() {
-                    policy.on_deliveries(report.deliveries);
-                    policy.on_session_closed();
-                    outputs[report.session] = outs;
-                    session_traces[report.session] = trace;
-                    reports[report.session] = Some(report);
-                }
-            }
-            for (shard, message) in dead {
-                let lost_sessions = (0..k)
-                    .filter(|&i| i % w == shard && reports[i].is_none())
-                    .collect();
-                failures.push(WorkerFailure { shard, message, lost_sessions });
             }
             if aborted && failures.is_empty() {
                 // The abort came from the coordinator side (capacity-invariant
@@ -536,6 +519,22 @@ where
             session_traces,
             admission_trace,
         }
+    }
+}
+
+/// What a worker sends the coordinator: a closed session, or the notice
+/// that it has exited.
+enum WorkerReport<O> {
+    Closed(ClosedSession<O>),
+    Exited,
+}
+
+/// Sends [`WorkerReport::Exited`] when dropped.
+struct ExitNotice<'a, O>(&'a ShardQueue<WorkerReport<O>>);
+
+impl<O> Drop for ExitNotice<'_, O> {
+    fn drop(&mut self) {
+        let _ = self.0.push(WorkerReport::Exited);
     }
 }
 

@@ -3,9 +3,9 @@
 //! threads and its driver.
 //!
 //! Each shard owns one inbox (coordinator → shard: admitted session
-//! indices) and one outbox (shard → coordinator: per-session reports); a
-//! socket-backed peer owns one inbox fed by `n − 1` connection reader
-//! threads (MPSC).  All are
+//! indices), and all shards share one report queue (shards → coordinator:
+//! per-session reports and worker exit notices); a socket-backed peer owns
+//! one inbox fed by `n − 1` connection reader threads.  All are
 //! **bounded**: a producer that outruns its consumer blocks instead of
 //! growing memory, so a misbehaving shard (or a flooding connection) can
 //! never buffer the whole workload.  The implementation is a
@@ -31,7 +31,7 @@ struct State<T> {
     high_water: usize,
 }
 
-/// A bounded blocking FIFO channel for one producer and one consumer.
+/// A bounded blocking FIFO channel.
 pub struct ShardQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
@@ -100,18 +100,6 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Dequeues without blocking; `None` when currently empty (closed or
-    /// not).
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
-        let item = state.queue.pop_front();
-        if item.is_some() {
-            drop(state);
-            self.drained.notify_one();
-        }
-        item
-    }
-
     /// Closes the queue: producers fail fast, consumers drain the backlog
     /// and then see `None`.
     pub fn close(&self) {
@@ -159,11 +147,11 @@ mod tests {
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3), "bounded: a full queue rejects");
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        assert!(q.is_empty());
         assert_eq!(q.high_water(), 2, "the high-water mark survives the drain");
     }
 

@@ -118,7 +118,7 @@ fn budget_exhaustion_is_attributed_to_the_offending_session() {
 }
 
 #[test]
-fn zero_budget_session_closes_without_delivering_in_both_modes() {
+fn zero_budget_session_closes_without_delivering() {
     // The stop-order contract: outputs, quiescence, then the budget verdict
     // are checked BEFORE each delivery — exactly `Simulation::run`'s order —
     // so a zero-budget session exhausts with zero deliveries.

@@ -36,7 +36,7 @@ use setupfree_core::traits::{AbaFactory, ElectionFactory};
 use setupfree_crypto::hash::sha256;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, decode_payload, Envelope, InstancePath};
+use setupfree_net::mux::{composite_cap, Envelope, InstancePath, Payload};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -204,8 +204,9 @@ pub struct Vba<EF: ElectionFactory, AF: AbaFactory> {
     own_cert: Vec<(usize, Signature)>,
     own_cert_from: BTreeSet<usize>,
     confirm_sent: bool,
-    /// Committed proposals: proposer → its verified `Confirm`, as received.
-    committed: BTreeMap<usize, Arc<[u8]>>,
+    /// Committed proposals: proposer → its verified `Confirm`, as received
+    /// (its memoized decode serves the decide path).
+    committed: BTreeMap<usize, Payload>,
     rounds: BTreeMap<u32, RoundState>,
     elections: Router<EF::Instance>,
     abas: Router<AF::Instance>,
@@ -443,7 +444,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
                     match result {
                         Some(true) => {
                             if let Some(VbaMessage::Confirm { value, .. }) =
-                                self.committed.get(&leader.index()).and_then(|c| decode_payload(c))
+                                self.committed.get(&leader.index()).and_then(|c| c.open())
                             {
                                 // Agreement: the leader's committed value is
                                 // unique (per-proposer uniqueness of the
@@ -547,21 +548,22 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
 
     /// Commits a `Confirm`, received directly or inside a Vote: for a proposer
     /// not yet committed, checks the value and verifies the certificate once,
-    /// against the proposer the Confirm names, and keeps the bytes as received.
-    fn record_committed(&mut self, bytes: impl AsRef<[u8]> + Into<Arc<[u8]>>) {
-        let Some(proposer) = confirm_proposer(bytes.as_ref()) else { return };
+    /// against the proposer the Confirm names, and keeps the payload as
+    /// received.
+    fn record_committed(&mut self, confirm: Payload) {
+        let Some(proposer) = confirm_proposer(&confirm) else { return };
         if proposer >= self.n() || self.committed.contains_key(&proposer) {
             return;
         }
-        let Some(VbaMessage::Confirm { value, cert, .. }) = decode_payload(bytes.as_ref()) else {
+        let Some(VbaMessage::Confirm { value, cert, .. }) = confirm.open() else {
             return;
         };
         if (self.predicate)(&value) && self.verify_cert(proposer, &value, &cert) {
-            self.committed.insert(proposer, bytes.into());
+            self.committed.insert(proposer, confirm);
         }
     }
 
-    fn on_local(&mut self, from: PartyId, payload: Arc<[u8]>) -> Step<Envelope> {
+    fn on_local(&mut self, from: PartyId, payload: Payload) -> Step<Envelope> {
         // A Confirm stays encoded until `record_committed` needs its fields.
         if confirm_proposer(&payload).is_some() {
             if self.active_exchange(from) {
@@ -569,7 +571,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
             }
             return Step::none();
         }
-        match decode_payload::<VbaMessage>(&payload) {
+        match payload.open::<VbaMessage>() {
             Some(VbaMessage::Propose { value }) => self.on_propose(from, value),
             Some(VbaMessage::Ack { proposer, signature }) => self.on_ack(from, proposer, signature),
             Some(VbaMessage::Vote { round, confirm }) => {
@@ -579,7 +581,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
                     && self.round_state(round).votes_from.insert(from.index())
                 {
                     if let Some(confirm) = confirm {
-                        self.record_committed(confirm);
+                        self.record_committed(confirm.into());
                     }
                 }
                 Step::none()
@@ -947,7 +949,10 @@ mod tests {
         };
         assert_eq!(embedded, confirm_bytes);
         assert_eq!(confirm_proposer(&embedded), Some(1));
-        assert!(matches!(decode_payload(&embedded), Some(VbaMessage::Confirm { proposer: 1, .. })));
+        assert!(matches!(
+            Payload::from(embedded).open(),
+            Some(VbaMessage::Confirm { proposer: 1, .. })
+        ));
     }
 
     #[test]
@@ -1122,19 +1127,22 @@ mod tests {
     #[test]
     fn a_direct_confirm_is_verified_once_and_stored_as_received() {
         use setupfree_crypto::sig::qc_verify_count;
+        use setupfree_net::mux::payload_decode_count;
         let (mut vba, keyring, secrets) = lone_member();
         let (mut other, _, _) = lone_member();
         let bytes = forged_confirm(&vba, &keyring, &secrets, 1, 1, &[0x42, 1]);
-        let payload: Arc<[u8]> = bytes.into();
-        let confirm = Envelope { path: InstancePath::root(), payload: payload.clone() };
-        let before = qc_verify_count();
+        let confirm = Envelope { path: InstancePath::root(), payload: bytes.into() };
+        let (before, decodes) = (qc_verify_count(), payload_decode_count());
         for _ in 0..3 {
             let _ = vba.on_message(PartyId(1), confirm.clone());
         }
-        let _ = other.on_message(PartyId(1), confirm);
+        let _ = other.on_message(PartyId(1), confirm.clone());
         assert_eq!(qc_verify_count() - before, 2, "one verification per recipient");
-        // Both recipients hold the multicast's one allocation.
-        assert!(Arc::ptr_eq(&vba.committed[&1], &payload));
-        assert!(Arc::ptr_eq(&other.committed[&1], &payload));
+        // Both recipients hold the multicast's one allocation, and its one
+        // decode also serves the decide path's re-read.
+        assert_eq!(vba.committed[&1].as_ptr(), confirm.payload.as_ptr());
+        assert_eq!(other.committed[&1].as_ptr(), confirm.payload.as_ptr());
+        assert!(matches!(vba.committed[&1].open(), Some(VbaMessage::Confirm { proposer: 1, .. })));
+        assert_eq!(payload_decode_count() - decodes, 1);
     }
 }

@@ -9,11 +9,18 @@
 //! simulation runs on the test thread, so the counts are machine-independent.
 //! The delivery count is pinned beside them: it fixes the schedule, so a
 //! change in work can be told apart from a change in what was delivered.
+//! So is the number of payload decodes (`mux::payload_decode_count`, also
+//! per thread).
 //!
 //! What keeps the counts where they are: a signature absorbs its message
 //! once per call, not once per signer; a Seeding party verifies the
-//! leader's commitment certificate once, although it arrives twice; and
-//! `Echo`/`Ready` votes are compared by equality instead of hashed.
+//! leader's commitment certificate once, although it arrives twice;
+//! `Echo`/`Ready` votes are compared by equality instead of hashed; and a
+//! payload's first typed decode is memoized on its shared allocation.
+//! Without that memo (a thread-local window of recent leaf decodes that
+//! evicted a multicast before most of its copies arrived, and no caching of
+//! root-path messages) a decision took 9 451 / 25 838 / 33 413 decodes for
+//! seeds 0 / 1 / 2: the ceiling for the pinned column.
 //!
 //! Shape: n = 13, f = 4, all honest, `CoinProtocolFactory` in every round,
 //! mixed inputs (party 0 proposes 0, party 1 proposes 1, the rest by
@@ -26,7 +33,7 @@ use setupfree_core::coin::CoinProtocolFactory;
 use setupfree_crypto::hash::compression_count;
 use setupfree_crypto::sig::qc_verify_count;
 use setupfree_crypto::{generate_pki, PartySecrets};
-use setupfree_net::mux::Envelope;
+use setupfree_net::mux::{payload_decode_count, Envelope};
 use setupfree_net::{BoxedParty, PartyId, RandomScheduler, Sid, Simulation, StopReason};
 
 const N: usize = 13;
@@ -38,13 +45,14 @@ struct Work {
     deliveries: u64,
     qc_verifies: u64,
     compressions: u64,
+    payload_decodes: u64,
 }
 
 /// `(seed, work)` per decision.
 const GOLDEN: [(u64, Work); 3] = [
-    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998 }),
-    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050 }),
-    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260 }),
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610 }),
 ];
 
 fn inputs(seed: u64) -> Vec<bool> {
@@ -67,12 +75,14 @@ fn aba_crypto_work_per_decision_is_pinned() {
             })
             .collect();
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-        let (qc_before, hash_before) = (qc_verify_count(), compression_count());
+        let (qc_before, hash_before, decodes_before) =
+            (qc_verify_count(), compression_count(), payload_decode_count());
         let report = sim.run(2_000_000);
         let work = Work {
             deliveries: report.deliveries,
             qc_verifies: qc_verify_count() - qc_before,
             compressions: compression_count() - hash_before,
+            payload_decodes: payload_decode_count() - decodes_before,
         };
 
         assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}: termination");

@@ -1,18 +1,20 @@
-//! Decode-once cache coverage across the real protocol message types.
+//! Decode-once coverage across the real protocol message types.
 //!
-//! The simulator decodes each distinct payload once and hands `M::clone`s to
-//! the remaining recipients of the same send (see `setupfree_net::sim`).  In
-//! debug builds — which is how `cargo test` compiles this file — the
-//! simulator additionally re-encodes **every cached clone it hands out** and
-//! asserts the bytes equal the original wire payload ("clone transparency").
-//! Running a protocol here therefore property-checks, for every message its
-//! ensemble exchanges (PVSS transcripts, group elements, signatures, votes,
-//! …), that a cached decode is indistinguishable from a fresh
-//! `from_bytes` decode.
+//! The simulator decodes each send's envelope once and hands clones to the
+//! remaining recipients, so they share one payload (see
+//! `setupfree_net::sim`), and `Payload::open` memoizes the payload's typed
+//! decode, so the first recipient's decode serves the rest (see
+//! `setupfree_net::mux`).  In debug builds — which is how `cargo test`
+//! compiles this file — both re-encode **every cloned decode they hand
+//! out** and assert the bytes equal the original wire bytes ("clone
+//! transparency").  Running a protocol here therefore property-checks, for
+//! every message its ensemble exchanges (PVSS transcripts, group elements,
+//! signatures, votes, …), that a shared decode is indistinguishable from a
+//! fresh `from_bytes` decode.
 //!
 //! Each protocol family with a distinct message type gets a run below, under
 //! both a fan-out-friendly schedule (FIFO: all n copies of a multicast
-//! delivered while cached) and a reordering one.
+//! delivered while the first decode is alive) and a reordering one.
 
 use std::sync::Arc;
 

@@ -8,10 +8,11 @@
 //! instance emits — activation traffic and first-level responses alike —
 //! decodes back to an identical envelope, with a valid instance path.
 //!
-//! (Deeper traffic is covered exhaustively by `tests/decode_cache.rs`: in
-//! debug builds the simulator re-encodes every cached decode it hands out
-//! and asserts byte equality, so full end-to-end runs of each protocol
-//! property-check the envelope for every message exchanged.)
+//! (Deeper traffic is covered exhaustively by the `*_survive_cached_decode`
+//! tests beside this file: in debug builds the simulator and `Payload::open`
+//! re-encode every shared decode they hand out and assert byte equality, so
+//! full end-to-end runs of each protocol property-check the envelope for
+//! every message exchanged.)
 
 use std::sync::Arc;
 
