@@ -4,10 +4,10 @@
 //! Every party multicasts a round message; on hearing a quorum for its
 //! current round it advances and multicasts the next, for `ROUNDS` rounds —
 //! so the pending pool stays populated with n·quorum-scale fan-out the whole
-//! run, exercising exactly the paths the PR-3 overhaul rebuilt (incremental
-//! scheduler picks, shared multicast payloads, decode-once cache) with a
-//! near-free `on_message`.  Wall-clock here ≈ pure engine overhead per
-//! delivery.
+//! run, exercising the delivery engine's per-send and per-delivery paths
+//! (incremental scheduler picks, exact-length charging, one message clone
+//! per in-flight copy) with a near-free `on_message`.  Wall-clock here ≈
+//! pure engine overhead per delivery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use setupfree_net::{

@@ -157,7 +157,9 @@ impl Committee {
 
     /// Fans `env` out to every member: a true multicast when the committee
     /// is full (bit-identical to the all-to-all protocols), point-to-point
-    /// sends to each member otherwise.
+    /// sends to each member otherwise.  The unicasts are clones of one
+    /// envelope, so in the simulator they share one payload and its one
+    /// memoized decode, as a multicast's copies do.
     pub fn fan_out(&self, step: &mut Step<Envelope>, env: Envelope) {
         if self.is_full() {
             step.push_multicast(env);

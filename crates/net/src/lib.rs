@@ -11,8 +11,9 @@
 //!   child-instance [`Router`] with its bounded pre-activation buffer,
 //! * [`scheduler`] — adversarial delivery schedules (arbitrary delay and
 //!   reordering with eventual delivery),
-//! * [`sim`] — the simulator: exact byte accounting through the wire codec,
-//!   causal-depth round counting, crash/Byzantine fault injection,
+//! * [`sim`] — the simulator: messages travel as values, each charged its
+//!   exact wire-codec length (and round-tripped through the codec in debug
+//!   builds), causal-depth round counting, crash/Byzantine fault injection,
 //! * [`metrics`] — the three performance metrics of §3 (communication,
 //!   messages, asynchronous rounds),
 //! * [`faults`] — generic Byzantine/crash behaviours for fault-injection

@@ -192,8 +192,9 @@ impl Decode for InstancePath {
 /// once-set slot that memoizes their first typed decode.
 ///
 /// Clones share both, so every holder of one allocation — the `n`
-/// recipients of one simulator send, a router's pre-activation buffer, the
-/// VBA's committed store — pays one decode between them ([`Payload::open`]).
+/// recipients of one simulator send, the members a committee fan-out
+/// reaches, a router's pre-activation buffer, the VBA's committed store —
+/// pays one decode between them ([`Payload::open`]).
 /// Only decoding the payload's own bytes fills the slot, and no constructor
 /// takes a decoded value, so the slot is a pure function of the bytes: two
 /// allocations never share a decode, even when their bytes are equal, and
@@ -321,6 +322,11 @@ impl Encode for Envelope {
     fn encode(&self, w: &mut Writer) {
         self.path.encode(w);
         w.write_bytes(&self.payload);
+    }
+
+    /// O(1): the length byte, the path and the payload, with nothing built.
+    fn encoded_len(&self) -> usize {
+        1 + self.path.as_bytes().len() + self.payload.len()
     }
 }
 
@@ -1160,6 +1166,7 @@ mod tests {
         ) {
             let env = Envelope { path, payload: payload.into() };
             let bytes = setupfree_wire::to_bytes(&env);
+            prop_assert_eq!(env.encoded_len(), bytes.len());
             let decoded: Envelope = setupfree_wire::from_bytes(&bytes).unwrap();
             prop_assert_eq!(decoded, env);
         }

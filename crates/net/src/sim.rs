@@ -1,10 +1,11 @@
 //! The deterministic asynchronous-network simulator.
 //!
-//! The simulator executes one protocol instance per party, routes every
-//! outgoing message through the wire codec (charging its exact byte length to
-//! the sender), feeds every in-flight message to an adversarial
-//! [`Scheduler`] that decides delivery order,
-//! and tracks causal depth ("asynchronous rounds", §3).
+//! The simulator executes one protocol instance per party, charges every
+//! outgoing message's exact wire length
+//! ([`Encode::encoded_len`](setupfree_wire::Encode::encoded_len)) to the
+//! sender, feeds every in-flight message to an adversarial [`Scheduler`]
+//! that decides delivery order, and tracks causal depth ("asynchronous
+//! rounds", §3).
 //!
 //! Fault injection: parties can be marked *byzantine* (their traffic is not
 //! charged to the protocol's communication complexity and their state machine
@@ -21,28 +22,25 @@
 //!   once ([`Scheduler::on_enqueue`]); each delivery is one
 //!   [`Scheduler::select_next`] call (O(1)–O(log P)) instead of
 //!   materialising an O(P) snapshot of the pending pool per delivery.
-//! * **Shared payloads** — a multicast is encoded once into an
-//!   `Arc<[u8]>` shared by all `n` in-flight copies; each destination is
-//!   still charged the exact per-destination byte length.
-//! * **Decode once per send** — the first delivery of a send decodes it;
-//!   the remaining recipients of the *same send* receive clones
-//!   (`M: Clone`).  For an [`Envelope`](crate::mux::Envelope) the clones
-//!   share one [`Payload`](crate::mux::Payload), whose memoized typed
-//!   decode ([`Payload::open`](crate::mux::Payload::open)) then serves every
-//!   recipient's leaf or root-path handler: one decode per multicast, group
-//!   element decompression included, instead of n.  The decode lives in
-//!   per-send shared state, so two sends never share one even when their
-//!   bytes are equal — a Byzantine sender that sends different (or equal)
-//!   unicasts to different recipients cannot poison another recipient's
-//!   decode.  In debug builds every cloned decode is checked to re-encode
-//!   to the exact wire bytes.
+//! * **Messages travel as values** — each in-flight copy carries a clone of
+//!   the sent message (`M: Clone`), and is charged its exact wire length
+//!   without building the bytes.  For an [`Envelope`](crate::mux::Envelope)
+//!   a clone is a reference-count bump, and the length is O(1).
+//! * **Decode once per send** — the clones of an `Envelope` share one
+//!   [`Payload`](crate::mux::Payload), whose memoized typed decode
+//!   ([`Payload::open`](crate::mux::Payload::open)) serves every
+//!   recipient's leaf or root-path handler: one decode per multicast (or
+//!   per committee fan-out), group element decompression included, instead
+//!   of one per recipient.  The memo is a pure function of the payload's
+//!   bytes, so a Byzantine sender that sends different (or equal) unicasts
+//!   to different recipients cannot poison another recipient's decode.
+//!   In debug builds every send is round-tripped through the codec: its
+//!   encoding must have the charged length, decode, and re-encode to the
+//!   same bytes.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::rc::Rc;
-use std::sync::Arc;
 
-use setupfree_wire::{from_bytes, to_shared_bytes};
+use setupfree_wire::{from_bytes, to_bytes};
 
 use crate::metrics::Metrics;
 use crate::party::PartyId;
@@ -72,24 +70,10 @@ struct PartySlot<M, O> {
 struct Pending<M> {
     from: PartyId,
     to: PartyId,
-    /// The send this copy belongs to (shared by all its in-flight copies).
-    payload: Rc<PayloadState<M>>,
+    /// This copy's message: a clone of the sent value.
+    msg: M,
     depth: u64,
     seq: u64,
-}
-
-/// Per-send shared state: the encoded bytes (one allocation per send, not
-/// per recipient) and the send's decode.  Each send has its own `Rc`, so two
-/// sends never share a decode, even with equal bytes, and the state is freed
-/// with the last in-flight copy, no bookkeeping map needed.
-struct PayloadState<M> {
-    /// Encoded payload, shared by every in-flight copy of the same send.
-    bytes: Arc<[u8]>,
-    /// In-flight copies not yet delivered or purged.
-    outstanding: Cell<usize>,
-    /// Decoded value, populated at the first delivery that leaves further
-    /// copies in flight.
-    decoded: RefCell<Option<M>>,
 }
 
 /// Why a simulation run stopped.
@@ -229,10 +213,8 @@ where
             .collect();
         doomed.sort_unstable();
         for seq in doomed {
-            let msg = self.take_pending(seq);
+            self.take_pending(seq);
             self.scheduler.on_remove(seq);
-            // Drop the copy's payload reference without decoding.
-            msg.payload.outstanding.set(msg.payload.outstanding.get() - 1);
             self.metrics.record_purge();
             if setupfree_obs::enabled() {
                 setupfree_obs::emit(setupfree_obs::EventKind::Purge { seq: Some(seq) });
@@ -379,8 +361,6 @@ where
     }
 
     fn enqueue(&mut self, from: PartyId, step: Step<M>) {
-        let sender_depth = self.parties[from.index()].depth;
-        let honest = self.parties[from.index()].honest;
         for out in step.outgoing {
             // Trace path extracted only while tracing (ObsPath is Copy).
             let trace_path = if setupfree_obs::enabled() {
@@ -388,28 +368,17 @@ where
             } else {
                 setupfree_obs::ObsPath::ROOT
             };
-            // One encoding per send, shared by every in-flight copy.
-            let payload = Rc::new(PayloadState {
-                bytes: to_shared_bytes(&out.msg),
-                outstanding: Cell::new(0),
-                decoded: RefCell::new(None),
-            });
+            let len = out.msg.encoded_len();
+            if cfg!(debug_assertions) {
+                assert_wire_exact(&out.msg, len);
+            }
             match out.dest {
                 Dest::All => {
                     for to in 0..self.parties.len() {
-                        self.push_pending(
-                            from,
-                            PartyId(to),
-                            &payload,
-                            sender_depth,
-                            honest,
-                            trace_path,
-                        );
+                        self.push_pending(from, PartyId(to), out.msg.clone(), len, trace_path);
                     }
                 }
-                Dest::One(to) => {
-                    self.push_pending(from, to, &payload, sender_depth, honest, trace_path);
-                }
+                Dest::One(to) => self.push_pending(from, to, out.msg, len, trace_path),
             }
         }
     }
@@ -421,12 +390,12 @@ where
         &mut self,
         from: PartyId,
         to: PartyId,
-        payload: &Rc<PayloadState<M>>,
-        sender_depth: u64,
-        honest: bool,
+        msg: M,
+        len: usize,
         trace_path: setupfree_obs::ObsPath,
     ) {
-        self.metrics.record_send(from, payload.bytes.len(), honest);
+        let PartySlot { honest, depth: sender_depth, .. } = self.parties[from.index()];
+        self.metrics.record_send(from, len, honest);
         if self.parties[to.index()].crashed {
             self.metrics.record_purge();
             if setupfree_obs::enabled() {
@@ -443,13 +412,12 @@ where
                 seq,
                 from: from.index() as u16,
                 to: to.index() as u16,
-                bytes: payload.bytes.len() as u32,
+                bytes: len as u32,
                 path: trace_path,
             });
         }
-        payload.outstanding.set(payload.outstanding.get() + 1);
-        self.scheduler.on_enqueue(PendingInfo { from, to, len: payload.bytes.len(), seq });
-        let msg = Pending { from, to, payload: Rc::clone(payload), depth: sender_depth + 1, seq };
+        self.scheduler.on_enqueue(PendingInfo { from, to, len, seq });
+        let msg = Pending { from, to, msg, depth: sender_depth + 1, seq };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(msg);
@@ -481,10 +449,9 @@ where
                 to: to.index() as u16,
             });
         }
-        let decoded = take_decoded(&msg.payload);
         let slot = &mut self.parties[to.index()];
         slot.depth = slot.depth.max(msg.depth);
-        let step = slot.machine.on_message(msg.from, decoded);
+        let step = slot.machine.on_message(msg.from, msg.msg);
         self.enqueue(to, step);
         self.check_output(to);
     }
@@ -503,42 +470,19 @@ where
     }
 }
 
-/// Consumes one in-flight reference to a send and returns the decoded
-/// message: a clone of the cached decode while further copies remain in
-/// flight, the cached value itself (or a fresh decode, for unicasts) for the
-/// last copy.
-fn take_decoded<M>(payload: &PayloadState<M>) -> M
+/// The debug-build codec check every send passes: the message's encoding
+/// has the length the simulator charges, decodes, and re-encodes to the same
+/// bytes.  Recipients get clones of the sent value, so this round trip is
+/// what keeps every protocol test a test of its wire format.
+fn assert_wire_exact<M>(msg: &M, len: usize)
 where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+    M: setupfree_wire::Encode + setupfree_wire::Decode + std::fmt::Debug,
 {
-    let decode = || -> M {
-        from_bytes(&payload.bytes)
-            .expect("message failed to decode: wire codec and message construction must agree")
-    };
-    let left = payload.outstanding.get() - 1;
-    payload.outstanding.set(left);
-    if left == 0 {
-        match payload.decoded.borrow_mut().take() {
-            Some(value) => value,
-            None => decode(),
-        }
-    } else {
-        let mut cached = payload.decoded.borrow_mut();
-        if cached.is_none() {
-            *cached = Some(decode());
-        }
-        let value = cached.as_ref().expect("decode cache just populated").clone();
-        // Clone-transparency check (debug builds only): a cached clone must
-        // re-encode to the exact wire bytes a fresh decode would have
-        // consumed.  Every protocol test exercises this for its own message
-        // type.
-        debug_assert_eq!(
-            setupfree_wire::to_bytes(&value)[..],
-            payload.bytes[..],
-            "cached decode is not clone-transparent for this message type"
-        );
-        value
-    }
+    let bytes = to_bytes(msg);
+    assert_eq!(bytes.len(), len, "encoded_len disagrees with the encoding of {msg:?}");
+    let decoded: M = from_bytes(&bytes)
+        .expect("message failed to decode: wire codec and message construction must agree");
+    assert_eq!(to_bytes(&decoded), bytes, "re-encoding a decoded {msg:?} changed its bytes");
 }
 
 #[cfg(test)]
@@ -808,9 +752,10 @@ mod tests {
     fn byzantine_equivocating_unicasts_cannot_poison_other_recipients() {
         // P0 equivocates: it sends a *different* payload to every peer
         // (while P2/P3 get byte-identical ones, to stress aliasing).  Each
-        // recipient must decode its own copy — a cache shared across sends,
-        // or keyed by byte equality, could hand P2 the message meant for
-        // P1.  Per-send payload ids make that impossible.
+        // recipient must get its own send's value — a decode shared across
+        // sends, or keyed by byte equality, could hand P2 the message meant
+        // for P1.  Each copy carries its own send's value, so that cannot
+        // happen.
         let n = 4;
         let payload_for = |me: usize, to: usize| -> Vec<u8> {
             if me == 0 {
@@ -888,6 +833,45 @@ mod tests {
 
     type GossipMsg = (u64, Vec<u8>, Option<String>);
 
+    /// A message whose `encoded_len` override undercounts its encoding by a
+    /// byte, so the simulator would charge the wrong length.
+    #[derive(Debug, Clone)]
+    struct Miscounted(u32);
+
+    impl setupfree_wire::Encode for Miscounted {
+        fn encode(&self, w: &mut setupfree_wire::Writer) {
+            self.0.encode(w);
+        }
+
+        fn encoded_len(&self) -> usize {
+            3
+        }
+    }
+
+    impl setupfree_wire::Decode for Miscounted {
+        fn decode(r: &mut setupfree_wire::Reader<'_>) -> Result<Self, setupfree_wire::WireError> {
+            u32::decode(r).map(Miscounted)
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "encoded_len disagrees with the encoding of Miscounted(7)")]
+    fn a_miscounted_encoded_len_panics_at_the_first_send() {
+        use setupfree_wire::Encode;
+        assert_eq!(setupfree_wire::to_bytes(&Miscounted(7)).len(), 4);
+        assert_eq!(Miscounted(7).encoded_len(), 3);
+        let parties: Vec<BoxedParty<Miscounted, Miscounted>> = (0..4)
+            .map(|i| {
+                Box::new(Broadcast { is_sender: i == 0, payload: Miscounted(7), received: None })
+                    as BoxedParty<Miscounted, Miscounted>
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
+        // P0's activation multicast is the run's first send.
+        sim.run(1_000);
+    }
+
     proptest::proptest! {
         #[test]
         fn cached_multicast_decodes_equal_fresh_decodes(
@@ -908,9 +892,8 @@ mod tests {
             let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
             let report = sim.run(1_000);
             prop_assert_eq!(report.reason, StopReason::AllOutputs);
-            // Every recipient — first (fresh decode) and later (cached
-            // clone) alike — must hold exactly what a fresh `from_bytes`
-            // of the wire encoding yields.
+            // Every recipient holds a clone of the sent value, and must hold
+            // exactly what a fresh `from_bytes` of the wire encoding yields.
             let fresh: GossipMsg =
                 setupfree_wire::from_bytes(&setupfree_wire::to_bytes(&payload)).unwrap();
             for out in sim.outputs().into_iter().flatten() {

@@ -13,9 +13,10 @@
 //! sequence number and dropped; a *gap* would mean the resume protocol
 //! itself is broken and is treated as a hard error by the reader).
 //! *Inside* a data frame the payload bytes are exactly what
-//! [`setupfree_wire::to_bytes`] produces for the envelope — the simulator's
-//! codec, unchanged, so the two transports can never disagree about message
-//! contents.
+//! [`setupfree_wire::to_bytes`] produces for the envelope — the encoding
+//! whose length the simulator charges for each send, and which
+//! debug-build simulations round-trip on every send, so the two transports
+//! can never disagree about message contents or sizes.
 //!
 //! The second frame kind is a transport-internal cumulative
 //! **acknowledgement** (`Frame::Ack`): the receiver periodically reports how
@@ -122,7 +123,7 @@ pub enum Frame {
     Data {
         /// Per-link-direction sequence number (0-based, dense).
         seq: u64,
-        /// The envelope, decoded with the simulator's codec.
+        /// The envelope, decoded with the workspace wire codec.
         env: Envelope,
     },
     /// A cumulative acknowledgement: the sender of this frame has accepted
@@ -133,7 +134,8 @@ pub enum Frame {
     },
 }
 
-/// Encodes an envelope's payload bytes once (the simulator's wire encoding).
+/// Encodes an envelope once (the wire encoding whose length the simulator
+/// charges).
 /// A multicast calls this once and shares the bytes across every
 /// destination; the per-link frame header is prepended per destination by
 /// [`encode_data_frame`], because each link runs its own sequence space.

@@ -3,11 +3,12 @@
 //!
 //! The paper's headline metric is *communication complexity*: the number of
 //! bits exchanged among honest parties.  To measure that exactly, every
-//! message that crosses the simulated network is serialized through this
-//! codec, and the simulator charges the resulting byte length to the sending
-//! party.  The format is intentionally simple (little-endian fixed-width
-//! integers, length-prefixed sequences) so encoded sizes are easy to reason
-//! about when comparing against the paper's O(λ·nᵏ) bounds.
+//! message that crosses the simulated network is charged to its sender at
+//! its encoded length in this codec ([`Encode::encoded_len`]), and the
+//! socket transport ships exactly those bytes.  The format is intentionally
+//! simple (little-endian fixed-width integers, length-prefixed sequences) so
+//! encoded sizes are easy to reason about when comparing against the
+//! paper's O(λ·nᵏ) bounds.
 //!
 //! # Example
 //!
@@ -94,11 +95,6 @@ impl Writer {
         Self { buf: Vec::new() }
     }
 
-    /// Creates a writer with a pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: Vec::with_capacity(cap) }
-    }
-
     /// Appends raw bytes verbatim.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -154,13 +150,6 @@ impl Writer {
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Consumes the writer and returns the encoded bytes behind a shared,
-    /// immutable allocation — the payload representation the simulator hands
-    /// to all `n` recipients of a multicast without copying.
-    pub fn into_shared(self) -> std::sync::Arc<[u8]> {
-        self.buf.into()
     }
 }
 
@@ -264,7 +253,10 @@ pub trait Encode {
     /// Appends the encoding of `self` to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Convenience: encoded byte length of `self`.
+    /// Encoded byte length of `self`, the length the simulator charges.
+    /// The default encodes into a scratch buffer; a type that knows its
+    /// length cheaply may override it, and must agree with [`Self::encode`]
+    /// (debug-build simulations assert that on every send).
     fn encoded_len(&self) -> usize {
         let mut w = Writer::new();
         self.encode(&mut w);
@@ -283,21 +275,6 @@ pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.encode(&mut w);
     w.into_bytes()
-}
-
-/// Encodes `value` once into a shared, immutable allocation.
-///
-/// A multicast payload encoded this way is shared by every in-flight copy
-/// (one `Arc` clone per recipient instead of one buffer copy), while each
-/// recipient is still charged the exact per-destination byte length.
-pub fn to_shared_bytes<T: Encode + ?Sized>(value: &T) -> std::sync::Arc<[u8]> {
-    // Seed the buffer with a capacity covering the typical protocol message
-    // so the doubling growth path is skipped (the final `Vec` → `Arc<[u8]>`
-    // conversion copies exactly `len` bytes either way, so over-allocation
-    // here costs nothing downstream).
-    let mut w = Writer::with_capacity(256);
-    value.encode(&mut w);
-    w.into_shared()
 }
 
 /// Decodes a value of type `T` from `bytes`, requiring that all bytes are
@@ -584,17 +561,6 @@ mod tests {
     fn encoded_len_matches_to_bytes() {
         let v = (vec![1u32, 2, 3], String::from("abc"), Some(7u64));
         assert_eq!(v.encoded_len(), to_bytes(&v).len());
-    }
-
-    #[test]
-    fn shared_bytes_match_owned_encoding() {
-        let v = (vec![9u64, 8, 7], String::from("shared"), Some(3u32));
-        let shared = to_shared_bytes(&v);
-        assert_eq!(&shared[..], &to_bytes(&v)[..]);
-        // Cloning the Arc shares the allocation instead of copying bytes.
-        let alias = shared.clone();
-        assert!(std::sync::Arc::ptr_eq(&shared, &alias));
-        assert_eq!(from_bytes::<(Vec<u64>, String, Option<u32>)>(&alias).unwrap(), v);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! The delivery count is pinned beside them: it fixes the schedule, so a
 //! change in work can be told apart from a change in what was delivered.
 //! So is the number of payload decodes (`mux::payload_decode_count`, also
-//! per thread).
+//! per thread), and the number of heap allocations the run makes (`alloc`,
+//! `alloc_zeroed` and `realloc` calls on the test thread, counted by the
+//! global allocator below).
 //!
 //! What keeps the counts where they are: a signature absorbs its message
 //! once per call, not once per signer; a Seeding party verifies the
@@ -22,10 +24,24 @@
 //! root-path messages) a decision took 9 451 / 25 838 / 33 413 decodes for
 //! seeds 0 / 1 / 2: the ceiling for the pinned column.
 //!
+//! The pinned allocations are a debug-build count (`cargo test` compiles
+//! this file in debug), so they include the codec round trip a debug build
+//! makes of every send; a release build checks its own figures.  Each
+//! in-flight copy of a send carries a clone of the sent envelope, an `Arc`
+//! bump on its payload.  When the simulator instead encoded every send into
+//! a fresh shared buffer and decoded it back into a second payload at the
+//! first delivery, a decision took 154 785 / 388 239 / 503 544 allocations
+//! for seeds 0 / 1 / 2 in a debug build (84 019 / 208 887 / 270 884 in
+//! release): the ceiling for the pinned column.  Allocation counts also
+//! depend on the toolchain's standard library, so a compiler upgrade may
+//! move them without a change here.
+//!
 //! Shape: n = 13, f = 4, all honest, `CoinProtocolFactory` in every round,
 //! mixed inputs (party 0 proposes 0, party 1 proposes 1, the rest by
 //! seed), `RandomScheduler`, three seeds.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use setupfree_aba::MmrAba;
@@ -39,6 +55,47 @@ use setupfree_net::{BoxedParty, PartyId, RandomScheduler, Sid, Simulation, StopR
 const N: usize = 13;
 const F: usize = 4;
 
+struct Counting;
+
+std::thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made so far by the calling thread.
+fn allocation_count() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// wrapper only bumps a thread-local counter that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
 /// One decision's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Work {
@@ -46,14 +103,19 @@ struct Work {
     qc_verifies: u64,
     compressions: u64,
     payload_decodes: u64,
+    allocations: u64,
 }
 
-/// `(seed, work)` per decision.
+/// `(seed, work)` per decision, allocations as a debug build counts them.
 const GOLDEN: [(u64, Work); 3] = [
-    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295 }),
-    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171 }),
-    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610 }),
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295, allocations: 127_002 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171, allocations: 318_822 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610, allocations: 413_592 }),
 ];
+
+/// Allocations per decision, by seed, as a release build counts them (no
+/// codec round trip per send).
+const RELEASE_ALLOCATIONS: [u64; 3] = [72_341, 182_832, 237_634];
 
 fn inputs(seed: u64) -> Vec<bool> {
     (0..N).map(|p| if p < 2 { p == 1 } else { (seed + p as u64 * 7).is_multiple_of(3) }).collect()
@@ -64,7 +126,12 @@ fn aba_crypto_work_per_decision_is_pinned() {
     let (keyring, secrets) = generate_pki(N, 1);
     let keyring = Arc::new(keyring);
     let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
-    for (seed, expected) in GOLDEN {
+    for ((seed, debug_work), release_allocations) in GOLDEN.into_iter().zip(RELEASE_ALLOCATIONS) {
+        let expected = if cfg!(debug_assertions) {
+            debug_work
+        } else {
+            Work { allocations: release_allocations, ..debug_work }
+        };
         let inputs = inputs(seed);
         let parties: Vec<BoxedParty<Envelope, bool>> = (0..N)
             .map(|i| {
@@ -75,14 +142,16 @@ fn aba_crypto_work_per_decision_is_pinned() {
             })
             .collect();
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-        let (qc_before, hash_before, decodes_before) =
-            (qc_verify_count(), compression_count(), payload_decode_count());
+        let (qc_before, hash_before, decodes_before, allocations_before) =
+            (qc_verify_count(), compression_count(), payload_decode_count(), allocation_count());
         let report = sim.run(2_000_000);
+        let allocations = allocation_count() - allocations_before;
         let work = Work {
             deliveries: report.deliveries,
             qc_verifies: qc_verify_count() - qc_before,
             compressions: compression_count() - hash_before,
             payload_decodes: payload_decode_count() - decodes_before,
+            allocations,
         };
 
         assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}: termination");

@@ -9,10 +9,11 @@
 //! decodes back to an identical envelope, with a valid instance path.
 //!
 //! (Deeper traffic is covered exhaustively by the `*_survive_cached_decode`
-//! tests beside this file: in debug builds the simulator and `Payload::open`
-//! re-encode every shared decode they hand out and assert byte equality, so
-//! full end-to-end runs of each protocol property-check the envelope for
-//! every message exchanged.)
+//! tests beside this file: in debug builds the simulator round-trips every
+//! send through the codec — charged length, decode and re-encoding — and
+//! `Payload::open` re-encodes every memoized decode it hands out, asserting
+//! byte equality, so full end-to-end runs of each protocol property-check
+//! the envelope for every message exchanged.)
 
 use std::sync::Arc;
 
