@@ -612,7 +612,7 @@ mod tests {
     use super::*;
     use setupfree_core::TrustedCoinFactory;
     use setupfree_crypto::generate_pki;
-    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason};
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     type TrustedAba = MmrAba<TrustedCoinFactory>;
 
@@ -687,12 +687,10 @@ mod tests {
         let f = 2;
         let inputs: Vec<bool> = (0..n).map(|i| i < 4).collect();
         for seed in 0..5 {
-            let mut parties = trusted_parties(n, f, &inputs);
-            parties[5] = Box::new(SilentParty::new());
-            parties[6] = Box::new(SilentParty::new());
+            let parties = trusted_parties(n, f, &inputs);
             let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-            sim.mark_byzantine(PartyId(5));
-            sim.mark_byzantine(PartyId(6));
+            sim.silence(PartyId(5));
+            sim.silence(PartyId(6));
             let report = sim.run(5_000_000);
             assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}");
             check_agreement_validity(&sim.outputs(), &inputs, 5);
@@ -779,15 +777,12 @@ mod tests {
         assert_eq!(f_c, 3);
         let inputs = vec![true; n];
         for seed in 0..5 {
-            let mut parties = committee_parties(n, &committee, &inputs);
+            let parties = committee_parties(n, &committee, &inputs);
             let corrupt: Vec<usize> =
                 committee.members().iter().take(f_c).map(|p| p.index()).collect();
-            for &c in &corrupt {
-                parties[c] = Box::new(SilentParty::new());
-            }
             let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
             for &c in &corrupt {
-                sim.mark_byzantine(PartyId(c));
+                sim.silence(PartyId(c));
             }
             let report = sim.run(5_000_000);
             assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}");

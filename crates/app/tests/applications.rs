@@ -15,8 +15,8 @@ use setupfree_core::election::Election;
 use setupfree_core::traits::ElectionFactory;
 use setupfree_core::TrustedCoinFactory;
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
-use setupfree_net::{BoxedParty, PartyId, ProtocolInstance, Sid};
-use setupfree_testkit::{assert_agreement_sweep, sweep, Adversary, Ensemble};
+use setupfree_net::{BoxedParty, PartyId, ProtocolInstance, Sid, Simulation};
+use setupfree_testkit::{assert_agreement_sweep, sweep, Adversary};
 
 #[derive(Clone)]
 struct TestElectionFactory {
@@ -49,19 +49,23 @@ fn beacon_epochs_agree_across_parties_and_schedules() {
     // Agreement per epoch is whole-output agreement on the Vec<BeaconEpoch>,
     // so the harness's uniform assertion covers it; run the full standard
     // sweep (FIFO, random, targeted-delay, partition schedules).
-    let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 100_000_000, |_| {
+    let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 100_000_000, |adv| {
         let sid = Sid::new("beacon");
-        Ensemble::build(n, |i| {
-            let aba = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
-            Box::new(RandomBeacon::new(
-                sid.clone(),
-                i,
-                keyring.clone(),
-                secrets[i.index()].clone(),
-                aba,
-                epochs,
-            )) as BoxedParty<BeaconMsg, Vec<BeaconEpoch>>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                let aba = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
+                Box::new(RandomBeacon::new(
+                    sid.clone(),
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    aba,
+                    epochs,
+                )) as BoxedParty<BeaconMsg, Vec<BeaconEpoch>>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_validity(|out| out.len() == epochs as usize);
@@ -80,24 +84,28 @@ fn adkg_all_parties_agree_on_public_key_and_hold_valid_shares() {
     let (keyring, secrets) = setup(n, 13);
     type A = Adkg<TestElectionFactory, MmrAbaFactory<TrustedCoinFactory>>;
     type AdkgMsg = <A as ProtocolInstance>::Message;
-    let runs = sweep(&Adversary::random_sweep(3), 100_000_000, |_| {
+    let runs = sweep(&Adversary::random_sweep(3), 100_000_000, |adv| {
         let sid = Sid::new("adkg");
-        Ensemble::build(n, |i| {
-            let ef = TestElectionFactory {
-                me: i,
-                keyring: keyring.clone(),
-                secrets: secrets[i.index()].clone(),
-            };
-            let af = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
-            Box::new(Adkg::new(
-                sid.clone(),
-                i,
-                keyring.clone(),
-                secrets[i.index()].clone(),
-                ef,
-                af,
-            )) as BoxedParty<AdkgMsg, AdkgOutput>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                let ef = TestElectionFactory {
+                    me: i,
+                    keyring: keyring.clone(),
+                    secrets: secrets[i.index()].clone(),
+                };
+                let af = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
+                Box::new(Adkg::new(
+                    sid.clone(),
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    ef,
+                    af,
+                )) as BoxedParty<AdkgMsg, AdkgOutput>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_termination();

@@ -723,7 +723,7 @@ mod tests {
     use super::*;
     use harness::{AvssEndToEnd, AvssSharing};
     use setupfree_crypto::generate_pki;
-    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason};
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     fn setup(n: usize) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
         let (keyring, secrets) = generate_pki(n, 99);
@@ -801,7 +801,7 @@ mod tests {
         let n = 7;
         let (keyring, secrets) = setup(n);
         let secret = b"resilient".to_vec();
-        let mut parties: Vec<BoxedParty<AvssMessage, Vec<u8>>> = (0..n)
+        let parties: Vec<BoxedParty<AvssMessage, Vec<u8>>> = (0..n)
             .map(|i| {
                 let input = if i == 0 { Some(secret.clone()) } else { None };
                 Box::new(AvssEndToEnd::new(Avss::new(
@@ -814,11 +814,9 @@ mod tests {
                 ))) as BoxedParty<AvssMessage, Vec<u8>>
             })
             .collect();
-        parties[5] = Box::new(SilentParty::new());
-        parties[6] = Box::new(SilentParty::new());
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(11)));
-        sim.mark_byzantine(PartyId(5));
-        sim.mark_byzantine(PartyId(6));
+        sim.silence(PartyId(5));
+        sim.silence(PartyId(6));
         let report = sim.run(2_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         for (i, out) in sim.outputs().into_iter().enumerate() {
@@ -832,10 +830,9 @@ mod tests {
     fn silent_dealer_produces_no_output() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let mut parties = sharing_parties(n, b"unused", &keyring, &secrets);
-        parties[0] = Box::new(SilentParty::new());
+        let parties = sharing_parties(n, b"unused", &keyring, &secrets);
         let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
-        sim.mark_byzantine(PartyId(0));
+        sim.silence(PartyId(0));
         let report = sim.run(100_000);
         assert_eq!(report.reason, StopReason::Quiescent);
         assert!(sim.outputs().into_iter().skip(1).all(|o| o.is_none()));

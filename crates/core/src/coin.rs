@@ -840,8 +840,7 @@ mod tests {
     use super::*;
     use setupfree_crypto::generate_pki;
     use setupfree_net::{
-        BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason,
-        TargetedDelayScheduler,
+        BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason, TargetedDelayScheduler,
     };
 
     fn setup(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
@@ -913,10 +912,9 @@ mod tests {
     fn tolerates_f_silent_parties() {
         let n = 4;
         let (keyring, secrets) = setup(n, 3);
-        let mut parties = coin_parties(n, "coin-crash", &keyring, &secrets);
-        parties[3] = Box::new(SilentParty::new());
+        let parties = coin_parties(n, "coin-crash", &keyring, &secrets);
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(7)));
-        sim.mark_byzantine(PartyId(3));
+        sim.silence(PartyId(3));
         let report = sim.run(10_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         assert!(sim.outputs().into_iter().take(3).all(|o| o.is_some()));

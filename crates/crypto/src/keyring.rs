@@ -52,7 +52,7 @@ impl PartySecrets {
 
 impl PvssEncryptionKey {
     /// Derives the encryption key corresponding to a decryption key.
-    pub fn from_decryption_key(dk: &PvssDecryptionKey) -> Self {
+    fn from_decryption_key(dk: &PvssDecryptionKey) -> Self {
         PvssEncryptionKey(crate::pairing::G2::generator().pow(dk.0))
     }
 }

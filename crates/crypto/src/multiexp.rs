@@ -11,10 +11,10 @@
 //!   terms costs `⌈63/c⌉·(k + 2^c)` multiplications plus 63 squarings for a
 //!   window width `c` chosen per call to minimise exactly that expression,
 //!   instead of `k` full square-and-multiply exponentiations (~`94·k`).
-//! * [`fixed_pow_g1`] / [`fixed_pow_g2`] / [`commit`] — 8-bit fixed-base
-//!   comb tables for `g1` and `g2`, built once per process: a generator
-//!   exponentiation becomes ≤ 8 table lookups/multiplications, and a Pedersen
-//!   base commit `g1^a·g2^b` ≤ 16, versus ~190 for two naive pows.
+//! * [`fixed_pow_g1`] / [`commit`] — 8-bit fixed-base comb tables for `g1`
+//!   and `g2`, built once per process: a `g1` exponentiation becomes ≤ 8
+//!   table lookups/multiplications, and a Pedersen base commit `g1^a·g2^b`
+//!   ≤ 16, versus ~190 for two naive pows.
 //! * [`dual_pow`] — Shamir's trick for `x^a·y^b` with arbitrary bases (the
 //!   shape of every Σ-protocol verification equation): one shared
 //!   square-chain, ~63 squarings + ~47 multiplications instead of two
@@ -89,11 +89,6 @@ fn tables() -> &'static FixedBaseTables {
 /// `g1^e` through the fixed-base comb table (≤ 8 multiplications).
 pub fn fixed_pow_g1(e: Scalar) -> GroupElement {
     GroupElement::from_raw(tables().g1.pow(e.to_u64(), group_params().p))
-}
-
-/// `g2^e` through the fixed-base comb table (≤ 8 multiplications).
-pub fn fixed_pow_g2(e: Scalar) -> GroupElement {
-    GroupElement::from_raw(tables().g2.pow(e.to_u64(), group_params().p))
 }
 
 /// `g1^a · g2^b` — the Pedersen base commit, via both comb tables
@@ -232,7 +227,6 @@ mod tests {
         for e in [0u64, 1, 2, 255, 256, 0xffff, 0x1234_5678_9abc_def0] {
             let e = Scalar::from_u64(e);
             assert_eq!(fixed_pow_g1(e), GroupElement::generator().pow(e));
-            assert_eq!(fixed_pow_g2(e), GroupElement::generator2().pow(e));
         }
     }
 
@@ -340,7 +334,6 @@ mod tests {
             let g = GroupElement::generator();
             let h = GroupElement::generator2();
             prop_assert_eq!(fixed_pow_g1(a), g.pow(a));
-            prop_assert_eq!(fixed_pow_g2(b), h.pow(b));
             prop_assert_eq!(commit(a, b), g.pow(a) * h.pow(b));
             prop_assert_eq!(dual_pow(g, a, h, b), g.pow(a) * h.pow(b));
         }

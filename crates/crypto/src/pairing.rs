@@ -141,11 +141,6 @@ pub fn pairing(a: G1, b: G2) -> Gt {
     Gt(a.0 * b.0)
 }
 
-/// Multi-pairing product `∏ e(a_i, b_i)`.
-pub fn multi_pairing(pairs: &[(G1, G2)]) -> Gt {
-    pairs.iter().fold(Gt::identity(), |acc, (a, b)| acc * pairing(*a, *b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,16 +192,6 @@ mod tests {
         let mut bad = bytes.clone();
         bad[20] = 1;
         assert!(setupfree_wire::from_bytes::<G2>(&bad).is_err());
-    }
-
-    #[test]
-    fn multi_pairing_matches_product() {
-        let pairs = vec![
-            (G1::generator_pow(s(2)), G2::generator_pow(s(3))),
-            (G1::generator_pow(s(5)), G2::generator_pow(s(7))),
-        ];
-        let expected = pairing(pairs[0].0, pairs[0].1) * pairing(pairs[1].0, pairs[1].1);
-        assert_eq!(multi_pairing(&pairs), expected);
     }
 
     proptest! {

@@ -110,7 +110,7 @@ impl PedersenCommitment {
 
     /// Computes `∏_k c_k^{i^k}`, the commitment to the evaluation at `i`,
     /// as one multi-exponentiation over the commitment vector.
-    pub fn eval_in_exponent(&self, index: usize) -> GroupElement {
+    fn eval_in_exponent(&self, index: usize) -> GroupElement {
         let x = Scalar::from_u64(index as u64);
         let powers = multiexp::powers_of(x, self.commitments.len());
         multiexp::multi_exp(&self.commitments, &powers)

@@ -103,7 +103,8 @@ impl Polynomial {
 ///
 /// One coefficient costs `O(k)` multiplications plus an inversion; callers
 /// that need the whole coefficient vector (every interpolation does) should
-/// use a cached [`LagrangeTable`] instead.
+/// use a cached [`LagrangeTable`] instead.  This direct formula is the
+/// reference that the table cache's tests compare against.
 ///
 /// # Panics
 ///

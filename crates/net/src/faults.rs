@@ -3,7 +3,10 @@
 //! Protocol-specific attacks (equivocating AVSS dealers, silent Seeding
 //! leaders, lying WCS participants, …) live next to the protocols they
 //! attack; this module provides the behaviour-agnostic faults every protocol
-//! is tested against.
+//! is tested against.  The simulator mounts the silent and crash-after
+//! faults itself ([`Simulation::silence`](crate::sim::Simulation::silence),
+//! [`Simulation::crash_after`](crate::sim::Simulation::crash_after)), so
+//! that a mounted fault is always part of the run's fault plan.
 
 use crate::party::PartyId;
 use crate::protocol::{ProtocolInstance, Step};
@@ -45,8 +48,10 @@ where
 
 /// Wraps an honest implementation but crashes it (goes permanently silent)
 /// after a fixed number of activations — modelling a mid-protocol crash.
+/// Mounted only by [`Simulation::crash_after`](crate::sim::Simulation::crash_after),
+/// which also stops awaiting the party: its output vanishes at the crash.
 #[derive(Debug)]
-pub struct CrashAfter<P> {
+pub(crate) struct CrashAfter<P> {
     inner: P,
     remaining: usize,
 }
@@ -54,7 +59,7 @@ pub struct CrashAfter<P> {
 impl<P> CrashAfter<P> {
     /// Crashes after `activations` message deliveries (the activation itself
     /// counts as one).
-    pub fn new(inner: P, activations: usize) -> Self {
+    pub(crate) fn new(inner: P, activations: usize) -> Self {
         CrashAfter { inner, remaining: activations }
     }
 }

@@ -13,7 +13,9 @@
 //!   reordering with eventual delivery),
 //! * [`sim`] — the simulator: messages travel as values, each charged its
 //!   exact wire-codec length (and round-tripped through the codec in debug
-//!   builds), causal-depth round counting, crash/Byzantine fault injection,
+//!   builds), causal-depth round counting, and the run's one fault plan
+//!   (`silence`, `crash_after`, `crash`, `mark_byzantine`), which decides
+//!   who is awaited,
 //! * [`metrics`] — the three performance metrics of §3 (communication,
 //!   messages, asynchronous rounds),
 //! * [`faults`] — generic Byzantine/crash behaviours for fault-injection
@@ -33,7 +35,7 @@ pub mod scheduler;
 pub mod sim;
 pub mod tally;
 
-pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
+pub use faults::{DuplicatingParty, SilentParty};
 pub use metrics::Metrics;
 pub use mux::{
     BufferStats, CapPolicy, Envelope, InstancePath, Leaf, PathSeg, Payload, PreActivationBuffer,

@@ -28,9 +28,14 @@ pub struct Metrics {
     /// Causal depth ("asynchronous rounds") at which each party produced its
     /// output; `None` if it never did.
     pub output_rounds: Vec<Option<u64>>,
-    /// Parties excluded from the round metric (Byzantine or crashed): they
-    /// are not expected to ever produce an output.
+    /// Parties excluded from the round metric and from termination
+    /// (Byzantine, crashed, or mounted to crash mid-run): they are not
+    /// expected to ever produce an output.
     pub excluded: Vec<bool>,
+    /// Non-excluded parties with no recorded output, kept in O(1) by
+    /// [`Self::exclude`] and [`Self::record_output`]; a run stops when it
+    /// reaches zero.
+    awaiting: usize,
     /// Maximum causal depth reached by any delivered message.
     pub max_depth: u64,
     /// Pre-activation envelopes still buffered inside the parties' routers
@@ -51,15 +56,25 @@ impl Metrics {
             per_party_messages: vec![0; n],
             output_rounds: vec![None; n],
             excluded: vec![false; n],
+            awaiting: n,
             ..Default::default()
         }
     }
 
-    /// Excludes a party (Byzantine or crashed) from the round metric.
+    /// Excludes a party (Byzantine, crashed, or mounted to crash) from the
+    /// round metric and stops awaiting it.
     pub fn exclude(&mut self, party: PartyId) {
         if let Some(e) = self.excluded.get_mut(party.index()) {
+            if !*e && self.output_rounds[party.index()].is_none() {
+                self.awaiting -= 1;
+            }
             *e = true;
         }
+    }
+
+    /// Number of non-excluded parties that have no recorded output.
+    pub(crate) fn awaiting(&self) -> usize {
+        self.awaiting
     }
 
     /// Records that `sender` sent a message of `bytes` bytes.
@@ -95,6 +110,9 @@ impl Metrics {
         if let Some(slot) = self.output_rounds.get_mut(party.index()) {
             if slot.is_none() {
                 *slot = Some(depth);
+                if !self.excluded[party.index()] {
+                    self.awaiting -= 1;
+                }
             }
         }
     }
@@ -160,20 +178,31 @@ mod tests {
     #[test]
     fn excluded_parties_do_not_block_round_metric() {
         let mut m = Metrics::new(3);
+        assert_eq!(m.awaiting(), 3);
         m.record_output(PartyId(0), 3);
         m.record_output(PartyId(1), 6);
+        assert_eq!(m.awaiting(), 1);
+        // A second output of the same party is not a second recorded output.
+        m.record_output(PartyId(1), 8);
+        assert_eq!(m.awaiting(), 1);
         // Party 2 is a silent Byzantine party: without exclusion the metric
         // is undefined, with exclusion it reflects the honest parties.
         assert_eq!(m.rounds_to_all_outputs(), None);
         m.exclude(PartyId(2));
+        assert_eq!(m.awaiting(), 0);
         assert_eq!(m.rounds_to_all_outputs(), Some(6));
+        // Excluding a party twice stops awaiting it once.
+        m.exclude(PartyId(2));
+        assert_eq!(m.awaiting(), 0);
         // An excluded (adversarial) party outputting late must not inflate
-        // the honest round count.
+        // the honest round count, nor be counted as an awaited output.
         m.record_output(PartyId(2), 9);
+        assert_eq!(m.awaiting(), 0);
         assert_eq!(m.rounds_to_all_outputs(), Some(6));
         // With every party excluded there is nothing to measure.
         m.exclude(PartyId(0));
         m.exclude(PartyId(1));
+        assert_eq!(m.awaiting(), 0);
         assert_eq!(m.rounds_to_all_outputs(), None);
     }
 

@@ -7,11 +7,19 @@
 //! that decides delivery order, and tracks causal depth ("asynchronous
 //! rounds", §3).
 //!
-//! Fault injection: parties can be marked *byzantine* (their traffic is not
-//! charged to the protocol's communication complexity and their state machine
-//! may be an arbitrary implementation) or *crashed* (they stop sending and
-//! processing; undelivered traffic to them is purged so it never consumes
-//! scheduler picks or delivery budget).
+//! Fault injection: the simulation holds a run's whole fault plan.  A party
+//! can be *silenced* ([`Simulation::silence`]: a never-sending machine,
+//! marked Byzantine), marked *Byzantine* with a custom adversarial machine
+//! ([`Simulation::mark_byzantine`]: its traffic is not charged to the
+//! protocol's communication complexity), mounted to *crash after* a number
+//! of activations ([`Simulation::crash_after`]: its traffic stays honest,
+//! but it is not awaited), or *crashed* now ([`Simulation::crash`]: it stops
+//! sending and processing; undelivered traffic to it is purged so it never
+//! consumes scheduler picks or delivery budget).  Each of these stops
+//! awaiting the party, so [`Metrics`] alone records who is awaited and who
+//! has output: a run stops when its count of awaited parties without a
+//! recorded output reaches zero.  Debug builds cross-check that count
+//! against every awaited party's `output()` before each delivery.
 //!
 //! # Delivery engine
 //!
@@ -42,6 +50,7 @@ use std::collections::VecDeque;
 
 use setupfree_wire::{from_bytes, to_bytes};
 
+use crate::faults::{CrashAfter, SilentParty};
 use crate::metrics::Metrics;
 use crate::party::PartyId;
 use crate::protocol::{Dest, ProtocolInstance, Step};
@@ -60,11 +69,7 @@ struct PartySlot<M, O> {
     machine: BoxedParty<M, O>,
     honest: bool,
     crashed: bool,
-    /// Honest-but-crash-faulty: expected to go silent mid-run, so it is not
-    /// awaited for termination, but its traffic is still honest traffic.
-    termination_exempt: bool,
     depth: u64,
-    output_recorded: bool,
 }
 
 struct Pending<M> {
@@ -79,7 +84,8 @@ struct Pending<M> {
 /// Why a simulation run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// Every honest, non-crashed party produced an output.
+    /// Every awaited party (neither Byzantine, crashed, nor mounted to
+    /// crash) produced an output.
     AllOutputs,
     /// No messages remain in flight.
     Quiescent,
@@ -144,14 +150,7 @@ where
         let n = parties.len();
         let parties = parties
             .into_iter()
-            .map(|machine| PartySlot {
-                machine,
-                honest: true,
-                crashed: false,
-                termination_exempt: false,
-                depth: 0,
-                output_recorded: false,
-            })
+            .map(|machine| PartySlot { machine, honest: true, crashed: false, depth: 0 })
             .collect();
         Simulation {
             parties,
@@ -183,14 +182,25 @@ where
     }
 
     /// Marks a party as Byzantine: its messages are not charged to the
-    /// honest communication complexity.  (Its behaviour is whatever state
-    /// machine was installed at construction time.)
+    /// honest communication complexity, and it is not awaited.  (Its
+    /// behaviour is whatever state machine was installed at construction
+    /// time; [`Self::silence`] installs a silent one.)
     pub fn mark_byzantine(&mut self, party: PartyId) {
         self.parties[party.index()].honest = false;
         self.metrics.exclude(party);
     }
 
-    /// Crashes a party: it stops processing and sending from now on.
+    /// `true` unless the party is Byzantine or crashed by [`Self::crash`]:
+    /// the honest parties are the ones agreement and validity quantify
+    /// over.  A party mounted with [`Self::crash_after`] stays honest, so an
+    /// output it gives before crashing must agree.
+    pub fn is_honest(&self, party: PartyId) -> bool {
+        let slot = &self.parties[party.index()];
+        slot.honest && !slot.crashed
+    }
+
+    /// Crashes a party: it stops processing and sending from now on, and is
+    /// no longer awaited.  Valid before the run and mid-run alike.
     ///
     /// Undelivered messages to the party are purged immediately (and later
     /// sends to it are dropped at send time), so traffic to a crashed party
@@ -238,16 +248,6 @@ where
         msg
     }
 
-    /// Marks a party honest-but-crash-faulty (e.g. wrapped in
-    /// [`crate::faults::CrashAfter`]): it is not awaited for termination and
-    /// excluded from the round metric, but — unlike
-    /// [`Self::mark_byzantine`] — its traffic is still charged to the honest
-    /// communication complexity, as the crash-fault model requires.
-    pub fn mark_crash_faulty(&mut self, party: PartyId) {
-        self.parties[party.index()].termination_exempt = true;
-        self.metrics.exclude(party);
-    }
-
     /// Returns the metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -281,9 +281,9 @@ where
         }
     }
 
-    /// Activates the parties on the first call, then runs until all honest,
-    /// non-crashed parties have produced an output, the network is
-    /// quiescent, or `max_deliveries` messages have been delivered.
+    /// Activates the parties on the first call, then runs until every
+    /// awaited party has a recorded output, the network is quiescent, or
+    /// `max_deliveries` messages have been delivered.
     pub fn run(&mut self, max_deliveries: u64) -> RunReport {
         if !self.activated {
             self.activate_all();
@@ -346,13 +346,22 @@ where
         self.metrics.pre_activation_dropped = stats.dropped;
     }
 
-    /// `true` if every honest, non-crashed, non-crash-faulty party has
-    /// produced an output.
+    /// `true` once every awaited party (neither Byzantine, crashed, nor
+    /// mounted with [`Self::crash_after`]) has a recorded first output.
+    /// O(1): it reads the count of awaited parties without one that
+    /// [`Metrics`] keeps.  Debug builds check the count against a poll of
+    /// every awaited party's `output()`.
     pub fn all_honest_output(&self) -> bool {
-        self.parties
-            .iter()
-            .filter(|p| p.honest && !p.crashed && !p.termination_exempt)
-            .all(|p| p.machine.output().is_some())
+        debug_assert_eq!(
+            self.metrics.awaiting(),
+            self.parties
+                .iter()
+                .zip(&self.metrics.excluded)
+                .filter(|(p, &excluded)| !excluded && p.machine.output().is_none())
+                .count(),
+            "the count of awaited parties without a recorded output disagrees with their outputs"
+        );
+        self.metrics.awaiting() == 0
     }
 
     /// Number of messages currently in flight.
@@ -457,16 +466,56 @@ where
     }
 
     fn check_output(&mut self, party: PartyId) {
-        let slot = &mut self.parties[party.index()];
-        if !slot.output_recorded && slot.machine.output().is_some() {
-            slot.output_recorded = true;
-            let depth = slot.depth;
-            self.metrics.record_output(party, depth);
+        let slot = &self.parties[party.index()];
+        if self.metrics.output_rounds[party.index()].is_none() && slot.machine.output().is_some() {
+            self.metrics.record_output(party, slot.depth);
             // The top-level machine's decide marker; its cause is the
             // delivery that produced the output (ambient), anchoring
             // backward critical-path walks.
             setupfree_obs::decided();
         }
+    }
+}
+
+/// The fault plan's machine-replacing half: it boxes new machines for the
+/// party slots, so it needs `'static` outputs.
+impl<M, O> Simulation<M, O>
+where
+    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+    O: Clone + std::fmt::Debug + 'static,
+{
+    /// Replaces a party's machine with one that never sends, and marks it
+    /// Byzantine ([`Self::mark_byzantine`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics once the simulation has activated.
+    pub fn silence(&mut self, party: PartyId) {
+        self.assert_not_activated("silence");
+        self.parties[party.index()].machine = Box::new(SilentParty::new());
+        self.mark_byzantine(party);
+    }
+
+    /// Wraps a party's machine so it crashes (goes permanently silent) after
+    /// `activations` activations, its own activation counting as one.  The
+    /// party is not awaited and is excluded from the round metric, but —
+    /// unlike [`Self::mark_byzantine`] — its traffic is still charged to the
+    /// honest communication complexity, as the crash-fault model requires.
+    /// Once crashed it reports no output, even one it gave before.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the simulation has activated.
+    pub fn crash_after(&mut self, party: PartyId, activations: usize) {
+        self.assert_not_activated("crash_after");
+        let slot = &mut self.parties[party.index()];
+        let machine = std::mem::replace(&mut slot.machine, Box::new(SilentParty::new()));
+        slot.machine = Box::new(CrashAfter::new(machine, activations));
+        self.metrics.exclude(party);
+    }
+
+    fn assert_not_activated(&self, what: &str) {
+        assert!(!self.activated, "{what} must be called before the simulation activates");
     }
 }
 
@@ -586,20 +635,77 @@ mod tests {
 
     #[test]
     fn crash_faulty_traffic_still_charged_but_not_awaited() {
-        use crate::faults::CrashAfter;
         // Party 0 crashes after its activation multicast: it sends 4 honest
         // messages, is never awaited for termination, and must not block the
         // round metric.
-        let mut parties = echo_parties(4, 3);
-        parties[0] = Box::new(CrashAfter::new(Echo::new(3), 1));
-        let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
-        sim.mark_crash_faulty(PartyId(0));
+        let mut sim = Simulation::new(echo_parties(4, 3), Box::new(FifoScheduler::default()));
+        sim.crash_after(PartyId(0), 1);
         let report = sim.run(10_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         assert_eq!(sim.metrics().honest_messages, 16, "pre-crash traffic is honest traffic");
         assert_eq!(sim.metrics().byzantine_messages, 0);
         assert!(sim.output_of(PartyId(0)).is_none());
         assert!(sim.metrics().rounds_to_all_outputs().is_some());
+    }
+
+    #[test]
+    fn a_party_that_outputs_then_crashes_does_not_hold_the_run() {
+        // P0 outputs on its third delivery (its fourth activation) and
+        // crashes on its fourth delivery, FIFO's 13th; P3 needs all four
+        // senders, so the run lasts until the 16th delivery.  The crashed
+        // P0 reports no output, yet it is not awaited: the run ends once
+        // the other three have output, and P0's early output stays on
+        // record.
+        let mut parties = echo_parties(4, 3);
+        parties[3] = Box::new(Echo::new(4));
+        let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
+        sim.crash_after(PartyId(0), 5);
+        let report = sim.run(10_000);
+        assert_eq!(report, RunReport { reason: StopReason::AllOutputs, deliveries: 16 });
+        assert_eq!(sim.outputs()[0], None);
+        assert!(sim.metrics().output_rounds[0].is_some(), "P0 output before it crashed");
+        assert!(sim.outputs()[1..].iter().all(Option::is_some));
+        assert_eq!(sim.metrics().rounds_to_all_outputs(), Some(1));
+    }
+
+    #[test]
+    fn faulting_the_last_awaited_party_mid_run_ends_the_next_run() {
+        // P0–P2 output after FIFO's 11th delivery; P3 waits for a fifth
+        // sender that does not exist.  Once P3 is crashed or marked
+        // Byzantine, nobody is awaited: the next run stops before its first
+        // delivery, with traffic still in flight.
+        for crash in [true, false] {
+            let mut parties = echo_parties(4, 3);
+            parties[3] = Box::new(Echo::new(5));
+            let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
+            assert_eq!(sim.run(11).reason, StopReason::BudgetExhausted);
+            assert!(sim.outputs()[..3].iter().all(Option::is_some));
+            assert_eq!(sim.output_of(PartyId(3)), None);
+            if crash {
+                sim.crash(PartyId(3));
+            } else {
+                sim.mark_byzantine(PartyId(3));
+            }
+            assert!(sim.in_flight() > 0);
+            let report = sim.run(10_000);
+            assert_eq!(report, RunReport { reason: StopReason::AllOutputs, deliveries: 0 });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "silence must be called before the simulation activates")]
+    fn silence_after_activation_panics() {
+        let mut sim = Simulation::new(echo_parties(4, 3), Box::new(FifoScheduler::default()));
+        sim.run(0);
+        sim.silence(PartyId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash_after must be called before the simulation activates")]
+    fn crash_after_after_activation_panics() {
+        let mut sim = Simulation::new(echo_parties(4, 3), Box::new(FifoScheduler::default()));
+        sim.run(0);
+        sim.crash_after(PartyId(1), 2);
     }
 
     #[test]

@@ -256,9 +256,7 @@ impl ProtocolInstance for EquivocatingSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setupfree_net::{
-        BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason,
-    };
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     fn make_parties(n: usize, f: usize, value: &[u8]) -> Vec<BoxedParty<RbcMessage, Vec<u8>>> {
         (0..n)
@@ -299,12 +297,10 @@ mod tests {
     fn tolerates_f_silent_parties() {
         let n = 7;
         let f = 2;
-        let mut parties = make_parties(n, f, b"robust");
-        parties[5] = Box::new(SilentParty::new());
-        parties[6] = Box::new(SilentParty::new());
-        let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(3)));
-        sim.mark_byzantine(PartyId(5));
-        sim.mark_byzantine(PartyId(6));
+        let mut sim =
+            Simulation::new(make_parties(n, f, b"robust"), Box::new(RandomScheduler::new(3)));
+        sim.silence(PartyId(5));
+        sim.silence(PartyId(6));
         let report = sim.run(1_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         for (i, out) in sim.outputs().into_iter().enumerate() {

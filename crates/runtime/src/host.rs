@@ -43,29 +43,23 @@ use crate::queue::ShardQueue;
 /// stream (empty unless tracing is on).
 type ClosedSession<O> = (SessionReport, Vec<Option<O>>, Vec<TraceEvent>);
 
-/// Everything needed to open one session: the per-party state machines, the
-/// session's own adversarial scheduler (seed it per session — that is what
-/// makes per-session execution independent of the shard count), its
-/// delivery budget, and the fault plan.
+/// Everything needed to open one session: its [`Simulation`] (the
+/// per-party state machines on the session's own adversarial scheduler —
+/// seed it per session, which is what makes per-session execution
+/// independent of the shard count — with the fault plan applied through
+/// [`Simulation::silence`], [`Simulation::crash_after`],
+/// [`Simulation::crash`] and [`Simulation::mark_byzantine`]) and its
+/// delivery budget.
 pub struct SessionSetup<M, O>
 where
     M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
     O: Clone + fmt::Debug,
 {
-    /// Party `i`'s state machine for this session.
-    pub parties: Vec<BoxedParty<M, O>>,
-    /// The session's delivery scheduler.
-    pub scheduler: Box<dyn Scheduler>,
+    /// The session's simulation, fault plan included.
+    pub sim: Simulation<M, O>,
     /// The session's delivery budget; exhausting it closes *this* session
     /// with [`StopReason::BudgetExhausted`] and touches no other.
     pub budget: u64,
-    /// Parties marked Byzantine (their traffic is not charged as honest).
-    pub byzantine: Vec<usize>,
-    /// Parties crashed before the session starts.
-    pub crashed_at_start: Vec<usize>,
-    /// Parties wrapped by [`SessionSetup::crash_after`]: honest, but not
-    /// awaited for termination (they will go silent mid-run).
-    pub crash_faulty: Vec<usize>,
 }
 
 impl<M, O> SessionSetup<M, O>
@@ -75,33 +69,12 @@ where
 {
     /// An all-honest session with the given parties, scheduler and budget.
     pub fn new(parties: Vec<BoxedParty<M, O>>, scheduler: Box<dyn Scheduler>, budget: u64) -> Self {
-        SessionSetup {
-            parties,
-            scheduler,
-            budget,
-            byzantine: Vec::new(),
-            crashed_at_start: Vec::new(),
-            crash_faulty: Vec::new(),
-        }
+        SessionSetup { sim: Simulation::new(parties, scheduler), budget }
     }
 
-    /// Wraps party `i` so it crashes (goes permanently silent) after
-    /// `activations` deliveries — the testkit's mid-run crash fault, per
-    /// session.  The party stays honest (pre-crash traffic is charged to the
-    /// honest complexity, a pre-crash output joins the agreement
-    /// quantifier); it is just no longer awaited for termination.
-    pub fn crash_after(mut self, i: usize, activations: usize) -> Self {
-        let machine =
-            std::mem::replace(&mut self.parties[i], Box::new(setupfree_net::SilentParty::new()));
-        self.parties[i] = Box::new(setupfree_net::CrashAfter::new(machine, activations));
-        self.crash_faulty.push(i);
-        self
-    }
-
-    /// Replaces party `i` with a fully silent Byzantine machine.
+    /// Silences party `i` ([`Simulation::silence`]).
     pub fn silence(mut self, i: usize) -> Self {
-        self.parties[i] = Box::new(setupfree_net::SilentParty::new());
-        self.byzantine.push(i);
+        self.sim.silence(PartyId(i));
         self
     }
 }
@@ -564,7 +537,7 @@ fn admission_event(
 }
 
 /// Runs session `index` start to finish on the calling thread: builds its
-/// setup, applies the fault plan, installs a trace sink if the session is
+/// setup (fault plan included), installs a trace sink if the session is
 /// traced, runs the simulation to its close, then drains the sink and
 /// reports.  The session's state is freed on return (the runtime-level
 /// analogue of router child GC — a completed session retains nothing).
@@ -574,25 +547,13 @@ where
     O: Clone + fmt::Debug,
     F: SessionFactory<M, O>,
 {
-    let setup = factory.build(index);
-    let mut sim = Simulation::new(setup.parties, setup.scheduler);
-    for &i in &setup.byzantine {
-        sim.mark_byzantine(PartyId(i));
-    }
-    for &i in &setup.crashed_at_start {
-        sim.crash(PartyId(i));
-    }
-    for &i in &setup.crash_faulty {
-        // Honest-but-crash-faulty: still in the agreement quantifier and
-        // the honest communication metrics, just not awaited.
-        sim.mark_crash_faulty(PartyId(i));
-    }
+    let SessionSetup { mut sim, budget } = factory.build(index);
     // The sink is live before `run` activates the parties, so the session's
     // stream opens with its activation events (and activation-time sends).
     if traced {
         setupfree_obs::install(Box::new(VecSink::new()));
     }
-    let run = sim.run(setup.budget);
+    let run = sim.run(budget);
     let trace = if traced {
         setupfree_obs::uninstall().map(|mut sink| sink.drain()).unwrap_or_default()
     } else {

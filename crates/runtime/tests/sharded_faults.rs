@@ -1,9 +1,9 @@
 //! Fault-plan composition in the sharded runtime (PR 8 satellite).
 //!
-//! `SessionSetup` carries the testkit's fault machinery now — `crash_after`
-//! wraps a party so it goes silent mid-run, `silence` replaces one with a
-//! mute Byzantine machine — and both compose with per-session adversarial
-//! schedulers.  The test matrix here is the one the ROADMAP asked for: one
+//! Each `SessionSetup` holds its session's `Simulation`, and with it the
+//! session's fault plan — `sim.crash_after` wraps a party so it goes silent
+//! mid-run, `silence` replaces one with a mute Byzantine machine — and both
+//! compose with per-session adversarial schedulers.  The test matrix: one
 //! session starved by a targeted-delay scheduler, another losing a quorum
 //! member mid-run, and a third suffering both at once, all inside one
 //! sharded host.  Every healthy quorum still terminates and agrees, the
@@ -47,12 +47,11 @@ fn faulted_session(s: usize) -> SessionSetup<Envelope, bool> {
     } else {
         Box::new(RandomScheduler::new(seed))
     };
-    let setup = SessionSetup::new(aba_parties(s), scheduler, BUDGET);
+    let mut setup = SessionSetup::new(aba_parties(s), scheduler, BUDGET);
     if s == 2 || s == 3 {
-        setup.crash_after(CRASHED, 5)
-    } else {
-        setup
+        setup.sim.crash_after(PartyId(CRASHED), 5);
     }
+    setup
 }
 
 /// `fingerprints()` of the fault grid, recorded from the single-thread shard

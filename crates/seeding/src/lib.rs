@@ -562,7 +562,7 @@ impl PvssDkBytes for PartySecrets {
 mod tests {
     use super::*;
     use setupfree_crypto::generate_pki;
-    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason};
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     fn setup(n: usize) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
         let (keyring, secrets) = generate_pki(n, 21);
@@ -647,12 +647,10 @@ mod tests {
     fn tolerates_f_silent_contributors() {
         let n = 7;
         let (keyring, secrets) = setup(n);
-        let mut ps = parties(n, 0, &keyring, &secrets);
-        ps[5] = Box::new(SilentParty::new());
-        ps[6] = Box::new(SilentParty::new());
+        let ps = parties(n, 0, &keyring, &secrets);
         let mut sim = Simulation::new(ps, Box::new(RandomScheduler::new(4)));
-        sim.mark_byzantine(PartyId(5));
-        sim.mark_byzantine(PartyId(6));
+        sim.silence(PartyId(5));
+        sim.silence(PartyId(6));
         let report = sim.run(5_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         let outs: Vec<Seed> = sim.outputs().into_iter().take(5).flatten().collect();

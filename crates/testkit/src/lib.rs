@@ -12,24 +12,24 @@
 //!   schedule (FIFO, uniformly random, targeted delay of a victim set, or a
 //!   half/half partition), instantiable into a
 //!   [`Scheduler`];
-//! * [`Ensemble`] — a set of [`BoxedParty`] state machines plus a fault
-//!   plan (silent Byzantine parties, mid-run crashes via
-//!   [`CrashAfter`], pre-run crashes);
-//! * [`sweep`] — builds a fresh ensemble per adversary, runs each to
+//! * [`sweep`] — builds a fresh [`Simulation`] per adversary (the parties
+//!   on the adversary's scheduler, plus the simulation's own fault plan:
+//!   [`Simulation::silence`], [`Simulation::crash_after`],
+//!   [`Simulation::crash`], [`Simulation::mark_byzantine`]), runs each to
 //!   completion, checks the message-conservation law on every run, and
 //!   returns one [`SweepRun`] per schedule;
 //! * [`SweepRun`] — uniform assertions: [`SweepRun::assert_termination`],
 //!   [`SweepRun::assert_agreement`], [`SweepRun::assert_validity`].
 //!
-//! Everything is deterministic: an `(Adversary, ensemble seed)` pair fully
-//! determines the execution, so a failure message names the schedule that
-//! produced it and re-running reproduces it exactly.
+//! Everything is deterministic: the adversary and the parties' own seeds
+//! fully determine the execution, so a failure message names the schedule
+//! that produced it and re-running reproduces it exactly.
 //!
 //! # Example
 //!
 //! ```
-//! use setupfree_net::{BoxedParty, PartyId, ProtocolInstance, Step};
-//! use setupfree_testkit::{sweep, Adversary, Ensemble};
+//! use setupfree_net::{BoxedParty, PartyId, ProtocolInstance, Simulation, Step};
+//! use setupfree_testkit::{sweep, Adversary};
 //!
 //! // A toy protocol: multicast once, output after hearing 3 parties.
 //! #[derive(Debug)]
@@ -46,12 +46,14 @@
 //!     fn output(&self) -> Option<usize> { self.1 }
 //! }
 //!
-//! let runs = sweep(&Adversary::standard_sweep(4, 3), 10_000, |_adv| {
-//!     Ensemble::new(
-//!         (0..4)
-//!             .map(|_| Box::new(Echo(Default::default(), None)) as BoxedParty<u8, usize>)
-//!             .collect(),
-//!     )
+//! // Four parties, P3 silenced: the other three still hear three senders.
+//! let runs = sweep(&Adversary::standard_sweep(4, 3), 10_000, |adv| {
+//!     let parties = (0..4)
+//!         .map(|_| Box::new(Echo(Default::default(), None)) as BoxedParty<u8, usize>)
+//!         .collect();
+//!     let mut sim = Simulation::new(parties, adv.scheduler());
+//!     sim.silence(PartyId(3));
+//!     sim
 //! });
 //! for run in &runs {
 //!     run.assert_termination();
@@ -66,8 +68,8 @@
 use std::fmt;
 
 use setupfree_net::{
-    BoxedParty, CrashAfter, FifoScheduler, Metrics, PartitionScheduler, PartyId, RandomScheduler,
-    RunReport, Scheduler, SilentParty, Simulation, StopReason, TargetedDelayScheduler,
+    FifoScheduler, Metrics, PartitionScheduler, PartyId, RandomScheduler, RunReport, Scheduler,
+    Simulation, StopReason, TargetedDelayScheduler,
 };
 
 /// One reproducible adversarial delivery schedule.
@@ -171,106 +173,7 @@ impl fmt::Display for Adversary {
     }
 }
 
-/// A set of party state machines plus the fault plan to apply to them.
-///
-/// Index `i` of `parties` is party `P_i`.  Faults compose: a party can be
-/// replaced by a silent machine, wrapped in a mid-run crash, or crashed
-/// before the run starts.
-pub struct Ensemble<M, O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug + 'static,
-{
-    parties: Vec<BoxedParty<M, O>>,
-    byzantine: Vec<usize>,
-    crash_faulty: Vec<usize>,
-    crashed_at_start: Vec<usize>,
-}
-
-impl<M, O> Ensemble<M, O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug + 'static,
-{
-    /// An all-honest ensemble.
-    pub fn new(parties: Vec<BoxedParty<M, O>>) -> Self {
-        Ensemble {
-            parties,
-            byzantine: Vec::new(),
-            crash_faulty: Vec::new(),
-            crashed_at_start: Vec::new(),
-        }
-    }
-
-    /// Builds an all-honest ensemble from a per-party constructor.
-    pub fn build(n: usize, mut make: impl FnMut(PartyId) -> BoxedParty<M, O>) -> Self {
-        Ensemble::new((0..n).map(|i| make(PartyId(i))).collect())
-    }
-
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.parties.len()
-    }
-
-    /// Replaces party `i` with a fully silent Byzantine machine.
-    pub fn silence(mut self, i: usize) -> Self {
-        self.parties[i] = Box::new(SilentParty::new());
-        self.byzantine.push(i);
-        self
-    }
-
-    /// Marks party `i` Byzantine without changing its machine (used when the
-    /// caller installed a custom adversarial implementation).
-    pub fn mark_byzantine(mut self, i: usize) -> Self {
-        self.byzantine.push(i);
-        self
-    }
-
-    /// Wraps party `i` so it crashes (goes permanently silent) after
-    /// `activations` deliveries — the mid-run crash fault of
-    /// [`setupfree_net::faults`].  The party stays *honest*: its pre-crash
-    /// traffic is charged to the honest communication complexity and its
-    /// output (if it produces one before crashing) participates in the
-    /// agreement quantifier; only termination stops awaiting it.
-    pub fn crash_after(mut self, i: usize, activations: usize) -> Self {
-        let machine = std::mem::replace(&mut self.parties[i], Box::new(SilentParty::new()));
-        self.parties[i] = Box::new(CrashAfter::new(machine, activations));
-        self.crash_faulty.push(i);
-        self
-    }
-
-    /// Crashes party `i` before the run starts (it never activates).
-    pub fn crash_at_start(mut self, i: usize) -> Self {
-        self.crashed_at_start.push(i);
-        self
-    }
-
-    fn into_simulation(self, adversary: &Adversary) -> (Simulation<M, O>, Vec<bool>, Vec<bool>) {
-        let n = self.parties.len();
-        let mut honest = vec![true; n];
-        let mut awaited = vec![true; n];
-        let mut sim = Simulation::new(self.parties, adversary.scheduler());
-        for &i in &self.byzantine {
-            honest[i] = false;
-            awaited[i] = false;
-            sim.mark_byzantine(PartyId(i));
-        }
-        for &i in &self.crash_faulty {
-            // Honest-but-crash-faulty: still in the agreement quantifier and
-            // the honest communication metrics, just not awaited.
-            awaited[i] = false;
-            sim.mark_crash_faulty(PartyId(i));
-        }
-        for &i in &self.crashed_at_start {
-            honest[i] = false;
-            awaited[i] = false;
-            sim.crash(PartyId(i));
-        }
-        (sim, honest, awaited)
-    }
-}
-
-/// The outcome of one ensemble execution under one adversary.
+/// The outcome of one simulation under one adversary.
 #[derive(Debug, Clone)]
 pub struct SweepRun<O> {
     /// The schedule this run executed under.
@@ -280,12 +183,14 @@ pub struct SweepRun<O> {
     /// Every party's final output (by party index).
     pub outputs: Vec<Option<O>>,
     /// `honest[i]` is `false` for parties the fault plan removed from the
-    /// agreement/validity quantifiers (Byzantine or crashed at start).
-    /// Crash-faulty parties stay honest: if one outputs before crashing,
-    /// that output must agree.
+    /// agreement/validity quantifiers (Byzantine or crashed), as
+    /// [`Simulation::is_honest`] reports them.  Parties mounted with
+    /// [`Simulation::crash_after`] stay honest: if one outputs before
+    /// crashing, that output must agree.
     pub honest: Vec<bool>,
     /// `awaited[i]` is `false` for parties the termination quantifier does
-    /// not wait for (Byzantine, crashed, or honest-but-crash-faulty).
+    /// not wait for (Byzantine, crashed, or mounted with
+    /// [`Simulation::crash_after`]): the complement of [`Metrics::excluded`].
     pub awaited: Vec<bool>,
     /// The paper's three performance metrics for this run (communication,
     /// messages, asynchronous rounds).
@@ -389,11 +294,13 @@ impl<O: Clone + fmt::Debug> SweepRun<O> {
     }
 }
 
-/// Runs a freshly built ensemble under every adversary in the sweep.
+/// Runs a freshly built simulation under every adversary in the sweep.
 ///
 /// `make` is called once per adversary so each run starts from fresh state
-/// machines; the adversary is passed in so ensembles can derive
-/// schedule-distinct session identifiers if they want distinct randomness.
+/// machines; it builds the simulation on [`Adversary::scheduler`] and
+/// applies the fault plan.  The adversary is passed in so the parties can
+/// derive schedule-distinct session identifiers if they want distinct
+/// randomness.
 ///
 /// # Panics
 ///
@@ -403,7 +310,7 @@ impl<O: Clone + fmt::Debug> SweepRun<O> {
 pub fn sweep<M, O>(
     adversaries: &[Adversary],
     budget: u64,
-    mut make: impl FnMut(&Adversary) -> Ensemble<M, O>,
+    mut make: impl FnMut(&Adversary) -> Simulation<M, O>,
 ) -> Vec<SweepRun<O>>
 where
     M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
@@ -412,7 +319,7 @@ where
     adversaries
         .iter()
         .map(|adversary| {
-            let (mut sim, honest, awaited) = make(adversary).into_simulation(adversary);
+            let mut sim = make(adversary);
             let report = sim.run(budget);
             // Budget reconciliation: the delivery engine purges traffic to
             // crashed parties, so every consumed budget unit must be an
@@ -439,9 +346,9 @@ where
                 adversary: adversary.clone(),
                 report,
                 outputs: sim.outputs(),
-                honest,
-                awaited,
-                metrics: sim.metrics().clone(),
+                honest: (0..sim.n()).map(|i| sim.is_honest(PartyId(i))).collect(),
+                awaited: m.excluded.iter().map(|&excluded| !excluded).collect(),
+                metrics: m.clone(),
             }
         })
         .collect()
@@ -453,7 +360,7 @@ where
 pub fn assert_agreement_sweep<M, O>(
     adversaries: &[Adversary],
     budget: u64,
-    make: impl FnMut(&Adversary) -> Ensemble<M, O>,
+    make: impl FnMut(&Adversary) -> Simulation<M, O>,
 ) -> Vec<SweepRun<O>>
 where
     M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
@@ -470,7 +377,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setupfree_net::{ProtocolInstance, Step};
+    use setupfree_net::{BoxedParty, ProtocolInstance, Step};
 
     /// Toy quorum protocol: output after hearing from `quorum` parties.
     #[derive(Debug)]
@@ -481,8 +388,15 @@ mod tests {
     }
 
     impl Echo {
-        fn boxed(quorum: usize) -> BoxedParty<u64, usize> {
-            Box::new(Echo { quorum, heard: Default::default(), output: None })
+        /// `n` parties that each output after hearing `quorum` senders.
+        fn sim(n: usize, quorum: usize, adv: &Adversary) -> Simulation<u64, usize> {
+            let parties = (0..n)
+                .map(|_| {
+                    Box::new(Echo { quorum, heard: Default::default(), output: None })
+                        as BoxedParty<u64, usize>
+                })
+                .collect();
+            Simulation::new(parties, adv.scheduler())
         }
     }
 
@@ -530,9 +444,8 @@ mod tests {
 
     #[test]
     fn honest_ensemble_passes_all_invariants() {
-        let runs = assert_agreement_sweep(&Adversary::standard_sweep(4, 3), 10_000, |_| {
-            Ensemble::build(4, |_| Echo::boxed(3))
-        });
+        let sweep = Adversary::standard_sweep(4, 3);
+        let runs = assert_agreement_sweep(&sweep, 10_000, |adv| Echo::sim(4, 3, adv));
         for run in &runs {
             run.assert_validity(|&v| v == 3);
             assert_eq!(run.first_output(), 3);
@@ -541,8 +454,10 @@ mod tests {
 
     #[test]
     fn silent_party_is_excluded_from_the_quantifiers() {
-        let runs = sweep(&Adversary::standard_sweep(4, 2), 10_000, |_| {
-            Ensemble::build(4, |_| Echo::boxed(3)).silence(1)
+        let runs = sweep(&Adversary::standard_sweep(4, 2), 10_000, |adv| {
+            let mut sim = Echo::sim(4, 3, adv);
+            sim.silence(PartyId(1));
+            sim
         });
         for run in &runs {
             run.assert_termination();
@@ -557,8 +472,10 @@ mod tests {
         // With quorum 3 of 4 and one party crashing after its first two
         // deliveries, the remaining three parties still hear three senders
         // (the crasher's activation multicast was already in flight).
-        let runs = sweep(&[Adversary::Fifo, Adversary::Random { seed: 1 }], 10_000, |_| {
-            Ensemble::build(4, |_| Echo::boxed(3)).crash_after(0, 2)
+        let runs = sweep(&[Adversary::Fifo, Adversary::Random { seed: 1 }], 10_000, |adv| {
+            let mut sim = Echo::sim(4, 3, adv);
+            sim.crash_after(PartyId(0), 2);
+            sim
         });
         for run in &runs {
             run.assert_termination();
@@ -568,8 +485,10 @@ mod tests {
 
     #[test]
     fn crash_at_start_party_never_speaks() {
-        let runs = sweep(&[Adversary::Fifo], 10_000, |_| {
-            Ensemble::build(4, |_| Echo::boxed(3)).crash_at_start(2)
+        let runs = sweep(&[Adversary::Fifo], 10_000, |adv| {
+            let mut sim = Echo::sim(4, 3, adv);
+            sim.crash(PartyId(2));
+            sim
         });
         runs[0].assert_termination();
         assert!(runs[0].outputs[2].is_none());
@@ -585,8 +504,10 @@ mod tests {
     #[should_panic(expected = "termination violated")]
     fn starved_quorum_fails_termination_with_schedule_in_message() {
         // Quorum of 4 with one silent party can never complete.
-        let runs = sweep(&[Adversary::Random { seed: 3 }], 10_000, |_| {
-            Ensemble::build(4, |_| Echo::boxed(4)).silence(0)
+        let runs = sweep(&[Adversary::Random { seed: 3 }], 10_000, |adv| {
+            let mut sim = Echo::sim(4, 4, adv);
+            sim.silence(PartyId(0));
+            sim
         });
         runs[0].assert_termination();
     }
@@ -594,9 +515,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_adversary() {
         let run_once = || {
-            let runs = sweep(&[Adversary::Random { seed: 9 }], 10_000, |_| {
-                Ensemble::build(7, |_| Echo::boxed(5))
-            });
+            let runs = sweep(&[Adversary::Random { seed: 9 }], 10_000, |adv| Echo::sim(7, 5, adv));
             runs[0].report.deliveries
         };
         assert_eq!(run_once(), run_once());

@@ -686,7 +686,7 @@ mod tests {
     use setupfree_core::election::Election;
     use setupfree_core::TrustedCoinFactory;
     use setupfree_crypto::generate_pki;
-    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason};
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     /// Election factory over the full Coin but with the idealised ABA-coin:
     /// the real Election (Alg 5) with the real internal Coin, where the
@@ -800,10 +800,9 @@ mod tests {
     fn tolerates_a_silent_party() {
         let n = 4;
         let inputs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 4]).collect();
-        let mut parties = make_parties(n, inputs.clone(), accept_all(), 4);
-        parties[2] = Box::new(SilentParty::new());
+        let parties = make_parties(n, inputs.clone(), accept_all(), 4);
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(5)));
-        sim.mark_byzantine(PartyId(2));
+        sim.silence(PartyId(2));
         let report = sim.run(80_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         let outputs = sim.outputs();
@@ -890,16 +889,13 @@ mod tests {
     #[test]
     fn committee_vba_tolerates_f_c_silent_members() {
         let (n, size) = (22, 10);
-        let (committee, mut parties, inputs) = make_committee_parties(n, size, 0xFEED, 77);
+        let (committee, parties, inputs) = make_committee_parties(n, size, 0xFEED, 77);
         let f_c = committee.f();
         assert_eq!(f_c, 3);
         let silenced: Vec<PartyId> = committee.members()[..f_c].to_vec();
-        for p in &silenced {
-            parties[p.index()] = Box::new(SilentParty::new());
-        }
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(11)));
         for p in &silenced {
-            sim.mark_byzantine(*p);
+            sim.silence(*p);
         }
         let report = sim.run(300_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);

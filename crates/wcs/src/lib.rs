@@ -331,7 +331,7 @@ impl ProtocolInstance for WcsHarness {
 mod tests {
     use super::*;
     use setupfree_crypto::generate_pki;
-    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, SilentParty, Simulation, StopReason};
+    use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
 
     fn setup(n: usize) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
         let (keyring, secrets) = generate_pki(n, 5);
@@ -414,12 +414,10 @@ mod tests {
         let n = 7;
         let f = 2;
         let (keyring, secrets) = setup(n);
-        let mut parties = harness_parties(n, vec![full_set(n); n], &keyring, &secrets);
-        parties[0] = Box::new(SilentParty::new());
-        parties[1] = Box::new(SilentParty::new());
+        let parties = harness_parties(n, vec![full_set(n); n], &keyring, &secrets);
         let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(9)));
-        sim.mark_byzantine(PartyId(0));
-        sim.mark_byzantine(PartyId(1));
+        sim.silence(PartyId(0));
+        sim.silence(PartyId(1));
         let report = sim.run(1_000_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
         for (i, out) in sim.outputs().into_iter().enumerate() {

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use setupfree::prelude::*;
-use setupfree::net::SilentParty;
 use setupfree_aba::MmrAbaFactory;
 use setupfree_core::coin::CoinProtocolFactory;
 
@@ -40,7 +39,7 @@ fn main() {
     let predicate: Predicate = Arc::new(|v: &[u8]| v.first() == Some(&0xB1) && v.len() > 1);
 
     type FullVba = Vba<FullElectionFactory, MmrAbaFactory<CoinProtocolFactory>>;
-    let mut parties: Vec<BoxedParty<<FullVba as ProtocolInstance>::Message, Vec<u8>>> = (0..n)
+    let parties: Vec<BoxedParty<<FullVba as ProtocolInstance>::Message, Vec<u8>>> = (0..n)
         .map(|i| {
             let batch = {
                 let mut b = vec![0xB1u8];
@@ -66,11 +65,9 @@ fn main() {
         })
         .collect();
 
-    // Replica 3 has crashed before the agreement started.
-    parties[3] = Box::new(SilentParty::new());
-
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(11)));
-    sim.mark_byzantine(PartyId(3));
+    // Replica 3 has crashed before the agreement started.
+    sim.silence(PartyId(3));
     let report = sim.run(1 << 30);
     assert_eq!(report.reason, StopReason::AllOutputs);
 

@@ -24,8 +24,8 @@ use setupfree_core::{
 };
 use setupfree_crypto::{generate_pki, PartySecrets};
 use setupfree_net::mux::Envelope;
-use setupfree_net::{BoxedParty, Sid};
-use setupfree_testkit::{sweep, Adversary, Ensemble};
+use setupfree_net::{BoxedParty, PartyId, Sid, Simulation};
+use setupfree_testkit::{sweep, Adversary};
 use setupfree_vba::{accept_all, Vba};
 
 /// The adversary's candidate corruption set: the global fault budget's worth
@@ -51,55 +51,64 @@ fn member_indices(committee: &Committee) -> Vec<usize> {
     committee.members().iter().map(|p| p.index()).collect()
 }
 
-fn committee_aba_ensemble(
+fn committee_aba_sim(
     n: usize,
     f: usize,
     committee: &Committee,
     corrupt: &[usize],
-) -> Ensemble<Envelope, bool> {
-    let committee = committee.clone();
-    let mut ensemble = Ensemble::build(n, |me| {
-        let factory =
-            MmrAbaFactory::with_committee(me, n, f, TrustedCoinFactory, committee.clone());
-        // Mixed inputs across members so the decision is not forced.
-        Box::new(factory.create(Sid::new("committee-aba"), me.index() % 2 == 0))
-            as BoxedParty<Envelope, bool>
-    });
+    adv: &Adversary,
+) -> Simulation<Envelope, bool> {
+    let parties = (0..n)
+        .map(PartyId)
+        .map(|me| {
+            let factory =
+                MmrAbaFactory::with_committee(me, n, f, TrustedCoinFactory, committee.clone());
+            // Mixed inputs across members so the decision is not forced.
+            Box::new(factory.create(Sid::new("committee-aba"), me.index() % 2 == 0))
+                as BoxedParty<Envelope, bool>
+        })
+        .collect();
+    let mut sim = Simulation::new(parties, adv.scheduler());
     for &c in corrupt {
-        ensemble = ensemble.silence(c);
+        sim.silence(PartyId(c));
     }
-    ensemble
+    sim
 }
 
-fn committee_vba_ensemble(
+fn committee_vba_sim(
     n: usize,
     committee: &Committee,
     corrupt: &[usize],
     pki_seed: u64,
-) -> Ensemble<Envelope, Vec<u8>> {
+    adv: &Adversary,
+) -> Simulation<Envelope, Vec<u8>> {
     let (keyring, secrets) = generate_pki(n, pki_seed);
     let keyring = Arc::new(keyring);
     let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
-    let committee = committee.clone();
     let f = keyring.f();
-    let mut ensemble = Ensemble::build(n, |me| {
-        let aba = MmrAbaFactory::with_committee(me, n, f, TrustedCoinFactory, committee.clone());
-        Box::new(Vba::with_committee(
-            Sid::new("committee-vba"),
-            me,
-            keyring.clone(),
-            secrets[me.index()].clone(),
-            format!("proposal-{}", me.index()).into_bytes(),
-            accept_all(),
-            TrustedElectionFactory::new(n),
-            aba,
-            committee.clone(),
-        )) as BoxedParty<Envelope, Vec<u8>>
-    });
+    let parties = (0..n)
+        .map(PartyId)
+        .map(|me| {
+            let aba =
+                MmrAbaFactory::with_committee(me, n, f, TrustedCoinFactory, committee.clone());
+            Box::new(Vba::with_committee(
+                Sid::new("committee-vba"),
+                me,
+                keyring.clone(),
+                secrets[me.index()].clone(),
+                format!("proposal-{}", me.index()).into_bytes(),
+                accept_all(),
+                TrustedElectionFactory::new(n),
+                aba,
+                committee.clone(),
+            )) as BoxedParty<Envelope, Vec<u8>>
+        })
+        .collect();
+    let mut sim = Simulation::new(parties, adv.scheduler());
     for &c in corrupt {
-        ensemble = ensemble.silence(c);
+        sim.silence(PartyId(c));
     }
-    ensemble
+    sim
 }
 
 /// Committee ABA at n = 40 with the worst sampled committee: up to `f_c`
@@ -112,8 +121,8 @@ fn committee_aba_n40_worst_committee_full_sweep() {
     assert!(!corrupt.is_empty(), "the pool must yield at least one inside corruption");
     let members = member_indices(&committee);
     let adversaries = Adversary::committee_sweep(n, &members, 3);
-    let runs = sweep(&adversaries, 400_000_000, |_| {
-        committee_aba_ensemble(n, (n - 1) / 3, &committee, &corrupt)
+    let runs = sweep(&adversaries, 400_000_000, |adv| {
+        committee_aba_sim(n, (n - 1) / 3, &committee, &corrupt, adv)
     });
     for run in &runs {
         run.assert_committee_agreement(&members);
@@ -138,8 +147,8 @@ fn committee_aba_n100_worst_committee() {
     let members = member_indices(&committee);
     let mut adversaries = Adversary::random_sweep(2);
     adversaries.push(Adversary::TargetedDelay { targets: vec![members[0]], seed: 0xbad });
-    let runs = sweep(&adversaries, 1_000_000_000, |_| {
-        committee_aba_ensemble(n, (n - 1) / 3, &committee, &corrupt)
+    let runs = sweep(&adversaries, 1_000_000_000, |adv| {
+        committee_aba_sim(n, (n - 1) / 3, &committee, &corrupt, adv)
     });
     for run in &runs {
         run.assert_committee_agreement(&members);
@@ -156,8 +165,8 @@ fn committee_vba_n40_worst_committee_full_sweep() {
     let (committee, corrupt) = worst_committee(n, size, "vba-battery");
     let members = member_indices(&committee);
     let adversaries = Adversary::committee_sweep(n, &members, 2);
-    let runs = sweep(&adversaries, 600_000_000, |_| {
-        committee_vba_ensemble(n, &committee, &corrupt, 0x7b)
+    let runs = sweep(&adversaries, 600_000_000, |adv| {
+        committee_vba_sim(n, &committee, &corrupt, 0x7b, adv)
     });
     for run in &runs {
         run.assert_committee_agreement(&members);
@@ -176,8 +185,8 @@ fn committee_vba_n100_worst_committee() {
     let members = member_indices(&committee);
     let mut adversaries = Adversary::random_sweep(1);
     adversaries.push(Adversary::TargetedDelay { targets: vec![members[0]], seed: 0xbee });
-    let runs = sweep(&adversaries, 2_000_000_000, |_| {
-        committee_vba_ensemble(n, &committee, &corrupt, 0x7c)
+    let runs = sweep(&adversaries, 2_000_000_000, |adv| {
+        committee_vba_sim(n, &committee, &corrupt, 0x7c, adv)
     });
     for run in &runs {
         run.assert_committee_agreement(&members);

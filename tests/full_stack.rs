@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the paper's complete protocol stack
 //! (Seeding → AVSS → WCS → Coin → ABA → Election → VBA) exercised end-to-end
 //! through the shared adversarial harness (`setupfree-testkit`) — every
-//! ensemble runs across a sweep of seeded schedulers, with crash faults and
+//! protocol runs across a sweep of seeded schedulers, with crash faults and
 //! maliciously generated keys, and the agreement/validity/termination
 //! invariants are asserted uniformly per schedule.
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use setupfree::prelude::*;
 use setupfree_aba::MmrAbaFactory;
 use setupfree_core::coin::CoinProtocolFactory;
-use setupfree_testkit::{assert_agreement_sweep, sweep, Adversary, Ensemble};
+use setupfree_testkit::{assert_agreement_sweep, sweep, Adversary};
 
 fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
     let (keyring, secrets) = generate_pki(n, seed);
@@ -20,23 +20,28 @@ fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
 type FullElection = Election<MmrAbaFactory<CoinProtocolFactory>>;
 type ElectionMsg = <FullElection as ProtocolInstance>::Message;
 
-fn election_ensemble(
+fn election_sim(
     n: usize,
+    adv: &Adversary,
     sid: &str,
     keyring: &Arc<Keyring>,
     secrets: &[Arc<PartySecrets>],
-) -> Ensemble<ElectionMsg, ElectionOutput> {
+) -> Simulation<ElectionMsg, ElectionOutput> {
     let sid = Sid::new(sid);
-    Ensemble::build(n, |i| {
-        let aba = setup_free_aba_factory(i, keyring.clone(), secrets[i.index()].clone());
-        Box::new(Election::new(
-            sid.clone(),
-            i,
-            keyring.clone(),
-            secrets[i.index()].clone(),
-            aba,
-        )) as BoxedParty<ElectionMsg, ElectionOutput>
-    })
+    let parties = (0..n)
+        .map(PartyId)
+        .map(|i| {
+            let aba = setup_free_aba_factory(i, keyring.clone(), secrets[i.index()].clone());
+            Box::new(Election::new(
+                sid.clone(),
+                i,
+                keyring.clone(),
+                secrets[i.index()].clone(),
+                aba,
+            )) as BoxedParty<ElectionMsg, ElectionOutput>
+        })
+        .collect();
+    Simulation::new(parties, adv.scheduler())
 }
 
 /// The acceptance bar for this repo: the full-stack election must reach
@@ -49,7 +54,7 @@ fn election_full_stack_agreement_across_schedules() {
     let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 1 << 30, |adv| {
         // A schedule-distinct session id gives every run fresh protocol
         // randomness while staying fully reproducible.
-        election_ensemble(n, &format!("it-election-{adv}"), &keyring, &secrets)
+        election_sim(n, adv, &format!("it-election-{adv}"), &keyring, &secrets)
     });
     for run in &runs {
         run.assert_validity(|out| out.leader.index() < n);
@@ -61,7 +66,9 @@ fn election_full_stack_tolerates_a_silent_party() {
     let n = 4;
     let (keyring, secrets) = keys(n, 2);
     let runs = assert_agreement_sweep(&Adversary::random_sweep(3), 1 << 30, |adv| {
-        election_ensemble(n, &format!("it-election-crash-{adv}"), &keyring, &secrets).silence(1)
+        let mut sim = election_sim(n, adv, &format!("it-election-crash-{adv}"), &keyring, &secrets);
+        sim.silence(PartyId(1));
+        sim
     });
     for run in &runs {
         assert_eq!(run.honest_outputs().len(), 3, "under {}", run.adversary);
@@ -79,15 +86,19 @@ fn coin_with_gather_core_set_also_terminates_and_agrees_often() {
     let trials = 6;
     let runs = sweep(&Adversary::random_sweep(trials), 1 << 28, |adv| {
         let sid = Sid::new(&format!("it-gather-{adv}"));
-        Ensemble::build(n, |i| {
-            Box::new(Coin::with_core_mode(
-                sid.clone(),
-                i,
-                keyring.clone(),
-                secrets[i.index()].clone(),
-                CoreSetMode::RbcGather,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                Box::new(Coin::with_core_mode(
+                    sid.clone(),
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    CoreSetMode::RbcGather,
+                )) as BoxedParty<Envelope, CoinOutput>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     let mut agreements = 0u64;
     for run in &runs {
@@ -111,12 +122,16 @@ fn coin_remains_fair_with_maliciously_generated_keys() {
     let (keyring, secrets) = generate_pki_with_malicious(n, 4, &[3]);
     let keyring = Arc::new(keyring);
     let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
-    let runs = sweep(&[Adversary::Fifo], 1 << 28, |_| {
+    let runs = sweep(&[Adversary::Fifo], 1 << 28, |adv| {
         let sid = Sid::new("it-malicious");
-        Ensemble::build(n, |i| {
-            Box::new(Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()))
-                as BoxedParty<Envelope, CoinOutput>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                Box::new(Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()))
+                    as BoxedParty<Envelope, CoinOutput>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_termination();
@@ -134,15 +149,20 @@ fn aba_full_stack_with_crash_fault() {
     let inputs = [true, false, true, true];
     // The full standard sweep (FIFO, 3 random schedules, targeted delay,
     // partition), each with party 3 silenced (Byzantine from the start).
-    let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 1 << 30, |_| {
+    let runs = assert_agreement_sweep(&Adversary::standard_sweep(n, 3), 1 << 30, |adv| {
         let sid = Sid::new("it-aba");
-        Ensemble::build(n, |i| {
-            let factory =
-                CoinProtocolFactory::new(i, keyring.clone(), secrets[i.index()].clone());
-            Box::new(MmrAba::new(sid.clone(), i, n, keyring.f(), inputs[i.index()], factory))
-                as BoxedParty<Envelope, bool>
-        })
-        .silence(3)
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                let factory =
+                    CoinProtocolFactory::new(i, keyring.clone(), secrets[i.index()].clone());
+                Box::new(MmrAba::new(sid.clone(), i, n, keyring.f(), inputs[i.index()], factory))
+                    as BoxedParty<Envelope, bool>
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, adv.scheduler());
+        sim.silence(PartyId(3));
+        sim
     });
     for run in &runs {
         let decided = run.honest_outputs();
@@ -176,25 +196,28 @@ fn vba_full_stack_external_validity_and_agreement() {
     let inputs: Vec<Vec<u8>> = (0..n).map(|i| vec![0x7a, i as u8]).collect();
     let runs = assert_agreement_sweep(&Adversary::random_sweep(3), 1 << 30, |adv| {
         let sid = Sid::new(&format!("it-vba-{adv}"));
-        let inputs = inputs.clone();
-        Ensemble::build(n, |i| {
-            let ef = Ef {
-                me: i,
-                keyring: keyring.clone(),
-                secrets: secrets[i.index()].clone(),
-            };
-            let af = setup_free_aba_factory(i, keyring.clone(), secrets[i.index()].clone());
-            Box::new(Vba::new(
-                sid.clone(),
-                i,
-                keyring.clone(),
-                secrets[i.index()].clone(),
-                inputs[i.index()].clone(),
-                predicate.clone(),
-                ef,
-                af,
-            )) as BoxedParty<VbaMsg, Vec<u8>>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                let ef = Ef {
+                    me: i,
+                    keyring: keyring.clone(),
+                    secrets: secrets[i.index()].clone(),
+                };
+                let af = setup_free_aba_factory(i, keyring.clone(), secrets[i.index()].clone());
+                Box::new(Vba::new(
+                    sid.clone(),
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    inputs[i.index()].clone(),
+                    predicate.clone(),
+                    ef,
+                    af,
+                )) as BoxedParty<VbaMsg, Vec<u8>>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_validity(|out| predicate(out));
@@ -209,12 +232,16 @@ fn communication_of_the_coin_is_cubic_not_quartic() {
     // than the n⁴ baseline would (10/4)⁴ ≈ 39×.
     let measure = |n: usize| {
         let (keyring, secrets) = keys(n, 7);
-        let runs = sweep(&[Adversary::Fifo], 1 << 30, |_| {
+        let runs = sweep(&[Adversary::Fifo], 1 << 30, |adv| {
             let sid = Sid::new("it-scale");
-            Ensemble::build(n, |i| {
-                Box::new(Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()))
-                    as BoxedParty<Envelope, CoinOutput>
-            })
+            let parties = (0..n)
+                .map(PartyId)
+                .map(|i| {
+                    Box::new(Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()))
+                        as BoxedParty<Envelope, CoinOutput>
+                })
+                .collect();
+            Simulation::new(parties, adv.scheduler())
         });
         // Termination only: this test measures communication.  Whole-output
         // agreement would be too strong (`max_vrf` is speculative per-party

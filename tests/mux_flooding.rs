@@ -21,7 +21,7 @@
 use setupfree::prelude::*;
 use setupfree_net::mux::{composite_cap, CapPolicy, DEFAULT_PER_SENDER_CAP};
 use setupfree_net::Step;
-use setupfree_testkit::{sweep, Adversary, Ensemble};
+use setupfree_testkit::{sweep, Adversary};
 
 type TrustedAba = MmrAba<TrustedCoinFactory>;
 
@@ -213,7 +213,7 @@ fn committee_cap_scales_to_the_committee_and_non_members_never_buffer() {
     assert_eq!(listener.buffered_coin_messages(), 0, "listeners never buffer coin traffic");
 }
 
-/// Ensemble-level committee flooding regression: a Byzantine **non-member**
+/// Sweep-level committee flooding regression: a Byzantine **non-member**
 /// sprays pre-activation coin traffic at everyone mid-protocol; the
 /// committee still agrees and the flood never registers in the buffer
 /// telemetry (it is dropped at the membership filter, before the router).
@@ -230,28 +230,32 @@ fn committee_honest_agree_despite_a_non_member_flooder() {
         a.extend((0..3).map(|seed| Adversary::Random { seed }));
         a
     };
-    let runs = sweep(&adversaries, 5_000_000, |_| {
-        let committee = committee.clone();
-        Ensemble::build(n, |me| {
-            if me.index() == flooder {
-                Box::new(FloodingParty {
-                    nonce: 0,
-                    burst: 64,
-                    total: 2 * DEFAULT_PER_SENDER_CAP as u64,
-                }) as BoxedParty<Envelope, bool>
-            } else {
-                Box::new(TrustedAba::with_committee(
-                    Sid::new("cflood-sweep"),
-                    me,
-                    n,
-                    (n - 1) / 3,
-                    me.index() % 2 == 0,
-                    TrustedCoinFactory,
-                    committee.clone(),
-                )) as BoxedParty<Envelope, bool>
-            }
-        })
-        .mark_byzantine(flooder)
+    let runs = sweep(&adversaries, 5_000_000, |adv| {
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|me| {
+                if me.index() == flooder {
+                    Box::new(FloodingParty {
+                        nonce: 0,
+                        burst: 64,
+                        total: 2 * DEFAULT_PER_SENDER_CAP as u64,
+                    }) as BoxedParty<Envelope, bool>
+                } else {
+                    Box::new(TrustedAba::with_committee(
+                        Sid::new("cflood-sweep"),
+                        me,
+                        n,
+                        (n - 1) / 3,
+                        me.index() % 2 == 0,
+                        TrustedCoinFactory,
+                        committee.clone(),
+                    )) as BoxedParty<Envelope, bool>
+                }
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, adv.scheduler());
+        sim.mark_byzantine(PartyId(flooder));
+        sim
     });
     let members: Vec<usize> = committee.members().iter().map(|p| p.index()).collect();
     for run in &runs {
@@ -315,33 +319,33 @@ fn honest_parties_agree_despite_a_flooding_byzantine_sender() {
         a.extend((0..3).map(|seed| Adversary::Random { seed }));
         a
     };
-    let runs = sweep(&adversaries, 5_000_000, |_| {
-        Ensemble::new(
-            (0..n)
-                .map(|i| {
-                    if i == 3 {
-                        // Sprays twice the per-sender cap at every honest
-                        // party (the cap demonstrably engages) without
-                        // unbounded message amplification.
-                        Box::new(FloodingParty {
-                            nonce: 0,
-                            burst: 64,
-                            total: 2 * DEFAULT_PER_SENDER_CAP as u64,
-                        }) as BoxedParty<Envelope, bool>
-                    } else {
-                        Box::new(TrustedAba::new(
-                            Sid::new("flood-sweep"),
-                            PartyId(i),
-                            n,
-                            1,
-                            inputs[i],
-                            TrustedCoinFactory,
-                        )) as BoxedParty<Envelope, bool>
-                    }
-                })
-                .collect(),
-        )
-        .mark_byzantine(3)
+    let runs = sweep(&adversaries, 5_000_000, |adv| {
+        let parties = (0..n)
+            .map(|i| {
+                if i == 3 {
+                    // Sprays twice the per-sender cap at every honest party
+                    // (the cap demonstrably engages) without unbounded
+                    // message amplification.
+                    Box::new(FloodingParty {
+                        nonce: 0,
+                        burst: 64,
+                        total: 2 * DEFAULT_PER_SENDER_CAP as u64,
+                    }) as BoxedParty<Envelope, bool>
+                } else {
+                    Box::new(TrustedAba::new(
+                        Sid::new("flood-sweep"),
+                        PartyId(i),
+                        n,
+                        1,
+                        inputs[i],
+                        TrustedCoinFactory,
+                    )) as BoxedParty<Envelope, bool>
+                }
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, adv.scheduler());
+        sim.mark_byzantine(PartyId(3));
+        sim
     });
     for run in &runs {
         run.assert_termination();

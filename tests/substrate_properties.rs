@@ -14,7 +14,7 @@ use setupfree::crypto::SigningKey;
 use setupfree::prelude::*;
 use setupfree_avss::harness::AvssSharing;
 use setupfree_avss::{Avss, AvssShareOutput};
-use setupfree_testkit::{sweep, Adversary, Ensemble};
+use setupfree_testkit::{sweep, Adversary};
 use setupfree_wcs::WcsHarness;
 
 fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
@@ -34,19 +34,23 @@ fn avss_commitment_holds_under_many_schedules() {
     // (party 2) is also targeted for worst-case delay.
     let mut adversaries = Adversary::standard_sweep(n, 8);
     adversaries.push(Adversary::TargetedDelay { targets: vec![2], seed: 77 });
-    let runs = sweep(&adversaries, 5_000_000, |_| {
+    let runs = sweep(&adversaries, 5_000_000, |adv| {
         let sid = Sid::new("prop-avss");
-        Ensemble::build(n, |i| {
-            let input = if i.index() == 2 { Some(vec![9u8; 40]) } else { None };
-            Box::new(AvssSharing::new(Avss::new(
-                sid.clone(),
-                i,
-                PartyId(2),
-                keyring.clone(),
-                secrets[i.index()].clone(),
-                input,
-            ))) as BoxedParty<AvssMessage, AvssShareOutput>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                let input = if i.index() == 2 { Some(vec![9u8; 40]) } else { None };
+                Box::new(AvssSharing::new(Avss::new(
+                    sid.clone(),
+                    i,
+                    PartyId(2),
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    input,
+                ))) as BoxedParty<AvssMessage, AvssShareOutput>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_termination();
@@ -137,15 +141,19 @@ fn wcs_outputs_contain_a_common_core() {
     let n = 7;
     let f = 2;
     let (keyring, secrets) = keys(n, 52);
-    let runs = sweep(&Adversary::standard_sweep(n, 6), 5_000_000, |_| {
+    let runs = sweep(&Adversary::standard_sweep(n, 6), 5_000_000, |adv| {
         let sid = Sid::new("prop-wcs");
         let input: BTreeSet<usize> = (0..n).collect();
-        Ensemble::build(n, |i| {
-            Box::new(WcsHarness::new(
-                Wcs::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()),
-                input.clone(),
-            )) as BoxedParty<WcsMessage, Vec<usize>>
-        })
+        let parties = (0..n)
+            .map(PartyId)
+            .map(|i| {
+                Box::new(WcsHarness::new(
+                    Wcs::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()),
+                    input.clone(),
+                )) as BoxedParty<WcsMessage, Vec<usize>>
+            })
+            .collect();
+        Simulation::new(parties, adv.scheduler())
     });
     for run in &runs {
         run.assert_termination();
@@ -176,17 +184,21 @@ fn seeding_seeds_differ_across_sessions_and_leaders() {
     let n = 4;
     let (keyring, secrets) = keys(n, 53);
     let run = |sid: &str, leader: usize| {
-        let runs = sweep(&[Adversary::Fifo], 5_000_000, |_| {
+        let runs = sweep(&[Adversary::Fifo], 5_000_000, |adv| {
             let sid = Sid::new(sid);
-            Ensemble::build(n, |i| {
-                Box::new(Seeding::new(
-                    sid.clone(),
-                    i,
-                    PartyId(leader),
-                    keyring.clone(),
-                    secrets[i.index()].clone(),
-                )) as BoxedParty<SeedingMessage, [u8; 32]>
-            })
+            let parties = (0..n)
+                .map(PartyId)
+                .map(|i| {
+                    Box::new(Seeding::new(
+                        sid.clone(),
+                        i,
+                        PartyId(leader),
+                        keyring.clone(),
+                        secrets[i.index()].clone(),
+                    )) as BoxedParty<SeedingMessage, [u8; 32]>
+                })
+                .collect();
+            Simulation::new(parties, adv.scheduler())
         });
         runs[0].assert_termination();
         runs[0].assert_agreement();
@@ -210,19 +222,25 @@ fn coin_bits_vary_and_duplicated_traffic_is_harmless() {
     let (keyring, secrets) = keys(n, 54);
     let mut bits = Vec::new();
     for t in 0..5u64 {
-        let runs = sweep(&[Adversary::Fifo], 1 << 28, |_| {
+        let runs = sweep(&[Adversary::Fifo], 1 << 28, |adv| {
             let sid = Sid::new(&format!("prop-coin-{t}"));
-            Ensemble::build(n, |i| {
-                let coin = Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone());
-                if i.index() == 3 {
-                    // One party duplicates every message it sends; handlers
-                    // must be idempotent ("first time" rules in the paper).
-                    Box::new(setupfree::net::DuplicatingParty::new(coin))
-                        as BoxedParty<Envelope, CoinOutput>
-                } else {
-                    Box::new(coin) as BoxedParty<Envelope, CoinOutput>
-                }
-            })
+            let parties = (0..n)
+                .map(PartyId)
+                .map(|i| {
+                    let coin =
+                        Coin::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone());
+                    if i.index() == 3 {
+                        // One party duplicates every message it sends;
+                        // handlers must be idempotent ("first time" rules in
+                        // the paper).
+                        Box::new(setupfree::net::DuplicatingParty::new(coin))
+                            as BoxedParty<Envelope, CoinOutput>
+                    } else {
+                        Box::new(coin) as BoxedParty<Envelope, CoinOutput>
+                    }
+                })
+                .collect();
+            Simulation::new(parties, adv.scheduler())
         });
         runs[0].assert_termination();
         bits.push(runs[0].first_output().bit);
