@@ -20,10 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use setupfree_core::traits::{AbaFactory, ElectionFactory};
-use setupfree_crypto::hash::sha256;
 use setupfree_crypto::pairing::G1;
 use setupfree_crypto::pvss::{PvssParams, PvssScript, PvssShare};
 use setupfree_crypto::scalar::Scalar;
@@ -194,16 +191,12 @@ impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Adkg<EF, AF> {
     type Output = AdkgOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
-        // Deal our contribution with a derandomized secret.
-        let mut seed_bytes = self.sid.as_bytes().to_vec();
-        seed_bytes.extend_from_slice(&self.me.index().to_le_bytes());
-        seed_bytes.extend_from_slice(b"/adkg/contribution");
+        // Deal our contribution: its secret and the dealing randomness come
+        // from our own key material, so no other party can compute them.
+        let me = self.me.index().to_le_bytes();
         let mut rng =
-            StdRng::seed_from_u64(u64::from_le_bytes(sha256(&seed_bytes)[..8].try_into().expect("8 bytes")));
-        let secret = Scalar::from_hash(
-            "setupfree/adkg/secret",
-            &[self.sid.as_bytes(), &self.me.index().to_le_bytes()],
-        );
+            self.secrets.private_rng("setupfree/adkg/contribution", &[self.sid.as_bytes(), &me]);
+        let secret = Scalar::random(&mut rng);
         let script = PvssScript::deal(
             &self.params,
             &self.keyring.pvss_eks(),
@@ -253,5 +246,40 @@ impl<EF: ElectionFactory, AF: AbaFactory> ProtocolInstance for Adkg<EF, AF> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.vba.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use setupfree_aba::MmrAbaFactory;
+    use setupfree_core::{TrustedCoinFactory, TrustedElectionFactory};
+    use setupfree_crypto::generate_pki;
+
+    #[test]
+    fn a_contribution_comes_from_its_dealers_private_keys() {
+        // Party 0's contribution in the same session under two PKIs: a
+        // secret derived from public data (the sid and the index) would be
+        // the same in both, and anyone could compute it.
+        let commitment = |pki_seed| {
+            let n = 4;
+            let (keyring, secrets) = generate_pki(n, pki_seed);
+            let me = PartyId(0);
+            let aba = MmrAbaFactory::new(me, n, keyring.f(), TrustedCoinFactory);
+            let mut adkg = Adkg::new(
+                Sid::new("adkg"),
+                me,
+                Arc::new(keyring),
+                Arc::new(secrets[0].clone()),
+                TrustedElectionFactory::new(n),
+                aba,
+            );
+            let step = adkg.on_activation();
+            match step.outgoing[0].msg.open() {
+                Some(AdkgMessage::Pvss { script }) => script.public_commitment(),
+                None => panic!("the activation multicasts the contribution"),
+            }
+        };
+        assert_ne!(commitment(13), commitment(14));
     }
 }

@@ -20,7 +20,6 @@
 //! election per epoch as its own session of the runtime's `ShardedHost`
 //! instead; `tests/concurrent_sessions.rs` does exactly that.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use setupfree_core::election::{Election, ElectionOutput};
@@ -96,8 +95,11 @@ pub struct RandomBeacon<F: AbaFactory + Clone> {
     /// own included) has arrived — capping the long-run live-instance count
     /// instead of retaining every epoch until the whole run completes.
     gc: bool,
-    /// `Done` acknowledgement senders per epoch.
-    done_from: BTreeMap<u32, BTreeSet<usize>>,
+    /// Per sender, one past the largest epoch its counted `Done`s named.
+    /// An honest party records epochs in order and acknowledges each as it
+    /// records it, so its `Done` for epoch `e` means it finished every
+    /// epoch up to `e`.
+    acked: Vec<u32>,
     /// First epoch not yet retired (epochs are retired in order).
     gc_frontier: u32,
 }
@@ -141,7 +143,7 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
             results: Vec::new(),
             output: None,
             gc: false,
-            done_from: BTreeMap::new(),
+            acked: vec![0; n],
             gc_frontier: 0,
         }
     }
@@ -231,12 +233,11 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
         }
         let quorum = self.keyring.n() - self.keyring.f();
         while self.gc_frontier < self.current {
-            let acks = self.done_from.get(&self.gc_frontier).map_or(0, BTreeSet::len);
+            let acks = self.acked.iter().filter(|&&acked| acked > self.gc_frontier).count();
             if acks < quorum {
                 break;
             }
             self.elections.retire(self.gc_frontier as usize);
-            self.done_from.remove(&self.gc_frontier);
             self.gc_frontier += 1;
         }
     }
@@ -255,15 +256,15 @@ impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
     fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
         let Some((seg, path)) = msg.path.split_first() else {
             // The only local message is the child-GC acknowledgement.  Acks
-            // are only state worth holding while GC is on and the epoch is
-            // still ahead of the retirement frontier — recording them
-            // otherwise (GC off, or a straggler's late ack for an already
-            // retired epoch) would accumulate exactly the per-epoch state
-            // the GC exists to bound.
+            // matter only while GC is on and the epoch is still ahead of the
+            // retirement frontier, and each sender's are one counter, so no
+            // sender can grow the state by naming many epochs.
             if let Some(BeaconMessage::Done { epoch }) = msg.open() {
-                if self.gc && epoch >= self.gc_frontier && epoch < self.epochs {
-                    self.done_from.entry(epoch).or_default().insert(from.index());
-                    self.try_retire();
+                if let Some(acked) = self.acked.get_mut(from.index()) {
+                    if self.gc && epoch >= self.gc_frontier && epoch < self.epochs {
+                        *acked = (*acked).max(epoch + 1);
+                        self.try_retire();
+                    }
                 }
             }
             return Step::none();

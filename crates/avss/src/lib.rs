@@ -30,7 +30,7 @@ use setupfree_crypto::poly::{interpolate_at_zero, Polynomial};
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
+use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 const CIPHER_DOMAIN: &str = "setupfree/avss/cipher";
@@ -198,10 +198,8 @@ pub struct Avss {
     locked: bool,
     pending_cipher: Option<PendingCipher>,
     echo_sent: bool,
-    ready_sent: bool,
-    /// Each sender's first `Echo` and first `Ready` (Bracha's rule).
-    echoes: VoteTally<Vec<u8>>,
-    readies: VoteTally<Vec<u8>>,
+    /// The ciphertext's `Echo`/`Ready` amplification.
+    amplifier: Amplifier<Vec<u8>>,
     share_output: Option<AvssShareOutput>,
     // --- reconstruction phase ---
     rec_activated: bool,
@@ -233,7 +231,7 @@ impl Avss {
         secrets: Arc<PartySecrets>,
         dealer_secret: Option<Vec<u8>>,
     ) -> Self {
-        let n = keyring.n();
+        let (n, f) = (keyring.n(), keyring.f());
         let dealer_state = if me == dealer {
             let secret = dealer_secret.expect("the dealer must provide a secret");
             Some(Self::make_dealer_state(&keyring, secret, &sid, &secrets))
@@ -253,9 +251,7 @@ impl Avss {
             locked: false,
             pending_cipher: None,
             echo_sent: false,
-            ready_sent: false,
-            echoes: VoteTally::new(n),
-            readies: VoteTally::new(n),
+            amplifier: Amplifier::new(n, f),
             share_output: None,
             rec_activated: false,
             rec_buffer: Vec::new(),
@@ -371,7 +367,10 @@ impl Avss {
             AvssMessage::Cipher { quorum, commitment, cipher } => {
                 self.on_cipher(from, quorum, commitment, cipher)
             }
-            AvssMessage::Echo { cipher } => self.on_echo(from, cipher),
+            AvssMessage::Echo { cipher } => match self.amplifier.echo(from, cipher) {
+                Some(cipher) => Step::multicast(AvssMessage::Ready { cipher: cipher.clone() }),
+                None => Step::none(),
+            },
             AvssMessage::Ready { cipher } => self.on_ready(from, cipher),
             msg @ (AvssMessage::KeyRec { .. } | AvssMessage::Key { .. }) => {
                 if self.rec_activated {
@@ -515,26 +514,9 @@ impl Avss {
             )
     }
 
-    fn on_echo(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
-        let quorum = 2 * self.f() + 1;
-        let Some((cipher, count)) = self.echoes.vote(from, cipher) else { return Step::none() };
-        if count >= quorum && !self.ready_sent {
-            self.ready_sent = true;
-            return Step::multicast(AvssMessage::Ready { cipher: cipher.clone() });
-        }
-        Step::none()
-    }
-
     fn on_ready(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
-        let quorum = 2 * self.f() + 1;
-        let amplify = self.f() + 1;
-        let Some((value, count)) = self.readies.vote(from, cipher) else { return Step::none() };
-        let mut step = Step::none();
-        if count >= amplify && !self.ready_sent {
-            self.ready_sent = true;
-            step.push_multicast(AvssMessage::Ready { cipher: value.clone() });
-        }
-        if count >= quorum && self.share_output.is_none() {
+        let Some(due) = self.amplifier.ready(from, cipher) else { return Step::none() };
+        if due.deliver {
             // Alg 1 line 26: output (cipher, shA, shB, cmt); shares may be ⊥.
             let (share_a, share_b, commitment) = if self.locked {
                 (self.recorded_share_a, self.recorded_share_b, self.recorded_commitment.clone())
@@ -543,9 +525,12 @@ impl Avss {
             };
             setupfree_obs::phase(setupfree_obs::Phase::AvssShare, share_a.is_some() as u32);
             self.share_output =
-                Some(AvssShareOutput { cipher: value.clone(), share_a, share_b, commitment });
+                Some(AvssShareOutput { cipher: due.value.clone(), share_a, share_b, commitment });
         }
-        step
+        if due.send_ready {
+            return Step::multicast(AvssMessage::Ready { cipher: due.value.clone() });
+        }
+        Step::none()
     }
 
     /// Activates the reconstruction phase (Alg 2), using this party's sharing

@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use setupfree_avss::Avss;
@@ -40,7 +40,7 @@ use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::sealed_step;
 use setupfree_net::{Envelope, Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
-use setupfree_rbc::Rbc;
+use setupfree_rbc::SetGather;
 
 // ---------------------------------------------------------------------------
 // Local (non-common) coin — the Ben-Or baseline.
@@ -117,9 +117,9 @@ pub const K_GATHER: u8 = 1;
 
 /// A CR93/CKLS02-style common coin: every party deals `n` AVSS instances
 /// (one secret per receiving slot), completed dealers are gathered through
-/// `n` reliable broadcasts, and all secrets of the gathered dealers are
-/// reconstructed; the coin is the low bit of a hash over the reconstructed
-/// secrets.
+/// `n` reliable broadcasts ([`SetGather`], the rule the gather-mode Coin
+/// uses too), and all secrets of the gathered dealers are reconstructed;
+/// the coin is the low bit of a hash over the reconstructed secrets.
 pub struct SquaredAvssCoin {
     sid: Sid,
     me: PartyId,
@@ -129,10 +129,7 @@ pub struct SquaredAvssCoin {
     avss: Router<Leaf<Avss>>,
     /// Dealers whose full slot row completed locally.
     complete_dealers: BTreeSet<usize>,
-    gather_rbcs: Router<Leaf<Rbc>>,
-    gather_sent: bool,
-    gather_outputs: BTreeMap<usize, Vec<u32>>,
-    core: Option<BTreeSet<usize>>,
+    gather: SetGather,
     rec_started: bool,
     output: Option<CoinOutput>,
 }
@@ -150,6 +147,7 @@ impl std::fmt::Debug for SquaredAvssCoin {
 impl SquaredAvssCoin {
     /// Creates the baseline coin for party `me`.
     pub fn new(sid: Sid, me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
+        let gather = SetGather::new(K_GATHER, &sid, "sq-gather", me, keyring.n(), keyring.f());
         SquaredAvssCoin {
             sid,
             me,
@@ -157,10 +155,7 @@ impl SquaredAvssCoin {
             secrets,
             avss: Router::new(K_AVSS),
             complete_dealers: BTreeSet::new(),
-            gather_rbcs: Router::new(K_GATHER),
-            gather_sent: false,
-            gather_outputs: BTreeMap::new(),
-            core: None,
+            gather,
             rec_started: false,
             output: None,
         }
@@ -168,10 +163,6 @@ impl SquaredAvssCoin {
 
     fn n(&self) -> usize {
         self.keyring.n()
-    }
-
-    fn quorum(&self) -> usize {
-        self.keyring.quorum()
     }
 
     /// The AVSS of `(dealer, slot)`; every one is mounted at activation.
@@ -198,45 +189,11 @@ impl SquaredAvssCoin {
                     progressed = true;
                 }
             }
-            // Gather: broadcast our completed-dealer set once it reaches n − f.
-            if !self.gather_sent && self.complete_dealers.len() >= self.quorum() {
-                self.gather_sent = true;
-                let set: Vec<u32> = self.complete_dealers.iter().map(|d| *d as u32).collect();
-                let me = self.me.index();
-                let seg = self.gather_rbcs.seg(me);
-                let rbc = self.gather_rbcs.get_mut(me).expect("mounted at activation").inner_mut();
-                step.extend(sealed_step(seg, rbc.provide_input(setupfree_wire::to_bytes(&set))));
-                progressed = true;
-            }
-            // Union of the first n − f gathered sets becomes the core.
-            if self.core.is_none() {
-                for j in 0..self.n() {
-                    if self.gather_outputs.contains_key(&j) {
-                        continue;
-                    }
-                    if let Some(bytes) = self.gather_rbcs.get(j).and_then(|r| r.inner().output()) {
-                        if let Ok(set) = setupfree_wire::from_bytes::<Vec<u32>>(&bytes) {
-                            if set.len() >= self.quorum()
-                                && set.iter().all(|d| (*d as usize) < self.n())
-                            {
-                                self.gather_outputs.insert(j, set);
-                                progressed = true;
-                            }
-                        }
-                    }
-                }
-                if self.gather_outputs.len() >= self.quorum() {
-                    self.core = Some(
-                        self.gather_outputs
-                            .values()
-                            .flat_map(|s| s.iter().map(|d| *d as usize))
-                            .collect(),
-                    );
-                    progressed = true;
-                }
-            }
+            // Gather the completed-dealer sets; the core is the union of
+            // the first n − f.
+            step.extend(self.gather.offer(&self.complete_dealers));
             // Reconstruct every slot of every core dealer.
-            if let Some(core) = self.core.clone() {
+            if let Some(core) = self.gather.core().cloned() {
                 if !self.rec_started && core.iter().all(|d| self.row_shared(*d)) {
                     self.rec_started = true;
                     for dealer in &core {
@@ -311,11 +268,7 @@ impl ProtocolInstance for SquaredAvssCoin {
                 step.extend(self.avss.insert(dealer * n + slot, Leaf::new(avss)));
             }
         }
-        for j in 0..n {
-            let sid = self.sid.derive("sq-gather", j);
-            let rbc = Rbc::new(sid, self.me, n, self.keyring.f(), PartyId(j), None);
-            step.extend(self.gather_rbcs.insert(j, Leaf::new(rbc)));
-        }
+        step.extend(self.gather.activate());
         step.extend(self.advance());
         step
     }
@@ -329,7 +282,7 @@ impl ProtocolInstance for SquaredAvssCoin {
         let child = Envelope { path, payload: msg.payload };
         let mut step = match seg.kind {
             K_AVSS if (seg.index as usize) < n * n => self.avss.route(from, seg.index, child),
-            K_GATHER if (seg.index as usize) < n => self.gather_rbcs.route(from, seg.index, child),
+            K_GATHER => self.gather.route(from, seg.index, child),
             _ => return Step::none(),
         };
         step.extend(self.advance());
@@ -341,7 +294,7 @@ impl ProtocolInstance for SquaredAvssCoin {
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        self.avss.stats().merge(self.gather_rbcs.stats())
+        self.avss.stats().merge(self.gather.stats())
     }
 }
 

@@ -19,9 +19,11 @@
 //! mounted in session [`Router`]s: Seeding at path kind [`K_SEEDING`], AVSS
 //! at [`K_AVSS`] (created lazily when the dealer's seed arrives, with the
 //! router's bounded pre-activation buffer replacing the former hand-rolled
-//! `avss_buffers`), WCS at [`K_WCS`] and the gather-ablation RBCs at
-//! [`K_GATHER`].  The coin's own `RecRequest`/`Candidate` messages travel at
-//! the root path as [`CoinMessage`].
+//! `avss_buffers`), and the core-set selection that [`CoreSetMode`] picks:
+//! the WCS at [`K_WCS`], or the gather-ablation RBCs at [`K_GATHER`].  Only
+//! the selection in use exists; envelopes for the other kind are dropped.
+//! The coin's own `RecRequest`/`Candidate` messages travel at the root path
+//! as [`CoinMessage`].
 //!
 //! The output also carries the speculative largest VRF (`max_vrf`), which is
 //! exactly what the Election protocol (Alg 5 line 2) consumes.
@@ -38,7 +40,7 @@ use setupfree_crypto::vrf::{VrfOutput, VrfProof};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{sealed_step, Envelope, InstancePath, PathSeg};
 use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
-use setupfree_rbc::Rbc;
+use setupfree_rbc::SetGather;
 use setupfree_seeding::{Seed, Seeding};
 use setupfree_wcs::Wcs;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -49,7 +51,8 @@ pub const K_SEEDING: u8 = 0;
 pub const K_AVSS: u8 = 1;
 /// Path kind of the weak core-set selection.
 pub const K_WCS: u8 = 2;
-/// Path kind of the gather-ablation RBC instances.
+/// Path kind of the gather-ablation RBC instances (mounted only under
+/// [`CoreSetMode::RbcGather`]).
 pub const K_GATHER: u8 = 3;
 
 /// How the coin selects its core set of completed AVSS instances.
@@ -94,6 +97,17 @@ impl SeedStore {
         self.seeds[leader] = Some(seed);
         self.published += 1;
     }
+}
+
+/// The coin's core-set selection (Alg 4 lines 9–14), built from its
+/// [`CoreSetMode`].
+#[derive(Debug)]
+enum CoreSelection {
+    /// The paper's weak core-set selection (Alg 3), held directly at
+    /// `(K_WCS, 0)`.
+    Weak(Wcs),
+    /// The CR93/AJM+21 gather of completed sets, at `K_GATHER`.
+    Gather(SetGather),
 }
 
 /// The child instance an envelope reached, so that [`Coin::advance`]
@@ -187,11 +201,7 @@ pub struct Coin {
     seen_published: usize,
     avss: Router<Leaf<Avss>>,
     completed_sharings: BTreeSet<usize>,
-    core_mode: CoreSetMode,
-    wcs: Wcs,
-    wcs_started: bool,
-    gather_rbcs: Router<Leaf<Rbc>>,
-    gather_outputs: BTreeMap<usize, Vec<u32>>,
+    selection: CoreSelection,
     core_set: Option<BTreeSet<usize>>,
     rec_requests_sent: bool,
     requested_indices: BTreeSet<usize>,
@@ -273,7 +283,17 @@ impl Coin {
         seeding_owner: bool,
     ) -> Self {
         let n = keyring.n();
-        let wcs = Wcs::new(sid.derive("wcs", 0), me, keyring.clone(), secrets.clone());
+        let selection = match core_mode {
+            CoreSetMode::Weak => CoreSelection::Weak(Wcs::new(
+                sid.derive("wcs", 0),
+                me,
+                keyring.clone(),
+                secrets.clone(),
+            )),
+            CoreSetMode::RbcGather => {
+                CoreSelection::Gather(SetGather::new(K_GATHER, &sid, "gather", me, n, keyring.f()))
+            }
+        };
         Coin {
             sid,
             me,
@@ -286,11 +306,7 @@ impl Coin {
             seen_published: 0,
             avss: Router::new(K_AVSS),
             completed_sharings: BTreeSet::new(),
-            core_mode,
-            wcs,
-            wcs_started: false,
-            gather_rbcs: Router::new(K_GATHER),
-            gather_outputs: BTreeMap::new(),
+            selection,
             core_set: None,
             rec_requests_sent: false,
             requested_indices: BTreeSet::new(),
@@ -310,12 +326,6 @@ impl Coin {
 
     fn quorum(&self) -> usize {
         self.keyring.quorum()
-    }
-
-    /// The seed produced by the Seeding instance led by party `j`, if known.
-    /// (The Election protocol needs these seeds to verify broadcast VRFs.)
-    pub fn seed_of(&self, j: usize) -> Option<Seed> {
-        self.seeds.get(j).copied().flatten()
     }
 
     /// The core set `Ŝ` output by the WCS, if available.
@@ -415,74 +425,35 @@ impl Coin {
                     .map(|a| a.inner().sharing_output().is_some())
                     .unwrap_or(false);
                 if completed && self.completed_sharings.insert(j) {
-                    if self.core_mode == CoreSetMode::Weak {
-                        step.extend(sealed_step(Self::wcs_seg(), self.wcs.add_index(j)));
+                    if let CoreSelection::Weak(wcs) = &mut self.selection {
+                        step.extend(sealed_step(Self::wcs_seg(), wcs.add_index(j)));
                     }
                     progressed = true;
                 }
             }
-            if !self.wcs_started && self.completed_sharings.len() >= self.quorum() {
-                self.wcs_started = true;
-                match self.core_mode {
-                    CoreSetMode::Weak => {
-                        step.extend(sealed_step(Self::wcs_seg(), self.wcs.start()));
-                    }
-                    CoreSetMode::RbcGather => {
-                        let me = self.me.index();
-                        let set: Vec<u32> =
-                            self.completed_sharings.iter().map(|i| *i as u32).collect();
-                        let bytes = setupfree_wire::to_bytes(&set);
-                        let seg = self.gather_rbcs.seg(me);
-                        let rbc_step = self
-                            .gather_rbcs
-                            .get_mut(me)
-                            .expect("own gather RBC exists from activation")
-                            .inner_mut()
-                            .provide_input(bytes);
-                        step.extend(sealed_step(seg, rbc_step));
-                    }
-                }
+            let started = match &self.selection {
+                CoreSelection::Weak(wcs) => wcs.started(),
+                CoreSelection::Gather(gather) => gather.offered(),
+            };
+            if !started && self.completed_sharings.len() >= self.quorum() {
+                step.extend(match &mut self.selection {
+                    CoreSelection::Weak(wcs) => sealed_step(Self::wcs_seg(), wcs.start()),
+                    CoreSelection::Gather(gather) => gather.offer(&self.completed_sharings),
+                });
                 progressed = true;
             }
 
             // Lines 13–14: the core-set selection fixes Ŝ; request
             // reconstructions.
             if self.core_set.is_none() {
-                match self.core_mode {
-                    CoreSetMode::Weak => {
-                        if let Some(s_hat) = self.wcs.output_set().cloned() {
-                            self.core_set = Some(s_hat);
-                            rec_due = true;
-                            progressed = true;
-                        }
-                    }
-                    CoreSetMode::RbcGather => {
-                        for j in 0..self.n() {
-                            if self.gather_outputs.contains_key(&j) {
-                                continue;
-                            }
-                            if let Some(bytes) = self.gather_rbcs.get(j).and_then(|r| r.inner().output()) {
-                                if let Ok(set) = setupfree_wire::from_bytes::<Vec<u32>>(&bytes) {
-                                    if set.len() >= self.quorum()
-                                        && set.iter().all(|i| (*i as usize) < self.n())
-                                    {
-                                        self.gather_outputs.insert(j, set);
-                                        progressed = true;
-                                    }
-                                }
-                            }
-                        }
-                        if self.gather_outputs.len() >= self.quorum() {
-                            let union: BTreeSet<usize> = self
-                                .gather_outputs
-                                .values()
-                                .flat_map(|s| s.iter().map(|i| *i as usize))
-                                .collect();
-                            self.core_set = Some(union);
-                            rec_due = true;
-                            progressed = true;
-                        }
-                    }
+                let s_hat = match &mut self.selection {
+                    CoreSelection::Weak(wcs) => wcs.output_set(),
+                    CoreSelection::Gather(gather) => gather.core(),
+                };
+                if let Some(s_hat) = s_hat.cloned() {
+                    self.core_set = Some(s_hat);
+                    rec_due = true;
+                    progressed = true;
                 }
             }
             if !self.rec_requests_sent {
@@ -526,8 +497,7 @@ impl Coin {
             if !self.pending_candidates.is_empty() {
                 let pending = std::mem::take(&mut self.pending_candidates);
                 for (sender, cand) in pending {
-                    if self.seeds[cand.0 as usize].is_some() {
-                        self.accept_candidate(sender, cand);
+                    if self.try_accept_candidate(sender, cand) {
                         progressed = true;
                     } else {
                         self.pending_candidates.push((sender, cand));
@@ -572,19 +542,27 @@ impl Coin {
         self.avss.insert(dealer, Leaf::new(avss))
     }
 
-    /// Verifies the VRF evaluation `(output, proof)` of `evaluator` on its
-    /// seed, memoising the verdict: repeated relays of the same candidate
-    /// tuple (the common case — every party multicasts the largest VRF it
-    /// saw) cost one lookup instead of a fresh DLEQ check.
-    fn verify_vrf_memo(&mut self, evaluator: usize, output: &VrfOutput, proof: &VrfProof) -> bool {
-        let Some(seed) = self.seeds[evaluator] else { return false };
+    /// Verifies party `evaluator`'s VRF evaluation `(output, proof)` on its
+    /// seed in this coin's context, the check behind every candidate here
+    /// and every VRF the Election reliably broadcasts.  The verdict is
+    /// memoised: repeated relays of the same tuple (the common case, as
+    /// every party multicasts the largest VRF it saw) cost one lookup
+    /// instead of a fresh DLEQ check.  Returns `None` while the evaluator's
+    /// seed is unknown, and for an evaluator outside `0..n`.
+    pub fn verify_vrf(
+        &mut self,
+        evaluator: usize,
+        output: &VrfOutput,
+        proof: &VrfProof,
+    ) -> Option<bool> {
+        let seed = self.seeds.get(evaluator).copied().flatten()?;
         let key = (evaluator, *output, *proof);
         if let Some(ok) = self.vrf_verdicts.get(&key) {
-            return *ok;
+            return Some(*ok);
         }
         let ok = self.keyring.vrf_key(evaluator).verify(&self.vrf_context(), &seed, output, proof);
         self.vrf_verdicts.insert(key, ok);
-        ok
+        Some(ok)
     }
 
     fn try_send_candidate(&mut self) -> Option<Step<Envelope>> {
@@ -600,16 +578,13 @@ impl Coin {
         // do not pay a second verification.
         let mut best: Option<(usize, VrfOutput, VrfProof)> = None;
         for k in &s_hat {
-            if self.seeds[*k].is_none() {
-                continue;
-            }
             let decoded = self
                 .avss
                 .get(*k)
                 .and_then(|a| a.inner().reconstructed())
                 .and_then(|bytes| setupfree_wire::from_bytes::<(VrfOutput, VrfProof)>(bytes).ok());
             let Some((output, proof)) = decoded else { continue };
-            if !self.verify_vrf_memo(*k, &output, &proof) {
+            if self.verify_vrf(*k, &output, &proof) != Some(true) {
                 continue;
             }
             let better = match &best {
@@ -625,22 +600,21 @@ impl Coin {
         Some(Step::multicast(Self::local(&CoinMessage::Candidate { candidate })))
     }
 
-    fn accept_candidate(&mut self, sender: usize, cand: (u32, VrfOutput, VrfProof)) {
+    /// Verifies and records `sender`'s candidate; returns `false`, leaving
+    /// it unrecorded, while the evaluator's seed is unknown.
+    fn try_accept_candidate(&mut self, sender: usize, cand: (u32, VrfOutput, VrfProof)) -> bool {
         let (evaluator, output, proof) = cand;
         let evaluator = evaluator as usize;
-        if evaluator >= self.n() {
-            return;
-        }
-        if self.seeds[evaluator].is_none() {
-            return;
-        }
-        if self.verify_vrf_memo(evaluator, &output, &proof) {
-            self.candidates.insert(sender, (evaluator, output, proof));
-        } else {
+        match self.verify_vrf(evaluator, &output, &proof) {
+            None => return false,
+            Some(true) => {
+                self.candidates.insert(sender, (evaluator, output, proof));
+            }
             // An invalid candidate still counts towards the n − f arrival
             // threshold (the sender is necessarily faulty); treat it as ⊥.
-            self.bottom_candidates += 1;
+            Some(false) => self.bottom_candidates += 1,
         }
+        true
     }
 
     fn decide(&mut self) {
@@ -666,15 +640,16 @@ impl Coin {
                 if self.candidate_senders.insert(from.index()) {
                     match candidate {
                         None => self.bottom_candidates += 1,
-                        Some(cand) => {
-                            if self.seeds.get(cand.0 as usize).copied().flatten().is_some() {
-                                self.accept_candidate(from.index(), cand);
-                            } else {
+                        Some(cand) if (cand.0 as usize) < self.n() => {
+                            if !self.try_accept_candidate(from.index(), cand) {
                                 // Verification "implicitly waits" for the seed
                                 // (line 27): buffer until the seed arrives.
                                 self.pending_candidates.push((from.index(), cand));
                             }
                         }
+                        // No party has that index: the sender is faulty and
+                        // its candidate counts for nothing.
+                        Some(_) => {}
                     }
                 }
             }
@@ -699,10 +674,9 @@ impl ProtocolInstance for Coin {
     type Output = CoinOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
-        // Line 3: mount and activate all Seeding instances (leading our own)
-        // and the gather RBCs of the ablation mode (quiescent under Weak).
-        // Sibling rounds mount no seedings — their seeds arrive through the
-        // shared store.
+        // Line 3: mount and activate all Seeding instances (leading our own),
+        // then the gather RBCs of the ablation mode.  Sibling rounds mount
+        // no seedings — their seeds arrive through the shared store.
         let mut step = Step::none();
         if self.seeding_owner {
             for j in 0..self.n() {
@@ -716,16 +690,8 @@ impl ProtocolInstance for Coin {
                 step.extend(self.seedings.insert(j, Leaf::new(seeding)));
             }
         }
-        for j in 0..self.n() {
-            let rbc = Rbc::new(
-                self.sid.derive("gather", j),
-                self.me,
-                self.n(),
-                self.keyring.f(),
-                PartyId(j),
-                None,
-            );
-            step.extend(self.gather_rbcs.insert(j, Leaf::new(rbc)));
+        if let CoreSelection::Gather(gather) = &mut self.selection {
+            step.extend(gather.activate());
         }
         step.extend(self.advance(Touched::All));
         step
@@ -756,20 +722,33 @@ impl ProtocolInstance for Coin {
                     K_AVSS if index < self.n() => {
                         (self.avss.route(from, seg.index, child), Touched::Avss(index))
                     }
+                    // Only the core-set selection in use exists.  Honest
+                    // parties never address the other one, so its traffic
+                    // is Byzantine and dropped, not buffered.
                     K_WCS if path.is_root() && index == 0 => {
-                        // The WCS is held directly, not in a router: push its
-                        // trace path here so its phases land on its span.
-                        let _trace = setupfree_obs::PathGuard::push(K_WCS, 0);
-                        let step = match child.open() {
-                            Some(wcs_msg) => {
-                                sealed_step(Self::wcs_seg(), self.wcs.handle(from, wcs_msg))
+                        let step = match &mut self.selection {
+                            CoreSelection::Weak(wcs) => {
+                                // The WCS is held directly, not in a router:
+                                // push its trace path here so its phases land
+                                // on its span.
+                                let _trace = setupfree_obs::PathGuard::push(K_WCS, 0);
+                                match child.open() {
+                                    Some(msg) => {
+                                        sealed_step(Self::wcs_seg(), wcs.handle(from, msg))
+                                    }
+                                    None => Step::none(),
+                                }
                             }
-                            None => Step::none(),
+                            CoreSelection::Gather(_) => Step::none(),
                         };
                         (step, Touched::Other)
                     }
-                    K_GATHER if index < self.n() => {
-                        (self.gather_rbcs.route(from, seg.index, child), Touched::Other)
+                    K_GATHER => {
+                        let step = match &mut self.selection {
+                            CoreSelection::Gather(gather) => gather.route(from, seg.index, child),
+                            CoreSelection::Weak(_) => Step::none(),
+                        };
+                        (step, Touched::Other)
                     }
                     _ => (Step::none(), Touched::Other),
                 }
@@ -784,7 +763,11 @@ impl ProtocolInstance for Coin {
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        self.seedings.stats().merge(self.avss.stats()).merge(self.gather_rbcs.stats())
+        let stats = self.seedings.stats().merge(self.avss.stats());
+        match &self.selection {
+            CoreSelection::Weak(_) => stats,
+            CoreSelection::Gather(gather) => stats.merge(gather.stats()),
+        }
     }
 }
 
@@ -980,6 +963,17 @@ mod tests {
         // Malformed local payload.
         let junk = Envelope { path: InstancePath::root(), payload: vec![99u8, 1, 2].into() };
         assert!(coin.on_message(PartyId(1), junk).is_empty());
+        // A candidate whose evaluator is no party is ignored, not kept
+        // waiting for a seed that cannot exist.
+        let (output, proof) = secrets[1].vrf.eval(b"ctx", &[0u8; 32]);
+        let candidate = CoinMessage::Candidate { candidate: Some((u32::MAX, output, proof)) };
+        assert!(coin.on_message(PartyId(1), Coin::local(&candidate)).is_empty());
+        assert!(coin.pending_candidates.is_empty());
+        // The paper's mode mounts no gather RBCs: gather traffic is dropped,
+        // not buffered.
+        let gather = Envelope::seal(InstancePath::of(PathSeg::new(K_GATHER, 2)), &1u8);
+        assert!(coin.on_message(PartyId(1), gather).is_empty());
+        assert_eq!(coin.pre_activation_stats().buffered, 0);
     }
 
     #[test]
@@ -997,7 +991,7 @@ mod tests {
         // A sibling mounts no Seeding instances: it is quiescent until the
         // owner publishes seeds into the shared store.
         assert!(sibling_step.is_empty());
-        assert!(sibling.seed_of(2).is_none());
+        assert!(sibling.seeds[2].is_none());
 
         // Seeding traffic addressed to a sibling is dropped, not buffered.
         let stray = Envelope::seal(InstancePath::of(PathSeg::new(K_SEEDING, 2)), &1u8);
@@ -1009,7 +1003,7 @@ mod tests {
         // our own dealer index because we share our VRF evaluation).
         owner.seed_store().borrow_mut().publish(0, [7u8; 32]);
         let step = factory.poke(&mut sibling);
-        assert_eq!(sibling.seed_of(0), Some([7u8; 32]));
+        assert_eq!(sibling.seeds[0], Some([7u8; 32]));
         assert!(!step.is_empty());
     }
 

@@ -11,22 +11,24 @@
 //! The construction is generic over the binary agreement through
 //! [`AbaFactory`], demonstrating the paper's claim that the election is
 //! pluggable with any existing ABA.  Sub-instances are mounted in the
-//! session-router tree: the Coin at path kind [`K_COIN`], the `n` RBCs at
-//! [`K_RBC`], and the single ABA at [`K_ABA`] (created when the ballot is
-//! cast; earlier ABA traffic waits in the router's bounded pre-activation
-//! buffer, which replaced the hand-rolled `aba_buffer`).
+//! session-router tree: the Coin at path kind [`K_COIN`], the `n` RBCs of
+//! one [`Gather`] at [`K_RBC`], and the single ABA at [`K_ABA`] (created
+//! when the ballot is cast; earlier ABA traffic waits in the router's
+//! bounded pre-activation buffer, which replaced the hand-rolled
+//! `aba_buffer`).  Broadcast VRFs are verified through the Coin, which
+//! holds the seeds and the memoised verdicts.
 //!
 //! Complexity: expected `O(n³)` messages, `O(λn³)` bits, expected `O(1)`
 //! rounds (§7.1).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use setupfree_crypto::vrf::{VrfOutput, VrfProof};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::mux::{composite_cap, sealed_step, Envelope, PathSeg};
-use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
-use setupfree_rbc::Rbc;
+use setupfree_net::mux::{composite_cap, Envelope, PathSeg};
+use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_rbc::Gather;
 
 use crate::coin::Coin;
 use crate::traits::AbaFactory;
@@ -58,14 +60,12 @@ pub struct Election<F: AbaFactory> {
     me: PartyId,
     keyring: Arc<Keyring>,
     coin: Coin,
-    rbcs: Router<Leaf<Rbc>>,
-    own_vrf_broadcast: bool,
+    rbcs: Gather,
     /// Verified RBC outputs: broadcaster → (evaluator, output, proof).
     g: BTreeMap<usize, (usize, VrfOutput, VrfProof)>,
     /// RBC outputs awaiting the evaluator's seed for verification (bounded:
-    /// at most one entry per broadcaster, gated by `processed_rbc`).
+    /// the gather hands back each broadcaster's value once).
     pending_rbc: Vec<(usize, (u32, VrfOutput, VrfProof))>,
-    processed_rbc: BTreeSet<usize>,
     aba_factory: F,
     ballot_cast: bool,
     aba: Router<F::Instance>,
@@ -97,16 +97,15 @@ impl<F: AbaFactory> Election<F> {
     ) -> Self {
         let coin = Coin::new(sid.derive("coin", 0), me, keyring.clone(), secrets);
         let n = keyring.n();
+        let rbcs = Gather::new(K_RBC, &sid, "rbc", me, n, keyring.f());
         Election {
             sid,
             me,
             keyring,
             coin,
-            rbcs: Router::new(K_RBC),
-            own_vrf_broadcast: false,
+            rbcs,
             g: BTreeMap::new(),
             pending_rbc: Vec::new(),
-            processed_rbc: BTreeSet::new(),
             aba_factory,
             ballot_cast: false,
             aba: Router::with_cap(K_ABA, composite_cap(n)),
@@ -131,22 +130,9 @@ impl<F: AbaFactory> Election<F> {
         f(&mut self.coin).prefix(PathSeg::new(K_COIN, 0))
     }
 
-    /// Read access to the embedded coin (used by tests and by the random
-    /// beacon application).
-    pub fn coin(&self) -> &Coin {
-        &self.coin
-    }
-
     /// The election output, if decided.
     pub fn election_output(&self) -> Option<&ElectionOutput> {
         self.output.as_ref()
-    }
-
-    fn vrf_context(&self) -> Vec<u8> {
-        // Must match the context the Coin used for VRF evaluation.
-        let mut ctx = self.sid.derive("coin", 0).as_bytes().to_vec();
-        ctx.extend_from_slice(b"/coin/vrf");
-        ctx
     }
 
     fn advance(&mut self) -> Step<Envelope> {
@@ -155,43 +141,23 @@ impl<F: AbaFactory> Election<F> {
             let mut progressed = false;
 
             // Line 2–4: when the Coin decides, reliably broadcast vrf_max.
-            if !self.own_vrf_broadcast {
+            if !self.rbcs.offered() {
                 if let Some(out) = self.coin.coin_output() {
-                    self.own_vrf_broadcast = true;
                     let payload: Option<(u32, VrfOutput, VrfProof)> =
                         out.max_vrf.as_ref().map(|(p, o, pr)| (p.index() as u32, *o, *pr));
-                    let bytes = setupfree_wire::to_bytes(&payload);
-                    let me = self.me.index();
-                    let seg = self.rbcs.seg(me);
-                    let rbc_step = self
-                        .rbcs
-                        .get_mut(me)
-                        .expect("own RBC exists from activation")
-                        .inner_mut()
-                        .provide_input(bytes);
-                    step.extend(sealed_step(seg, rbc_step));
+                    step.extend(self.rbcs.offer(setupfree_wire::to_bytes(&payload)));
                     progressed = true;
                 }
             }
 
             // Lines 5–7: collect and verify RBC outputs into G.
-            for j in 0..self.n() {
-                if self.processed_rbc.contains(&j) {
-                    continue;
-                }
-                if let Some(bytes) = self.rbcs.get(j).and_then(|r| r.inner().output()) {
-                    self.processed_rbc.insert(j);
-                    progressed = true;
-                    if let Ok(Some(cand)) =
-                        setupfree_wire::from_bytes::<Option<(u32, VrfOutput, VrfProof)>>(&bytes)
-                    {
-                        if (cand.0 as usize) < self.n() {
-                            if self.coin.seed_of(cand.0 as usize).is_some() {
-                                self.verify_into_g(j, cand);
-                            } else {
-                                self.pending_rbc.push((j, cand));
-                            }
-                        }
+            for (j, bytes) in self.rbcs.delivered() {
+                progressed = true;
+                if let Ok(Some(cand)) =
+                    setupfree_wire::from_bytes::<Option<(u32, VrfOutput, VrfProof)>>(&bytes)
+                {
+                    if (cand.0 as usize) < self.n() && !self.verify_into_g(j, cand) {
+                        self.pending_rbc.push((j, cand));
                     }
                 }
             }
@@ -200,8 +166,7 @@ impl<F: AbaFactory> Election<F> {
             if !self.pending_rbc.is_empty() {
                 let pending = std::mem::take(&mut self.pending_rbc);
                 for (j, cand) in pending {
-                    if self.coin.seed_of(cand.0 as usize).is_some() {
-                        self.verify_into_g(j, cand);
+                    if self.verify_into_g(j, cand) {
                         progressed = true;
                     } else {
                         self.pending_rbc.push((j, cand));
@@ -260,13 +225,17 @@ impl<F: AbaFactory> Election<F> {
         step
     }
 
-    fn verify_into_g(&mut self, broadcaster: usize, cand: (u32, VrfOutput, VrfProof)) {
+    /// Verifies `broadcaster`'s VRF through the Coin and adds it to `G` if
+    /// valid; returns `false`, deciding nothing, while the evaluator's seed
+    /// is unknown.
+    fn verify_into_g(&mut self, broadcaster: usize, cand: (u32, VrfOutput, VrfProof)) -> bool {
         let (evaluator, output, proof) = cand;
         let evaluator = evaluator as usize;
-        let Some(seed) = self.coin.seed_of(evaluator) else { return };
-        if self.keyring.vrf_key(evaluator).verify(&self.vrf_context(), &seed, &output, &proof) {
+        let Some(valid) = self.coin.verify_vrf(evaluator, &output, &proof) else { return false };
+        if valid {
             self.g.insert(broadcaster, (evaluator, output, proof));
         }
+        true
     }
 
     /// Searches `G` for a VRF value that can be both the majority and the
@@ -298,17 +267,7 @@ impl<F: AbaFactory> ProtocolInstance for Election<F> {
 
     fn on_activation(&mut self) -> Step<Envelope> {
         let mut step = self.with_coin(Coin::on_activation);
-        for j in 0..self.n() {
-            let rbc = Rbc::new(
-                self.sid.derive("rbc", j),
-                self.me,
-                self.n(),
-                self.keyring.f(),
-                PartyId(j),
-                None,
-            );
-            step.extend(self.rbcs.insert(j, Leaf::new(rbc)));
-        }
+        step.extend(self.rbcs.activate());
         step.extend(self.advance());
         step
     }
@@ -322,9 +281,7 @@ impl<F: AbaFactory> ProtocolInstance for Election<F> {
                 let child = Envelope { path, payload: msg.payload };
                 match seg.kind {
                     K_COIN if seg.index == 0 => self.with_coin(|coin| coin.on_message(from, child)),
-                    K_RBC if (seg.index as usize) < self.n() => {
-                        self.rbcs.route(from, seg.index, child)
-                    }
+                    K_RBC => self.rbcs.route(from, seg.index, child),
                     K_ABA if seg.index == 0 => self.aba.route(from, seg.index, child),
                     _ => Step::none(),
                 }

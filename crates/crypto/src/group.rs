@@ -151,21 +151,10 @@ impl Decode for GroupElement {
     }
 }
 
-/// Multi-exponentiation helper: computes `∏ bases[i]^exps[i]`.
-///
-/// Delegates to the Pippenger engine in [`crate::multiexp`]; kept here so
-/// existing group-level callers keep a single import.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn multi_exp(bases: &[GroupElement], exps: &[Scalar]) -> GroupElement {
-    crate::multiexp::multi_exp(bases, exps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiexp::multi_exp;
     use proptest::prelude::*;
 
     fn arb_scalar() -> impl Strategy<Value = Scalar> {

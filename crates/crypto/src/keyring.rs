@@ -48,6 +48,20 @@ impl PartySecrets {
             pvss_ek: PvssEncryptionKey::from_decryption_key(&self.pvss_dk),
         }
     }
+
+    /// A generator only this party can reproduce, seeded from a hash of its
+    /// PVSS decryption key, the domain `domain` and `fields`.  A protocol
+    /// that derandomizes what it contributes (a dealt secret and the
+    /// randomness that deals it) draws it from here, so runs stay
+    /// reproducible per PKI while the values stay unknown to every other
+    /// party.
+    pub fn private_rng(&self, domain: &str, fields: &[&[u8]]) -> StdRng {
+        let key = self.pvss_dk.0.to_bytes();
+        let mut keyed: Vec<&[u8]> = Vec::with_capacity(fields.len() + 1);
+        keyed.push(&key);
+        keyed.extend_from_slice(fields);
+        StdRng::from_seed(crate::hash::hash_fields(domain, &keyed))
+    }
 }
 
 impl PvssEncryptionKey {

@@ -20,8 +20,9 @@
 //!   messages, asynchronous rounds),
 //! * [`faults`] — generic Byzantine/crash behaviours for fault-injection
 //!   testing,
-//! * [`tally`] — Bracha's one-vote-per-sender counting, shared by every
-//!   `Echo`/`Ready` amplification.
+//! * [`tally`] — Bracha's one-vote-per-sender counting and the
+//!   `Echo`/`Ready` amplification of one broadcast, shared by RBC, AVSS and
+//!   Seeding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,4 +49,4 @@ pub use scheduler::{
     TargetedDelayScheduler,
 };
 pub use sim::{BoxedParty, RunReport, Simulation, StopReason};
-pub use tally::VoteTally;
+pub use tally::{Amplifier, ReadyDue, VoteTally};

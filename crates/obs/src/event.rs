@@ -177,7 +177,7 @@ impl Phase {
         Phase::BeaconEpoch,
     ];
 
-    /// Stable lower-case name (export keys).
+    /// Stable lower-case name (report keys).
     pub fn name(&self) -> &'static str {
         match self {
             Phase::AvssShare => "avss_share",
@@ -213,17 +213,6 @@ pub enum FaultKind {
     Cut,
     /// The frame was blocked by an active partition.
     Partition,
-}
-
-impl FaultKind {
-    /// Stable lower-case name (export keys).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Cut => "cut",
-            FaultKind::Partition => "partition",
-        }
-    }
 }
 
 /// What one trace event records.

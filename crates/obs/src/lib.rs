@@ -38,8 +38,7 @@
 //! per-phase latency shares with log-bucketed histograms, ABA round-count
 //! distributions, byte attribution by path prefix, and backward
 //! critical-path extraction from a decide event to the message chain that
-//! gated it.  [`export`] renders streams as JSONL and as Chrome-trace JSON
-//! readable by Perfetto.
+//! gated it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +52,6 @@ mod sink;
 pub mod analysis {
     pub use crate::analysis_mod::*;
 }
-
-/// Trace export: JSONL and Chrome-trace (Perfetto-readable) rendering.
-pub mod export;
 
 pub use ctx::{
     activated, begin_activation, begin_delivery, current_path, decided, emit, enabled, install,

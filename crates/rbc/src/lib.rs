@@ -6,11 +6,17 @@
 //! (if one honest party outputs, all do) and *validity* (an honest sender's
 //! value is output by everyone), tolerating `f < n/3` Byzantine parties.
 //!
-//! RBC is used directly by the Election protocol (Alg 5 line 1: each party
-//! reliably broadcasts its speculative largest VRF) and its message pattern
-//! (`Echo` / `Ready` amplification) is reused inside the AVSS ciphertext
-//! dissemination (Alg 1 lines 20–26) and the Seeding reveal phase (Alg 7
-//! lines 11–17).
+//! The paper uses Bracha's broadcast at two levels, and each is written
+//! once:
+//!
+//! * the `Echo` / `Ready` amplification inside one broadcast is
+//!   [`setupfree_net::Amplifier`], which [`Rbc`], the AVSS ciphertext
+//!   dissemination (Alg 1 lines 20–26) and the Seeding reveal (Alg 7
+//!   lines 11–17) share;
+//! * the gather of `n` broadcasts, one per party, is [`Gather`]: the
+//!   Election gathers the parties' speculative largest VRFs with it (Alg 5
+//!   line 2), and [`SetGather`] is the CR93/AJM+21 core-set gather that the
+//!   gather-mode Coin and the n²-AVSS baseline coin share.
 //!
 //! # Example
 //!
@@ -36,7 +42,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
+mod gather;
+
+pub use gather::{Gather, SetGather};
+
+use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Messages exchanged by one RBC instance.
@@ -87,17 +97,11 @@ pub struct Rbc {
     sid: Sid,
     me: PartyId,
     n: usize,
-    f: usize,
     sender: PartyId,
     input: Option<Vec<u8>>,
+    /// Whether the sender's `Init` arrived (and was echoed).
     echo_sent: bool,
-    ready_sent: bool,
-    init_seen: bool,
-    /// Each sender's first echo (Bracha's rule: one vote per sender, so at
-    /// most `n` stored values).
-    echoes: VoteTally<Vec<u8>>,
-    /// Same for ready messages.
-    readies: VoteTally<Vec<u8>>,
+    amplifier: Amplifier<Vec<u8>>,
     output: Option<Vec<u8>>,
 }
 
@@ -116,14 +120,10 @@ impl Rbc {
             sid,
             me,
             n,
-            f,
             sender,
             input,
             echo_sent: false,
-            ready_sent: false,
-            init_seen: false,
-            echoes: VoteTally::new(n),
-            readies: VoteTally::new(n),
+            amplifier: Amplifier::new(n, f),
             output: None,
         }
     }
@@ -146,34 +146,15 @@ impl Rbc {
         Step::multicast(RbcMessage::Init(value))
     }
 
-    fn quorum(&self) -> usize {
-        // 2f + 1 out of n ≥ 3f + 1 guarantees any two quorums intersect in an
-        // honest party.
-        2 * self.f + 1
-    }
-
-    fn handle_echo(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
-        let quorum = self.quorum();
-        let Some((value, count)) = self.echoes.vote(from, value) else { return Step::none() };
-        if count >= quorum && !self.ready_sent {
-            self.ready_sent = true;
-            return Step::multicast(RbcMessage::Ready(value.clone()));
+    fn handle_ready(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
+        let Some(due) = self.amplifier.ready(from, value) else { return Step::none() };
+        if due.deliver {
+            self.output = Some(due.value.clone());
+        }
+        if due.send_ready {
+            return Step::multicast(RbcMessage::Ready(due.value.clone()));
         }
         Step::none()
-    }
-
-    fn handle_ready(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
-        let quorum = self.quorum();
-        let Some((value, count)) = self.readies.vote(from, value) else { return Step::none() };
-        let mut step = Step::none();
-        if count > self.f && !self.ready_sent {
-            self.ready_sent = true;
-            step.push_multicast(RbcMessage::Ready(value.clone()));
-        }
-        if count >= quorum && self.output.is_none() {
-            self.output = Some(value.clone());
-        }
-        step
     }
 }
 
@@ -197,14 +178,16 @@ impl ProtocolInstance for Rbc {
         match msg {
             RbcMessage::Init(value) => {
                 // Only the designated sender's first Init is honoured.
-                if from != self.sender || self.init_seen || self.echo_sent {
+                if from != self.sender || self.echo_sent {
                     return Step::none();
                 }
-                self.init_seen = true;
                 self.echo_sent = true;
                 Step::multicast(RbcMessage::Echo(value))
             }
-            RbcMessage::Echo(value) => self.handle_echo(from, value),
+            RbcMessage::Echo(value) => match self.amplifier.echo(from, value) {
+                Some(value) => Step::multicast(RbcMessage::Ready(value.clone())),
+                None => Step::none(),
+            },
             RbcMessage::Ready(value) => self.handle_ready(from, value),
         }
     }
@@ -355,15 +338,14 @@ mod tests {
     fn duplicate_messages_do_not_double_count() {
         let mut rbc = Rbc::new(Sid::new("t"), PartyId(1), 4, 1, PartyId(0), None);
         let _ = rbc.on_activation();
-        // Same echo from the same party delivered twice: still only 1 echo.
-        let _ = rbc.on_message(PartyId(2), RbcMessage::Echo(b"v".to_vec()));
-        let _ = rbc.on_message(PartyId(2), RbcMessage::Echo(b"v".to_vec()));
-        assert!(!rbc.ready_sent);
-        let _ = rbc.on_message(PartyId(3), RbcMessage::Echo(b"v".to_vec()));
-        assert!(!rbc.ready_sent);
+        // Same echo from the same party delivered twice: still only 1 echo,
+        // so no Ready yet.
+        assert!(rbc.on_message(PartyId(2), RbcMessage::Echo(b"v".to_vec())).is_empty());
+        assert!(rbc.on_message(PartyId(2), RbcMessage::Echo(b"v".to_vec())).is_empty());
+        assert!(rbc.on_message(PartyId(3), RbcMessage::Echo(b"v".to_vec())).is_empty());
         let step = rbc.on_message(PartyId(0), RbcMessage::Echo(b"v".to_vec()));
-        assert!(rbc.ready_sent);
         assert_eq!(step.outgoing.len(), 1);
+        assert!(matches!(step.outgoing[0].msg, RbcMessage::Ready(_)));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use setupfree_crypto::pvss::{
 use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
-use setupfree_net::{PartyId, ProtocolInstance, Sid, Step, VoteTally};
+use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// The λ-bit seed output by the protocol.
@@ -202,10 +202,8 @@ pub struct Seeding {
     verified_commit: Option<QuorumCert>,
     share_sent: bool,
     echo_sent: bool,
-    ready_sent: bool,
-    /// Each sender's first `SeedEcho` and first `SeedReady` (Bracha's rule).
-    echoes: VoteTally<PvssSecret>,
-    readies: VoteTally<PvssSecret>,
+    /// The revealed secret's `SeedEcho`/`SeedReady` amplification.
+    amplifier: Amplifier<PvssSecret>,
     output: Option<Seed>,
 }
 
@@ -219,8 +217,8 @@ impl Seeding {
         keyring: Arc<Keyring>,
         secrets: Arc<PartySecrets>,
     ) -> Self {
-        let n = keyring.n();
-        let params = PvssParams::new(n, 2 * keyring.f());
+        let (n, f) = (keyring.n(), keyring.f());
+        let params = PvssParams::new(n, 2 * f);
         let leader_state = if me == leader { Some(LeaderState::default()) } else { None };
         Seeding {
             sid,
@@ -235,9 +233,7 @@ impl Seeding {
             verified_commit: None,
             share_sent: false,
             echo_sent: false,
-            ready_sent: false,
-            echoes: VoteTally::new(n),
-            readies: VoteTally::new(n),
+            amplifier: Amplifier::new(n, f),
             output: None,
         }
     }
@@ -254,10 +250,6 @@ impl Seeding {
 
     fn n(&self) -> usize {
         self.keyring.n()
-    }
-
-    fn f(&self) -> usize {
-        self.keyring.f()
     }
 
     fn quorum(&self) -> usize {
@@ -341,7 +333,10 @@ impl ProtocolInstance for Seeding {
             SeedingMessage::AggPvssCommit { quorum } => self.on_agg_commit(from, quorum),
             SeedingMessage::SeedShare { share } => self.on_seed_share(from, share),
             SeedingMessage::Seed { quorum, secret } => self.on_seed(from, quorum, secret),
-            SeedingMessage::SeedEcho { secret } => self.on_seed_echo(from, secret),
+            SeedingMessage::SeedEcho { secret } => match self.amplifier.echo(from, secret) {
+                Some(&secret) => Step::multicast(SeedingMessage::SeedReady { secret }),
+                None => Step::none(),
+            },
             SeedingMessage::SeedReady { secret } => self.on_seed_ready(from, secret),
         }
     }
@@ -492,30 +487,16 @@ impl Seeding {
         Step::multicast(SeedingMessage::SeedEcho { secret })
     }
 
-    fn on_seed_echo(&mut self, from: PartyId, secret: PvssSecret) -> Step<SeedingMessage> {
-        let quorum = 2 * self.f() + 1;
-        let Some((&secret, count)) = self.echoes.vote(from, secret) else { return Step::none() };
-        if count >= quorum && !self.ready_sent {
-            self.ready_sent = true;
-            return Step::multicast(SeedingMessage::SeedReady { secret });
+    fn on_seed_ready(&mut self, from: PartyId, secret: PvssSecret) -> Step<SeedingMessage> {
+        let Some(due) = self.amplifier.ready(from, secret) else { return Step::none() };
+        if due.deliver {
+            setupfree_obs::phase(setupfree_obs::Phase::CoinSeeded, 0);
+            self.output = Some(due.value.to_seed_bytes());
+        }
+        if due.send_ready {
+            return Step::multicast(SeedingMessage::SeedReady { secret: *due.value });
         }
         Step::none()
-    }
-
-    fn on_seed_ready(&mut self, from: PartyId, secret: PvssSecret) -> Step<SeedingMessage> {
-        let quorum = 2 * self.f() + 1;
-        let amplify = self.f() + 1;
-        let Some((&secret, count)) = self.readies.vote(from, secret) else { return Step::none() };
-        let mut step = Step::none();
-        if count >= amplify && !self.ready_sent {
-            self.ready_sent = true;
-            step.push_multicast(SeedingMessage::SeedReady { secret });
-        }
-        if count >= quorum && self.output.is_none() {
-            setupfree_obs::phase(setupfree_obs::Phase::CoinSeeded, 0);
-            self.output = Some(secret.to_seed_bytes());
-        }
-        step
     }
 }
 

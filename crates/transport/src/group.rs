@@ -85,7 +85,7 @@ use crate::framing::{
 };
 use crate::reconnect::{Link, LinkStats, LinkStatus, ReconnectPolicy};
 
-/// Default per-peer inbox bound.  Large enough that transient bursts ride
+/// The per-peer inbox bound.  Large enough that transient bursts ride
 /// in memory, small enough that a stalled peer backpressures its senders
 /// through TCP instead of ballooning the heap.
 pub const DEFAULT_INBOX_CAPACITY: usize = 4096;
@@ -302,26 +302,24 @@ impl<O> SocketRunReport<O> {
 pub struct TcpPeerGroup {
     n: usize,
     timeout: Duration,
-    inbox_capacity: usize,
     disconnect_after: Vec<Option<u64>>,
     chaos: LinkFaultPlan,
-    reconnect: ReconnectPolicy,
     crash_budget: Option<usize>,
     traced: bool,
 }
 
 impl TcpPeerGroup {
-    /// A group of `n` peers with the default timeout, inbox bound,
-    /// reconnect policy, crash budget `f = (n−1)/3`, and no fault plan.
+    /// A group of `n` peers with the default timeout, crash budget
+    /// `f = (n−1)/3`, and no fault plan.  Every inbox holds
+    /// [`DEFAULT_INBOX_CAPACITY`] envelopes, and every link runs
+    /// [`ReconnectPolicy::default`].
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "a peer group needs at least two peers");
         TcpPeerGroup {
             n,
             timeout: DEFAULT_TIMEOUT,
-            inbox_capacity: DEFAULT_INBOX_CAPACITY,
             disconnect_after: vec![None; n],
             chaos: LinkFaultPlan::default(),
-            reconnect: ReconnectPolicy::default(),
             crash_budget: None,
             traced: false,
         }
@@ -342,22 +340,9 @@ impl TcpPeerGroup {
         self
     }
 
-    /// Replaces the per-peer inbox bound.
-    pub fn inbox_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity inbox would deadlock the readers");
-        self.inbox_capacity = capacity;
-        self
-    }
-
     /// Installs a deterministic link-fault schedule for the run.
     pub fn chaos(mut self, plan: LinkFaultPlan) -> Self {
         self.chaos = plan;
-        self
-    }
-
-    /// Replaces the reconnect/retransmission tuning.
-    pub fn reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = policy;
         self
     }
 
@@ -404,9 +389,9 @@ impl TcpPeerGroup {
             links: (0..n)
                 .map(|i| (0..n).map(|j| (i != j).then(Link::new).map(Arc::new)).collect())
                 .collect(),
-            inboxes: (0..n).map(|_| ShardQueue::new(self.inbox_capacity)).collect(),
+            inboxes: (0..n).map(|_| ShardQueue::new(DEFAULT_INBOX_CAPACITY)).collect(),
             plan: self.chaos.clone(),
-            policy: self.reconnect.clone(),
+            policy: ReconnectPolicy::default(),
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             peer_down: (0..n).map(|_| AtomicBool::new(false)).collect(),

@@ -32,9 +32,12 @@
 //! a fresh shared buffer and decoded it back into a second payload at the
 //! first delivery, a decision took 154 785 / 388 239 / 503 544 allocations
 //! for seeds 0 / 1 / 2 in a debug build (84 019 / 208 887 / 270 884 in
-//! release): the ceiling for the pinned column.  Allocation counts also
-//! depend on the toolchain's standard library, so a compiler upgrade may
-//! move them without a change here.
+//! release).  When every Coin also mounted `n` gather RBCs that nothing
+//! read in the paper's WCS mode, a decision took 127 002 / 318 822 /
+//! 413 592 in a debug build (72 341 / 182 832 / 237 634 in release): the
+//! ceiling for the pinned column.  Allocation counts also depend on the
+//! toolchain's standard library, so a compiler upgrade may move them
+//! without a change here.
 //!
 //! Shape: n = 13, f = 4, all honest, `CoinProtocolFactory` in every round,
 //! mixed inputs (party 0 proposes 0, party 1 proposes 1, the rest by
@@ -108,14 +111,14 @@ struct Work {
 
 /// `(seed, work)` per decision, allocations as a debug build counts them.
 const GOLDEN: [(u64, Work); 3] = [
-    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295, allocations: 127_002 }),
-    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171, allocations: 318_822 }),
-    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610, allocations: 413_592 }),
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295, allocations: 126_287 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171, allocations: 316_677 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610, allocations: 410_732 }),
 ];
 
 /// Allocations per decision, by seed, as a release build counts them (no
 /// codec round trip per send).
-const RELEASE_ALLOCATIONS: [u64; 3] = [72_341, 182_832, 237_634];
+const RELEASE_ALLOCATIONS: [u64; 3] = [71_626, 180_687, 234_774];
 
 fn inputs(seed: u64) -> Vec<bool> {
     (0..N).map(|p| if p < 2 { p == 1 } else { (seed + p as u64 * 7).is_multiple_of(3) }).collect()

@@ -6,7 +6,11 @@
 //! floods a listener with `Decide`s.  Bracha's rule (each sender's first
 //! vote counts) bounds what an instance keeps to one value per sender and
 //! vote kind, so the live heap the flood leaves behind must not grow with
-//! K.  The honest parties must still decide afterwards.
+//! K.  The honest parties must still decide afterwards.  A child-GC beacon
+//! is flooded with `Done` acknowledgements for K distinct epochs: it keeps
+//! one "acknowledged up to" counter per sender, so its heap must not grow
+//! either (its liveness under a Byzantine acknowledger is
+//! `crates/app/tests/beacon_gc.rs`'s).
 //!
 //! The live heap comes from the counting global allocator below.  It counts
 //! per thread, and each flood runs on its test's thread, so the tests can
@@ -18,6 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use setupfree_aba::MmrAbaFactory;
+use setupfree_app::beacon::{BeaconMessage, RandomBeacon};
 use setupfree_avss::harness::AvssEndToEnd;
 use setupfree_avss::{Avss, AvssMessage};
 use setupfree_core::{Committee, CommitteeConfig, TrustedCoinFactory, TrustedElectionFactory};
@@ -302,4 +307,37 @@ fn a_vba_decide_flood_leaves_a_listener_bounded_state() {
         grown
     });
     assert_bounded("vba decide", growth);
+}
+
+#[test]
+fn a_beacon_ack_flood_leaves_bounded_state() {
+    let (keyring, secrets) = pki();
+    let epochs = FLOODS[1] as u32;
+    let growth = growth_per_flood(|k| {
+        let mut net = Net::activate(
+            (0..N)
+                .map(|i| {
+                    (i != FLOODER).then(|| {
+                        let aba =
+                            MmrAbaFactory::new(PartyId(i), N, keyring.f(), TrustedCoinFactory);
+                        RandomBeacon::new(
+                            Sid::new("ack-flood"),
+                            PartyId(i),
+                            keyring.clone(),
+                            secrets[i].clone(),
+                            aba,
+                            epochs,
+                        )
+                        .with_child_gc()
+                    })
+                })
+                .collect(),
+        );
+        let before = live();
+        for epoch in 0..k as u32 {
+            net.flood(Envelope::seal(InstancePath::root(), &BeaconMessage::Done { epoch }));
+        }
+        live() - before
+    });
+    assert_bounded("beacon acks", growth);
 }
