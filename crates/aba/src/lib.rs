@@ -35,7 +35,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use setupfree_core::coin::CoinOutput;
 use setupfree_core::traits::{AbaFactory, CoinFactory};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
@@ -599,13 +598,7 @@ pub fn setup_free_aba_factory(
 
 // Re-export for downstream convenience (`Committee` doubles as this
 // crate's import of the type).
-pub use setupfree_core::coin::CoinProtocolFactory;
 pub use setupfree_core::committee::{Committee, CommitteeConfig};
-#[allow(unused_imports)]
-pub use setupfree_core::TrustedCoinFactory;
-
-/// The output type of the coin, re-exported for generic code.
-pub type AbaCoinOutput = CoinOutput;
 
 #[cfg(test)]
 mod tests {

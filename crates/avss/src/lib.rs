@@ -28,7 +28,7 @@ use setupfree_crypto::hash::{sha256, stream_xor};
 use setupfree_crypto::pedersen::PedersenCommitment;
 use setupfree_crypto::poly::{interpolate_at_zero, Polynomial};
 use setupfree_crypto::scalar::Scalar;
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step, VoteTally};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -172,9 +172,9 @@ struct DealerState {
     poly_a: Polynomial,
     poly_b: Polynomial,
     commitment: PedersenCommitment,
-    signatures: Vec<(PartyId, Signature)>,
-    signed_by: BTreeSet<usize>,
-    cipher_sent: bool,
+    /// The `KeyStored` quorum on the encoded commitment (Alg 1 lines 7–9);
+    /// its certificate goes out in the `Cipher`.
+    key_stored: CertCollector,
 }
 
 /// A validated-but-not-yet-deliverable ciphertext: the quorum certificate,
@@ -284,15 +284,12 @@ impl Avss {
         let poly_a = Polynomial::random(f, &mut rng);
         let poly_b = Polynomial::random(f, &mut rng);
         let commitment = PedersenCommitment::commit(&poly_a, &poly_b);
-        DealerState {
-            secret,
-            poly_a,
-            poly_b,
-            commitment,
-            signatures: Vec::new(),
-            signed_by: BTreeSet::new(),
-            cipher_sent: false,
-        }
+        let key_stored = CertCollector::new(
+            keyring.quorum(),
+            &Self::sig_context(sid),
+            &setupfree_wire::to_bytes(&commitment),
+        );
+        DealerState { secret, poly_a, poly_b, commitment, key_stored }
     }
 
     /// The dealer of this instance.
@@ -322,8 +319,8 @@ impl Avss {
         self.keyring.quorum()
     }
 
-    fn sig_context(&self) -> Vec<u8> {
-        let mut ctx = self.sid.as_bytes().to_vec();
+    fn sig_context(sid: &Sid) -> Vec<u8> {
+        let mut ctx = sid.as_bytes().to_vec();
         ctx.extend_from_slice(b"/avss/keystored");
         ctx
     }
@@ -413,8 +410,8 @@ impl Avss {
         self.recorded_commitment = Some(commitment.clone());
         self.recorded_share_a = Some(share_a);
         self.recorded_share_b = Some(share_b);
-        let signature =
-            self.secrets.sig.sign(&self.sig_context(), &setupfree_wire::to_bytes(&commitment));
+        let ctx = Self::sig_context(&self.sid);
+        let signature = self.secrets.sig.sign(&ctx, &setupfree_wire::to_bytes(&commitment));
         let mut step = Step::send(self.dealer, AvssMessage::KeyStored { signature });
         // A Cipher that arrived before the KeyShare can now be validated.
         if let Some((quorum, cmt, cipher)) = self.pending_cipher.take() {
@@ -424,41 +421,14 @@ impl Avss {
     }
 
     fn on_key_stored(&mut self, from: PartyId, signature: Signature) -> Step<AvssMessage> {
-        let quorum = self.quorum();
-        let sig_ctx = self.sig_context();
+        let keys = self.keyring.sig_key_slice();
         let Some(ds) = &mut self.dealer_state else { return Step::none() };
-        if ds.cipher_sent || ds.signed_by.contains(&from.index()) {
+        let Some(quorum) = ds.key_stored.offer(from.index(), &signature, keys) else {
             return Step::none();
-        }
-        let msg_bytes = setupfree_wire::to_bytes(&ds.commitment);
-        if !self.keyring.sig_key(from.index()).verify(&sig_ctx, &msg_bytes, &signature) {
-            return Step::none();
-        }
-        ds.signed_by.insert(from.index());
-        ds.signatures.push((from, signature));
-        if ds.signatures.len() >= quorum {
-            ds.cipher_sent = true;
-            let key = ds.poly_a.constant();
-            let secret = ds.secret.clone();
-            // Drain the collected signatures (they are never needed again)
-            // and fold them into one aggregated certificate.
-            let entries: Vec<(usize, Signature)> = std::mem::take(&mut ds.signatures)
-                .into_iter()
-                .map(|(pid, sig)| (pid.index(), sig))
-                .collect();
-            let commitment = ds.commitment.clone();
-            let cert = QuorumCert::new(
-                quorum,
-                &entries,
-                self.keyring.sig_key_slice(),
-                &sig_ctx,
-                &msg_bytes,
-            )
-            .expect("individually verified quorum signatures must aggregate");
-            let cipher = self.encrypt(key, &secret);
-            return Step::multicast(AvssMessage::Cipher { quorum: cert, commitment, cipher });
-        }
-        Step::none()
+        };
+        let (key, secret, commitment) = (ds.poly_a.constant(), ds.secret.clone(), ds.commitment.clone());
+        let cipher = self.encrypt(key, &secret);
+        Step::multicast(AvssMessage::Cipher { quorum, commitment, cipher })
     }
 
     fn on_cipher(
@@ -509,7 +479,7 @@ impl Avss {
         quorum.quorum() >= self.quorum()
             && quorum.verify(
                 self.keyring.sig_key_slice(),
-                &self.sig_context(),
+                &Self::sig_context(&self.sid),
                 &setupfree_wire::to_bytes(commitment),
             )
     }

@@ -147,7 +147,7 @@ impl std::fmt::Debug for SquaredAvssCoin {
 impl SquaredAvssCoin {
     /// Creates the baseline coin for party `me`.
     pub fn new(sid: Sid, me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
-        let gather = SetGather::new(K_GATHER, &sid, "sq-gather", me, keyring.n(), keyring.f());
+        let gather = SetGather::new(K_GATHER, me, keyring.n(), keyring.f());
         SquaredAvssCoin {
             sid,
             me,

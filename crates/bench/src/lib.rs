@@ -136,7 +136,7 @@ pub fn measure_rbc(n: usize, payload: usize, seed: u64) -> Measurement {
     let parties: Vec<BoxedParty<RbcMessage, Vec<u8>>> = (0..n)
         .map(|i| {
             let input = if i == 0 { Some(vec![7u8; payload]) } else { None };
-            Box::new(Rbc::new(Sid::new("bench-rbc"), PartyId(i), n, f, PartyId(0), input))
+            Box::new(Rbc::new(PartyId(i), n, f, PartyId(0), input))
                 as BoxedParty<RbcMessage, Vec<u8>>
         })
         .collect();
@@ -178,7 +178,7 @@ pub fn measure_wcs(n: usize, seed: u64) -> Measurement {
     let parties: Vec<BoxedParty<WcsMessage, Vec<usize>>> = (0..n)
         .map(|i| {
             Box::new(WcsHarness::new(
-                Wcs::new(Sid::new("bench-wcs"), PartyId(i), keyring.clone(), secrets[i].clone()),
+                Wcs::new(Sid::new("bench-wcs"), keyring.clone(), secrets[i].clone()),
                 input.clone(),
             )) as BoxedParty<WcsMessage, Vec<usize>>
         })

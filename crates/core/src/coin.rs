@@ -284,15 +284,10 @@ impl Coin {
     ) -> Self {
         let n = keyring.n();
         let selection = match core_mode {
-            CoreSetMode::Weak => CoreSelection::Weak(Wcs::new(
-                sid.derive("wcs", 0),
-                me,
-                keyring.clone(),
-                secrets.clone(),
-            )),
-            CoreSetMode::RbcGather => {
-                CoreSelection::Gather(SetGather::new(K_GATHER, &sid, "gather", me, n, keyring.f()))
+            CoreSetMode::Weak => {
+                CoreSelection::Weak(Wcs::new(sid.derive("wcs", 0), keyring.clone(), secrets.clone()))
             }
+            CoreSetMode::RbcGather => CoreSelection::Gather(SetGather::new(K_GATHER, me, n, keyring.f())),
         };
         Coin {
             sid,

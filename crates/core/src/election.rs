@@ -97,7 +97,7 @@ impl<F: AbaFactory> Election<F> {
     ) -> Self {
         let coin = Coin::new(sid.derive("coin", 0), me, keyring.clone(), secrets);
         let n = keyring.n();
-        let rbcs = Gather::new(K_RBC, &sid, "rbc", me, n, keyring.f());
+        let rbcs = Gather::new(K_RBC, me, n, keyring.f());
         Election {
             sid,
             me,

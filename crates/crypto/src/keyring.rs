@@ -132,11 +132,6 @@ impl Keyring {
         &self.parties[i]
     }
 
-    /// Signature verification key of party `i`.
-    pub fn sig_key(&self, i: usize) -> &VerifyingKey {
-        &self.parties[i].sig
-    }
-
     /// VRF public key of party `i`.
     pub fn vrf_key(&self, i: usize) -> &VrfPublicKey {
         &self.parties[i].vrf
@@ -220,8 +215,8 @@ mod tests {
     fn signatures_from_generated_keys_verify() {
         let (keyring, secrets) = generate_pki(4, 2);
         let sig = secrets[2].sig.sign(b"id", b"msg");
-        assert!(keyring.sig_key(2).verify(b"id", b"msg", &sig));
-        assert!(!keyring.sig_key(1).verify(b"id", b"msg", &sig));
+        assert!(keyring.sig_key_slice()[2].verify(b"id", b"msg", &sig));
+        assert!(!keyring.sig_key_slice()[1].verify(b"id", b"msg", &sig));
     }
 
     #[test]
@@ -229,7 +224,7 @@ mod tests {
         let (keyring, secrets) = generate_pki_with_malicious(7, 3, &[0, 5]);
         // Malicious parties can still sign/verify under their chosen keys.
         let sig = secrets[0].sig.sign(b"id", b"msg");
-        assert!(keyring.sig_key(0).verify(b"id", b"msg", &sig));
+        assert!(keyring.sig_key_slice()[0].verify(b"id", b"msg", &sig));
         // And their VRF remains unique/verifiable.
         let (out, proof) = secrets[5].vrf.eval(b"id", b"seed");
         assert!(keyring.vrf_key(5).verify(b"id", b"seed", &out, &proof));

@@ -50,5 +50,5 @@ pub use pedersen::PedersenCommitment;
 pub use poly::Polynomial;
 pub use pvss::{PvssParams, PvssScript, PvssSecret, PvssShare};
 pub use scalar::Scalar;
-pub use sig::{AggregateError, AggregateSignature, QuorumCert, Signature, SigningKey, VerifyingKey};
+pub use sig::{AggregateError, QuorumCert, Signature, SigningKey, VerifyingKey};
 pub use vrf::{VrfOutput, VrfProof, VrfPublicKey, VrfSecretKey};

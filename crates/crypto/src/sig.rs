@@ -7,6 +7,13 @@
 //! certificates of Seeding (Alg 7), and the quorum certificates of the VBA's
 //! provable broadcasts (§7.2).  Signatures are always domain-separated by a
 //! protocol session identifier, mirroring the paper's `Sign^ID_i(m)` notation.
+//!
+//! A quorum `Σ = {Sign^ID_i(m)}` of such signatures travels as one
+//! [`QuorumCert`], and a protocol builds each one with a [`CertCollector`]:
+//! it checks every signature once, on arrival, against a message absorbed
+//! once, and assembles the certificate from the kept nonce commitments at
+//! the quorum-th valid signer.  Every signature check recomputes the nonce
+//! commitment `R = g^s · pk^{−c}` in one place, `nonce_commitment`.
 
 use std::cell::Cell;
 use std::fmt;
@@ -104,12 +111,7 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `sig` on `(context, message)`.
     pub fn verify(&self, context: &[u8], message: &[u8], sig: &Signature) -> bool {
-        // R' = g^s * pk^{-c}; valid iff H(R', pk, ctx, m) == c.  The g-part
-        // uses the fixed-base table and pk^{-c} is a single exponentiation
-        // with the negated scalar (order-q elements satisfy x^{-c} = x^{q-c}),
-        // avoiding the full field inversion the naive form would pay.
-        let r = multiexp::fixed_pow_g1(sig.s) * self.0.pow(sig.c.negate());
-        challenge(&message_state(context, message), &r, self) == sig.c
+        nonce_commitment(&message_state(context, message), self, sig).is_some()
     }
 
     /// The underlying group element.
@@ -141,6 +143,17 @@ fn challenge(prefix: &Sha256, r: &GroupElement, pk: &VerifyingKey) -> Scalar {
     h.update(&r.to_bytes());
     h.update(&pk.0.to_bytes());
     Scalar::from_digest(&h.finalize())
+}
+
+/// The nonce commitment `R = g^s · pk^{−c}` of `sig`, if `sig` is valid on
+/// the message absorbed in `prefix`: it is iff the challenge recomputed from
+/// `R` is `c`.  The g-part uses the fixed-base table and `pk^{−c}` is a
+/// single exponentiation with the negated scalar (order-q elements satisfy
+/// `x^{−c} = x^{q−c}`), avoiding the full field inversion the naive form
+/// would pay.
+fn nonce_commitment(prefix: &Sha256, pk: &VerifyingKey, sig: &Signature) -> Option<GroupElement> {
+    let r = multiexp::fixed_pow_g1(sig.s) * pk.0.pow(sig.c.negate());
+    (challenge(prefix, &r, pk) == sig.c).then_some(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -200,9 +213,10 @@ impl std::error::Error for AggregateError {}
 /// with a single fixed-base exponentiation and one Pippenger multi-exp over
 /// `2k` bases — and the wire carries one response scalar instead of `k`,
 /// and a `⌈n/8⌉`-byte signer bitmap instead of `k` party ids.  The bitmap
-/// representation makes duplicate signers unrepresentable.
+/// representation makes duplicate signers unrepresentable.  It travels only
+/// inside a [`QuorumCert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggregateSignature {
+struct AggregateSignature {
     /// Signer bitmap: bit `i` (byte `i/8`, bit `i%8`) set iff party `i`
     /// contributed.  Trailing zero bytes are non-canonical and rejected.
     signers: Vec<u8>,
@@ -211,6 +225,10 @@ pub struct AggregateSignature {
     /// Weighted aggregate response `s̄ = Σ z_i·s_i`.
     s: Scalar,
 }
+
+/// A checked contribution to an aggregate: the signer, its nonce
+/// commitment `R_i` and its response `s_i`.
+type Contribution = (usize, GroupElement, Scalar);
 
 fn bitmap_indices(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
     bitmap.iter().enumerate().flat_map(|(byte, bits)| {
@@ -238,7 +256,7 @@ impl AggregateSignature {
     /// recomputed, so invalid contributions are identified by signer index
     /// ([`AggregateError::BadContributors`]) rather than poisoning the
     /// aggregate — the caller drops them and re-aggregates the rest.
-    pub fn aggregate(
+    fn aggregate(
         entries: &[(usize, Signature)],
         keys: &[VerifyingKey],
         context: &[u8],
@@ -259,32 +277,34 @@ impl AggregateSignature {
         }
         let prefix = message_state(context, message);
         let mut bad = Vec::new();
-        let mut rs = Vec::with_capacity(sorted.len());
+        let mut contributions = Vec::with_capacity(sorted.len());
         for &(i, sig) in &sorted {
-            // R_i = g^{s_i} · pk_i^{-c_i}; the signature is valid iff the
-            // challenge recomputed from R_i matches c_i.
-            let r = multiexp::fixed_pow_g1(sig.s) * keys[i].0.pow(sig.c.negate());
-            if challenge(&prefix, &r, &keys[i]) != sig.c {
-                bad.push(i);
+            match nonce_commitment(&prefix, &keys[i], &sig) {
+                Some(r) => contributions.push((i, r, sig.s)),
+                None => bad.push(i),
             }
-            rs.push(r);
         }
         if !bad.is_empty() {
             return Err(AggregateError::BadContributors(bad));
         }
-        let mut signers = vec![0u8; keys.len().div_ceil(8)];
-        for &(i, _) in &sorted {
+        Ok(Self::assemble(&prefix, &contributions))
+    }
+
+    /// Folds checked contributions, in ascending signer order, into the
+    /// aggregate: the signer bitmap, the transcript digest, the weights
+    /// `z_i` and `s̄ = Σ z_i·s_i`.
+    fn assemble(prefix: &Sha256, contributions: &[Contribution]) -> Self {
+        let mut signers = vec![0u8; contributions.last().map_or(0, |&(i, ..)| i / 8 + 1)];
+        for &(i, ..) in contributions {
             signers[i / 8] |= 1 << (i % 8);
         }
-        while signers.last() == Some(&0) {
-            signers.pop();
-        }
-        let digest = Self::transcript_digest(&prefix, &signers, &rs);
+        let rs: Vec<GroupElement> = contributions.iter().map(|&(_, r, _)| r).collect();
+        let digest = Self::transcript_digest(prefix, &signers, &rs);
         let mut s = Scalar::zero();
-        for (slot, &(_, sig)) in sorted.iter().enumerate() {
-            s += agg_weight(&digest, slot) * sig.s;
+        for (slot, &(.., s_i)) in contributions.iter().enumerate() {
+            s += agg_weight(&digest, slot) * s_i;
         }
-        Ok(AggregateSignature { signers, rs, s })
+        AggregateSignature { signers, rs, s }
     }
 
     /// `H(ctx, m, signer bitmap, all R_i)`, from the call's shared prefix.
@@ -301,7 +321,7 @@ impl AggregateSignature {
 
     /// Verifies the aggregate against the registered keys with one fixed-base
     /// exponentiation and a single multi-exponentiation over `2k` bases.
-    pub fn verify(&self, keys: &[VerifyingKey], context: &[u8], message: &[u8]) -> bool {
+    fn verify(&self, keys: &[VerifyingKey], context: &[u8], message: &[u8]) -> bool {
         if self.rs.is_empty() || self.signers.last() == Some(&0) {
             return false;
         }
@@ -325,12 +345,12 @@ impl AggregateSignature {
     }
 
     /// Signer indices in ascending order.
-    pub fn signer_indices(&self) -> Vec<usize> {
+    fn signer_indices(&self) -> Vec<usize> {
         bitmap_indices(&self.signers).collect()
     }
 
     /// Number of contributing signers.
-    pub fn signer_count(&self) -> usize {
+    fn signer_count(&self) -> usize {
         self.signers.iter().map(|b| b.count_ones() as usize).sum()
     }
 }
@@ -372,16 +392,17 @@ pub fn qc_verify_count() -> u64 {
     QC_VERIFY_COUNT.with(Cell::get)
 }
 
-/// A quorum certificate: an aggregated multi-signature plus the pinned quorum
-/// size it must meet.
+/// A quorum certificate: a half-aggregated Schnorr multi-signature plus the
+/// pinned quorum size it must meet.
 ///
 /// This is the compact wire form of the paper's `Σ = {Sign^ID_i(m)}` quorum
-/// justifications: one [`AggregateSignature`] instead of `n − f` individual
-/// `(PartyId, Signature)` pairs.  Construction rejects duplicate and
-/// out-of-range signers and identifies bad contributions by per-signature
-/// verification; [`QuorumCert::verify`] additionally pins the signer count to
-/// the quorum, and [`QuorumCert::verify_within`] restricts the signer set to
-/// an explicit membership list (committee-relative quorums).
+/// justifications: the signers' nonce commitments `R_i`, one weighted
+/// response scalar and a signer bitmap instead of `n − f` individual
+/// `(PartyId, Signature)` pairs.  Protocols build one with a
+/// [`CertCollector`]; [`QuorumCert::new`] builds one from a finished list.
+/// [`QuorumCert::verify`] pins the signer count to the quorum, and
+/// [`QuorumCert::verify_within`] restricts the signer set to an explicit
+/// membership list (committee-relative quorums).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuorumCert {
     quorum: u32,
@@ -389,7 +410,10 @@ pub struct QuorumCert {
 }
 
 impl QuorumCert {
-    /// Builds a certificate from at least `quorum` verified signatures.
+    /// Builds a certificate from at least `quorum` signatures.  Duplicate
+    /// and out-of-range signers are rejected, and every signature is checked,
+    /// so invalid ones are reported by signer index
+    /// ([`AggregateError::BadContributors`]).
     pub fn new(
         quorum: usize,
         entries: &[(usize, Signature)],
@@ -437,6 +461,58 @@ impl QuorumCert {
     ) -> bool {
         self.agg.signer_indices().iter().all(|i| members.contains(i))
             && self.verify(keys, context, message)
+    }
+}
+
+/// Builds one [`QuorumCert`] from signatures that arrive one at a time: the
+/// AVSS dealer's `KeyStored` quorum, the WCS `Commit`, the Seeding leader's
+/// commitment and the VBA proposer's certificate.
+///
+/// The framed `(context, message)` prefix is absorbed once, at
+/// construction, and the message itself is not kept.  Each offered
+/// signature is checked once, on arrival, and its nonce commitment `R_i` is
+/// kept, so the certificate is assembled at the `quorum`-th valid signer
+/// without checking any signature again.  It equals [`QuorumCert::new`]
+/// over the same signatures, byte for byte.
+#[derive(Debug)]
+pub struct CertCollector {
+    quorum: usize,
+    prefix: Sha256,
+    /// The valid contributions so far, in ascending signer order.
+    contributions: Vec<Contribution>,
+}
+
+impl CertCollector {
+    /// A collector of a `quorum`-signer certificate on `(context, message)`.
+    pub fn new(quorum: usize, context: &[u8], message: &[u8]) -> Self {
+        CertCollector {
+            quorum,
+            prefix: message_state(context, message),
+            contributions: Vec::with_capacity(quorum),
+        }
+    }
+
+    /// Offers `signer`'s signature, checked against `keys[signer]`.  Each
+    /// signer's first valid signature counts: an invalid one leaves the
+    /// signer's slot open, while a repeated signer, a signer outside `keys`
+    /// and any offer once the certificate is built count for nothing.
+    /// Returns the certificate once, at the `quorum`-th valid signer.
+    pub fn offer(
+        &mut self,
+        signer: usize,
+        sig: &Signature,
+        keys: &[VerifyingKey],
+    ) -> Option<QuorumCert> {
+        if self.contributions.len() >= self.quorum {
+            return None;
+        }
+        let slot = self.contributions.binary_search_by_key(&signer, |&(i, ..)| i).err()?;
+        let r = nonce_commitment(&self.prefix, keys.get(signer)?, sig)?;
+        self.contributions.insert(slot, (signer, r, sig.s));
+        (self.contributions.len() == self.quorum).then(|| QuorumCert {
+            quorum: self.quorum as u32,
+            agg: AggregateSignature::assemble(&self.prefix, &self.contributions),
+        })
     }
 }
 
@@ -779,6 +855,102 @@ mod tests {
         assert_eq!(qc_verify_count() - before, 3);
     }
 
+    /// Offers `(signer, signature)` pairs in order and returns what each
+    /// offer returned.
+    fn offer_all(
+        collector: &mut CertCollector,
+        offers: &[(usize, Signature)],
+        keys: &[VerifyingKey],
+    ) -> Vec<Option<QuorumCert>> {
+        offers.iter().map(|(i, sig)| collector.offer(*i, sig, keys)).collect()
+    }
+
+    #[test]
+    fn the_collector_builds_the_certificate_new_builds_and_returns_it_once() {
+        let (sks, pks) = quorum_setup(7, 23);
+        let offers = signed_entries(&sks, &[4, 0, 6, 2, 5, 1, 3], b"ctx", b"msg");
+        let mut collector = CertCollector::new(5, b"ctx", b"msg");
+        let returned = offer_all(&mut collector, &offers, &pks);
+        assert!(returned[..4].iter().all(Option::is_none));
+        assert!(returned[5..].iter().all(Option::is_none), "no second certificate");
+        let cert = returned[4].clone().expect("the fifth valid signer completes it");
+        let built = QuorumCert::new(5, &offers[..5], &pks, b"ctx", b"msg").unwrap();
+        assert_eq!(cert, built);
+        assert_eq!(setupfree_wire::to_bytes(&cert), setupfree_wire::to_bytes(&built));
+        assert_eq!(cert.signer_indices(), vec![0, 2, 4, 5, 6]);
+        assert!(cert.verify(&pks, b"ctx", b"msg"));
+    }
+
+    #[test]
+    fn the_collector_counts_a_repeated_signer_once() {
+        let (sks, pks) = quorum_setup(5, 24);
+        let sig = sks[0].sign(b"ctx", b"msg");
+        let mut collector = CertCollector::new(3, b"ctx", b"msg");
+        for _ in 0..3 {
+            assert!(collector.offer(0, &sig, &pks).is_none());
+        }
+        assert!(collector.offer(1, &sks[1].sign(b"ctx", b"msg"), &pks).is_none());
+        let cert = collector.offer(2, &sks[2].sign(b"ctx", b"msg"), &pks).unwrap();
+        assert_eq!(cert.signer_indices(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn an_invalid_signature_leaves_its_signers_slot_open() {
+        let (sks, pks) = quorum_setup(5, 25);
+        let mut collector = CertCollector::new(3, b"ctx", b"msg");
+        // Signer 1's signature on another message, and signer 3's signature
+        // offered as signer 1's: neither counts, and neither uses up slot 1.
+        assert!(collector.offer(1, &sks[1].sign(b"ctx", b"other"), &pks).is_none());
+        assert!(collector.offer(1, &sks[3].sign(b"ctx", b"msg"), &pks).is_none());
+        assert!(collector.offer(0, &sks[0].sign(b"ctx", b"msg"), &pks).is_none());
+        assert!(collector.offer(1, &sks[1].sign(b"ctx", b"msg"), &pks).is_none());
+        let cert = collector.offer(2, &sks[2].sign(b"ctx", b"msg"), &pks).unwrap();
+        assert_eq!(cert.signer_indices(), vec![0, 1, 2]);
+        assert!(cert.verify(&pks, b"ctx", b"msg"));
+    }
+
+    #[test]
+    fn a_signer_outside_the_keys_is_ignored() {
+        let (sks, pks) = quorum_setup(5, 26);
+        let sig = sks[0].sign(b"ctx", b"msg");
+        let mut collector = CertCollector::new(2, b"ctx", b"msg");
+        assert!(collector.offer(pks.len(), &sig, &pks).is_none());
+        assert!(collector.offer(usize::MAX, &sig, &pks).is_none());
+        assert!(collector.offer(0, &sig, &pks).is_none());
+        let cert = collector.offer(4, &sks[4].sign(b"ctx", b"msg"), &pks).unwrap();
+        assert_eq!(cert.signer_indices(), vec![0, 4]);
+    }
+
+    #[test]
+    fn a_collector_absorbs_the_message_once() {
+        use crate::hash::compression_count;
+        // A 4 KiB message is 64 blocks.  Each offer that does not complete
+        // the certificate costs one challenge (2 compressions here: the
+        // prefix's buffered tail spills into a second block); an offer that
+        // counts for nothing costs none.
+        let message = vec![7u8; 4096];
+        let (sks, pks) = quorum_setup(13, 27);
+        let offers = signed_entries(&sks, &[3, 1, 4, 0, 5, 9, 2, 6, 8], b"ctx", &message);
+        let before = compression_count();
+        let mut collector = CertCollector::new(offers.len(), b"ctx", &message);
+        assert_eq!(compression_count() - before, 64);
+        for (i, sig) in &offers[..offers.len() - 1] {
+            let before = compression_count();
+            assert!(collector.offer(*i, sig, &pks).is_none());
+            assert_eq!(compression_count() - before, 2, "offer from {i}");
+        }
+        let before = compression_count();
+        assert!(collector.offer(3, &offers[0].1, &pks).is_none());
+        assert_eq!(compression_count() - before, 0, "a repeated signer");
+        let (last, sig) = offers[offers.len() - 1];
+        let cert = collector.offer(last, &sig, &pks).unwrap();
+        let late = sks[7].sign(b"ctx", &message);
+        let before = compression_count();
+        assert!(collector.offer(7, &late, &pks).is_none());
+        assert_eq!(compression_count() - before, 0, "an offer after the certificate");
+        assert_eq!(cert, QuorumCert::new(offers.len(), &offers, &pks, b"ctx", &message).unwrap());
+    }
+
     #[test]
     fn aggregate_decode_rejects_inconsistent_bitmap() {
         let (sks, pks) = quorum_setup(5, 19);
@@ -826,6 +998,34 @@ mod tests {
                     }
                 }
                 Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+        }
+
+        #[test]
+        fn prop_collector_matches_new_over_its_first_quorum_of_valid_signers(
+            seed in 0u64..1000,
+            order in proptest::collection::vec(0usize..9, 0..24),
+            tampered in proptest::collection::vec(any::<bool>(), 24),
+            quorum in 1usize..6,
+        ) {
+            // Offers arrive in any order, with repeats, out-of-range signers
+            // and invalid signatures mixed in.
+            let (sks, pks) = quorum_setup(6, 40 + seed);
+            let mut collector = CertCollector::new(quorum, b"p", b"m");
+            let mut counted: Vec<(usize, Signature)> = Vec::new();
+            let mut certs = Vec::new();
+            for (&i, &bad) in order.iter().zip(&tampered) {
+                let sig = sks[i % 6].sign(b"p", if bad { b"x" } else { b"m" });
+                if i < 6 && !bad && counted.len() < quorum && counted.iter().all(|(j, _)| *j != i) {
+                    counted.push((i, sig));
+                }
+                certs.extend(collector.offer(i, &sig, &pks));
+            }
+            if counted.len() == quorum {
+                prop_assert_eq!(certs.len(), 1);
+                prop_assert_eq!(&certs[0], &QuorumCert::new(quorum, &counted, &pks, b"p", b"m").unwrap());
+            } else {
+                prop_assert!(certs.is_empty());
             }
         }
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use setupfree_net::mux::sealed_step;
-use setupfree_net::{BufferStats, Envelope, Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
+use setupfree_net::{BufferStats, Envelope, Leaf, PartyId, ProtocolInstance, Router, Step};
 
 use crate::Rbc;
 
@@ -20,8 +20,6 @@ use crate::Rbc;
 /// value once, in ascending broadcaster order, with [`Gather::delivered`].
 #[derive(Debug)]
 pub struct Gather {
-    sid: Sid,
-    label: &'static str,
     me: PartyId,
     n: usize,
     f: usize,
@@ -33,12 +31,9 @@ pub struct Gather {
 
 impl Gather {
     /// Party `me`'s side of a gather among `n` parties tolerating `f`
-    /// faults.  Broadcaster `j`'s broadcast runs as session
-    /// `sid.derive(label, j)` at path `(kind, j)`.
-    pub fn new(kind: u8, sid: &Sid, label: &'static str, me: PartyId, n: usize, f: usize) -> Self {
+    /// faults.  Broadcaster `j`'s broadcast runs at path `(kind, j)`.
+    pub fn new(kind: u8, me: PartyId, n: usize, f: usize) -> Self {
         Gather {
-            sid: sid.clone(),
-            label,
             me,
             n,
             f,
@@ -53,8 +48,7 @@ impl Gather {
     pub fn activate(&mut self) -> Step<Envelope> {
         let mut step = Step::none();
         for j in 0..self.n {
-            let rbc =
-                Rbc::new(self.sid.derive(self.label, j), self.me, self.n, self.f, PartyId(j), None);
+            let rbc = Rbc::new(self.me, self.n, self.f, PartyId(j), None);
             step.extend(self.rbcs.insert(j, Leaf::new(rbc)));
         }
         step
@@ -133,9 +127,9 @@ pub struct SetGather {
 impl SetGather {
     /// Party `me`'s side of a set gather among `n` parties tolerating `f`
     /// faults; the broadcasts are laid out as [`Gather::new`] describes.
-    pub fn new(kind: u8, sid: &Sid, label: &'static str, me: PartyId, n: usize, f: usize) -> Self {
+    pub fn new(kind: u8, me: PartyId, n: usize, f: usize) -> Self {
         SetGather {
-            gather: Gather::new(kind, sid, label, me, n, f),
+            gather: Gather::new(kind, me, n, f),
             quorum: n - f,
             accepted: 0,
             union: BTreeSet::new(),
@@ -205,7 +199,7 @@ mod tests {
     #[test]
     fn the_core_is_the_union_of_the_first_n_minus_f_acceptable_sets() {
         let (n, f) = (4, 1);
-        let mut gather = SetGather::new(7, &Sid::new("set-gather"), "g", PartyId(0), n, f);
+        let mut gather = SetGather::new(7, PartyId(0), n, f);
         let _ = gather.activate();
         // Too small, or naming no party: delivered but not accepted.
         deliver(&mut gather, 1, &[0, 1]);
@@ -218,14 +212,14 @@ mod tests {
         deliver(&mut gather, 4, &[0, 1, 2]);
         assert_eq!(gather.stats().buffered, 0);
 
-        let mut gather = SetGather::new(7, &Sid::new("set-gather"), "g", PartyId(0), n, f);
+        let mut gather = SetGather::new(7, PartyId(0), n, f);
         let _ = gather.activate();
         deliver(&mut gather, 2, &[0, 1, 3]);
         deliver(&mut gather, 0, &[0, 1, 2]);
         deliver(&mut gather, 3, &[0, 1, 2]);
         assert_eq!(gather.core(), Some(&BTreeSet::from([0, 1, 2, 3])));
 
-        let mut gather = SetGather::new(7, &Sid::new("set-gather"), "g", PartyId(0), n, f);
+        let mut gather = SetGather::new(7, PartyId(0), n, f);
         let _ = gather.activate();
         for j in [0, 2, 3] {
             deliver(&mut gather, j, &[0, 1, 2]);
@@ -238,7 +232,7 @@ mod tests {
 
     #[test]
     fn a_set_is_offered_once_it_holds_n_minus_f_indices_and_only_once() {
-        let mut gather = SetGather::new(7, &Sid::new("set-gather"), "g", PartyId(2), 4, 1);
+        let mut gather = SetGather::new(7, PartyId(2), 4, 1);
         let _ = gather.activate();
         assert!(gather.offer(&BTreeSet::from([0, 1])).is_empty());
         assert!(!gather.offered());

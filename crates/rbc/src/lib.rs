@@ -21,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use setupfree_net::{FifoScheduler, PartyId, ProtocolInstance, Simulation, Sid};
+//! use setupfree_net::{FifoScheduler, PartyId, ProtocolInstance, Simulation};
 //! use setupfree_rbc::{Rbc, RbcMessage};
 //!
 //! let n = 4;
@@ -30,7 +30,7 @@
 //! let parties: Vec<_> = (0..n)
 //!     .map(|i| {
 //!         let input = if i == 0 { Some(b"hello".to_vec()) } else { None };
-//!         Box::new(Rbc::new(Sid::new("demo"), PartyId(i), n, f, sender, input))
+//!         Box::new(Rbc::new(PartyId(i), n, f, sender, input))
 //!             as setupfree_net::BoxedParty<RbcMessage, Vec<u8>>
 //!     })
 //!     .collect();
@@ -46,7 +46,7 @@ mod gather;
 
 pub use gather::{Gather, SetGather};
 
-use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Messages exchanged by one RBC instance.
@@ -93,8 +93,6 @@ impl Decode for RbcMessage {
 /// One party's state machine for a single RBC instance.
 #[derive(Debug)]
 pub struct Rbc {
-    #[allow(dead_code)]
-    sid: Sid,
     me: PartyId,
     n: usize,
     sender: PartyId,
@@ -108,16 +106,8 @@ pub struct Rbc {
 impl Rbc {
     /// Creates the RBC state machine for `me`.  `input` must be `Some` for
     /// the designated `sender` and is ignored for everyone else.
-    pub fn new(
-        sid: Sid,
-        me: PartyId,
-        n: usize,
-        f: usize,
-        sender: PartyId,
-        input: Option<Vec<u8>>,
-    ) -> Self {
+    pub fn new(me: PartyId, n: usize, f: usize, sender: PartyId, input: Option<Vec<u8>>) -> Self {
         Rbc {
-            sid,
             me,
             n,
             sender,
@@ -245,7 +235,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let input = if i == 0 { Some(value.to_vec()) } else { None };
-                Box::new(Rbc::new(Sid::new("t"), PartyId(i), n, f, PartyId(0), input))
+                Box::new(Rbc::new(PartyId(i), n, f, PartyId(0), input))
                     as BoxedParty<RbcMessage, Vec<u8>>
             })
             .collect()
@@ -305,7 +295,7 @@ mod tests {
                 EquivocatingSender::new(n, b"A".to_vec(), b"B".to_vec()),
             )];
             for i in 1..n {
-                parties.push(Box::new(Rbc::new(Sid::new("t"), PartyId(i), n, f, PartyId(0), None)));
+                parties.push(Box::new(Rbc::new(PartyId(i), n, f, PartyId(0), None)));
             }
             let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
             sim.mark_byzantine(PartyId(0));
@@ -324,7 +314,7 @@ mod tests {
         let f = 1;
         let parties: Vec<BoxedParty<RbcMessage, Vec<u8>>> = (0..n)
             .map(|i| {
-                Box::new(Rbc::new(Sid::new("t"), PartyId(i), n, f, PartyId(0), None))
+                Box::new(Rbc::new(PartyId(i), n, f, PartyId(0), None))
                     as BoxedParty<RbcMessage, Vec<u8>>
             })
             .collect();
@@ -336,7 +326,7 @@ mod tests {
 
     #[test]
     fn duplicate_messages_do_not_double_count() {
-        let mut rbc = Rbc::new(Sid::new("t"), PartyId(1), 4, 1, PartyId(0), None);
+        let mut rbc = Rbc::new(PartyId(1), 4, 1, PartyId(0), None);
         let _ = rbc.on_activation();
         // Same echo from the same party delivered twice: still only 1 echo,
         // so no Ready yet.
@@ -350,14 +340,14 @@ mod tests {
 
     #[test]
     fn second_init_from_sender_ignored() {
-        let mut rbc = Rbc::new(Sid::new("t"), PartyId(1), 4, 1, PartyId(0), None);
+        let mut rbc = Rbc::new(PartyId(1), 4, 1, PartyId(0), None);
         let _ = rbc.on_activation();
         let s1 = rbc.on_message(PartyId(0), RbcMessage::Init(b"a".to_vec()));
         assert_eq!(s1.outgoing.len(), 1);
         let s2 = rbc.on_message(PartyId(0), RbcMessage::Init(b"b".to_vec()));
         assert!(s2.is_empty());
         // Init from a non-sender is ignored entirely.
-        let mut rbc2 = Rbc::new(Sid::new("t"), PartyId(1), 4, 1, PartyId(0), None);
+        let mut rbc2 = Rbc::new(PartyId(1), 4, 1, PartyId(0), None);
         let _ = rbc2.on_activation();
         assert!(rbc2.on_message(PartyId(2), RbcMessage::Init(b"a".to_vec())).is_empty());
     }

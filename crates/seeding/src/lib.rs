@@ -28,7 +28,7 @@ use setupfree_crypto::pvss::{
     verify_single_dealer_batch, PvssParams, PvssScript, PvssSecret, PvssShare,
 };
 use setupfree_crypto::scalar::Scalar;
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -169,14 +169,15 @@ struct LeaderState {
     pending: Vec<(usize, PvssScript)>,
     contributions: Vec<PvssScript>,
     contributed_by: BTreeSet<usize>,
+    /// The aggregated script, recorded once `n − f` contributions verified
+    /// and multicast in `AggPvss`.
     aggregated: Option<Recorded>,
-    agg_sent: bool,
-    stored_sigs: Vec<(usize, Signature)>,
-    stored_by: BTreeSet<usize>,
-    /// The aggregated certificate built once at quorum from `stored_sigs`
-    /// and reused by both `AggPvssCommit` and `Seed`.
+    /// The `AggPvssStored` quorum on the aggregated script, built when the
+    /// script is recorded.
+    stored: Option<CertCollector>,
+    /// The commitment certificate, sent in `AggPvssCommit` once built and
+    /// again in `Seed`.
     commit_cert: Option<QuorumCert>,
-    commit_sent: bool,
     shares: Vec<(usize, PvssShare)>,
     shares_by: BTreeSet<usize>,
     seed_sent: bool,
@@ -256,8 +257,8 @@ impl Seeding {
         self.keyring.quorum()
     }
 
-    fn sig_context(&self) -> Vec<u8> {
-        let mut ctx = self.sid.as_bytes().to_vec();
+    fn sig_context(sid: &Sid) -> Vec<u8> {
+        let mut ctx = sid.as_bytes().to_vec();
         ctx.extend_from_slice(b"/seeding/agg");
         ctx
     }
@@ -289,8 +290,9 @@ impl Seeding {
         // The declared quorum must itself be ≥ n − f: `verify` only enforces
         // signer_count ≥ the *declared* quorum, so a cert declaring a smaller
         // quorum must not pass.
+        let ctx = Self::sig_context(&self.sid);
         let ok = quorum.quorum() >= self.quorum()
-            && quorum.verify(self.keyring.sig_key_slice(), &self.sig_context(), &recorded.bytes);
+            && quorum.verify(self.keyring.sig_key_slice(), &ctx, &recorded.bytes);
         if ok && self.verified_commit.is_none() {
             self.verified_commit = Some(quorum.clone());
         }
@@ -353,7 +355,7 @@ impl Seeding {
         let vks = self.keyring.sig_keys();
         let quorum = self.quorum();
         let Some(ls) = &mut self.leader_state else { return Step::none() };
-        if ls.agg_sent || ls.contributed_by.contains(&from.index()) {
+        if ls.aggregated.is_some() || ls.contributed_by.contains(&from.index()) {
             return Step::none();
         }
         // Alg 7 line 19 requires a single-dealer script with weight 1 at
@@ -383,8 +385,10 @@ impl Seeding {
         if ls.contributions.len() >= quorum {
             let aggregated = PvssScript::aggregate_all(&ls.contributions)
                 .expect("verified single-dealer scripts always aggregate");
-            ls.aggregated = Some(Recorded::new(aggregated.clone()));
-            ls.agg_sent = true;
+            let recorded = Recorded::new(aggregated.clone());
+            let ctx = Self::sig_context(&self.sid);
+            ls.stored = Some(CertCollector::new(quorum, &ctx, &recorded.bytes));
+            ls.aggregated = Some(recorded);
             return Step::multicast(SeedingMessage::AggPvss { script: aggregated });
         }
         Step::none()
@@ -402,36 +406,18 @@ impl Seeding {
             return Step::none();
         }
         let recorded = Recorded::new(script);
-        let signature = self.secrets.sig.sign(&self.sig_context(), &recorded.bytes);
+        let signature = self.secrets.sig.sign(&Self::sig_context(&self.sid), &recorded.bytes);
         self.recorded = Some(recorded);
         Step::send(self.leader, SeedingMessage::AggPvssStored { signature })
     }
 
     fn on_agg_stored(&mut self, from: PartyId, signature: Signature) -> Step<SeedingMessage> {
-        let ctx = self.sig_context();
-        let quorum = self.quorum();
-        let vks = self.keyring.sig_key_slice();
+        let keys = self.keyring.sig_key_slice();
         let Some(ls) = &mut self.leader_state else { return Step::none() };
-        if ls.commit_sent || ls.stored_by.contains(&from.index()) {
-            return Step::none();
-        }
-        let Some(agg) = &ls.aggregated else { return Step::none() };
-        if !vks[from.index()].verify(&ctx, &agg.bytes, &signature) {
-            return Step::none();
-        }
-        ls.stored_by.insert(from.index());
-        ls.stored_sigs.push((from.index(), signature));
-        if ls.stored_sigs.len() >= quorum {
-            ls.commit_sent = true;
-            // Build the aggregated certificate once, draining the raw
-            // signatures; it is reused verbatim by the later `Seed` message.
-            let entries = std::mem::take(&mut ls.stored_sigs);
-            let cert = QuorumCert::new(quorum, &entries, vks, &ctx, &agg.bytes)
-                .expect("individually verified quorum signatures always aggregate");
-            ls.commit_cert = Some(cert.clone());
-            return Step::multicast(SeedingMessage::AggPvssCommit { quorum: cert });
-        }
-        Step::none()
+        let Some(stored) = &mut ls.stored else { return Step::none() };
+        let Some(cert) = stored.offer(from.index(), &signature, keys) else { return Step::none() };
+        ls.commit_cert = Some(cert.clone());
+        Step::multicast(SeedingMessage::AggPvssCommit { quorum: cert })
     }
 
     fn on_agg_commit(&mut self, from: PartyId, quorum: QuorumCert) -> Step<SeedingMessage> {
@@ -460,12 +446,13 @@ impl Seeding {
         // cost re-checks on the (Byzantine-triggered) retry path.
         ls.shares_by.insert(from.index());
         ls.shares.push((from.index(), share));
-        if ls.shares.len() >= params.reconstruction_threshold() && ls.commit_sent {
-            if let Ok(secret) = agg.script.reconstruct(&params, &ls.shares) {
-                ls.seed_sent = true;
-                let quorum = ls.commit_cert.clone().expect("commit_sent implies commit_cert");
-                return Step::multicast(SeedingMessage::Seed { quorum, secret });
-            }
+        if ls.shares.len() < params.reconstruction_threshold() {
+            return Step::none();
+        }
+        let Some(quorum) = &ls.commit_cert else { return Step::none() };
+        if let Ok(secret) = agg.script.reconstruct(&params, &ls.shares) {
+            ls.seed_sent = true;
+            return Step::multicast(SeedingMessage::Seed { quorum: quorum.clone(), secret });
         }
         Step::none()
     }

@@ -34,7 +34,7 @@ use setupfree_core::committee::Committee;
 use setupfree_core::election::ElectionOutput;
 use setupfree_core::traits::{AbaFactory, ElectionFactory};
 use setupfree_crypto::hash::sha256;
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath, Payload};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step, VoteTally};
@@ -64,6 +64,14 @@ const CONFIRM_TAG: u8 = 2;
 fn confirm_proposer(bytes: &[u8]) -> Option<usize> {
     let mut r = Reader::new(bytes);
     (r.read_u8().ok()? == CONFIRM_TAG).then(|| r.read_u32().ok().map(|p| p as usize))?
+}
+
+/// The context of every `Ack` signature on `proposer`'s value.
+fn ack_context(sid: &Sid, proposer: usize) -> Vec<u8> {
+    let mut ctx = sid.as_bytes().to_vec();
+    ctx.extend_from_slice(b"/vba/ack/");
+    ctx.extend_from_slice(&(proposer as u64).to_le_bytes());
+    ctx
 }
 
 /// The VBA's *local* messages (root instance path); election and vote-ABA
@@ -199,11 +207,8 @@ pub struct Vba<EF: ElectionFactory, AF: AbaFactory> {
     aba_factory: AF,
     /// Parties we have acknowledged (first proposal only).
     acked: BTreeSet<usize>,
-    /// Raw acknowledgement signatures collected on our own proposal,
-    /// aggregated into a [`Cert`] once the quorum completes.
-    own_cert: Vec<(usize, Signature)>,
-    own_cert_from: BTreeSet<usize>,
-    confirm_sent: bool,
+    /// The `Ack` quorum on our own proposal, collected into its [`Cert`].
+    acks: CertCollector,
     /// Committed proposals: proposer → its verified `Confirm`, as received
     /// (its memoized decode serves the decide path).
     committed: BTreeMap<usize, Payload>,
@@ -277,6 +282,8 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         let n = keyring.n();
         assert_eq!(committee.n(), n, "committee sampled over a different party set");
         let cap = composite_cap(committee.size());
+        let acks =
+            CertCollector::new(committee.quorum(), &ack_context(&sid, me.index()), &sha256(&input));
         Vba {
             sid,
             me,
@@ -288,9 +295,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
             election_factory,
             aba_factory,
             acked: BTreeSet::new(),
-            own_cert: Vec::new(),
-            own_cert_from: BTreeSet::new(),
-            confirm_sent: false,
+            acks,
             committed: BTreeMap::new(),
             rounds: BTreeMap::new(),
             elections: Router::with_cap(K_ELECTION, cap),
@@ -308,12 +313,10 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         self.keyring.n()
     }
 
+    /// The committee-relative quorum `m − f_c`: `n − f` under the full
+    /// committee.
     fn quorum(&self) -> usize {
-        if self.committee.is_proper() {
-            self.committee.quorum()
-        } else {
-            self.keyring.quorum()
-        }
+        self.committee.quorum()
     }
 
     /// The committee this instance runs in.
@@ -346,20 +349,13 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
         Envelope::seal(InstancePath::root(), msg)
     }
 
-    fn ack_context(&self, proposer: usize) -> Vec<u8> {
-        let mut ctx = self.sid.as_bytes().to_vec();
-        ctx.extend_from_slice(b"/vba/ack/");
-        ctx.extend_from_slice(&(proposer as u64).to_le_bytes());
-        ctx
-    }
-
     fn verify_cert(&self, proposer: usize, value: &[u8], cert: &Cert) -> bool {
         // The declared quorum must meet this instance's quorum (`verify` only
         // enforces signer_count ≥ the certificate's own declared quorum).
         if cert.quorum() < self.quorum() {
             return false;
         }
-        let ctx = self.ack_context(proposer);
+        let ctx = ack_context(&self.sid, proposer);
         let digest = sha256(value);
         if self.committee.is_proper() {
             // Committee mode: only member acknowledgements carry weight — a
@@ -497,7 +493,7 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
             return Step::none();
         }
         self.acked.insert(from.index());
-        let signature = self.secrets.sig.sign(&self.ack_context(from.index()), &sha256(&value));
+        let signature = self.secrets.sig.sign(&ack_context(&self.sid, from.index()), &sha256(&value));
         Step::send(
             from,
             Self::local(&VbaMessage::Ack { proposer: from.index() as u32, signature }),
@@ -505,45 +501,15 @@ impl<EF: ElectionFactory, AF: AbaFactory> Vba<EF, AF> {
     }
 
     fn on_ack(&mut self, from: PartyId, proposer: u32, signature: Signature) -> Step<Envelope> {
-        if !self.active_exchange(from) {
+        if !self.active_exchange(from) || proposer as usize != self.me.index() {
             return Step::none();
         }
-        if proposer as usize != self.me.index() || self.confirm_sent {
+        let Some(cert) = self.acks.offer(from.index(), &signature, self.keyring.sig_key_slice()) else {
             return Step::none();
-        }
-        if self.own_cert_from.contains(&from.index()) {
-            return Step::none();
-        }
-        let ctx = self.ack_context(self.me.index());
-        if !self.keyring.sig_key(from.index()).verify(&ctx, &sha256(&self.input), &signature) {
-            return Step::none();
-        }
-        self.own_cert_from.insert(from.index());
-        self.own_cert.push((from.index(), signature));
-        if self.own_cert.len() >= self.quorum() {
-            self.confirm_sent = true;
-            // Aggregate the drained acknowledgements into one certificate.
-            let entries = std::mem::take(&mut self.own_cert);
-            let cert = QuorumCert::new(
-                self.quorum(),
-                &entries,
-                self.keyring.sig_key_slice(),
-                &ctx,
-                &sha256(&self.input),
-            )
-            .expect("individually verified acknowledgements always aggregate");
-            let mut step = Step::none();
-            self.fan(
-                &mut step,
-                Self::local(&VbaMessage::Confirm {
-                    proposer: self.me.index() as u32,
-                    value: self.input.clone(),
-                    cert,
-                }),
-            );
-            return step;
-        }
-        Step::none()
+        };
+        let mut step = Step::none();
+        self.fan(&mut step, Self::local(&VbaMessage::Confirm { proposer, value: self.input.clone(), cert }));
+        step
     }
 
     /// Commits a `Confirm`, received directly or inside a Vote: for a proposer
@@ -983,7 +949,7 @@ mod tests {
         );
         let proposer = committee.members()[1];
         let value = b"committee-value";
-        let ctx = vba.ack_context(proposer.index());
+        let ctx = ack_context(&vba.sid, proposer.index());
         let digest = sha256(value);
         let quorum = committee.quorum();
         let non_member = (0..n)
@@ -1054,7 +1020,7 @@ mod tests {
         named: u32,
         value: &[u8],
     ) -> Vec<u8> {
-        let ctx = vba.ack_context(signed_for);
+        let ctx = ack_context(&vba.sid, signed_for);
         let digest = sha256(value);
         let entries: Vec<(usize, Signature)> =
             (1..4).map(|i| (i, secrets[i].sig.sign(&ctx, &digest))).collect();
@@ -1070,6 +1036,38 @@ mod tests {
 
     fn vote(round: u32, confirm: Vec<u8>) -> VbaMessage {
         VbaMessage::Vote { round, confirm: Some(confirm) }
+    }
+
+    #[test]
+    fn replayed_and_foreign_acks_do_not_complete_the_proposers_certificate() {
+        let (mut vba, _, secrets) = lone_member();
+        let ctx = ack_context(&vba.sid, 0);
+        let ack = |i: usize, value: &[u8]| VbaMessage::Ack {
+            proposer: 0,
+            signature: secrets[i].sig.sign(&ctx, &sha256(value)),
+        };
+        // The certificates of the Confirms an Ack makes party 0 send.
+        let certs = |vba: &mut TrustedVba, from: usize, msg: &VbaMessage| -> Vec<Cert> {
+            let step = vba.on_message(PartyId(from), Envelope::seal(InstancePath::root(), msg));
+            step.outgoing
+                .iter()
+                .filter_map(|out| match out.msg.open() {
+                    Some(VbaMessage::Confirm { cert, .. }) => Some(cert),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mine = [0x42, 0];
+        for _ in 0..3 {
+            assert!(certs(&mut vba, 1, &ack(1, &mine)).is_empty(), "a replayed Ack");
+        }
+        assert!(certs(&mut vba, 2, &ack(2, &[0x42, 2])).is_empty(), "an Ack over another value");
+        assert!(certs(&mut vba, 2, &ack(2, &mine)).is_empty(), "two signers of three");
+        let built = certs(&mut vba, 3, &ack(3, &mine));
+        assert_eq!(built.len(), 1);
+        assert_eq!(built[0].signer_indices(), vec![1, 2, 3]);
+        assert!(vba.verify_cert(0, &mine, &built[0]));
+        assert!(certs(&mut vba, 0, &ack(0, &mine)).is_empty(), "one certificate only");
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! first reaches `n − f` elements) and [`Wcs::add_index`] (called whenever
 //! the input set grows), matching the "monotone increasing input" syntax of
 //! Definition 2.
+//!
+//! A `Lock` or `Commit` set counts only if its indices are strictly
+//! increasing, all below `n`, and at least `n − f`: the core-set guarantee
+//! needs `n − f` *distinct* indices, and honest parties send their sets in
+//! `BTreeSet` order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -86,43 +91,35 @@ impl Decode for WcsMessage {
 #[derive(Debug)]
 pub struct Wcs {
     sid: Sid,
-    #[allow(dead_code)]
-    me: PartyId,
     keyring: Arc<Keyring>,
     secrets: Arc<PartySecrets>,
     /// The monotonically growing local input set `S`.
     local: BTreeSet<usize>,
-    started: bool,
+    /// Our snapshot `S̃`, fixed by [`Wcs::start`].
     snapshot: Option<Vec<u32>>,
     /// Locks received but not yet confirmed because `S̃_j ⊄ S`.
     pending_locks: BTreeMap<usize, Vec<u32>>,
     /// Parties whose Lock we have already seen (first-time rule).
     locks_seen: BTreeSet<usize>,
-    /// Signatures collected on our snapshot.
-    confirms: Vec<(PartyId, Signature)>,
-    confirmed_by: BTreeSet<usize>,
-    commit_sent: bool,
-    commit_seen: bool,
+    /// The `Confirm` quorum on our encoded snapshot, built by
+    /// [`Wcs::start`]; its certificate goes out in our `Commit`.
+    confirms: Option<CertCollector>,
     output: Option<BTreeSet<usize>>,
 }
 
 impl Wcs {
-    /// Creates the state machine for party `me` in instance `sid`.
-    pub fn new(sid: Sid, me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
+    /// Creates the state machine for one party, whose signing key is in
+    /// `secrets`, in instance `sid`.
+    pub fn new(sid: Sid, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
         Wcs {
             sid,
-            me,
             keyring,
             secrets,
             local: BTreeSet::new(),
-            started: false,
             snapshot: None,
             pending_locks: BTreeMap::new(),
             locks_seen: BTreeSet::new(),
-            confirms: Vec::new(),
-            confirmed_by: BTreeSet::new(),
-            commit_sent: false,
-            commit_seen: false,
+            confirms: None,
             output: None,
         }
     }
@@ -141,6 +138,15 @@ impl Wcs {
         ctx
     }
 
+    /// Whether `set` is a snapshot an honest party could send: at least
+    /// `n − f` indices, all below `n`, strictly increasing (the order of a
+    /// `BTreeSet`), so that they are `n − f` distinct parties.
+    fn valid_snapshot(&self, set: &[u32]) -> bool {
+        set.len() >= self.quorum()
+            && set.windows(2).all(|pair| pair[0] < pair[1])
+            && set.last().is_some_and(|&i| (i as usize) < self.n())
+    }
+
     /// The output set `Ŝ`, once produced.
     pub fn output_set(&self) -> Option<&BTreeSet<usize>> {
         self.output.as_ref()
@@ -148,7 +154,7 @@ impl Wcs {
 
     /// Whether [`Wcs::start`] has been called.
     pub fn started(&self) -> bool {
-        self.started
+        self.snapshot.is_some()
     }
 
     /// Adds an index to the local input set (the set may only grow,
@@ -166,13 +172,14 @@ impl Wcs {
     /// Panics if the local set holds fewer than `n − f` indices or if called
     /// twice.
     pub fn start(&mut self) -> Step<WcsMessage> {
-        assert!(!self.started, "WCS already started");
+        assert!(!self.started(), "WCS already started");
         assert!(
             self.local.len() >= self.quorum(),
             "WCS requires an input set of at least n - f indices"
         );
-        self.started = true;
         let snapshot: Vec<u32> = self.local.iter().map(|i| *i as u32).collect();
+        let message = setupfree_wire::to_bytes(&snapshot);
+        self.confirms = Some(CertCollector::new(self.quorum(), &self.sig_context(), &message));
         self.snapshot = Some(snapshot.clone());
         Step::multicast(WcsMessage::Lock { set: snapshot })
     }
@@ -190,10 +197,7 @@ impl Wcs {
     }
 
     fn on_lock(&mut self, from: PartyId, set: Vec<u32>) -> Step<WcsMessage> {
-        if !self.locks_seen.insert(from.index()) {
-            return Step::none();
-        }
-        if set.len() < self.quorum() || set.iter().any(|i| *i as usize >= self.n()) {
+        if !self.locks_seen.insert(from.index()) || !self.valid_snapshot(&set) {
             return Step::none();
         }
         if self.is_subset_of_local(&set) {
@@ -231,45 +235,17 @@ impl Wcs {
     }
 
     fn on_confirm(&mut self, from: PartyId, signature: Signature) -> Step<WcsMessage> {
-        if self.commit_sent || !self.started {
+        let (Some(snapshot), Some(confirms)) = (&self.snapshot, &mut self.confirms) else {
             return Step::none();
-        }
-        let Some(snapshot) = &self.snapshot else { return Step::none() };
-        if self.confirmed_by.contains(&from.index()) {
+        };
+        let Some(quorum) = confirms.offer(from.index(), &signature, self.keyring.sig_key_slice()) else {
             return Step::none();
-        }
-        let msg_bytes = setupfree_wire::to_bytes(snapshot);
-        if !self.keyring.sig_key(from.index()).verify(&self.sig_context(), &msg_bytes, &signature) {
-            return Step::none();
-        }
-        self.confirmed_by.insert(from.index());
-        self.confirms.push((from, signature));
-        if self.confirms.len() >= self.quorum() {
-            self.commit_sent = true;
-            // Drain the collected confirmations into one aggregated
-            // certificate (they are never needed again after the Commit).
-            let entries: Vec<(usize, Signature)> = std::mem::take(&mut self.confirms)
-                .into_iter()
-                .map(|(pid, sig)| (pid.index(), sig))
-                .collect();
-            let cert = QuorumCert::new(
-                self.quorum(),
-                &entries,
-                self.keyring.sig_key_slice(),
-                &self.sig_context(),
-                &msg_bytes,
-            )
-            .expect("individually verified confirmations must aggregate");
-            return Step::multicast(WcsMessage::Commit { quorum: cert, set: snapshot.clone() });
-        }
-        Step::none()
+        };
+        Step::multicast(WcsMessage::Commit { quorum, set: snapshot.clone() })
     }
 
     fn on_commit(&mut self, _from: PartyId, quorum: QuorumCert, set: Vec<u32>) -> Step<WcsMessage> {
-        if self.commit_seen || self.output.is_some() {
-            return Step::none();
-        }
-        if set.len() < self.quorum() {
+        if self.output.is_some() || !self.valid_snapshot(&set) {
             return Step::none();
         }
         // Validate the quorum proof: an aggregated certificate of n − f
@@ -281,7 +257,6 @@ impl Wcs {
         {
             return Step::none();
         }
-        self.commit_seen = true;
         setupfree_obs::phase(setupfree_obs::Phase::WcsCommit, self.local.len() as u32);
         // Alg 3 line 14: output the *current local* set (which contains the
         // committed core set for at least f + 1 honest parties).
@@ -351,7 +326,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 Box::new(WcsHarness::new(
-                    Wcs::new(Sid::new("wcs"), PartyId(i), keyring.clone(), secrets[i].clone()),
+                    Wcs::new(Sid::new("wcs"), keyring.clone(), secrets[i].clone()),
                     inputs[i].clone(),
                 )) as BoxedParty<WcsMessage, Vec<usize>>
             })
@@ -431,7 +406,7 @@ mod tests {
     fn pending_lock_confirmed_after_input_grows() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let mut wcs = Wcs::new(Sid::new("w"), PartyId(1), keyring.clone(), secrets[1].clone());
+        let mut wcs = Wcs::new(Sid::new("w"), keyring.clone(), secrets[1].clone());
         // Receive a lock for {0,1,2} while our local set is only {0,1}.
         let _ = wcs.add_index(0);
         let _ = wcs.add_index(1);
@@ -450,7 +425,7 @@ mod tests {
     fn undersized_or_invalid_locks_ignored() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let mut wcs = Wcs::new(Sid::new("w"), PartyId(1), keyring, secrets[1].clone());
+        let mut wcs = Wcs::new(Sid::new("w"), keyring, secrets[1].clone());
         for i in 0..n {
             let _ = wcs.add_index(i);
         }
@@ -464,7 +439,7 @@ mod tests {
     fn forged_commit_rejected() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let mut wcs = Wcs::new(Sid::new("w"), PartyId(1), keyring.clone(), secrets[1].clone());
+        let mut wcs = Wcs::new(Sid::new("w"), keyring.clone(), secrets[1].clone());
         for i in 0..n {
             let _ = wcs.add_index(i);
         }
@@ -492,23 +467,58 @@ mod tests {
         assert!(wcs.output_set().is_none());
     }
 
+    /// The signature context of the instance `Sid::new("w")`.
+    fn w_context() -> Vec<u8> {
+        let mut ctx = Sid::new("w").as_bytes().to_vec();
+        ctx.extend_from_slice(b"/wcs/confirm");
+        ctx
+    }
+
     #[test]
     fn duplicate_confirms_not_double_counted() {
         let n = 4;
         let (keyring, secrets) = setup(n);
-        let mut wcs = Wcs::new(Sid::new("w"), PartyId(0), keyring.clone(), secrets[0].clone());
+        let mut wcs = Wcs::new(Sid::new("w"), keyring.clone(), secrets[0].clone());
         for i in 0..n {
             let _ = wcs.add_index(i);
         }
         let _ = wcs.start();
-        let snapshot: Vec<u32> = (0..n as u32).collect();
-        let mut ctx = Sid::new("w").as_bytes().to_vec();
-        ctx.extend_from_slice(b"/wcs/confirm");
-        let sig1 = secrets[1].sig.sign(&ctx, &setupfree_wire::to_bytes(&snapshot));
-        // Same signer twice only counts once.
-        assert!(wcs.handle(PartyId(1), WcsMessage::Confirm { signature: sig1 }).is_empty());
-        assert!(wcs.handle(PartyId(1), WcsMessage::Confirm { signature: sig1 }).is_empty());
-        assert_eq!(wcs.confirms.len(), 1);
+        let snapshot = setupfree_wire::to_bytes(&(0..n as u32).collect::<Vec<u32>>());
+        let confirm = |i: usize| WcsMessage::Confirm { signature: secrets[i].sig.sign(&w_context(), &snapshot) };
+        // Same signer twice only counts once: had the repeat counted, the
+        // next distinct confirm would complete the quorum of three.
+        assert!(wcs.handle(PartyId(1), confirm(1)).is_empty());
+        assert!(wcs.handle(PartyId(1), confirm(1)).is_empty());
+        assert!(wcs.handle(PartyId(2), confirm(2)).is_empty());
+        let step = wcs.handle(PartyId(3), confirm(3));
+        match &step.outgoing[..] {
+            [out] => match &out.msg {
+                WcsMessage::Commit { quorum, .. } => assert_eq!(quorum.signer_indices(), vec![1, 2, 3]),
+                other => panic!("expected Commit, got {other:?}"),
+            },
+            other => panic!("expected one Commit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_indices_do_not_make_a_set_of_n_minus_f() {
+        // A Byzantine owner locks [0, 0, 0]: three entries, one party.  An
+        // honest party holding only index 0 must not confirm it, and a
+        // valid three-signer certificate over it must not make it output.
+        let n = 4;
+        let (keyring, secrets) = setup(n);
+        let mut wcs = Wcs::new(Sid::new("w"), keyring.clone(), secrets[1].clone());
+        let _ = wcs.add_index(0);
+        let set: Vec<u32> = vec![0, 0, 0];
+        assert!(wcs.handle(PartyId(3), WcsMessage::Lock { set: set.clone() }).is_empty());
+        let msg = setupfree_wire::to_bytes(&set);
+        let entries: Vec<(usize, Signature)> =
+            [0usize, 2, 3].iter().map(|&i| (i, secrets[i].sig.sign(&w_context(), &msg))).collect();
+        let quorum = QuorumCert::new(3, &entries, keyring.sig_key_slice(), &w_context(), &msg).unwrap();
+        assert!(wcs.handle(PartyId(3), WcsMessage::Commit { quorum, set }).is_empty());
+        assert!(wcs.output_set().is_none());
+        // Out of order is refused too; honest snapshots are sorted.
+        assert!(wcs.handle(PartyId(2), WcsMessage::Lock { set: vec![2, 1, 0] }).is_empty());
     }
 
     #[test]
@@ -554,7 +564,7 @@ mod tests {
     #[should_panic(expected = "at least n - f")]
     fn starting_with_small_set_panics() {
         let (keyring, secrets) = setup(4);
-        let mut wcs = Wcs::new(Sid::new("w"), PartyId(0), keyring, secrets[0].clone());
+        let mut wcs = Wcs::new(Sid::new("w"), keyring, secrets[0].clone());
         let _ = wcs.add_index(0);
         let _ = wcs.start();
     }

@@ -15,14 +15,20 @@
 //! global allocator below).
 //!
 //! What keeps the counts where they are: a signature absorbs its message
-//! once per call, not once per signer; a Seeding party verifies the
-//! leader's commitment certificate once, although it arrives twice;
-//! `Echo`/`Ready` votes are compared by equality instead of hashed; and a
-//! payload's first typed decode is memoized on its shared allocation.
+//! once per call, not once per signer; a certificate's builder (one
+//! `sig::CertCollector` each for the AVSS dealer, the Seeding leader, the
+//! WCS and the VBA proposer) absorbs its message once and checks each
+//! signature once, on arrival; a Seeding party verifies the leader's
+//! commitment certificate once, although it arrives twice; `Echo`/`Ready`
+//! votes are compared by equality instead of hashed; and a payload's first
+//! typed decode is memoized on its shared allocation.
 //! Without that memo (a thread-local window of recent leaf decodes that
 //! evicted a multicast before most of its copies arrived, and no caching of
 //! root-path messages) a decision took 9 451 / 25 838 / 33 413 decodes for
-//! seeds 0 / 1 / 2: the ceiling for the pinned column.
+//! seeds 0 / 1 / 2: the ceiling for the pinned column.  When each builder
+//! checked every signature on arrival and again inside `QuorumCert::new`,
+//! absorbing the message once per check, a decision took 34 998 / 59 050 /
+//! 71 260 compressions: the ceiling for the compression column.
 //!
 //! The pinned allocations are a debug-build count (`cargo test` compiles
 //! this file in debug), so they include the codec round trip a debug build
@@ -34,8 +40,11 @@
 //! for seeds 0 / 1 / 2 in a debug build (84 019 / 208 887 / 270 884 in
 //! release).  When every Coin also mounted `n` gather RBCs that nothing
 //! read in the paper's WCS mode, a decision took 127 002 / 318 822 /
-//! 413 592 in a debug build (72 341 / 182 832 / 237 634 in release): the
-//! ceiling for the pinned column.  Allocation counts also depend on the
+//! 413 592 in a debug build (72 341 / 182 832 / 237 634 in release).  When
+//! the four certificate builders kept their own signature lists and signer
+//! sets and re-encoded their message for every signature, it took
+//! 126 287 / 316 677 / 410 732 (71 626 / 180 687 / 234 774 in release):
+//! the ceiling for the pinned column.  Allocation counts also depend on the
 //! toolchain's standard library, so a compiler upgrade may move them
 //! without a change here.
 //!
@@ -111,14 +120,14 @@ struct Work {
 
 /// `(seed, work)` per decision, allocations as a debug build counts them.
 const GOLDEN: [(u64, Work); 3] = [
-    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 34_998, payload_decodes: 2_295, allocations: 126_287 }),
-    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 59_050, payload_decodes: 5_171, allocations: 316_677 }),
-    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 71_260, payload_decodes: 6_610, allocations: 410_732 }),
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 31_722, payload_decodes: 2_295, allocations: 124_441 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 54_370, payload_decodes: 5_171, allocations: 311_867 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 65_878, payload_decodes: 6_610, allocations: 404_440 }),
 ];
 
 /// Allocations per decision, by seed, as a release build counts them (no
 /// codec round trip per send).
-const RELEASE_ALLOCATIONS: [u64; 3] = [71_626, 180_687, 234_774];
+const RELEASE_ALLOCATIONS: [u64; 3] = [69_780, 175_877, 228_482];
 
 fn inputs(seed: u64) -> Vec<bool> {
     (0..N).map(|p| if p < 2 { p == 1 } else { (seed + p as u64 * 7).is_multiple_of(3) }).collect()

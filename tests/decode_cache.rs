@@ -123,7 +123,7 @@ fn rbc_messages_survive_cached_decode() {
         let parties: Vec<BoxedParty<RbcMessage, Vec<u8>>> = (0..n)
             .map(|i| {
                 let input = (i == 0).then(|| b"cache-coverage-payload".to_vec());
-                Box::new(Rbc::new(Sid::new("cache-rbc"), PartyId(i), n, 1, PartyId(0), input))
+                Box::new(Rbc::new(PartyId(i), n, 1, PartyId(0), input))
                     as BoxedParty<RbcMessage, Vec<u8>>
             })
             .collect();

@@ -148,7 +148,7 @@ fn wcs_outputs_contain_a_common_core() {
             .map(PartyId)
             .map(|i| {
                 Box::new(WcsHarness::new(
-                    Wcs::new(sid.clone(), i, keyring.clone(), secrets[i.index()].clone()),
+                    Wcs::new(sid.clone(), keyring.clone(), secrets[i.index()].clone()),
                     input.clone(),
                 )) as BoxedParty<WcsMessage, Vec<usize>>
             })

@@ -181,7 +181,7 @@ fn an_rbc_flood_leaves_bounded_state() {
             (0..N)
                 .map(|i| {
                     let input = (i == 0).then(|| value.clone());
-                    (i != FLOODER).then(|| Rbc::new(Sid::new("rbc-flood"), PartyId(i), N, 1, PartyId(0), input))
+                    (i != FLOODER).then(|| Rbc::new(PartyId(i), N, 1, PartyId(0), input))
                 })
                 .collect(),
         );
