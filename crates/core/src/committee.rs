@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use setupfree_crypto::hash::hash_fields;
+use setupfree_crypto::hash::{CounterStream, Digest};
 use setupfree_net::{Envelope, PartyId, Step};
 
 /// Domain-separation prefix of every committee derivation.
@@ -177,24 +177,20 @@ impl fmt::Display for Committee {
     }
 }
 
-/// Counter-mode expansion of `hash_fields` into an unbiased uniform
-/// sampler (rejection sampling kills the modulo bias exactly, so the
-/// binomial-bound membership test is a statement about the construction,
-/// not about slack in the test).
+/// A [`CounterStream`] read as an unbiased uniform sampler (rejection
+/// sampling kills the modulo bias exactly, so the binomial-bound membership
+/// test is a statement about the construction, not about slack in the
+/// test).
 struct HashStream {
-    domain: String,
-    seed: Vec<u8>,
-    counter: u64,
-    block: [u8; 32],
+    blocks: CounterStream,
+    block: Digest,
     used: usize,
 }
 
 impl HashStream {
     fn new(seed_domain: &str, seed: &[u8]) -> Self {
         HashStream {
-            domain: format!("{COMMITTEE_DOMAIN}/{seed_domain}"),
-            seed: seed.to_vec(),
-            counter: 0,
+            blocks: CounterStream::new(&format!("{COMMITTEE_DOMAIN}/{seed_domain}"), seed),
             block: [0; 32],
             used: 32,
         }
@@ -202,9 +198,7 @@ impl HashStream {
 
     fn next_u64(&mut self) -> u64 {
         if self.used + 8 > 32 {
-            self.block =
-                hash_fields(&self.domain, &[&self.seed, &self.counter.to_le_bytes()]);
-            self.counter += 1;
+            self.block = self.blocks.next().expect("a counter stream is endless");
             self.used = 0;
         }
         let mut bytes = [0u8; 8];

@@ -97,18 +97,20 @@ impl Sha256 {
 
     /// Finalizes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-            // `update` adjusts total_len, but padding bytes must not count;
-            // we already captured bit_len above so this is harmless.
+        // Pad in one step: `0x80`, zeros up to byte 56 (through one extra
+        // block if the tail leaves no room for the length), then the
+        // message length in bits, big-endian.
+        let tail = self.buffer_len;
+        self.buffer[tail] = 0x80;
+        self.buffer[tail + 1..].fill(0);
+        if tail >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer[..56].fill(0);
         }
-        // Append the original message length in bits, big-endian.
-        let mut final_block = [0u8; 8];
-        final_block.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&final_block);
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -191,17 +193,54 @@ pub fn hash_fields(domain: &str, fields: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// Expands `(domain, seed)` into `len` pseudorandom bytes using SHA-256 in
-/// counter mode.  Used as the symmetric stream cipher for the AVSS ciphertext
-/// and anywhere a deterministic expansion of a short key is required.
+/// SHA-256 in counter mode over `(domain, seed)`: an endless stream of
+/// blocks, block `j` being `hash_fields(domain, &[seed, &j.to_le_bytes()])`
+/// byte for byte.
+///
+/// The framed domain, the field count and the framed seed are absorbed
+/// once, and each block clones that state and absorbs only its framed
+/// counter, so a block costs the compressions of the buffered tail alone:
+/// one for the aggregation weights' 25-byte domain and 32-byte digest.
+/// The aggregation weights of a quorum certificate, [`prg`] (so the AVSS
+/// cipher) and committee sampling all read their blocks from it.
+#[derive(Debug)]
+pub struct CounterStream {
+    prefix: Sha256,
+    counter: u64,
+}
+
+impl CounterStream {
+    /// The stream of `(domain, seed)`, starting at block 0.
+    pub fn new(domain: &str, seed: &[u8]) -> Self {
+        let mut prefix = Sha256::new();
+        prefix.update_framed(domain.as_bytes());
+        // Two fields: the seed and the block's counter.
+        prefix.update(&2u64.to_le_bytes());
+        prefix.update_framed(seed);
+        CounterStream { prefix, counter: 0 }
+    }
+}
+
+impl Iterator for CounterStream {
+    type Item = Digest;
+
+    fn next(&mut self) -> Option<Digest> {
+        let mut h = self.prefix.clone();
+        h.update_framed(&self.counter.to_le_bytes());
+        self.counter += 1;
+        Some(h.finalize())
+    }
+}
+
+/// Expands `(domain, seed)` into `len` pseudorandom bytes: the first `len`
+/// bytes of its [`CounterStream`].  Used as the symmetric stream cipher for
+/// the AVSS ciphertext and anywhere a deterministic expansion of a short key
+/// is required.
 pub fn prg(domain: &str, seed: &[u8], len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
-    let mut counter: u64 = 0;
-    while out.len() < len {
-        let block = hash_fields(domain, &[seed, &counter.to_le_bytes()]);
+    for block in CounterStream::new(domain, seed).take(len.div_ceil(DIGEST_LEN)) {
         let take = (len - out.len()).min(DIGEST_LEN);
         out.extend_from_slice(&block[..take]);
-        counter += 1;
     }
     out
 }
@@ -305,6 +344,36 @@ mod tests {
         assert_eq!(&a[..40], &c[..]);
         let d = prg("prg", b"other", 100);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn counter_stream_blocks_are_hash_fields_blocks() {
+        // The stream's prefix ends at 8 + 2 + 8 + 8 = 26 bytes plus the
+        // seed: these seeds put it just before, at and past a block boundary.
+        for seed_len in [0usize, 37, 38, 39, 101, 102, 103] {
+            let seed: Vec<u8> = (0..seed_len as u8).collect();
+            let stream: Vec<Digest> = CounterStream::new("dm", &seed).take(5).collect();
+            for (j, block) in (0u64..).zip(&stream) {
+                assert_eq!(*block, hash_fields("dm", &[&seed, &j.to_le_bytes()]), "seed of {seed_len} B, block {j}");
+            }
+            assert_eq!(prg("dm", &seed, 150), stream.concat()[..150]);
+        }
+    }
+
+    #[test]
+    fn counter_stream_blocks_cost_their_tail_alone() {
+        // A 25-byte domain and a 32-byte seed absorb 81 bytes: one block,
+        // then one compression per stream block.
+        let before = compression_count();
+        let mut stream = CounterStream::new("setupfree/sig/agg-weights", &[7u8; 32]);
+        assert_eq!(compression_count() - before, 1);
+        let before = compression_count();
+        let _ = stream.nth(2);
+        assert_eq!(compression_count() - before, 3);
+        let before = compression_count();
+        assert_eq!(prg("d", b"k", 0), Vec::<u8>::new());
+        assert_eq!(prg("d", b"k", 64).len(), 64);
+        assert_eq!(compression_count() - before, 2);
     }
 
     #[test]

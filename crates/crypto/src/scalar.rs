@@ -105,9 +105,13 @@ impl Scalar {
 
     /// Reduces a random-oracle digest to a field element.
     pub(crate) fn from_digest(digest: &Digest) -> Self {
-        // Reduce 128 bits mod q: the bias is < 2^-60, negligible for our use.
-        let wide = u128::from_le_bytes(digest[..16].try_into().expect("16 bytes"));
-        Scalar((wide % Self::modulus() as u128) as u64)
+        Self::from_wide(digest[..16].try_into().expect("16 bytes"))
+    }
+
+    /// Reduces 128 uniform bits mod q: the bias is < 2^-60, negligible for
+    /// our use.
+    pub(crate) fn from_wide(bytes: [u8; 16]) -> Self {
+        Scalar((u128::from_le_bytes(bytes) % Self::modulus() as u128) as u64)
     }
 
     /// Field addition inverse.

@@ -110,8 +110,9 @@ impl Gather {
 ///
 /// * each party offers its own set of completed indices once it holds
 ///   `n − f` of them;
-/// * a delivered set is accepted if it holds at least `n − f` indices, all
-///   in `0..n`;
+/// * a delivered set is accepted if it holds at least `n − f` indices,
+///   strictly increasing and all in `0..n` (the WCS snapshot rule), so a
+///   repeated index cannot stand in for a distinct one;
 /// * once `n − f` sets are accepted, the core is their union.
 ///
 /// The gather-mode Coin and the n²-AVSS baseline coin both select their
@@ -167,7 +168,10 @@ impl SetGather {
         if self.accepted < self.quorum {
             for (_, bytes) in self.gather.delivered() {
                 let Ok(set) = setupfree_wire::from_bytes::<Vec<u32>>(&bytes) else { continue };
-                if set.len() >= self.quorum && set.iter().all(|&i| (i as usize) < self.gather.n) {
+                if set.len() >= self.quorum
+                    && set.windows(2).all(|pair| pair[0] < pair[1])
+                    && set.last().is_some_and(|&i| (i as usize) < self.gather.n)
+                {
                     self.union.extend(set.iter().map(|&i| i as usize));
                     self.accepted += 1;
                 }
@@ -228,6 +232,21 @@ mod tests {
         // The core is fixed once formed.
         deliver(&mut gather, 1, &[1, 2, 3]);
         assert_eq!(gather.core(), Some(&BTreeSet::from([0, 1, 2])));
+    }
+
+    #[test]
+    fn a_set_with_repeated_or_unordered_indices_is_not_accepted() {
+        let (n, f) = (4, 1);
+        for bad in [[0, 0, 0], [2, 1, 0]] {
+            let mut gather = SetGather::new(7, PartyId(0), n, f);
+            let _ = gather.activate();
+            deliver(&mut gather, 1, &bad);
+            deliver(&mut gather, 0, &[0, 1, 2]);
+            deliver(&mut gather, 2, &[0, 1, 2]);
+            assert_eq!(gather.core(), None, "{bad:?} does not count as a set");
+            deliver(&mut gather, 3, &[0, 1, 3]);
+            assert_eq!(gather.core(), Some(&BTreeSet::from([0, 1, 2, 3])));
+        }
     }
 
     #[test]

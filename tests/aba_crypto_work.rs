@@ -19,7 +19,10 @@
 //! `sig::CertCollector` each for the AVSS dealer, the Seeding leader, the
 //! WCS and the VBA proposer) absorbs its message once and checks each
 //! signature once, on arrival; a Seeding party verifies the leader's
-//! commitment certificate once, although it arrives twice; `Echo`/`Ready`
+//! commitment certificate once, although it arrives twice; a certificate's
+//! aggregation weights come two per compression from one counter-mode
+//! stream over its transcript digest, and the AVSS cipher's keystream
+//! absorbs its key once per ciphertext, not once per block; `Echo`/`Ready`
 //! votes are compared by equality instead of hashed; and a payload's first
 //! typed decode is memoized on its shared allocation.
 //! Without that memo (a thread-local window of recent leaf decodes that
@@ -28,7 +31,10 @@
 //! seeds 0 / 1 / 2: the ceiling for the pinned column.  When each builder
 //! checked every signature on arrival and again inside `QuorumCert::new`,
 //! absorbing the message once per check, a decision took 34 998 / 59 050 /
-//! 71 260 compressions: the ceiling for the compression column.
+//! 71 260 compressions.  When each aggregation weight then hashed its own
+//! 96-byte input (`setupfree/sig/v2`) and every keystream block hashed the
+//! whole key again, it took 31 722 / 54 370 / 65 878: the ceiling for the
+//! compression column.
 //!
 //! The pinned allocations are a debug-build count (`cargo test` compiles
 //! this file in debug), so they include the codec round trip a debug build
@@ -120,9 +126,9 @@ struct Work {
 
 /// `(seed, work)` per decision, allocations as a debug build counts them.
 const GOLDEN: [(u64, Work); 3] = [
-    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 31_722, payload_decodes: 2_295, allocations: 124_441 }),
-    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 54_370, payload_decodes: 5_171, allocations: 311_867 }),
-    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 65_878, payload_decodes: 6_610, allocations: 404_440 }),
+    (0, Work { deliveries: 17_174, qc_verifies: 349, compressions: 26_897, payload_decodes: 2_295, allocations: 124_441 }),
+    (1, Work { deliveries: 42_664, qc_verifies: 713, compressions: 44_176, payload_decodes: 5_171, allocations: 311_867 }),
+    (2, Work { deliveries: 55_125, qc_verifies: 897, compressions: 52_982, payload_decodes: 6_610, allocations: 404_440 }),
 ];
 
 /// Allocations per decision, by seed, as a release build counts them (no

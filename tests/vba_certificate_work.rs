@@ -10,6 +10,15 @@
 //! (`setupfree_crypto::sig::qc_verify_count` counts per thread, and the
 //! simulation runs on the test thread).
 //!
+//! Beside the bound, the gate pins the exact SHA-256 block compressions of
+//! each decision (`setupfree_crypto::hash::compression_count`, also per
+//! thread), most of them certificate checks at k = n − f = 27 signers.
+//! When each aggregation weight hashed its own 96-byte input (two
+//! compressions per signer, `setupfree/sig/v2`), a decision took 91 366 /
+//! 91 844 / 91 854 compressions for seeds 0 / 1 / 2: the ceiling for the
+//! pinned column.  Now the weights come two per compression from one
+//! counter-mode stream over the certificate's transcript digest.
+//!
 //! Shape: n = 40 with 13 `SilentParty`s marked Byzantine, the trusted
 //! election and trusted-coin vote-ABAs (so the VBA's own certificate
 //! checks are the only ones), 8-byte proposals under a magic-byte
@@ -20,6 +29,7 @@ use std::sync::Arc;
 
 use setupfree_aba::MmrAbaFactory;
 use setupfree_core::{TrustedCoinFactory, TrustedElectionFactory};
+use setupfree_crypto::hash::compression_count;
 use setupfree_crypto::sig::qc_verify_count;
 use setupfree_crypto::{generate_pki, PartySecrets};
 use setupfree_net::mux::Envelope;
@@ -31,6 +41,9 @@ use setupfree_vba::{Predicate, Vba};
 const N: usize = 40;
 const F: usize = 13;
 const MAGIC: u8 = 0x42;
+
+/// SHA-256 compressions per decision, by seed.
+const COMPRESSIONS: [u64; 3] = [61_882, 62_360, 62_370];
 
 fn predicate() -> Predicate {
     Arc::new(|v: &[u8]| v.len() == 8 && v[0] == MAGIC)
@@ -48,7 +61,7 @@ fn vba_verifies_each_proposers_certificate_once_per_party() {
     let keyring = Arc::new(keyring);
     let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
     let bound = ((N - F) * (N - F)) as u64;
-    for seed in 0..3u64 {
+    for (seed, expected_compressions) in (0..3u64).zip(COMPRESSIONS) {
         // A seed-dependent spread of 13 distinct silent parties.
         let silent: BTreeSet<usize> = (0..F).map(|k| (3 * k + seed as usize) % N).collect();
         assert_eq!(silent.len(), F);
@@ -74,9 +87,10 @@ fn vba_verifies_each_proposers_certificate_once_per_party() {
         for &p in &silent {
             sim.mark_byzantine(PartyId(p));
         }
-        let before = qc_verify_count();
+        let (before, hash_before) = (qc_verify_count(), compression_count());
         let report = sim.run(20_000_000);
         let verifications = qc_verify_count() - before;
+        let compressions = compression_count() - hash_before;
 
         assert_eq!(report.reason, StopReason::AllOutputs, "seed {seed}: termination");
         let outputs = sim.outputs();
@@ -95,5 +109,6 @@ fn vba_verifies_each_proposers_certificate_once_per_party() {
             verifications <= bound,
             "seed {seed}: {verifications} certificate verifications, at most (n − f)² = {bound}"
         );
+        assert_eq!(compressions, expected_compressions, "seed {seed}: compressions per decision");
     }
 }
