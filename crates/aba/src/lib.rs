@@ -39,7 +39,7 @@ use setupfree_core::traits::{AbaFactory, CoinFactory};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Path kind of the per-round coin instances (keyed by round number).
 pub const K_COIN: u8 = 0;
@@ -69,37 +69,11 @@ pub enum AbaMessage {
     },
 }
 
-impl Encode for AbaMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AbaMessage::BVal { round, value } => {
-                w.write_u8(0);
-                w.write_u32(*round);
-                value.encode(w);
-            }
-            AbaMessage::Aux { round, value } => {
-                w.write_u8(1);
-                w.write_u32(*round);
-                value.encode(w);
-            }
-            AbaMessage::Finish { value } => {
-                w.write_u8(2);
-                value.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for AbaMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(AbaMessage::BVal { round: r.read_u32()?, value: bool::decode(r)? }),
-            1 => Ok(AbaMessage::Aux { round: r.read_u32()?, value: bool::decode(r)? }),
-            2 => Ok(AbaMessage::Finish { value: bool::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "AbaMessage" }),
-        }
-    }
-}
+codec!(enum AbaMessage {
+    0 => BVal { round, value },
+    1 => Aux { round, value },
+    2 => Finish { value },
+});
 
 /// Per-round protocol state (the round's coin lives in the coin router).
 #[derive(Debug, Default)]
@@ -217,11 +191,6 @@ impl<F: CoinFactory> MmrAba<F> {
     /// all-to-all mode; committee members only otherwise).
     pub fn is_member(&self) -> bool {
         self.committee.is_member(self.me)
-    }
-
-    /// The current round number (diagnostics / benchmarks).
-    pub fn current_round(&self) -> u32 {
-        self.round
     }
 
     /// Number of envelopes currently held in the per-round coin router's

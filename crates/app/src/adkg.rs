@@ -28,7 +28,7 @@ use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_vba::{Predicate, Vba};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Path kind of the single VBA instance.
 pub const K_VBA: u8 = 0;
@@ -55,25 +55,7 @@ pub enum AdkgMessage {
     },
 }
 
-impl Encode for AdkgMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AdkgMessage::Pvss { script } => {
-                w.write_u8(0);
-                script.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for AdkgMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(AdkgMessage::Pvss { script: PvssScript::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "AdkgMessage" }),
-        }
-    }
-}
+codec!(enum AdkgMessage { 0 => Pvss { script } });
 
 /// One party's ADKG state machine.
 pub struct Adkg<EF: ElectionFactory, AF: AbaFactory> {

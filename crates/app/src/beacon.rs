@@ -27,7 +27,7 @@ use setupfree_core::traits::AbaFactory;
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Path kind of the per-epoch election instances (keyed by epoch).
 pub const K_ELECTION: u8 = 0;
@@ -45,25 +45,7 @@ pub enum BeaconMessage {
     },
 }
 
-impl Encode for BeaconMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            BeaconMessage::Done { epoch } => {
-                w.write_u8(0);
-                w.write_u32(*epoch);
-            }
-        }
-    }
-}
-
-impl Decode for BeaconMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(BeaconMessage::Done { epoch: r.read_u32()? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "BeaconMessage" }),
-        }
-    }
-}
+codec!(enum BeaconMessage { 0 => Done { epoch } });
 
 /// The outcome of one beacon epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]

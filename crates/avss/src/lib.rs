@@ -31,7 +31,7 @@ use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step, VoteTally};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 const CIPHER_DOMAIN: &str = "setupfree/avss/cipher";
 
@@ -88,68 +88,15 @@ pub enum AvssMessage {
     },
 }
 
-impl Encode for AvssMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AvssMessage::KeyShare { commitment, share_a, share_b } => {
-                w.write_u8(0);
-                commitment.encode(w);
-                share_a.encode(w);
-                share_b.encode(w);
-            }
-            AvssMessage::KeyStored { signature } => {
-                w.write_u8(1);
-                signature.encode(w);
-            }
-            AvssMessage::Cipher { quorum, commitment, cipher } => {
-                w.write_u8(2);
-                quorum.encode(w);
-                commitment.encode(w);
-                cipher.encode(w);
-            }
-            AvssMessage::Echo { cipher } => {
-                w.write_u8(3);
-                cipher.encode(w);
-            }
-            AvssMessage::Ready { cipher } => {
-                w.write_u8(4);
-                cipher.encode(w);
-            }
-            AvssMessage::KeyRec { share_a, share_b } => {
-                w.write_u8(5);
-                share_a.encode(w);
-                share_b.encode(w);
-            }
-            AvssMessage::Key { key } => {
-                w.write_u8(6);
-                key.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for AvssMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(AvssMessage::KeyShare {
-                commitment: PedersenCommitment::decode(r)?,
-                share_a: Scalar::decode(r)?,
-                share_b: Scalar::decode(r)?,
-            }),
-            1 => Ok(AvssMessage::KeyStored { signature: Signature::decode(r)? }),
-            2 => Ok(AvssMessage::Cipher {
-                quorum: QuorumCert::decode(r)?,
-                commitment: PedersenCommitment::decode(r)?,
-                cipher: Vec::<u8>::decode(r)?,
-            }),
-            3 => Ok(AvssMessage::Echo { cipher: Vec::<u8>::decode(r)? }),
-            4 => Ok(AvssMessage::Ready { cipher: Vec::<u8>::decode(r)? }),
-            5 => Ok(AvssMessage::KeyRec { share_a: Scalar::decode(r)?, share_b: Scalar::decode(r)? }),
-            6 => Ok(AvssMessage::Key { key: Scalar::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "AvssMessage" }),
-        }
-    }
-}
+codec!(enum AvssMessage {
+    0 => KeyShare { commitment, share_a, share_b },
+    1 => KeyStored { signature },
+    2 => Cipher { quorum, commitment, cipher },
+    3 => Echo { cipher },
+    4 => Ready { cipher },
+    5 => KeyRec { share_a, share_b },
+    6 => Key { key },
+});
 
 /// Output of the sharing phase (Alg 1 line 26): the ciphertext plus this
 /// party's (possibly missing) key shares and commitment.

@@ -43,7 +43,7 @@ use setupfree_net::{Leaf, PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::SetGather;
 use setupfree_seeding::{Seed, Seeding};
 use setupfree_wcs::Wcs;
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Path kind of the per-leader Seeding instances.
 pub const K_SEEDING: u8 = 0;
@@ -147,32 +147,10 @@ pub enum CoinMessage {
     },
 }
 
-impl Encode for CoinMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CoinMessage::RecRequest { index } => {
-                w.write_u8(0);
-                w.write_u32(*index);
-            }
-            CoinMessage::Candidate { candidate } => {
-                w.write_u8(1);
-                candidate.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for CoinMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(CoinMessage::RecRequest { index: r.read_u32()? }),
-            1 => Ok(CoinMessage::Candidate {
-                candidate: Option::<(u32, VrfOutput, VrfProof)>::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "CoinMessage" }),
-        }
-    }
-}
+codec!(enum CoinMessage {
+    0 => RecRequest { index },
+    1 => Candidate { candidate },
+});
 
 /// The coin's output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,11 +299,6 @@ impl Coin {
 
     fn quorum(&self) -> usize {
         self.keyring.quorum()
-    }
-
-    /// The core set `Ŝ` output by the WCS, if available.
-    pub fn core_set(&self) -> Option<&BTreeSet<usize>> {
-        self.core_set.as_ref()
     }
 
     /// The coin output, if decided.

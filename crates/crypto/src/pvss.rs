@@ -16,7 +16,7 @@
 //! * `∏ C_i^{w_i} = F_0`.
 
 use rand::Rng;
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::{codec, Decode, Encode, Reader, WireError, Writer};
 
 use crate::hash::hash_fields;
 use crate::multiexp::powers_of;
@@ -579,41 +579,9 @@ fn sok_verify(vk: &VerifyingKey, dealer: usize, c_i: &G1, sig: &Signature) -> bo
     vk.verify(&sok_context(dealer), &setupfree_wire::to_bytes(c_i), sig)
 }
 
-impl Encode for PvssEncryptionKey {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for PvssEncryptionKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PvssEncryptionKey(G2::decode(r)?))
-    }
-}
-
-impl Encode for PvssShare {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for PvssShare {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PvssShare(G2::decode(r)?))
-    }
-}
-
-impl Encode for PvssSecret {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for PvssSecret {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PvssSecret(G2::decode(r)?))
-    }
-}
+codec!(struct PvssEncryptionKey(_));
+codec!(struct PvssShare(_));
+codec!(struct PvssSecret(_));
 
 // The wire format omits everything derivable or sparse:
 //

@@ -26,7 +26,7 @@ use std::cell::Cell;
 use std::fmt;
 
 use rand::Rng;
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::{codec, Decode, Encode, Reader, WireError, Writer};
 
 use crate::group::GroupElement;
 use crate::hash::{CounterStream, Digest, Sha256};
@@ -535,45 +535,9 @@ impl CertCollector {
     }
 }
 
-impl Encode for QuorumCert {
-    fn encode(&self, w: &mut Writer) {
-        w.write_u32(self.quorum);
-        self.agg.encode(w);
-    }
-}
-
-impl Decode for QuorumCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let quorum = r.read_u32()?;
-        let agg = AggregateSignature::decode(r)?;
-        Ok(QuorumCert { quorum, agg })
-    }
-}
-
-impl Encode for VerifyingKey {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for VerifyingKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VerifyingKey(GroupElement::decode(r)?))
-    }
-}
-
-impl Encode for Signature {
-    fn encode(&self, w: &mut Writer) {
-        self.c.encode(w);
-        self.s.encode(w);
-    }
-}
-
-impl Decode for Signature {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Signature { c: Scalar::decode(r)?, s: Scalar::decode(r)? })
-    }
-}
+codec!(struct QuorumCert { quorum, agg });
+codec!(struct VerifyingKey(_));
+codec!(struct Signature { c, s });
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@
 use std::fmt;
 
 use rand::Rng;
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 use crate::hash::hash_fields;
 use crate::group::GroupElement;
@@ -176,47 +176,9 @@ fn dleq_challenge(
     )
 }
 
-impl Encode for VrfPublicKey {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for VrfPublicKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VrfPublicKey(GroupElement::decode(r)?))
-    }
-}
-
-impl Encode for VrfOutput {
-    fn encode(&self, w: &mut Writer) {
-        w.write_bytes(&self.0);
-    }
-}
-
-impl Decode for VrfOutput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VrfOutput(<[u8; VRF_OUTPUT_LEN]>::decode(r)?))
-    }
-}
-
-impl Encode for VrfProof {
-    fn encode(&self, w: &mut Writer) {
-        self.gamma.encode(w);
-        self.c.encode(w);
-        self.s.encode(w);
-    }
-}
-
-impl Decode for VrfProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VrfProof {
-            gamma: GroupElement::decode(r)?,
-            c: Scalar::decode(r)?,
-            s: Scalar::decode(r)?,
-        })
-    }
-}
+codec!(struct VrfPublicKey(_));
+codec!(struct VrfOutput(_));
+codec!(struct VrfProof { gamma, c, s });
 
 #[cfg(test)]
 mod tests {

@@ -378,7 +378,7 @@ pub fn sealed_step<M: Encode>(seg: PathSeg, step: Step<M>) -> Step<Envelope> {
 }
 
 /// Encodes a protocol's *local* (root-path) messages.
-pub fn local_step<M: Encode>(step: Step<M>) -> Step<Envelope> {
+fn local_step<M: Encode>(step: Step<M>) -> Step<Envelope> {
     seal_step_at(InstancePath::root(), step)
 }
 

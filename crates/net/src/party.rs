@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::{codec, Decode, Encode, Reader, WireError, Writer};
 
 /// The identity of one of the `n` designated parties (`P_1 … P_n` in the
 /// paper, 0-based here).
@@ -77,17 +77,7 @@ impl fmt::Display for Sid {
     }
 }
 
-impl Encode for Sid {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-}
-
-impl Decode for Sid {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Sid(Vec::<u8>::decode(r)?))
-    }
-}
+codec!(struct Sid(_));
 
 #[cfg(test)]
 mod tests {

@@ -258,11 +258,6 @@ where
         self.parties.iter().map(|p| p.machine.output()).collect()
     }
 
-    /// Returns the output of a specific party.
-    pub fn output_of(&self, party: PartyId) -> Option<O> {
-        self.parties[party.index()].machine.output()
-    }
-
     /// Activates every non-crashed party (calls `on_activation` once).
     fn activate_all(&mut self) {
         assert!(!self.activated, "activate_all may only be called once");
@@ -609,8 +604,8 @@ mod tests {
         sim.crash(PartyId(3));
         let report = sim.run(10_000);
         assert_eq!(report.reason, StopReason::AllOutputs);
-        assert!(sim.output_of(PartyId(3)).is_none());
-        assert!(sim.output_of(PartyId(0)).is_some());
+        assert!(sim.outputs()[3].is_none());
+        assert!(sim.outputs()[0].is_some());
     }
 
     #[test]
@@ -644,7 +639,7 @@ mod tests {
         assert_eq!(report.reason, StopReason::AllOutputs);
         assert_eq!(sim.metrics().honest_messages, 16, "pre-crash traffic is honest traffic");
         assert_eq!(sim.metrics().byzantine_messages, 0);
-        assert!(sim.output_of(PartyId(0)).is_none());
+        assert!(sim.outputs()[0].is_none());
         assert!(sim.metrics().rounds_to_all_outputs().is_some());
     }
 
@@ -680,7 +675,7 @@ mod tests {
             let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
             assert_eq!(sim.run(11).reason, StopReason::BudgetExhausted);
             assert!(sim.outputs()[..3].iter().all(Option::is_some));
-            assert_eq!(sim.output_of(PartyId(3)), None);
+            assert_eq!(sim.outputs()[3], None);
             if crash {
                 sim.crash(PartyId(3));
             } else {

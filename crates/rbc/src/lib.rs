@@ -47,7 +47,7 @@ mod gather;
 pub use gather::{Gather, SetGather};
 
 use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Step};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Messages exchanged by one RBC instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,35 +60,11 @@ pub enum RbcMessage {
     Ready(Vec<u8>),
 }
 
-impl Encode for RbcMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RbcMessage::Init(v) => {
-                w.write_u8(0);
-                v.encode(w);
-            }
-            RbcMessage::Echo(v) => {
-                w.write_u8(1);
-                v.encode(w);
-            }
-            RbcMessage::Ready(v) => {
-                w.write_u8(2);
-                v.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for RbcMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(RbcMessage::Init(Vec::<u8>::decode(r)?)),
-            1 => Ok(RbcMessage::Echo(Vec::<u8>::decode(r)?)),
-            2 => Ok(RbcMessage::Ready(Vec::<u8>::decode(r)?)),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "RbcMessage" }),
-        }
-    }
-}
+codec!(enum RbcMessage {
+    0 => Init(value),
+    1 => Echo(value),
+    2 => Ready(value),
+});
 
 /// One party's state machine for a single RBC instance.
 #[derive(Debug)]

@@ -31,7 +31,7 @@ use setupfree_crypto::scalar::Scalar;
 use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{Amplifier, PartyId, ProtocolInstance, Sid, Step};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// The λ-bit seed output by the protocol.
 pub type Seed = [u8; 32];
@@ -86,64 +86,16 @@ pub enum SeedingMessage {
     },
 }
 
-impl Encode for SeedingMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SeedingMessage::Contribute { script } => {
-                w.write_u8(0);
-                script.encode(w);
-            }
-            SeedingMessage::AggPvss { script } => {
-                w.write_u8(1);
-                script.encode(w);
-            }
-            SeedingMessage::AggPvssStored { signature } => {
-                w.write_u8(2);
-                signature.encode(w);
-            }
-            SeedingMessage::AggPvssCommit { quorum } => {
-                w.write_u8(3);
-                quorum.encode(w);
-            }
-            SeedingMessage::SeedShare { share } => {
-                w.write_u8(4);
-                share.encode(w);
-            }
-            SeedingMessage::Seed { quorum, secret } => {
-                w.write_u8(5);
-                quorum.encode(w);
-                secret.encode(w);
-            }
-            SeedingMessage::SeedEcho { secret } => {
-                w.write_u8(6);
-                secret.encode(w);
-            }
-            SeedingMessage::SeedReady { secret } => {
-                w.write_u8(7);
-                secret.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for SeedingMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(SeedingMessage::Contribute { script: PvssScript::decode(r)? }),
-            1 => Ok(SeedingMessage::AggPvss { script: PvssScript::decode(r)? }),
-            2 => Ok(SeedingMessage::AggPvssStored { signature: Signature::decode(r)? }),
-            3 => Ok(SeedingMessage::AggPvssCommit { quorum: QuorumCert::decode(r)? }),
-            4 => Ok(SeedingMessage::SeedShare { share: PvssShare::decode(r)? }),
-            5 => Ok(SeedingMessage::Seed {
-                quorum: QuorumCert::decode(r)?,
-                secret: PvssSecret::decode(r)?,
-            }),
-            6 => Ok(SeedingMessage::SeedEcho { secret: PvssSecret::decode(r)? }),
-            7 => Ok(SeedingMessage::SeedReady { secret: PvssSecret::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "SeedingMessage" }),
-        }
-    }
-}
+codec!(enum SeedingMessage {
+    0 => Contribute { script },
+    1 => AggPvss { script },
+    2 => AggPvssStored { signature },
+    3 => AggPvssCommit { quorum },
+    4 => SeedShare { share },
+    5 => Seed { quorum, secret },
+    6 => SeedEcho { secret },
+    7 => SeedReady { secret },
+});
 
 /// An aggregated script together with its wire encoding — the message every
 /// signature and certificate on it binds — encoded once when recorded.
@@ -531,6 +483,7 @@ mod tests {
     use super::*;
     use setupfree_crypto::generate_pki;
     use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
+    use setupfree_wire::Decode;
 
     fn setup(n: usize) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
         let (keyring, secrets) = generate_pki(n, 21);

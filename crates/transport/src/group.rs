@@ -83,7 +83,7 @@ use crate::framing::{
     encode_ack_frame, encode_envelope, read_frame, read_hello, read_hello_ack, write_hello,
     write_hello_ack, Frame, Hello,
 };
-use crate::reconnect::{Link, LinkStats, LinkStatus, ReconnectPolicy};
+use crate::reconnect::{Link, LinkStats, LinkStatus};
 
 /// The per-peer inbox bound.  Large enough that transient bursts ride
 /// in memory, small enough that a stalled peer backpressures its senders
@@ -311,8 +311,9 @@ pub struct TcpPeerGroup {
 impl TcpPeerGroup {
     /// A group of `n` peers with the default timeout, crash budget
     /// `f = (n−1)/3`, and no fault plan.  Every inbox holds
-    /// [`DEFAULT_INBOX_CAPACITY`] envelopes, and every link runs
-    /// [`ReconnectPolicy::default`].
+    /// [`DEFAULT_INBOX_CAPACITY`] envelopes, and every link redials and
+    /// retransmits on the [`reconnect`](crate::reconnect) module's fixed
+    /// schedule.
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "a peer group needs at least two peers");
         TcpPeerGroup {
@@ -391,7 +392,6 @@ impl TcpPeerGroup {
                 .collect(),
             inboxes: (0..n).map(|_| ShardQueue::new(DEFAULT_INBOX_CAPACITY)).collect(),
             plan: self.chaos.clone(),
-            policy: ReconnectPolicy::default(),
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             peer_down: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -660,7 +660,6 @@ struct Mesh {
     links: Vec<Vec<Option<Arc<Link>>>>,
     inboxes: Vec<ShardQueue<(PartyId, Envelope)>>,
     plan: LinkFaultPlan,
-    policy: ReconnectPolicy,
     start: Instant,
     shutdown: AtomicBool,
     peer_down: Vec<AtomicBool>,
@@ -726,7 +725,7 @@ impl Mesh {
             }
             (dropped || partitioned, cut)
         };
-        link.send(payload, &self.policy, inject_drop, inject_cut);
+        link.send(payload, inject_drop, inject_cut);
     }
 
     /// Crash-stop: peer `i` abandons every link (their parked frames are
@@ -800,7 +799,7 @@ impl Mesh {
         let _ = stream.set_nodelay(true);
         let stream = Arc::new(stream);
         self.streams.lock().unwrap().push(stream.clone());
-        if let Ok(generation) = link.resume(stream.clone(), hello.next_expected, &self.policy) {
+        if let Ok(generation) = link.resume(stream.clone(), hello.next_expected) {
             let from = hello.peer;
             // Link events name the connection dialer → acceptor; the party
             // field says which endpoint observed it.
@@ -826,13 +825,13 @@ impl Mesh {
             let elapsed = self.start.elapsed();
             for j in me + 1..self.n {
                 let stalled = self.plan.partitioned(me, j, elapsed);
-                if self.link(me, j).redial_due(now, &self.policy, stalled).is_some() {
+                if self.link(me, j).redial_due(now, stalled).is_some() {
                     self.try_dial(scope, me, j);
                 }
             }
             for j in 0..me {
                 let stalled = self.plan.partitioned(me, j, elapsed);
-                self.link(me, j).reap_if_expired(now, &self.policy, stalled);
+                self.link(me, j).reap_if_expired(now, stalled);
             }
             thread::sleep(POLL);
         }
@@ -860,7 +859,7 @@ impl Mesh {
         let _ = stream.set_nodelay(true);
         let stream = Arc::new(stream);
         self.streams.lock().unwrap().push(stream.clone());
-        if let Ok(generation) = link.resume(stream.clone(), peer_next_expected, &self.policy) {
+        if let Ok(generation) = link.resume(stream.clone(), peer_next_expected) {
             if generation > 1 {
                 self.trace(me, EventKind::Redial { from: me as u16, to: j as u16 });
             } else {
@@ -884,7 +883,7 @@ impl Mesh {
                 Ok(Some(Frame::Data { seq, env })) => {
                     // A sequence gap drops the connection like a malformed
                     // frame does.
-                    let Ok((deliver, ack_now)) = link.record_delivery(seq, &self.policy) else {
+                    let Ok((deliver, ack_now)) = link.record_delivery(seq) else {
                         break;
                     };
                     if deliver {

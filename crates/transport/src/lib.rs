@@ -46,4 +46,4 @@ pub use group::{
     PeerHealth, PeerStats, SocketRunReport, TcpPeerGroup, TransportFailure,
     DEFAULT_INBOX_CAPACITY, DEFAULT_TIMEOUT,
 };
-pub use reconnect::{LinkStats, LinkStatus, ReconnectPolicy};
+pub use reconnect::{LinkStats, LinkStatus};

@@ -32,9 +32,9 @@
 //! Locking: all link state sits behind one `Mutex` per link.  The driver
 //! (writes), the reader (delivery bookkeeping + acks), and the redialer
 //! (resume) each take it briefly; none holds it across a blocking
-//! operation *except* the socket write itself, which is bounded by
-//! [`ReconnectPolicy::write_timeout`] — a wedged receiver turns into a
-//! write error and a sever, never a deadlock.
+//! operation *except* the socket write itself, which is bounded by the
+//! socket's write timeout (`WRITE_TIMEOUT`) — a wedged receiver turns into
+//! a write error and a sever, never a deadlock.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -44,59 +44,37 @@ use std::time::{Duration, Instant};
 
 use crate::framing::encode_data_frame;
 
-/// Tuning for the redial / retransmission machinery.
-///
-/// The defaults suit loopback chaos tests: backoff starts near the kernel's
-/// connect latency and caps two orders of magnitude up; the retry budget
-/// and death timer are generous enough to sit out a configured partition,
-/// strict enough that a genuinely crashed peer is declared dead well inside
-/// a test deadline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// First redial delay after a sever.
-    pub initial_backoff: Duration,
-    /// Cap on the exponentially growing redial delay.
-    pub max_backoff: Duration,
-    /// Redial attempts before the dialer declares the link `Dead`.
-    /// Attempts stalled by a scheduled partition are not counted.
-    pub max_redials: u32,
-    /// Bound on parked + unacked frames per ordered link.  Overflow kills
-    /// the link: unbounded parking would just hide a dead peer in the heap.
-    pub outbox_capacity: usize,
-    /// The receiver sends a cumulative ack every this many delivered
-    /// frames (and the writer prunes its outbox on receipt).
-    pub ack_interval: u64,
-    /// Accept-side death timer: a link that has been `Reconnecting` this
-    /// long — excluding time covered by a scheduled partition — is declared
-    /// `Dead` by the acceptor (which cannot dial and would otherwise wait
-    /// forever).
-    pub dead_after: Duration,
-    /// Socket write timeout; a blocked write becomes an error and a sever.
-    pub write_timeout: Duration,
-}
+// Tuning for the redial / retransmission machinery.  The values suit
+// loopback chaos tests: backoff starts near the kernel's connect latency and
+// caps two orders of magnitude up; the retry budget and death timer are
+// generous enough to sit out a configured partition, strict enough that a
+// genuinely crashed peer is declared dead well inside a test deadline.
 
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(100),
-            max_redials: 25,
-            outbox_capacity: 8192,
-            ack_interval: 32,
-            dead_after: Duration::from_secs(15),
-            write_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// First redial delay after a sever.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(2);
+/// Cap on the exponentially growing redial delay.
+const MAX_BACKOFF: Duration = Duration::from_millis(100);
+/// Redial attempts before the dialer declares the link `Dead`.  Attempts
+/// stalled by a scheduled partition are not counted.
+const MAX_REDIALS: u32 = 25;
+/// Bound on parked + unacked frames per ordered link.  Overflow kills the
+/// link: unbounded parking would just hide a dead peer in the heap.
+const OUTBOX_CAPACITY: usize = 8192;
+/// The receiver sends a cumulative ack every this many delivered frames
+/// (and the writer prunes its outbox on receipt).
+const ACK_INTERVAL: u64 = 32;
+/// Accept-side death timer: a link that has been `Reconnecting` this long —
+/// excluding time covered by a scheduled partition — is declared `Dead` by
+/// the acceptor (which cannot dial and would otherwise wait forever).
+const DEAD_AFTER: Duration = Duration::from_secs(15);
+/// Socket write timeout; a blocked write becomes an error and a sever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl ReconnectPolicy {
-    /// The redial delay after `attempt` failures (0-based): exponential
-    /// from [`initial_backoff`](Self::initial_backoff), capped at
-    /// [`max_backoff`](Self::max_backoff).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = attempt.min(16); // 2^16 × anything sane exceeds any cap
-        self.initial_backoff.saturating_mul(1u32 << exp).min(self.max_backoff)
-    }
+/// The redial delay after `attempt` failures (0-based): exponential from
+/// `INITIAL_BACKOFF`, capped at `MAX_BACKOFF`.
+fn backoff(attempt: u32) -> Duration {
+    let exp = attempt.min(16); // 2^16 × anything sane exceeds any cap
+    INITIAL_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF)
 }
 
 /// Health of one ordered link, and (aggregated) of one peer.
@@ -248,13 +226,7 @@ impl Link {
     /// The caller computes the verdicts *before* calling (they need the
     /// seq, which is `peek_next_seq`) — see `group.rs`; this keeps the
     /// chaos plan out of the link's lock.
-    pub fn send(
-        &self,
-        payload: &[u8],
-        policy: &ReconnectPolicy,
-        inject_drop: bool,
-        inject_cut: bool,
-    ) -> SendOutcome {
+    pub fn send(&self, payload: &[u8], inject_drop: bool, inject_cut: bool) -> SendOutcome {
         let mut g = self.inner.lock().unwrap();
         if g.status == LinkStatus::Dead {
             g.stats.offered += 1;
@@ -264,7 +236,7 @@ impl Link {
         let seq = g.next_seq;
         g.next_seq += 1;
         g.stats.offered += 1;
-        if g.outbox.len() >= policy.outbox_capacity {
+        if g.outbox.len() >= OUTBOX_CAPACITY {
             // Overflow: the peer has been unreachable long enough to back
             // up a full window.  Declare the link dead and abandon
             // everything parked — bounded memory beats a silent balloon.
@@ -332,13 +304,8 @@ impl Link {
     ///
     /// The run's *first* connection is just the first resume (generation
     /// 0 → 1); it counts as neither a redial nor a retransmission.
-    pub fn resume(
-        &self,
-        stream: Arc<TcpStream>,
-        peer_next_expected: u64,
-        policy: &ReconnectPolicy,
-    ) -> std::io::Result<u64> {
-        let _ = stream.set_write_timeout(Some(policy.write_timeout));
+    pub fn resume(&self, stream: Arc<TcpStream>, peer_next_expected: u64) -> std::io::Result<u64> {
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let mut g = self.inner.lock().unwrap();
         if g.status == LinkStatus::Dead {
             // Lost the race against the reaper / retry budget: refuse, the
@@ -395,11 +362,7 @@ impl Link {
     /// it is a fault of the connection, not of this process: it is counted
     /// ([`LinkStats::seq_gaps`]) and returned, leaving the expected counter
     /// where it was, and the reader drops the connection.
-    pub fn record_delivery(
-        &self,
-        seq: u64,
-        policy: &ReconnectPolicy,
-    ) -> Result<(bool, bool), SeqGap> {
+    pub fn record_delivery(&self, seq: u64) -> Result<(bool, bool), SeqGap> {
         let mut g = self.inner.lock().unwrap();
         if seq < g.next_expected_in {
             g.stats.duplicates += 1;
@@ -412,7 +375,7 @@ impl Link {
         g.next_expected_in += 1;
         g.unacked_in += 1;
         g.stats.delivered += 1;
-        let ack_now = g.unacked_in >= policy.ack_interval;
+        let ack_now = g.unacked_in >= ACK_INTERVAL;
         if ack_now {
             g.unacked_in = 0;
         }
@@ -477,7 +440,7 @@ impl Link {
     /// in which case this call *performs* the give-up).  `stalled` marks a
     /// scheduled partition covering this link: the attempt clock pauses
     /// and the budget is not charged.
-    pub fn redial_due(&self, now: Instant, policy: &ReconnectPolicy, stalled: bool) -> Option<u32> {
+    pub fn redial_due(&self, now: Instant, stalled: bool) -> Option<u32> {
         let mut g = self.inner.lock().unwrap();
         if g.status != LinkStatus::Reconnecting {
             return None;
@@ -492,7 +455,7 @@ impl Link {
         if now < g.next_attempt_at {
             return None;
         }
-        if g.redial_attempts >= policy.max_redials {
+        if g.redial_attempts >= MAX_REDIALS {
             let abandoned = g.outbox.len() as u64;
             g.outbox.clear();
             g.stats.dropped += abandoned;
@@ -501,14 +464,14 @@ impl Link {
         }
         let attempt = g.redial_attempts;
         g.redial_attempts += 1;
-        g.next_attempt_at = now + policy.backoff(attempt);
+        g.next_attempt_at = now + backoff(attempt);
         Some(attempt)
     }
 
     /// Accept-side poll: has this link been down long enough — partition
     /// time excluded — to declare the peer gone?  Performs the give-up and
     /// reports `true` if so.
-    pub fn reap_if_expired(&self, now: Instant, policy: &ReconnectPolicy, stalled: bool) -> bool {
+    pub fn reap_if_expired(&self, now: Instant, stalled: bool) -> bool {
         let mut g = self.inner.lock().unwrap();
         if g.status != LinkStatus::Reconnecting {
             return false;
@@ -517,7 +480,7 @@ impl Link {
             g.down_since = Some(now);
             return false;
         }
-        let expired = g.down_since.is_some_and(|t| now.duration_since(t) >= policy.dead_after);
+        let expired = g.down_since.is_some_and(|t| now.duration_since(t) >= DEAD_AFTER);
         if expired {
             let abandoned = g.outbox.len() as u64;
             g.outbox.clear();
@@ -574,22 +537,20 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = ReconnectPolicy::default();
-        assert_eq!(p.backoff(0), Duration::from_millis(2));
-        assert_eq!(p.backoff(1), Duration::from_millis(4));
-        assert_eq!(p.backoff(4), Duration::from_millis(32));
-        assert_eq!(p.backoff(6), p.max_backoff);
-        assert_eq!(p.backoff(30), p.max_backoff, "large attempts stay capped, no overflow");
+        assert_eq!(backoff(0), Duration::from_millis(2));
+        assert_eq!(backoff(1), Duration::from_millis(4));
+        assert_eq!(backoff(4), Duration::from_millis(32));
+        assert_eq!(backoff(6), MAX_BACKOFF);
+        assert_eq!(backoff(30), MAX_BACKOFF, "large attempts stay capped, no overflow");
     }
 
     #[test]
     fn a_down_link_parks_and_a_dead_link_drops() {
-        let policy = ReconnectPolicy::default();
         let link = Link::new(); // starts Reconnecting, no writer
-        assert_eq!(link.send(b"x", &policy, false, false), SendOutcome::Parked);
-        assert_eq!(link.send(b"y", &policy, false, false), SendOutcome::Parked);
+        assert_eq!(link.send(b"x", false, false), SendOutcome::Parked);
+        assert_eq!(link.send(b"y", false, false), SendOutcome::Parked);
         link.give_up();
-        assert_eq!(link.send(b"z", &policy, false, false), SendOutcome::Dropped);
+        assert_eq!(link.send(b"z", false, false), SendOutcome::Dropped);
         let stats = link.snapshot();
         assert_eq!(stats.offered, 3);
         assert_eq!(stats.dropped, 3, "give_up abandons the 2 parked + 1 post-death drop");
@@ -599,45 +560,53 @@ mod tests {
 
     #[test]
     fn outbox_overflow_kills_the_link_with_conservation_intact() {
-        let policy = ReconnectPolicy { outbox_capacity: 4, ..ReconnectPolicy::default() };
         let link = Link::new();
-        for _ in 0..4 {
-            assert_eq!(link.send(b"p", &policy, false, false), SendOutcome::Parked);
+        for _ in 0..OUTBOX_CAPACITY {
+            assert_eq!(link.send(b"p", false, false), SendOutcome::Parked);
         }
-        assert_eq!(link.send(b"overflow", &policy, false, false), SendOutcome::Dropped);
+        assert_eq!(link.send(b"overflow", false, false), SendOutcome::Dropped);
         let stats = link.snapshot();
         assert_eq!(stats.status, LinkStatus::Dead);
-        assert_eq!(stats.offered, 5);
-        assert_eq!(stats.dropped, 5, "all parked frames abandoned with the overflowing one");
+        assert_eq!(stats.offered, OUTBOX_CAPACITY as u64 + 1);
+        assert_eq!(
+            stats.dropped,
+            OUTBOX_CAPACITY as u64 + 1,
+            "all parked frames abandoned with the overflowing one"
+        );
     }
 
     #[test]
     fn delivery_sequencing_discards_duplicates_and_batches_acks() {
-        let policy = ReconnectPolicy { ack_interval: 3, ..ReconnectPolicy::default() };
         let link = Link::new();
-        assert_eq!(link.record_delivery(0, &policy), Ok((true, false)));
-        assert_eq!(link.record_delivery(1, &policy), Ok((true, false)));
-        assert_eq!(link.record_delivery(0, &policy), Ok((false, false)), "retransmit discarded");
-        assert_eq!(link.record_delivery(1, &policy), Ok((false, false)));
-        assert_eq!(link.record_delivery(2, &policy), Ok((true, true)), "ack every 3 deliveries");
-        assert_eq!(link.next_expected_in(), 3);
+        assert_eq!(link.record_delivery(0), Ok((true, false)));
+        assert_eq!(link.record_delivery(1), Ok((true, false)));
+        assert_eq!(link.record_delivery(0), Ok((false, false)), "retransmit discarded");
+        assert_eq!(link.record_delivery(1), Ok((false, false)));
+        for seq in 2..ACK_INTERVAL - 1 {
+            assert_eq!(link.record_delivery(seq), Ok((true, false)));
+        }
+        assert_eq!(
+            link.record_delivery(ACK_INTERVAL - 1),
+            Ok((true, true)),
+            "ack every ACK_INTERVAL deliveries"
+        );
+        assert_eq!(link.next_expected_in(), ACK_INTERVAL);
         let stats = link.snapshot();
-        assert_eq!(stats.delivered, 3);
+        assert_eq!(stats.delivered, ACK_INTERVAL);
         assert_eq!(stats.duplicates, 2);
     }
 
     #[test]
     fn a_sequence_gap_is_a_counted_fault_not_a_silent_loss() {
-        let policy = ReconnectPolicy::default();
         let link = Link::new();
-        assert_eq!(link.record_delivery(0, &policy), Ok((true, false)));
+        assert_eq!(link.record_delivery(0), Ok((true, false)));
         // A peer skipping seq 1 is refused, and the expected counter stays
         // put: the resumed connection must still deliver seq 1 first.
-        assert_eq!(link.record_delivery(2, &policy), Err(SeqGap { expected: 1, got: 2 }));
+        assert_eq!(link.record_delivery(2), Err(SeqGap { expected: 1, got: 2 }));
         assert_eq!(link.next_expected_in(), 1);
-        let far = link.record_delivery(u64::MAX, &policy);
+        let far = link.record_delivery(u64::MAX);
         assert_eq!(far, Err(SeqGap { expected: 1, got: u64::MAX }));
-        assert_eq!(link.record_delivery(1, &policy), Ok((true, false)));
+        assert_eq!(link.record_delivery(1), Ok((true, false)));
         let stats = link.snapshot();
         assert_eq!(stats.seq_gaps, 2);
         assert_eq!(stats.delivered, 2);
@@ -645,44 +614,43 @@ mod tests {
 
     #[test]
     fn redial_schedule_respects_backoff_budget_and_partitions() {
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(40),
-            max_redials: 3,
-            ..ReconnectPolicy::default()
-        };
         let link = Link::new();
         let t0 = Instant::now();
-        assert_eq!(link.redial_due(t0, &policy, false), Some(0));
-        assert_eq!(link.redial_due(t0, &policy, false), None, "backoff holds the next attempt");
-        assert_eq!(link.redial_due(t0 + Duration::from_millis(10), &policy, false), Some(1));
+        assert_eq!(link.redial_due(t0, false), Some(0));
+        assert_eq!(link.redial_due(t0, false), None, "backoff holds the next attempt");
+        assert_eq!(link.redial_due(t0 + INITIAL_BACKOFF, false), Some(1));
         // A partition stall neither attempts nor charges budget.
-        assert_eq!(link.redial_due(t0 + Duration::from_secs(1), &policy, true), None);
-        assert_eq!(link.redial_due(t0 + Duration::from_secs(1), &policy, false), Some(2));
+        assert_eq!(link.redial_due(t0 + Duration::from_secs(1), true), None);
+        assert_eq!(link.redial_due(t0 + Duration::from_secs(1), false), Some(2));
+        for attempt in 3..MAX_REDIALS {
+            let now = t0 + Duration::from_secs(u64::from(attempt));
+            assert_eq!(link.redial_due(now, false), Some(attempt));
+        }
         // Budget spent: the next due poll performs the give-up.
-        assert_eq!(link.redial_due(t0 + Duration::from_secs(2), &policy, false), None);
+        let spent = t0 + Duration::from_secs(u64::from(MAX_REDIALS) + 1);
+        assert_eq!(link.redial_due(spent, false), None);
         assert_eq!(link.status(), LinkStatus::Dead);
     }
 
     #[test]
     fn the_reaper_excludes_partition_time() {
-        let policy = ReconnectPolicy { dead_after: Duration::from_millis(50), ..Default::default() };
         let link = Link::new();
         let t0 = Instant::now();
-        assert!(!link.reap_if_expired(t0 + Duration::from_millis(10), &policy, false));
+        let ms = Duration::from_millis;
+        assert!(!link.reap_if_expired(t0 + ms(10), false));
         // A stall resets the death clock to `now`.
-        assert!(!link.reap_if_expired(t0 + Duration::from_millis(60), &policy, true));
-        assert!(!link.reap_if_expired(t0 + Duration::from_millis(100), &policy, false));
-        assert!(link.reap_if_expired(t0 + Duration::from_millis(115), &policy, false));
+        let stall = t0 + DEAD_AFTER + ms(10);
+        assert!(!link.reap_if_expired(stall, true));
+        assert!(!link.reap_if_expired(stall + DEAD_AFTER - ms(10), false));
+        assert!(link.reap_if_expired(stall + DEAD_AFTER + ms(5), false));
         assert_eq!(link.status(), LinkStatus::Dead);
     }
 
     #[test]
     fn acks_prune_the_outbox() {
-        let policy = ReconnectPolicy::default();
         let link = Link::new();
         for _ in 0..5 {
-            link.send(b"m", &policy, false, false);
+            link.send(b"m", false, false);
         }
         link.on_ack(3);
         let stats = link.snapshot();

@@ -38,7 +38,7 @@ use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::mux::{composite_cap, Envelope, InstancePath, Payload};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step, VoteTally};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::{codec, Reader};
 
 /// Path kind of the per-round election instances (keyed by round).
 pub const K_ELECTION: u8 = 0;
@@ -56,7 +56,8 @@ pub type Cert = QuorumCert;
 /// The external validity predicate `Q_ID` (Definition 7).
 pub type Predicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
-/// Wire tag of [`VbaMessage::Confirm`]; its proposer index follows it.
+/// Wire tag of [`VbaMessage::Confirm`] in the `codec!` call below; its
+/// proposer index follows it.
 const CONFIRM_TAG: u8 = 2;
 
 /// The proposer a `Confirm` encoding names, read from its header without
@@ -117,53 +118,13 @@ pub enum VbaMessage {
     },
 }
 
-impl Encode for VbaMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            VbaMessage::Propose { value } => {
-                w.write_u8(0);
-                value.encode(w);
-            }
-            VbaMessage::Ack { proposer, signature } => {
-                w.write_u8(1);
-                w.write_u32(*proposer);
-                signature.encode(w);
-            }
-            VbaMessage::Confirm { proposer, value, cert } => {
-                w.write_u8(CONFIRM_TAG);
-                w.write_u32(*proposer);
-                value.encode(w);
-                cert.encode(w);
-            }
-            VbaMessage::Vote { round, confirm } => {
-                w.write_u8(3);
-                w.write_u32(*round);
-                confirm.encode(w);
-            }
-            VbaMessage::Decide { value } => {
-                w.write_u8(4);
-                value.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for VbaMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(VbaMessage::Propose { value: Vec::<u8>::decode(r)? }),
-            1 => Ok(VbaMessage::Ack { proposer: r.read_u32()?, signature: Signature::decode(r)? }),
-            CONFIRM_TAG => Ok(VbaMessage::Confirm {
-                proposer: r.read_u32()?,
-                value: Vec::<u8>::decode(r)?,
-                cert: Cert::decode(r)?,
-            }),
-            3 => Ok(VbaMessage::Vote { round: r.read_u32()?, confirm: Option::decode(r)? }),
-            4 => Ok(VbaMessage::Decide { value: Vec::<u8>::decode(r)? }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "VbaMessage" }),
-        }
-    }
-}
+codec!(enum VbaMessage {
+    0 => Propose { value },
+    1 => Ack { proposer, signature },
+    2 => Confirm { proposer, value, cert },
+    3 => Vote { round, confirm },
+    4 => Decide { value },
+});
 
 /// Per-election-round state (the round's election and ABA instances live in
 /// their routers).

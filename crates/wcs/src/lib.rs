@@ -28,7 +28,7 @@ use std::sync::Arc;
 use setupfree_crypto::sig::{CertCollector, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
-use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
+use setupfree_wire::codec;
 
 /// Messages of one WCS instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,39 +53,11 @@ pub enum WcsMessage {
     },
 }
 
-impl Encode for WcsMessage {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WcsMessage::Lock { set } => {
-                w.write_u8(0);
-                set.encode(w);
-            }
-            WcsMessage::Confirm { signature } => {
-                w.write_u8(1);
-                signature.encode(w);
-            }
-            WcsMessage::Commit { quorum, set } => {
-                w.write_u8(2);
-                quorum.encode(w);
-                set.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for WcsMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(WcsMessage::Lock { set: Vec::<u32>::decode(r)? }),
-            1 => Ok(WcsMessage::Confirm { signature: Signature::decode(r)? }),
-            2 => Ok(WcsMessage::Commit {
-                quorum: QuorumCert::decode(r)?,
-                set: Vec::<u32>::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag { tag: u64::from(tag), ty: "WcsMessage" }),
-        }
-    }
-}
+codec!(enum WcsMessage {
+    0 => Lock { set },
+    1 => Confirm { signature },
+    2 => Commit { quorum, set },
+});
 
 /// One party's WCS state machine.
 #[derive(Debug)]

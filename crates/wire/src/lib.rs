@@ -10,6 +10,35 @@
 //! encoded sizes are easy to reason about when comparing against the
 //! paper's O(λ·nᵏ) bounds.
 //!
+//! # Message layouts
+//!
+//! A type's *layout* is the order in which its encoding writes its parts.
+//! A message enum writes one tag byte for its variant, then the variant's
+//! fields in a fixed order; a plain struct writes its fields in a fixed
+//! order, and a newtype its one field.  Every field is written by its own
+//! type's [`Encode`], so the layout is all a type has to say.  The [`codec!`]
+//! macro turns that list into the type's [`Encode`] and [`Decode`]; the
+//! ABA's messages, for instance, are
+//!
+//! ```text
+//! codec!(enum AbaMessage {
+//!     0 => BVal { round, value },
+//!     1 => Aux { round, value },
+//!     2 => Finish { value },
+//! });
+//! ```
+//!
+//! Every protocol message and the plain crypto and session types it carries
+//! are declared this way, so each decoder is the same checked code: a
+//! truncated input, an unknown tag or trailing bytes is a [`WireError`],
+//! never a panic.  Types that validate what they decode (group elements,
+//! scalars, aggregate signatures, PVSS scripts, instance paths) or that
+//! narrow a value on the wire (a `PartyId` travels as a `u32`) keep a
+//! hand-written pair.  Changing a layout changes the bytes on the wire, and
+//! the two ends of a run share one codec, so a round-trip test cannot see a
+//! swapped pair of same-typed fields: change a call's tags or field order
+//! only on purpose.
+//!
 //! # Example
 //!
 //! ```
@@ -465,6 +494,95 @@ impl_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
+/// Implements [`Encode`] and [`Decode`] for a type from its message layout.
+///
+/// * `codec!(enum T { 0 => A { x, y }, 1 => B(v) })`: a variant is its tag
+///   byte, then its fields in the listed order.  Named and tuple variants
+///   both work; a tuple variant names its fields for the call only.  An
+///   unknown tag decodes to [`WireError::InvalidTag`] with `ty: "T"`.
+/// * `codec!(struct T { x, y })`: the fields in the listed order.
+/// * `codec!(struct T(_))`: a newtype, encoded as its one field.
+///
+/// Each field uses its own type's `Encode` and `Decode`, found by
+/// inference, so a call lists no types.  Struct patterns and literals are
+/// exhaustive, so a call that leaves out or misnames a field does not
+/// compile, and a repeated tag is an unreachable match arm.
+///
+/// ```
+/// use setupfree_wire::{codec, from_bytes, to_bytes};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Vote {
+///     Cast { round: u32, value: bool },
+///     Note(Vec<u8>),
+/// }
+/// codec!(enum Vote { 0 => Cast { round, value }, 1 => Note(note) });
+///
+/// let vote = Vote::Cast { round: 7, value: true };
+/// assert_eq!(to_bytes(&vote), [0, 7, 0, 0, 0, 1]);
+/// assert_eq!(from_bytes::<Vote>(&[1, 2, 0xaa, 0xbb]), Ok(Vote::Note(vec![0xaa, 0xbb])));
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident $({ $($named:ident),* })? $(( $($pos:ident),* ))?),+ $(,)?
+    }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($ty::$variant $({ $($named),* })? $(( $($pos),* ))? => {
+                        w.write_u8($tag);
+                        $($($crate::Encode::encode($named, w);)*)?
+                        $($($crate::Encode::encode($pos, w);)*)?
+                    })+
+                }
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                match r.read_u8()? {
+                    $($tag => {
+                        $($(let $named = $crate::Decode::decode(r)?;)*)?
+                        $($(let $pos = $crate::Decode::decode(r)?;)*)?
+                        Ok($ty::$variant $({ $($named),* })? $(( $($pos),* ))?)
+                    })+
+                    tag => Err($crate::WireError::InvalidTag {
+                        tag: u64::from(tag),
+                        ty: stringify!($ty),
+                    }),
+                }
+            }
+        }
+    };
+    (struct $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                let $ty { $($field),+ } = self;
+                $($crate::Encode::encode($field, w);)+
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                $(let $field = $crate::Decode::decode(r)?;)+
+                Ok($ty { $($field),+ })
+            }
+        }
+    };
+    (struct $ty:ident(_)) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                let $ty(inner) = self;
+                $crate::Encode::encode(inner, w);
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($ty($crate::Decode::decode(r)?))
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,6 +679,57 @@ mod tests {
     fn encoded_len_matches_to_bytes() {
         let v = (vec![1u32, 2, 3], String::from("abc"), Some(7u64));
         assert_eq!(v.encoded_len(), to_bytes(&v).len());
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Sample {
+        Pair { first: u16, second: u16 },
+        Bytes(Vec<u8>, bool),
+    }
+    crate::codec!(enum Sample { 3 => Pair { first, second }, 9 => Bytes(bytes, flag) });
+
+    #[derive(Debug, PartialEq)]
+    struct Point {
+        x: u8,
+        y: u32,
+    }
+    crate::codec!(struct Point { y, x });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapped(Option<u8>);
+    crate::codec!(struct Wrapped(_));
+
+    #[test]
+    fn codec_writes_the_tag_then_the_fields_in_listed_order() {
+        let pair = Sample::Pair { first: 0x0102, second: 0x0304 };
+        assert_eq!(to_bytes(&pair), [3, 0x02, 0x01, 0x04, 0x03]);
+        let bytes = Sample::Bytes(vec![0xaa], true);
+        assert_eq!(to_bytes(&bytes), [9, 1, 0xaa, 1]);
+        // The call's order, not the declaration's: `y` goes first.
+        let point = Point { x: 5, y: 0x0a0b_0c0d };
+        assert_eq!(to_bytes(&point), [0x0d, 0x0c, 0x0b, 0x0a, 5]);
+        assert_eq!(to_bytes(&Wrapped(Some(7))), [1, 7]);
+        for value in [pair, bytes] {
+            assert_eq!(from_bytes::<Sample>(&to_bytes(&value)), Ok(value));
+        }
+        assert_eq!(from_bytes::<Point>(&to_bytes(&point)), Ok(point));
+        assert_eq!(from_bytes::<Wrapped>(&[0]), Ok(Wrapped(None)));
+    }
+
+    #[test]
+    fn codec_rejects_unknown_tags_truncation_and_trailing_bytes() {
+        let err = from_bytes::<Sample>(&[4, 0, 0, 0, 0]).unwrap_err();
+        assert_eq!(err, WireError::InvalidTag { tag: 4, ty: "Sample" });
+        let full = to_bytes(&Sample::Pair { first: 1, second: 2 });
+        for cut in 0..full.len() {
+            let err = from_bytes::<Sample>(&full[..cut]).unwrap_err();
+            assert!(matches!(err, WireError::UnexpectedEnd { .. }), "cut {cut}: {err:?}");
+        }
+        assert!(matches!(from_bytes::<Point>(&[1, 2, 3]), Err(WireError::UnexpectedEnd { .. })));
+        let mut long = to_bytes(&Wrapped(None));
+        long.push(0);
+        assert_eq!(from_bytes::<Wrapped>(&long), Err(WireError::TrailingBytes { remaining: 1 }));
+        assert!(matches!(from_bytes::<Wrapped>(&[2]), Err(WireError::InvalidTag { tag: 2, .. })));
     }
 
     #[test]

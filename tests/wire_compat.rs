@@ -14,10 +14,23 @@
 //! `Payload::open` re-encodes every memoized decode it hands out, asserting
 //! byte equality, so full end-to-end runs of each protocol property-check
 //! the envelope for every message exchanged.)
+//!
+//! The decode fuzz at the end feeds every `codec!` type random bytes, after
+//! a tag byte for the message enums: decoding never panics, and a decode
+//! that succeeds re-encodes to exactly its input, so no message has two
+//! encodings.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
+use setupfree::app::adkg::AdkgMessage;
+use setupfree::app::beacon::BeaconMessage;
+use setupfree::crypto::pvss::PvssEncryptionKey;
+use setupfree::crypto::{
+    PvssSecret, PvssShare, QuorumCert, Signature, VerifyingKey, VrfOutput, VrfProof, VrfPublicKey,
+};
 use setupfree::prelude::*;
+use setupfree::wire::{Decode, Encode};
 use setupfree_aba::setup_free_aba_factory;
 use setupfree_app::adkg::Adkg;
 use setupfree_net::mux::MAX_PATH_SEGMENTS;
@@ -245,4 +258,66 @@ fn truncated_and_malformed_envelopes_are_rejected_not_panicking() {
     let mut deep = vec![255u8];
     deep.extend(std::iter::repeat_n(0u8, 255));
     assert!(setupfree::wire::from_bytes::<Envelope>(&deep).is_err());
+}
+
+/// Decode fuzz input for a message enum: a tag below `tags` (every variant's
+/// tag and two unknown ones), then up to 96 arbitrary bytes.
+fn tagged(tags: u8) -> impl Strategy<Value = Vec<u8>> {
+    (0..tags, proptest::collection::vec(any::<u8>(), 0..97)).prop_map(|(tag, body)| {
+        let mut bytes = vec![tag];
+        bytes.extend(body);
+        bytes
+    })
+}
+
+/// Decode fuzz input for a plain type: up to 96 arbitrary bytes.
+fn untagged() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..97)
+}
+
+/// Decoding `bytes` as `T` must not panic, and a decode that succeeds must
+/// re-encode to exactly `bytes`.
+fn decodes_canonically<T: Encode + Decode>(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(value) = setupfree::wire::from_bytes::<T>(bytes) {
+        prop_assert_eq!(setupfree::wire::to_bytes(&value), bytes.to_vec());
+    }
+    Ok(())
+}
+
+/// One decode-fuzz property per `codec!` type, 20 000 inputs each.
+macro_rules! decode_fuzz {
+    ($($name:ident: $ty:ty = $input:expr;)+) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+            $(
+                #[test]
+                fn $name(bytes in $input) {
+                    decodes_canonically::<$ty>(&bytes)?;
+                }
+            )+
+        }
+    };
+}
+
+// `tagged(k + 2)`: an enum's k variant tags 0..k, and two unknown tags.
+decode_fuzz! {
+    aba_message_decodes_canonically: AbaMessage = tagged(3 + 2);
+    adkg_message_decodes_canonically: AdkgMessage = tagged(1 + 2);
+    beacon_message_decodes_canonically: BeaconMessage = tagged(1 + 2);
+    avss_message_decodes_canonically: AvssMessage = tagged(7 + 2);
+    coin_message_decodes_canonically: CoinMessage = tagged(2 + 2);
+    rbc_message_decodes_canonically: RbcMessage = tagged(3 + 2);
+    seeding_message_decodes_canonically: SeedingMessage = tagged(8 + 2);
+    vba_message_decodes_canonically: VbaMessage = tagged(5 + 2);
+    wcs_message_decodes_canonically: WcsMessage = tagged(3 + 2);
+    signature_decodes_canonically: Signature = untagged();
+    quorum_cert_decodes_canonically: QuorumCert = untagged();
+    verifying_key_decodes_canonically: VerifyingKey = untagged();
+    vrf_public_key_decodes_canonically: VrfPublicKey = untagged();
+    vrf_output_decodes_canonically: VrfOutput = untagged();
+    vrf_proof_decodes_canonically: VrfProof = untagged();
+    pvss_encryption_key_decodes_canonically: PvssEncryptionKey = untagged();
+    pvss_share_decodes_canonically: PvssShare = untagged();
+    pvss_secret_decodes_canonically: PvssSecret = untagged();
+    sid_decodes_canonically: Sid = untagged();
 }
