@@ -68,7 +68,9 @@ pub struct RandomBeacon<F: AbaFactory + Clone> {
     aba_factory: F,
     epochs: u32,
     current: u32,
-    elections: Router<Election<F>>,
+    /// Boxed, so a retired epoch's slot in the router's dense vector costs a
+    /// null pointer, not an inline `Option<Election>` of over a kilobyte.
+    elections: Router<Box<Election<F>>>,
     results: Vec<BeaconEpoch>,
     output: Option<Vec<BeaconEpoch>>,
     /// Child GC ([`Self::with_child_gc`]): when `true`, finished epochs are
@@ -173,7 +175,7 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
             self.secrets.clone(),
             self.aba_factory.clone(),
         );
-        self.elections.insert(epoch as usize, election)
+        self.elections.insert(epoch as usize, Box::new(election))
     }
 
     fn advance(&mut self) -> Step<Envelope> {

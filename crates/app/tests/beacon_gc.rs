@@ -9,9 +9,13 @@
 //!
 //! The probe wrapper samples each party's live/retired election counts
 //! after every delivery, so the test pins the **peak** retained count — the
-//! memory bound — not just the final state.
+//! memory bound — not just the final state.  A retired epoch must also
+//! leave only its record behind: the counting allocator below measures the
+//! heap the parties hold after a long run against a short one.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -25,6 +29,57 @@ use setupfree_net::{
 };
 
 type Beacon = RandomBeacon<MmrAbaFactory<TrustedCoinFactory>>;
+
+struct Counting;
+
+std::thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn charge(bytes: isize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// wrapper only adds byte counts to a thread-local that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            charge(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            charge(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        charge(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            charge(new_size as isize - layout.size() as isize);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes allocated and not yet freed by the calling thread.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
 
 /// Wraps a beacon and samples its live/retired election counts after every
 /// activation, publishing them through shared cells the test reads post-run.
@@ -285,4 +340,70 @@ fn child_gc_survives_an_adversarial_schedule() {
         );
         assert_epoch_agreement(&outputs, epochs);
     }
+}
+
+/// Runs a child-GC beacon of `epochs` epochs under FIFO delivery and
+/// returns the heap its parties hold once every party has output (measured
+/// before the simulation is dropped), with the elections they retired.
+fn heap_after(
+    keyring: &Arc<Keyring>,
+    secrets: &[Arc<PartySecrets>],
+    epochs: u32,
+) -> (isize, usize) {
+    let n = keyring.n();
+    let before = live();
+    let retired: Vec<Rc<Cell<usize>>> = (0..n).map(|_| Rc::new(Cell::new(0))).collect();
+    let parties: Vec<BoxedParty<Envelope, Vec<BeaconEpoch>>> = (0..n)
+        .map(|i| {
+            let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+            let beacon = RandomBeacon::new(
+                Sid::new("gc-heap"),
+                PartyId(i),
+                keyring.clone(),
+                secrets[i].clone(),
+                aba,
+                epochs,
+            )
+            .with_child_gc();
+            Box::new(GcProbe {
+                inner: beacon,
+                live: Rc::new(Cell::new(0)),
+                peak_live: Rc::new(Cell::new(0)),
+                retired: retired[i].clone(),
+            }) as BoxedParty<Envelope, Vec<BeaconEpoch>>
+        })
+        .collect();
+    let mut sim = Simulation::new(parties, Box::new(FifoScheduler::default()));
+    let report = sim.run(1 << 30);
+    assert_eq!(report.reason, StopReason::AllOutputs, "{epochs}-epoch beacon must terminate");
+    let held = live() - before;
+    drop(sim);
+    (held, retired.iter().map(|r| r.get()).sum())
+}
+
+#[test]
+fn a_retired_epoch_leaves_only_its_record_behind() {
+    let n = 4;
+    let (keyring, secrets) = generate_pki(n, 80);
+    let keyring = Arc::new(keyring);
+    let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
+    // A first run fills whatever the process caches once, so both measured
+    // runs start from the same heap.
+    heap_after(&keyring, &secrets, 4);
+    let (short, retired_short) = heap_after(&keyring, &secrets, 16);
+    let (long, retired_long) = heap_after(&keyring, &secrets, 48);
+    assert!(retired_long >= retired_short + 32 * (n - 1), "the long run retires its epochs");
+    let per_epoch = (long - short) / (retired_long - retired_short) as isize;
+    // What one party must keep per retired epoch: the epoch's record in
+    // `results` and in the output copy, the router slot (a null pointer),
+    // and the tombstone flag — twice over, for vectors that grow by
+    // doubling.  A slot that held the election inline would cost it the
+    // election's size instead of a pointer.
+    let bound =
+        2 * (2 * size_of::<BeaconEpoch>() + size_of::<Option<Box<u8>>>() + size_of::<bool>());
+    assert!(
+        per_epoch <= bound as isize,
+        "{per_epoch} bytes held per retired epoch per party, above the {bound}-byte bound \
+         ({short} bytes held after 16 epochs, {long} after 48)"
+    );
 }

@@ -18,7 +18,9 @@
 //! producers fail fast (the item is handed back), while consumers still
 //! drain the accepted backlog before seeing `None` — an accepted item is
 //! never lost.  The property tests below pin exactly this under concurrent
-//! producers and a mid-drain close.
+//! producers and a mid-drain close, for the one-item calls and for the
+//! batch calls ([`ShardQueue::push_all`], [`ShardQueue::pop_all`]) a socket
+//! peer's readers and driver use to move a burst under one lock.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -98,6 +100,47 @@ impl<T> ShardQueue<T> {
             }
             state = self.filled.wait(state).expect("queue lock poisoned");
         }
+    }
+
+    /// Enqueues every item of `items`, in order, blocking while the queue
+    /// is full; each wait hands over as many items as fit under one lock.
+    /// Returns `false` once the queue is closed: `items` then holds, in
+    /// order, the ones it did not accept.
+    #[must_use]
+    pub fn push_all(&self, items: &mut VecDeque<T>) -> bool {
+        while !items.is_empty() {
+            let mut state = self.state.lock().expect("queue lock poisoned");
+            while state.queue.len() >= self.capacity && !state.closed {
+                state = self.drained.wait(state).expect("queue lock poisoned");
+            }
+            if state.closed {
+                return false;
+            }
+            let take = (self.capacity - state.queue.len()).min(items.len());
+            state.queue.extend(items.drain(..take));
+            state.high_water = state.high_water.max(state.queue.len());
+            drop(state);
+            self.filled.notify_all();
+        }
+        true
+    }
+
+    /// Blocks until an item arrives, then moves every queued item onto the
+    /// back of `into` under one lock.  Returns `false`, adding nothing, once
+    /// the queue is closed *and* drained.
+    #[must_use]
+    pub fn pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        let mut state = self.state.lock().expect("queue lock poisoned");
+        while state.queue.is_empty() {
+            if state.closed {
+                return false;
+            }
+            state = self.filled.wait(state).expect("queue lock poisoned");
+        }
+        into.append(&mut state.queue);
+        drop(state);
+        self.drained.notify_all();
+        true
     }
 
     /// Closes the queue: producers fail fast, consumers drain the backlog
@@ -203,56 +246,111 @@ mod tests {
     //   * an item whose `push` returned `Ok` is *always* delivered to the
     //     consumer, even when the close lands mid-drain;
     //   * an item whose `push` returned `Err` is handed back intact.
+    //
+    // The same holds when producers hand over chunks with `push_all` and
+    // the consumer takes whole backlogs with `pop_all` (the socket
+    // transport's readers and drivers), in every mix with the one-item
+    // calls.
     // -----------------------------------------------------------------
 
     use proptest::prelude::*;
 
+    /// How the producers and the consumer of a [`contention_run`] move
+    /// items: `chunk` 0 pushes one at a time with `push`, any other value
+    /// hands chunks of that many to `push_all`; `pop_all` drains the whole
+    /// backlog per wake-up instead of popping one item.
+    #[derive(Debug, Clone, Copy)]
+    struct Mode {
+        chunk: usize,
+        pop_all: bool,
+    }
+
+    const ONE_BY_ONE: Mode = Mode { chunk: 0, pop_all: false };
+
+    /// `(producer, seq)` tags.
+    type Tags = Vec<(usize, usize)>;
+
+    /// Pushes `items` the way `mode` says; returns `(accepted, rejected)`.
+    /// A rejected item must come back intact, and once one is rejected so
+    /// is every later one (the queue stays closed).
+    fn produce(q: &ShardQueue<(usize, usize)>, items: Tags, mode: Mode) -> (Tags, Tags) {
+        let mut accepted = Vec::new();
+        let mut rejected = Vec::new();
+        if mode.chunk == 0 {
+            for item in items {
+                match q.push(item) {
+                    Ok(()) if rejected.is_empty() => accepted.push(item),
+                    Ok(()) => panic!("{item:?} accepted after a rejection"),
+                    Err(back) => {
+                        assert_eq!(back, item, "a rejected item is handed back intact");
+                        rejected.push(back);
+                    }
+                }
+            }
+            return (accepted, rejected);
+        }
+        for chunk in items.chunks(mode.chunk) {
+            let mut batch: VecDeque<_> = chunk.iter().copied().collect();
+            let all = q.push_all(&mut batch);
+            let taken = chunk.len() - batch.len();
+            assert_eq!(all, batch.is_empty(), "push_all reports whether it took everything");
+            assert!(
+                batch.iter().eq(&chunk[taken..]),
+                "the items push_all hands back are the chunk's untaken suffix, in order"
+            );
+            assert!(rejected.is_empty() || taken == 0, "accepted after a rejection");
+            accepted.extend_from_slice(&chunk[..taken]);
+            rejected.extend(batch);
+        }
+        (accepted, rejected)
+    }
+
     /// Runs `producers` threads pushing `per_producer` tagged items each
-    /// into a queue of `capacity`, closes the queue after the consumer has
-    /// drained `close_after` items, then drains the backlog.  Returns
+    /// into a queue of `capacity`, closes the queue once the consumer has
+    /// taken at least `close_after` items, then drains the backlog.  Returns
     /// `(accepted, rejected, popped)` as sorted multisets of `(producer,
     /// seq)` tags.
-    #[allow(clippy::type_complexity)]
     fn contention_run(
         producers: usize,
         capacity: usize,
         per_producer: usize,
         close_after: usize,
-    ) -> (Vec<(usize, usize)>, Vec<(usize, usize)>, Vec<(usize, usize)>) {
+        mode: Mode,
+    ) -> (Tags, Tags, Tags) {
         let q: Arc<ShardQueue<(usize, usize)>> = Arc::new(ShardQueue::new(capacity));
         let handles: Vec<_> = (0..producers)
             .map(|p| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
-                    let mut accepted = Vec::new();
-                    let mut rejected = Vec::new();
-                    for seq in 0..per_producer {
-                        match q.push((p, seq)) {
-                            Ok(()) => accepted.push((p, seq)),
-                            Err(item) => {
-                                assert_eq!(item, (p, seq), "a rejected item is handed back intact");
-                                rejected.push(item);
-                            }
-                        }
-                    }
-                    (accepted, rejected)
+                    produce(&q, (0..per_producer).map(|seq| (p, seq)).collect(), mode)
                 })
             })
             .collect();
 
-        // Consumer (this thread): drain `close_after` items, close mid-drain,
-        // then drain whatever backlog was accepted before the close.
-        // `close_after <= total` (the callers clamp), and every pre-close
-        // push eventually succeeds, so the blocking pops below cannot wedge.
+        // Consumer (this thread): take at least `close_after` items, close
+        // mid-drain, then drain whatever backlog was accepted before the
+        // close.  `close_after <= total` (the callers clamp), and every
+        // pre-close push eventually succeeds, so the blocking pops below
+        // cannot wedge.
+        let take = |popped: &mut Tags| {
+            if mode.pop_all {
+                let mut batch = VecDeque::new();
+                let more = q.pop_all(&mut batch);
+                assert_eq!(more, !batch.is_empty(), "pop_all takes at least one item or ends");
+                popped.extend(batch);
+                more
+            } else {
+                q.pop().map(|item| popped.push(item)).is_some()
+            }
+        };
         let mut popped = Vec::new();
-        for _ in 0..close_after {
-            popped.push(q.pop().expect("pre-close items must arrive"));
+        while popped.len() < close_after {
+            assert!(take(&mut popped), "pre-close items must arrive");
         }
         q.close();
-        while let Some(item) = q.pop() {
-            popped.push(item);
-        }
+        while take(&mut popped) {}
         assert_eq!(q.pop(), None, "a closed drained queue stays ended");
+        assert!(!q.pop_all(&mut VecDeque::new()), "and ended for pop_all too");
 
         let (mut accepted, mut rejected) = (Vec::new(), Vec::new());
         for h in handles {
@@ -274,11 +372,18 @@ mod tests {
             capacity in 1usize..5,
             per_producer in 1usize..32,
             close_fraction in 0usize..33,
+            chunk in 0usize..7,
+            pop_all in any::<bool>(),
         ) {
             let total = producers * per_producer;
             let close_after = (close_fraction * total / 32).min(total);
-            let (accepted, rejected, popped) =
-                contention_run(producers, capacity, per_producer, close_after);
+            let (accepted, rejected, popped) = contention_run(
+                producers,
+                capacity,
+                per_producer,
+                close_after,
+                Mode { chunk, pop_all },
+            );
             // Conservation: every push either reached the consumer or came
             // back to its producer — nothing vanished, nothing duplicated.
             prop_assert_eq!(&popped, &accepted);
@@ -293,8 +398,10 @@ mod tests {
         // Deterministic worst case: capacity 1, many producers, immediate
         // close — every producer is parked on the `drained` condvar when the
         // close lands, and all of them must come back with their item.
-        let (accepted, rejected, popped) = contention_run(4, 1, 16, 0);
-        assert_eq!(popped, accepted);
-        assert_eq!(accepted.len() + rejected.len(), 64);
+        for mode in [ONE_BY_ONE, Mode { chunk: 5, pop_all: true }] {
+            let (accepted, rejected, popped) = contention_run(4, 1, 16, 0, mode);
+            assert_eq!(popped, accepted, "{mode:?}");
+            assert_eq!(accepted.len() + rejected.len(), 64, "{mode:?}");
+        }
     }
 }

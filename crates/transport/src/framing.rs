@@ -145,8 +145,8 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
     bytes
 }
 
-/// Builds one contiguous data frame (`len ‖ kind ‖ seq ‖ payload`), ready to
-/// be written with a single `write_all`.
+/// Builds one contiguous data frame (`len ‖ kind ‖ seq ‖ payload`); a
+/// link's flush writes the frames it has queued back to back.
 pub fn encode_data_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let body_len = 1 + 8 + payload.len();
     assert!(body_len <= MAX_FRAME_LEN, "envelope exceeds MAX_FRAME_LEN");
@@ -165,6 +165,13 @@ pub fn encode_ack_frame(received: u64) -> Vec<u8> {
     frame.push(KIND_ACK);
     frame.extend_from_slice(&received.to_le_bytes());
     frame
+}
+
+/// `true` when `buf` starts with a whole frame, so that [`read_frame`] on a
+/// reader holding `buf` in its buffer returns without waiting on the
+/// socket.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    buf.len() >= 4 && buf.len() - 4 >= u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize
 }
 
 /// Reads one length-prefixed frame.
@@ -280,6 +287,17 @@ mod tests {
         assert!(read_frame(&mut &unknown[..]).is_err());
         let short_ack = [2u8, 0, 0, 0, KIND_ACK, 5];
         assert!(read_frame(&mut &short_ack[..]).is_err());
+    }
+
+    #[test]
+    fn holds_frame_sees_exactly_the_whole_frames() {
+        let frame = encode_data_frame(9, &encode_envelope(&sample(9)));
+        for cut in 0..frame.len() {
+            assert!(!holds_frame(&frame[..cut]), "a {cut}-byte prefix is not a frame");
+        }
+        let mut two = frame.clone();
+        two.extend_from_slice(&encode_ack_frame(3)[..2]);
+        assert!(holds_frame(&frame) && holds_frame(&two));
     }
 
     #[test]

@@ -14,24 +14,33 @@
 //!   machines are deliberately not `Send`, so the factory closure is called
 //!   *on* the driver thread, exactly like
 //!   [`setupfree_runtime::SessionFactory`] sessions are built on their
-//!   worker shard.  The driver pops `(from, envelope)` pairs from a bounded
-//!   [`ShardQueue`] inbox, steps the machine, and offers the resulting
-//!   envelopes to its per-destination [`Link`]s — encoding each multicast
-//!   **once**;
+//!   worker shard.  The driver takes everything queued in its bounded
+//!   [`ShardQueue`] inbox under one lock ([`ShardQueue::pop_all`]), steps
+//!   the machine on each `(from, envelope)` pair in turn, and offers the
+//!   resulting envelopes to its per-destination [`Link`]s — encoding each
+//!   multicast **once**.  Only when the batch is used up, just before it
+//!   would block again, does it write: one socket write per link, carrying
+//!   every frame offered since the last flush and the link's due ack;
 //! * **one accept thread** owns the peer's listener for the whole run and
 //!   completes the resume handshake for every inbound (re)connection;
 //! * **one redial thread** dials every peer this one is the *dialer* for
 //!   (the lower id always dials, so a redial never races an accept for the
 //!   same pair) with exponential backoff, and reaps accept-side links
-//!   whose dialer has been gone too long;
+//!   whose dialer has been gone too long.  The accept and redial threads
+//!   poll only while one of their links is not up; otherwise they sleep
+//!   until a link goes down or the run ends;
 //! * **one reader thread per live connection** turns the byte stream back
 //!   into envelopes, enforces per-link sequencing (duplicates dropped, a
 //!   gap ends the connection), applies the fault plan's receive delay, and
-//!   pushes into the inbox; a full inbox blocks the reader, which
-//!   backpressures the sender through TCP.
+//!   pushes every frame already in its read buffer into the inbox under
+//!   one lock ([`ShardQueue::push_all`]); a full inbox blocks the reader,
+//!   which backpressures the sender through TCP.  Readers never write: the
+//!   acks they make due ride the driver's next flush.
 //!
 //! Self-addressed messages never touch a socket: the driver loops them
-//! through a local queue, sharing the payload just like the simulator.
+//! through a local queue, sharing the payload just like the simulator,
+//! and hands each message's self-addressed output to the machine before
+//! the next message of the batch.
 //!
 //! # Resilience semantics
 //!
@@ -47,7 +56,8 @@
 //!
 //! # Termination and degradation
 //!
-//! The coordinator (the calling thread) resolves the run as:
+//! The coordinator (the calling thread) sleeps until a driver decides or
+//! exits, or the deadline passes, and resolves the run as:
 //!
 //! * **success** — every peer decided;
 //! * **degraded success** — every *surviving* peer decided, and the peers
@@ -60,17 +70,17 @@
 //!   named.
 //!
 //! Teardown then closes all inboxes and shuts down every socket ever
-//! created, which provably unwedges each blocked thread: `pop` returns
-//! `None`, reads return EOF, writes error out, and the handshake and poll
-//! loops run on short timeouts.  No path waits on a peer that will never
-//! speak again.
+//! created, which provably unwedges each blocked thread: `pop_all` returns
+//! `false`, reads return EOF, writes error out, the handshake runs on a
+//! short timeout, and the accept and redial threads are woken to see the
+//! shutdown.  No path waits on a peer that will never speak again.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -80,10 +90,10 @@ use setupfree_runtime::ShardQueue;
 
 use crate::chaos::LinkFaultPlan;
 use crate::framing::{
-    encode_ack_frame, encode_envelope, read_frame, read_hello, read_hello_ack, write_hello,
+    encode_envelope, holds_frame, read_frame, read_hello, read_hello_ack, write_hello,
     write_hello_ack, Frame, Hello,
 };
-use crate::reconnect::{Link, LinkStats, LinkStatus};
+use crate::reconnect::{DownSignal, Link, LinkStats, LinkStatus};
 
 /// The per-peer inbox bound.  Large enough that transient bursts ride
 /// in memory, small enough that a stalled peer backpressures its senders
@@ -99,7 +109,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 /// thread past teardown.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Poll interval for the accept, redial, and coordinator loops.
+/// Poll interval of the accept and redial loops while one of their links
+/// is not up.
 const POLL: Duration = Duration::from_millis(1);
 
 /// Why a socket run failed (success — possibly degraded — is the absence
@@ -383,13 +394,17 @@ impl TcpPeerGroup {
         let addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr()).collect::<io::Result<_>>()?;
 
+        let down = Arc::new(DownSignal::default());
         let mesh = Mesh {
             n,
             nonce: fresh_nonce(),
             addrs,
             links: (0..n)
-                .map(|i| (0..n).map(|j| (i != j).then(Link::new).map(Arc::new)).collect())
+                .map(|i| {
+                    (0..n).map(|j| (i != j).then(|| Arc::new(Link::new(down.clone())))).collect()
+                })
                 .collect(),
+            down,
             inboxes: (0..n).map(|_| ShardQueue::new(DEFAULT_INBOX_CAPACITY)).collect(),
             plan: self.chaos.clone(),
             start: Instant::now(),
@@ -400,9 +415,10 @@ impl TcpPeerGroup {
         };
         let mesh = &mesh;
 
-        let decided: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let decided_flag: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let board = Board {
+            standing: Mutex::new(Standing { outputs: vec![None; n], exited: vec![false; n] }),
+            changed: Condvar::new(),
+        };
         let factory = &factory;
         let budget = self.crash_budget.unwrap_or((n - 1) / 3);
 
@@ -422,11 +438,13 @@ impl TcpPeerGroup {
 
             let mut drivers = Vec::with_capacity(n);
             for i in 0..n {
-                let decided_slot = &decided[i];
-                let decided_flag = &decided_flag[i];
-                let done = &done[i];
+                let board = &board;
                 let disconnect_after = self.disconnect_after[i];
+                let stopped = move |delivered| disconnect_after.is_some_and(|l| delivered >= l);
                 drivers.push(scope.spawn(move || {
+                    // However the driver ends, a panic included, the
+                    // coordinator hears of it at once.
+                    let _exit = ExitNotice { board, peer: i };
                     // Traced runs install a handle to the shared collector on
                     // this thread, wall-stamped against the run's one origin,
                     // so the machine's own phase/decide emissions land in the
@@ -438,74 +456,81 @@ impl TcpPeerGroup {
                     }
                     // The machine is built *here*, on its driver thread, and
                     // never leaves it.
-                    let mut sender = PeerSender { mesh, me: i, pending: VecDeque::new() };
+                    let mut sender = PeerSender::new(mesh, i);
                     let mut machine = factory(i);
                     sender.dispatch(machine.on_activation());
+                    sender.loop_back(&mut machine);
+                    let mut batch = VecDeque::new();
                     let mut delivered = 0u64;
+                    let mut decided = false;
                     loop {
-                        // Self-addressed traffic loops locally, socket-free.
-                        while let Some(env) = sender.pending.pop_front() {
-                            let step = machine.on_message(PartyId(i), env);
-                            sender.dispatch(step);
-                        }
-                        if !decided_flag.load(Ordering::Acquire) {
+                        // The batch is used up: write once per link before
+                        // blocking for the next one.
+                        sender.flush();
+                        if !decided {
                             if let Some(out) = machine.output() {
-                                *decided_slot.lock().unwrap() = Some(out);
-                                decided_flag.store(true, Ordering::Release);
+                                decided = true;
+                                board.update(|s| s.outputs[i] = Some(out));
                                 setupfree_obs::decided();
                             }
                         }
-                        if let Some(limit) = disconnect_after {
-                            if delivered >= limit {
-                                mesh.mark_peer_down(i); // crash-stop mid-run
+                        if stopped(delivered) {
+                            mesh.mark_peer_down(i); // crash-stop mid-run
+                            break;
+                        }
+                        if !mesh.inboxes[i].pop_all(&mut batch) {
+                            break;
+                        }
+                        for (from, env) in batch.drain(..) {
+                            if stopped(delivered) {
                                 break;
                             }
+                            delivered += 1;
+                            if traced {
+                                // Ambient clock = socket envelopes delivered
+                                // to this machine (no causal seq crosses the
+                                // wire).
+                                setupfree_obs::begin_activation(i as u16, delivered);
+                            }
+                            sender.dispatch(machine.on_message(from, env));
+                            sender.loop_back(&mut machine);
                         }
-                        let Some((from, env)) = mesh.inboxes[i].pop() else { break };
-                        delivered += 1;
-                        if traced {
-                            // Ambient clock = socket envelopes delivered to
-                            // this machine (no causal seq crosses the wire).
-                            setupfree_obs::begin_activation(i as u16, delivered);
-                        }
-                        let step = machine.on_message(from, env);
-                        sender.dispatch(step);
                     }
                     if traced {
                         setupfree_obs::uninstall();
                     }
-                    done.store(true, Ordering::Release);
                     delivered
                 }));
             }
 
-            // --- coordinator: resolve the run, then tear everything down.
+            // --- coordinator: sleep until a driver decides or exits, or the
+            // deadline passes; resolve the run, then tear everything down.
             let deadline = mesh.start + self.timeout;
+            let mut standing = board.standing.lock().expect("board lock poisoned");
             failure = loop {
-                let dead: Vec<usize> = (0..n)
-                    .filter(|&i| {
-                        done[i].load(Ordering::Acquire) && !decided_flag[i].load(Ordering::Acquire)
-                    })
-                    .collect();
+                let dead = standing.dead();
                 if dead.len() > budget {
                     break Some(TransportFailure::PeerStopped { peer: dead[0], message: None });
                 }
-                if (0..n).all(|i| {
-                    decided_flag[i].load(Ordering::Acquire) || done[i].load(Ordering::Acquire)
-                }) {
+                if (0..n).all(|i| standing.outputs[i].is_some() || standing.exited[i]) {
                     degraded = dead; // ≤ budget crash-stops: degraded success
                     break None;
                 }
-                if Instant::now() > deadline {
-                    let undecided =
-                        (0..n).filter(|&i| !decided_flag[i].load(Ordering::Acquire)).collect();
+                let now = Instant::now();
+                if now >= deadline {
+                    let undecided = (0..n).filter(|&i| standing.outputs[i].is_none()).collect();
                     break Some(TransportFailure::Timeout {
                         waited_ms: mesh.start.elapsed().as_millis() as u64,
                         undecided,
                     });
                 }
-                thread::sleep(POLL);
+                standing = board
+                    .changed
+                    .wait_timeout(standing, deadline - now)
+                    .expect("board lock poisoned")
+                    .0;
             };
+            drop(standing);
 
             // Capture link health before teardown severs everything (a
             // closing socket would otherwise report every link as
@@ -519,12 +544,14 @@ impl TcpPeerGroup {
             }
 
             // --- teardown, in an order that unwedges every blocked thread:
-            // the shutdown flag stops the poll loops; closed inboxes release
-            // poppers AND pushers; shut-down sockets turn blocked reads into
-            // EOF and blocked writes into errors.  The stream registry is
-            // shut down *without* taking link locks, so even a driver
-            // blocked inside a socket write under its link lock is released.
+            // the shutdown flag, with the down signal raised, stops the
+            // accept and redial loops; closed inboxes release poppers AND
+            // pushers; shut-down sockets turn blocked reads into EOF and
+            // blocked writes into errors.  The stream registry is shut down
+            // *without* taking link locks, so a thread blocked in a resume's
+            // replay under its link lock is released too.
             mesh.shutdown.store(true, Ordering::Release);
+            mesh.down.raise();
             for inbox in &mesh.inboxes {
                 inbox.close();
             }
@@ -607,9 +634,10 @@ impl TcpPeerGroup {
             // socket EOF; the scope joins them all here.
         });
 
+        let standing = board.standing.into_inner().expect("board lock poisoned");
         let health: Vec<PeerHealth> = (0..n)
             .map(|i| {
-                if done[i].load(Ordering::Acquire) && !decided_flag[i].load(Ordering::Acquire) {
+                if standing.exited[i] && standing.outputs[i].is_none() {
                     PeerHealth::Dead
                 } else if (0..n).any(|j| j != i && statuses[i][j] != LinkStatus::Up) {
                     PeerHealth::Reconnecting
@@ -621,7 +649,7 @@ impl TcpPeerGroup {
         if failure.is_some() {
             degraded.clear();
         }
-        let outputs = decided.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        let outputs = standing.outputs;
         let trace = mesh.collector.as_ref().map(SharedCollector::drain_sorted).unwrap_or_default();
         Ok(SocketRunReport {
             outputs,
@@ -632,6 +660,49 @@ impl TcpPeerGroup {
             failure,
             trace,
         })
+    }
+}
+
+/// How the run stands, for the coordinator: each peer's output and whether
+/// its driver has exited.  Drivers update it when they decide or exit and
+/// signal the coordinator, which waits for that or for the deadline.
+struct Board<O> {
+    standing: Mutex<Standing<O>>,
+    changed: Condvar,
+}
+
+struct Standing<O> {
+    outputs: Vec<Option<O>>,
+    exited: Vec<bool>,
+}
+
+impl<O> Standing<O> {
+    /// The peers whose driver exited without deciding.
+    fn dead(&self) -> Vec<usize> {
+        (0..self.exited.len()).filter(|&i| self.exited[i] && self.outputs[i].is_none()).collect()
+    }
+}
+
+impl<O> Board<O> {
+    /// Applies `change` and wakes the coordinator.  Every change is a single
+    /// assignment, so a standing behind a poisoned lock is still whole, and
+    /// `ExitNotice::drop` must not panic.
+    fn update(&self, change: impl FnOnce(&mut Standing<O>)) {
+        change(&mut self.standing.lock().unwrap_or_else(PoisonError::into_inner));
+        self.changed.notify_one();
+    }
+}
+
+/// Marks its driver exited when dropped, so the coordinator sees a driver
+/// that panicked stop at once, not at the deadline.
+struct ExitNotice<'a, O> {
+    board: &'a Board<O>,
+    peer: usize,
+}
+
+impl<O> Drop for ExitNotice<'_, O> {
+    fn drop(&mut self) {
+        self.board.update(|s| s.exited[self.peer] = true);
     }
 }
 
@@ -658,6 +729,9 @@ struct Mesh {
     /// `links[i][j]`: peer `i`'s endpoint of the `i ↔ j` connection —
     /// writer state for `i → j`, receive sequencing for `j → i`.
     links: Vec<Vec<Option<Arc<Link>>>>,
+    /// Raised when any link leaves `Up`, and at shutdown: wakes the accept
+    /// and redial threads that sleep while their links are all up.
+    down: Arc<DownSignal>,
     inboxes: Vec<ShardQueue<(PartyId, Envelope)>>,
     plan: LinkFaultPlan,
     start: Instant,
@@ -698,8 +772,8 @@ impl Mesh {
     /// Offers one envelope payload to the ordered link `i → j`, applying
     /// the fault plan's verdicts for the frame's sequence number.  Only
     /// peer `i`'s driver calls this, so peeking the sequence number before
-    /// sending is race-free.
-    fn send_frame(&self, i: usize, j: usize, payload: &[u8]) {
+    /// offering is race-free.
+    fn offer_frame(&self, i: usize, j: usize, payload: &[u8]) {
         let link = self.link(i, j);
         let (inject_drop, inject_cut) = if self.plan.is_noop() {
             (false, false)
@@ -725,7 +799,7 @@ impl Mesh {
             }
             (dropped || partitioned, cut)
         };
-        link.send(payload, inject_drop, inject_cut);
+        link.offer(payload, inject_drop, inject_cut);
     }
 
     /// Crash-stop: peer `i` abandons every link (their parked frames are
@@ -747,13 +821,24 @@ impl Mesh {
     }
 
     /// Owns peer `me`'s listener: completes the resume handshake for every
-    /// inbound (re)connection and spawns its reader.  The listener stays
-    /// nonblocking so the loop can watch the shutdown flag.
+    /// inbound (re)connection and spawns its reader.  Peer `me` accepts the
+    /// links of the lower ids; while all of them are up the loop sleeps on
+    /// the down signal, otherwise it polls the nonblocking listener.
     fn accept_loop<'s, 'e>(&'s self, scope: &'s thread::Scope<'s, 'e>, me: usize, listener: TcpListener) {
         if listener.set_nonblocking(true).is_err() {
             return;
         }
-        while !self.stopping() {
+        loop {
+            // Read the signal before the checks, so a link going down (or
+            // the shutdown) after them still ends the wait.
+            let seen = self.down.count();
+            if self.stopping() {
+                return;
+            }
+            if (0..me).all(|j| self.link(me, j).status() == LinkStatus::Up) {
+                self.down.wait_past(seen);
+                continue;
+            }
             match listener.accept() {
                 Ok((stream, _)) => self.handle_accept(scope, me, stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
@@ -815,11 +900,17 @@ impl Mesh {
     /// Peer `me`'s dial side: redials every link it is the dialer for
     /// (peers `> me`) per the backoff schedule, and reaps accept-side
     /// links (peers `< me`) whose dialer has been gone past the death
-    /// timer.  Scheduled partitions stall both clocks.
+    /// timer.  Scheduled partitions stall both clocks.  While all of `me`'s
+    /// links are up the loop sleeps on the down signal.
     fn redial_loop<'s, 'e>(&'s self, scope: &'s thread::Scope<'s, 'e>, me: usize) {
-        while !self.stopping() {
-            if self.peer_down[me].load(Ordering::Acquire) {
+        loop {
+            let seen = self.down.count();
+            if self.stopping() || self.peer_down[me].load(Ordering::Acquire) {
                 return; // crashed peers don't redial
+            }
+            if (0..self.n).all(|j| j == me || self.link(me, j).status() == LinkStatus::Up) {
+                self.down.wait_past(seen);
+                continue;
             }
             let now = Instant::now();
             let elapsed = self.start.elapsed();
@@ -871,42 +962,46 @@ impl Mesh {
 
     /// Reads one connection generation for peer `me`: data frames pass the
     /// per-link sequence check (duplicates discarded, a gap ends the
-    /// connection), take the fault plan's receive delay, and enter the
-    /// inbox; acks prune the writer's outbox.  On any stream end the reader
-    /// severs its own generation — never a successor installed by a
-    /// concurrent resume.
+    /// connection) and enter the inbox; acks prune the writer's outbox.
+    /// Every frame already in the read buffer is taken before the accepted
+    /// ones are handed over, under one inbox lock, with the fault plan's
+    /// receive delay.  On any stream end the reader severs its own
+    /// generation — never a successor installed by a concurrent resume.
     fn reader_loop(&self, me: usize, from: usize, stream: Arc<TcpStream>, generation: u64) {
         let link = self.link(me, from);
         let mut r = BufReader::new(stream.as_ref());
+        let mut batch = VecDeque::new();
+        let mut last_seq = 0;
         loop {
             match read_frame(&mut r) {
-                Ok(Some(Frame::Data { seq, env })) => {
+                Ok(Some(Frame::Data { seq, env })) => match link.record_delivery(seq) {
+                    Ok(true) => {
+                        batch.push_back((PartyId(from), env));
+                        last_seq = seq;
+                    }
+                    Ok(false) => {}
                     // A sequence gap drops the connection like a malformed
                     // frame does.
-                    let Ok((deliver, ack_now)) = link.record_delivery(seq) else {
-                        break;
-                    };
-                    if deliver {
-                        if let Some(delay) = self.plan.frame_delay(from, me, seq) {
-                            // Only the head of a burst pays propagation
-                            // delay: frames already buffered behind it rode
-                            // the same (simulated) wire.
-                            if r.buffer().is_empty() {
-                                thread::sleep(delay);
-                            }
-                        }
-                        if self.inboxes[me].push((PartyId(from), env)).is_err() {
-                            break; // inbox closed: the run is over
-                        }
-                    }
-                    if ack_now {
-                        link.send_ack(&encode_ack_frame(link.next_expected_in()));
-                    }
-                }
+                    Err(_) => break,
+                },
                 Ok(Some(Frame::Ack { received })) => link.on_ack(received),
                 Ok(None) | Err(_) => break,
             }
+            if batch.is_empty() || holds_frame(r.buffer()) {
+                continue;
+            }
+            // The next read would wait on the socket.  A burst pays the
+            // propagation delay once: the frames buffered together rode the
+            // same (simulated) wire.
+            if let Some(delay) = self.plan.frame_delay(from, me, last_seq) {
+                thread::sleep(delay);
+            }
+            if !self.inboxes[me].push_all(&mut batch) {
+                break; // inbox closed: the run is over
+            }
         }
+        // Frames accepted before the stream ended still reach the machine.
+        let _ = self.inboxes[me].push_all(&mut batch);
         // Teardown EOFs every reader; only a mid-run stream end is a real
         // link-down observation.
         if !self.stopping() {
@@ -924,15 +1019,21 @@ impl Mesh {
 }
 
 /// A peer's sending half: encodes each multicast once, offers frames to
-/// the per-destination links, and loops self-addressed envelopes through a
-/// local queue.
+/// the per-destination links, loops self-addressed envelopes through a
+/// local queue, and flushes every link once per batch.
 struct PeerSender<'a> {
     mesh: &'a Mesh,
     me: usize,
     pending: VecDeque<Envelope>,
+    /// The buffer each link's flush fills, reused across flushes.
+    buf: Vec<u8>,
 }
 
-impl PeerSender<'_> {
+impl<'a> PeerSender<'a> {
+    fn new(mesh: &'a Mesh, me: usize) -> Self {
+        PeerSender { mesh, me, pending: VecDeque::new(), buf: Vec::new() }
+    }
+
     fn dispatch(&mut self, step: Step<Envelope>) {
         for out in step.outgoing {
             match out.dest {
@@ -940,7 +1041,7 @@ impl PeerSender<'_> {
                     let payload = encode_envelope(&out.msg);
                     for j in 0..self.mesh.n {
                         if j != self.me {
-                            self.mesh.send_frame(self.me, j, &payload);
+                            self.mesh.offer_frame(self.me, j, &payload);
                         }
                     }
                     self.pending.push_back(out.msg);
@@ -948,9 +1049,26 @@ impl PeerSender<'_> {
                 Dest::One(PartyId(p)) if p == self.me => self.pending.push_back(out.msg),
                 Dest::One(PartyId(p)) => {
                     let payload = encode_envelope(&out.msg);
-                    self.mesh.send_frame(self.me, p, &payload);
+                    self.mesh.offer_frame(self.me, p, &payload);
                 }
             }
+        }
+    }
+
+    /// Hands the self-addressed envelopes to `machine`, and what they
+    /// produce in turn, until none are left.  No socket is involved.
+    fn loop_back<P: ProtocolInstance<Message = Envelope>>(&mut self, machine: &mut P) {
+        while let Some(env) = self.pending.pop_front() {
+            let step = machine.on_message(PartyId(self.me), env);
+            self.dispatch(step);
+        }
+    }
+
+    /// One socket write per link: the frames offered since the last flush
+    /// and the link's due ack.
+    fn flush(&mut self) {
+        for j in (0..self.mesh.n).filter(|&j| j != self.me) {
+            self.mesh.link(self.me, j).flush(&mut self.buf);
         }
     }
 }

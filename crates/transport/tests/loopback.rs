@@ -71,6 +71,66 @@ impl ProtocolInstance for Mute {
     }
 }
 
+/// Peers below `senders` each multicast `count` envelopes of `bytes`
+/// payload bytes in their activation; every peer decides once it has heard
+/// all of them, its own loopback copies included.
+#[derive(Debug)]
+struct Burst {
+    me: usize,
+    senders: usize,
+    count: usize,
+    bytes: usize,
+    heard: usize,
+}
+
+impl ProtocolInstance for Burst {
+    type Message = Envelope;
+    type Output = usize;
+
+    fn on_activation(&mut self) -> Step<Envelope> {
+        let mut step = Step::none();
+        if self.me < self.senders {
+            for k in 0..self.count {
+                let mut body = vec![0u8; self.bytes];
+                body[..8].copy_from_slice(&(k as u64).to_le_bytes());
+                step.push_multicast(Envelope::seal(InstancePath::root(), &body));
+            }
+        }
+        step
+    }
+
+    fn on_message(&mut self, _from: PartyId, _msg: Envelope) -> Step<Envelope> {
+        self.heard += 1;
+        Step::none()
+    }
+
+    fn output(&self) -> Option<usize> {
+        (self.heard == self.senders * self.count).then_some(self.heard)
+    }
+}
+
+/// A `Ping` whose machine panics on its first delivery, after its
+/// activation has multicast its id.
+#[derive(Debug)]
+struct Poisoned(Ping);
+
+impl ProtocolInstance for Poisoned {
+    type Message = Envelope;
+    type Output = Vec<usize>;
+
+    fn on_activation(&mut self) -> Step<Envelope> {
+        self.0.on_activation()
+    }
+
+    fn on_message(&mut self, _from: PartyId, _msg: Envelope) -> Step<Envelope> {
+        panic!("machine poisoned by its first message");
+    }
+
+    fn output(&self) -> Option<Vec<usize>> {
+        None
+    }
+}
+
 #[test]
 fn every_peer_hears_every_peer() {
     let n = 4;
@@ -284,4 +344,69 @@ fn a_wedged_run_times_out_with_the_undecided_peers_named() {
     // The teardown returned: nothing is left blocked on a socket or queue
     // (reaching this assertion at all is the proof).
     assert!(!report.all_decided());
+}
+
+#[test]
+fn a_burst_leaves_in_one_write_per_link() {
+    let (n, count) = (4, 64);
+    let report = TcpPeerGroup::new(n)
+        .run(|i| {
+            Box::new(Burst { me: i, senders: 1, count, bytes: 8, heard: 0 })
+                as BoxedParty<Envelope, usize>
+        })
+        .expect("loopback setup");
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
+    assert!(report.all_decided(), "failure: {:?}", report.failure);
+    report.assert_conservation();
+    for j in 1..n {
+        let link = report.link(0, j);
+        assert_eq!(link.sent, count as u64, "link 0→{j} sent");
+        assert_eq!(link.writes, 1, "link 0→{j}: the activation's frames share one write");
+        assert_eq!(report.link(j, 0).writes, 0, "link {j}→0 carried no data");
+    }
+}
+
+#[test]
+fn two_peers_exchanging_bursts_both_decide() {
+    // Each activation multicasts 5 000 1-KiB envelopes, more than an inbox
+    // holds: each driver's one large write must drain while its own reader
+    // keeps accepting the other's.
+    let (n, count) = (2, 5_000);
+    let report = TcpPeerGroup::new(n)
+        .timeout(Duration::from_secs(30))
+        .run(|i| {
+            Box::new(Burst { me: i, senders: n, count, bytes: 1024, heard: 0 })
+                as BoxedParty<Envelope, usize>
+        })
+        .expect("loopback setup");
+    assert!(report.all_decided(), "failure: {:?}", report.failure);
+    assert_eq!(report.total_redials(), 0);
+    assert_eq!(report.total_retransmitted(), 0);
+    assert_eq!(report.total_seq_gaps(), 0, "a link saw a sequence gap");
+    report.assert_conservation();
+}
+
+#[test]
+fn a_panicking_machine_is_reported_with_its_payload_before_the_deadline() {
+    let n = 4;
+    let timeout = Duration::from_secs(20);
+    let report = TcpPeerGroup::new(n)
+        .timeout(timeout)
+        .crash_budget(0)
+        .run(|i| {
+            let ping = Ping { me: i, n, seen: BTreeSet::new() };
+            if i == 3 {
+                Box::new(Poisoned(ping)) as BoxedParty<Envelope, _>
+            } else {
+                Box::new(ping) as BoxedParty<Envelope, _>
+            }
+        })
+        .expect("loopback setup");
+    match &report.failure {
+        Some(TransportFailure::PeerStopped { peer: 3, message: Some(m) }) => {
+            assert!(m.contains("poisoned by its first message"), "payload: {m}");
+        }
+        other => panic!("expected peer 3 stopped with its panic payload, got {other:?}"),
+    }
+    assert!(report.wall < timeout / 2, "the panic was seen at once, not after {:?}", report.wall);
 }
