@@ -11,28 +11,11 @@ use std::sync::Arc;
 use setupfree_aba::MmrAbaFactory;
 use setupfree_app::adkg::{Adkg, AdkgOutput};
 use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
-use setupfree_core::election::Election;
-use setupfree_core::traits::ElectionFactory;
+use setupfree_core::election::ElectionProtocolFactory;
 use setupfree_core::TrustedCoinFactory;
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{BoxedParty, PartyId, ProtocolInstance, Sid, Simulation};
 use setupfree_testkit::{assert_agreement_sweep, sweep, Adversary};
-
-#[derive(Clone)]
-struct TestElectionFactory {
-    me: PartyId,
-    keyring: Arc<Keyring>,
-    secrets: Arc<PartySecrets>,
-}
-
-impl ElectionFactory for TestElectionFactory {
-    type Instance = Election<MmrAbaFactory<TrustedCoinFactory>>;
-
-    fn create(&self, sid: Sid) -> Self::Instance {
-        let aba = MmrAbaFactory::new(self.me, self.keyring.n(), self.keyring.f(), TrustedCoinFactory);
-        Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-    }
-}
 
 fn setup(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
     let (keyring, secrets) = generate_pki(n, seed);
@@ -82,19 +65,21 @@ fn beacon_epochs_agree_across_parties_and_schedules() {
 fn adkg_all_parties_agree_on_public_key_and_hold_valid_shares() {
     let n = 4;
     let (keyring, secrets) = setup(n, 13);
-    type A = Adkg<TestElectionFactory, MmrAbaFactory<TrustedCoinFactory>>;
+    type Aba = MmrAbaFactory<TrustedCoinFactory>;
+    type A = Adkg<ElectionProtocolFactory<Aba>, Aba>;
     type AdkgMsg = <A as ProtocolInstance>::Message;
     let runs = sweep(&Adversary::random_sweep(3), 100_000_000, |adv| {
         let sid = Sid::new("adkg");
         let parties = (0..n)
             .map(PartyId)
             .map(|i| {
-                let ef = TestElectionFactory {
-                    me: i,
-                    keyring: keyring.clone(),
-                    secrets: secrets[i.index()].clone(),
-                };
                 let af = MmrAbaFactory::new(i, n, keyring.f(), TrustedCoinFactory);
+                let ef = ElectionProtocolFactory::new(
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    af.clone(),
+                );
                 Box::new(Adkg::new(
                     sid.clone(),
                     i,

@@ -11,32 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use setupfree_bench::measure_election;
-use setupfree_core::coin::{Coin, CoinOutput, CoreSetMode};
-use setupfree_net::Envelope;
-use setupfree_crypto::generate_pki;
-use setupfree_net::{BoxedParty, PartyId, RandomScheduler, Sid, Simulation};
-use std::sync::Arc;
-
-fn coin_trial(n: usize, trial: u64, mode: CoreSetMode) -> Vec<CoinOutput> {
-    let (keyring, secrets) = generate_pki(n, 99);
-    let keyring = Arc::new(keyring);
-    let secrets: Vec<_> = secrets.into_iter().map(Arc::new).collect();
-    let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
-        .map(|i| {
-            Box::new(Coin::with_core_mode(
-                Sid::new(&format!("fairness-{trial}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                mode,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .collect();
-    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(trial)));
-    sim.run(1 << 28);
-    sim.outputs().into_iter().flatten().collect()
-}
+use setupfree_bench::{coin_parties, measure_election, pki};
+use setupfree_core::coin::CoreSetMode;
+use setupfree_net::Sid;
+use setupfree_testkit::Adversary;
 
 fn main() {
     let trials: u64 = std::env::args()
@@ -47,15 +25,17 @@ fn main() {
     let n = 4;
 
     println!("Coin fairness (n = {n}, {trials} sessions, adversarial random scheduling)");
+    let (keyring, secrets) = pki(n, 99);
     let mut agree = 0u64;
     let mut ones = 0u64;
     let mut zeros = 0u64;
     for t in 0..trials {
-        let outs = coin_trial(n, t, CoreSetMode::Weak);
-        let bits: Vec<bool> = outs.iter().map(|o| o.bit).collect();
-        if bits.windows(2).all(|w| w[0] == w[1]) {
+        let sid = Sid::new(&format!("fairness-{t}"));
+        let coin = coin_parties(keyring.clone(), secrets.clone(), sid, CoreSetMode::Weak);
+        let (m, outputs) = coin.run(&Adversary::Random { seed: t });
+        if m.agreed {
             agree += 1;
-            if bits[0] {
+            if outputs.iter().flatten().all(|o| o.bit) {
                 ones += 1;
             } else {
                 zeros += 1;

@@ -10,7 +10,7 @@
 //! | Seeding   | O(λn²)             | O(n²)              | O(1)   |
 //! | Coin      | O(λn³)             | O(n³)              | O(1)   |
 //!
-//! Usage: `cargo run --release -p setupfree-bench --bin fig_component_scaling [--quick]`
+//! Usage: `cargo run --release -p setupfree-bench --bin fig_component_scaling`
 
 use setupfree_bench::{
     fit_exponent, fmt_bytes, measure_avss, measure_coin, measure_rbc, measure_seeding, measure_wcs,
@@ -39,9 +39,8 @@ fn report(label: &str, bound: &str, points: &[Measurement]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: Vec<usize> = if quick { vec![4, 7, 10] } else { vec![4, 7, 10, 13, 16] };
-    let coin_sizes: Vec<usize> = if quick { vec![4, 7] } else { vec![4, 7, 10, 13] };
+    let sizes = [4usize, 7, 10, 13, 16];
+    let coin_sizes = [4usize, 7, 10, 13];
 
     println!("Component scaling (bits are exact wire bytes × 8 among honest parties)");
 

@@ -6,7 +6,7 @@
 //! latency, then fits the empirical scaling exponent of the communication in
 //! `n` so it can be placed next to the paper's asymptotic bound.
 //!
-//! Usage: `cargo run --release -p setupfree-bench --bin table1 [--quick]`
+//! Usage: `cargo run --release -p setupfree-bench --bin table1`
 
 use setupfree_bench::{
     fit_exponent, fmt_bytes, measure_coin, measure_election, measure_setupfree_aba,
@@ -54,10 +54,9 @@ fn print_rows(title: &str, rows: &[Row]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let coin_sizes: Vec<usize> = if quick { vec![4, 7] } else { vec![4, 7, 10, 13] };
-    let heavy_sizes: Vec<usize> = if quick { vec![4] } else { vec![4, 7] };
-    let sq_sizes: Vec<usize> = if quick { vec![4, 7] } else { vec![4, 7, 10] };
+    let coin_sizes = [4usize, 7, 10, 13];
+    let heavy_sizes = [4usize, 7];
+    let sq_sizes = [4usize, 7, 10];
 
     println!("Table 1 reproduction — private-setup free asynchronous BA");
     println!("(bits = messages among honest parties, serialized through the wire codec;");

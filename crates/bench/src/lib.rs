@@ -1,10 +1,22 @@
 //! Measurement harness shared by the Table 1 / figure reproduction binaries
 //! and the Criterion benches.
 //!
-//! Every function here builds one protocol execution in the simulator,
-//! drives it to completion, and returns the paper's three metrics
-//! (communication bits among honest parties, messages, asynchronous rounds),
-//! plus agreement/fairness observations where relevant.
+//! Every workload is an [`Ensemble`]: how to build each party, the
+//! simulator's delivery budget, and how the parties' outputs are judged to
+//! agree.  An ensemble runs through one of two runners and returns the
+//! paper's three metrics (communication bits among honest parties, messages,
+//! asynchronous rounds), plus agreement observations:
+//!
+//! * the simulator, through testkit's [`sweep`] under one [`Adversary`], so
+//!   every run also passes sweep's budget and conservation checks
+//!   ([`Ensemble::run`]; the traced runs are the same call with a trace
+//!   sink installed);
+//! * real loopback TCP peers ([`Ensemble::over_sockets`]).
+//!
+//! The Coin, the setup-free ABA and the beacon, which several runners
+//! measure, each have one party builder over a keyring, secrets and sid
+//! (e.g. [`coin_parties`]) and one seeded bench workload on top of it
+//! ([`coin_workload`], [`setupfree_aba_workload`], [`beacon_workload`]).
 //!
 //! See `EXPERIMENTS.md` at the workspace root for the experiment index and
 //! the recorded paper-vs-measured results.
@@ -16,26 +28,27 @@ pub mod tracing;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
-use setupfree_aba::{MmrAba, MmrAbaFactory};
+use setupfree_aba::{setup_free_aba_factory, MmrAba, MmrAbaFactory};
 use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
 use setupfree_avss::harness::AvssEndToEnd;
 use setupfree_avss::{Avss, AvssMessage};
 use setupfree_baselines::{LocalCoinFactory, SquaredAvssCoin};
 use setupfree_core::coin::{Coin, CoinOutput, CoinProtocolFactory, CoreSetMode};
-use setupfree_core::election::{Election, ElectionOutput};
-use setupfree_core::traits::ElectionFactory;
+use setupfree_core::election::{Election, ElectionOutput, ElectionProtocolFactory};
 use setupfree_core::{Committee, CommitteeConfig, TrustedCoinFactory, TrustedElectionFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{
-    BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Scheduler, Sid, Simulation,
-    StopReason,
+    BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Sid, Simulation, StopReason,
 };
 use setupfree_runtime::{MaxConcurrent, SessionSetup, ShardedHost, ShardedRunReport};
-use setupfree_rbc::{Rbc, RbcMessage};
-use setupfree_seeding::{Seed, Seeding, SeedingMessage};
+use setupfree_rbc::Rbc;
+use setupfree_seeding::Seeding;
+use setupfree_testkit::{sweep, Adversary, SweepRun};
+use setupfree_transport::{LinkFaultPlan, TcpPeerGroup};
 use setupfree_vba::{accept_all, Vba};
-use setupfree_wcs::{Wcs, WcsHarness, WcsMessage};
+use setupfree_wcs::{Wcs, WcsHarness};
 use setupfree_wire::{Decode, Encode};
 
 /// The metrics of one protocol execution.
@@ -57,59 +70,10 @@ pub struct Measurement {
     pub agreed: bool,
 }
 
-fn keys(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
+/// A bulletin PKI of `n` parties generated from `seed`.
+pub fn pki(n: usize, seed: u64) -> (Arc<Keyring>, Vec<Arc<PartySecrets>>) {
     let (keyring, secrets) = generate_pki(n, seed);
     (Arc::new(keyring), secrets.into_iter().map(Arc::new).collect())
-}
-
-/// The metrics of a simulation that has stopped after `deliveries`.
-fn measurement<M, O>(sim: &Simulation<M, O>, deliveries: u64, agreed: bool) -> Measurement
-where
-    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
-    O: Clone + std::fmt::Debug,
-{
-    let n = sim.n();
-    let metrics = sim.metrics();
-    Measurement {
-        n,
-        f: (n - 1) / 3,
-        honest_bytes: metrics.honest_bytes,
-        honest_messages: metrics.honest_messages,
-        rounds: metrics.rounds_to_all_outputs().unwrap_or(0),
-        deliveries,
-        agreed,
-    }
-}
-
-/// Runs `sim` until every honest party outputs (panicking if `budget` runs
-/// out first) and returns its metrics with every party's output; `agreed`
-/// judges the outputs.
-fn run_to_outputs<M, O>(
-    mut sim: Simulation<M, O>,
-    budget: u64,
-    agreed: impl Fn(&[Option<O>]) -> bool,
-) -> (Measurement, Vec<Option<O>>)
-where
-    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
-    O: Clone + std::fmt::Debug,
-{
-    let report = sim.run(budget);
-    assert_eq!(report.reason, StopReason::AllOutputs, "execution did not terminate within budget");
-    let outputs = sim.outputs();
-    let m = measurement(&sim, report.deliveries, agreed(&outputs));
-    (m, outputs)
-}
-
-fn finish<M, O>(
-    sim: Simulation<M, O>,
-    budget: u64,
-    agreed: impl Fn(&[Option<O>]) -> bool,
-) -> Measurement
-where
-    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
-    O: Clone + std::fmt::Debug,
-{
-    run_to_outputs(sim, budget, agreed).0
 }
 
 fn all_equal<T: PartialEq>(outputs: &[Option<T>]) -> bool {
@@ -130,151 +94,222 @@ fn same_leader(outputs: &[Option<ElectionOutput>]) -> bool {
     leaders.windows(2).all(|w| w[0] == w[1])
 }
 
+/// Builds party `i` of an ensemble.  `Sync`, because the socket runner
+/// builds each peer's machine on that peer's thread.
+type PartyBuilder<M, O> = Box<dyn Fn(usize) -> BoxedParty<M, O> + Sync>;
+
+/// One protocol ensemble: how to build each party, the simulator's delivery
+/// budget, and how the parties' outputs are judged to agree.
+pub struct Ensemble<M, O> {
+    n: usize,
+    party: PartyBuilder<M, O>,
+    budget: u64,
+    agreed: fn(&[Option<O>]) -> bool,
+}
+
+impl<M, O> Ensemble<M, O>
+where
+    M: Encode + Decode + Clone + std::fmt::Debug + 'static,
+    O: Clone + std::fmt::Debug + 'static,
+{
+    /// `n` parties, party `i` built by `party(i)`, run within `budget`
+    /// deliveries; `agreed` judges every party's output.
+    pub(crate) fn new<P>(
+        n: usize,
+        budget: u64,
+        agreed: fn(&[Option<O>]) -> bool,
+        party: impl Fn(usize) -> P + Sync + 'static,
+    ) -> Self
+    where
+        P: ProtocolInstance<Message = M, Output = O> + 'static,
+    {
+        let party: PartyBuilder<M, O> = Box::new(move |i| Box::new(party(i)));
+        Ensemble { n, party, budget, agreed }
+    }
+
+    /// Builds every party (index `i` is `P_i`).
+    pub(crate) fn parties(&self) -> Vec<BoxedParty<M, O>> {
+        (0..self.n).map(&self.party).collect()
+    }
+
+    /// Runs the ensemble once under `adversary` through testkit's [`sweep`],
+    /// which checks the run's budget and conservation books; `mount` sees
+    /// the simulation before its first delivery.  Termination is left to
+    /// the caller.
+    fn simulate(
+        self,
+        adversary: &Adversary,
+        mut mount: impl FnMut(&mut Simulation<M, O>),
+    ) -> (Measurement, SweepRun<O>) {
+        let mut runs = sweep(std::slice::from_ref(adversary), self.budget, |adv| {
+            let mut sim = Simulation::new(self.parties(), adv.scheduler());
+            mount(&mut sim);
+            sim
+        });
+        let run = runs.pop().expect("one adversary, one run");
+        let measurement = Measurement {
+            n: self.n,
+            f: (self.n - 1) / 3,
+            honest_bytes: run.metrics.honest_bytes,
+            honest_messages: run.metrics.honest_messages,
+            rounds: run.metrics.rounds_to_all_outputs().unwrap_or(0),
+            deliveries: run.report.deliveries,
+            agreed: (self.agreed)(&run.outputs),
+        };
+        (measurement, run)
+    }
+
+    /// Runs the ensemble in the simulator under `adversary` until every
+    /// honest party outputs, and returns its metrics and every party's
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the budget runs out first, or if the run's books do not
+    /// balance.
+    pub fn run(self, adversary: &Adversary) -> (Measurement, Vec<Option<O>>) {
+        let (measurement, run) = self.simulate(adversary, |_| {});
+        run.assert_termination();
+        (measurement, run.outputs)
+    }
+
+    /// The metrics of [`Self::run`].
+    pub(crate) fn measure(self, adversary: &Adversary) -> Measurement {
+        self.run(adversary).0
+    }
+}
+
+/// The parties of one instance of the paper's Coin (Alg 4) with core-set
+/// mode `mode`.
+pub fn coin_parties(
+    keyring: Arc<Keyring>,
+    secrets: Vec<Arc<PartySecrets>>,
+    sid: Sid,
+    mode: CoreSetMode,
+) -> Ensemble<Envelope, CoinOutput> {
+    Ensemble::new(keyring.n(), 1 << 28, same_bit, move |i| {
+        Coin::with_core_mode(sid.clone(), PartyId(i), keyring.clone(), secrets[i].clone(), mode)
+    })
+}
+
+/// The parties of the paper's full private-setup-free ABA (every round flips
+/// the real Coin); party `i` proposes `input(i)`.
+pub(crate) fn setupfree_aba_parties(
+    keyring: Arc<Keyring>,
+    secrets: Vec<Arc<PartySecrets>>,
+    sid: Sid,
+    input: impl Fn(usize) -> bool + Sync + 'static,
+) -> Ensemble<Envelope, bool> {
+    Ensemble::new(keyring.n(), 1 << 30, all_equal, move |i| {
+        let coins = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
+        MmrAba::new(sid.clone(), PartyId(i), keyring.n(), keyring.f(), input(i), coins)
+    })
+}
+
+/// The parties of an `epochs`-epoch DKG-free random beacon.  Each epoch's
+/// election runs the real Coin; the ABA inside it uses the trusted coin to
+/// keep sweeps tractable.  Every party must report the same whole history.
+pub(crate) fn beacon_parties(
+    keyring: Arc<Keyring>,
+    secrets: Vec<Arc<PartySecrets>>,
+    sid: Sid,
+    epochs: u32,
+) -> Ensemble<Envelope, Vec<BeaconEpoch>> {
+    Ensemble::new(keyring.n(), 1 << 30, all_equal, move |i| {
+        let aba = MmrAbaFactory::new(PartyId(i), keyring.n(), keyring.f(), TrustedCoinFactory);
+        RandomBeacon::new(sid.clone(), PartyId(i), keyring.clone(), secrets[i].clone(), aba, epochs)
+    })
+}
+
+/// The bench's Coin workload: the PKI of `seed`, sid `bench-coin-{seed}`.
+/// The measured, traced, determinism and socket rows all run it.
+pub fn coin_workload(n: usize, seed: u64, mode: CoreSetMode) -> Ensemble<Envelope, CoinOutput> {
+    let (keyring, secrets) = pki(n, seed);
+    coin_parties(keyring, secrets, Sid::new(&format!("bench-coin-{seed}")), mode)
+}
+
+/// The bench's setup-free ABA workload: the PKI of `seed`, sid
+/// `bench-aba-{seed}`, input `i % 2 == 0` at party `i`.
+pub fn setupfree_aba_workload(n: usize, seed: u64) -> Ensemble<Envelope, bool> {
+    let (keyring, secrets) = pki(n, seed);
+    setupfree_aba_parties(keyring, secrets, Sid::new(&format!("bench-aba-{seed}")), |i| {
+        i % 2 == 0
+    })
+}
+
+/// The bench's beacon workload: the PKI of `seed`, sid `bench-beacon-{seed}`.
+pub fn beacon_workload(n: usize, epochs: u32, seed: u64) -> Ensemble<Envelope, Vec<BeaconEpoch>> {
+    let (keyring, secrets) = pki(n, seed);
+    beacon_parties(keyring, secrets, Sid::new(&format!("bench-beacon-{seed}")), epochs)
+}
+
+/// The bench's AVSS workload: one sharing and reconstruction of a 48-byte
+/// secret dealt by `P_0`, over the PKI of `seed`.
+pub(crate) fn avss_workload(n: usize, seed: u64) -> Ensemble<AvssMessage, Vec<u8>> {
+    let (keyring, secrets) = pki(n, seed);
+    Ensemble::new(n, 1 << 26, all_equal, move |i| {
+        let input = (i == 0).then(|| vec![42u8; 48]);
+        let (sid, secrets) = (Sid::new("bench-avss"), secrets[i].clone());
+        AvssEndToEnd::new(Avss::new(sid, PartyId(i), PartyId(0), keyring.clone(), secrets, input))
+    })
+}
+
 /// Measures a single Bracha RBC with a payload of `payload` bytes.
 pub fn measure_rbc(n: usize, payload: usize, seed: u64) -> Measurement {
     let f = (n - 1) / 3;
-    let parties: Vec<BoxedParty<RbcMessage, Vec<u8>>> = (0..n)
-        .map(|i| {
-            let input = if i == 0 { Some(vec![7u8; payload]) } else { None };
-            Box::new(Rbc::new(PartyId(i), n, f, PartyId(0), input))
-                as BoxedParty<RbcMessage, Vec<u8>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 26, all_equal)
+    Ensemble::new(n, 1 << 26, all_equal, move |i| {
+        let input = (i == 0).then(|| vec![7u8; payload]);
+        Rbc::new(PartyId(i), n, f, PartyId(0), input)
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures a single AVSS (share + reconstruct) with dealer `P_0`.
 pub fn measure_avss(n: usize, seed: u64) -> Measurement {
-    measure_avss_with(n, seed, Box::new(RandomScheduler::new(seed)))
-}
-
-/// [`measure_avss`] under a caller-chosen delivery schedule (`seed` still
-/// fixes the PKI and session id, so two calls with equal arguments build
-/// byte-identical ensembles).
-pub fn measure_avss_with(n: usize, seed: u64, scheduler: Box<dyn Scheduler>) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<AvssMessage, Vec<u8>>> = (0..n)
-        .map(|i| {
-            let input = if i == 0 { Some(vec![42u8; 48]) } else { None };
-            Box::new(AvssEndToEnd::new(Avss::new(
-                Sid::new("bench-avss"),
-                PartyId(i),
-                PartyId(0),
-                keyring.clone(),
-                secrets[i].clone(),
-                input,
-            ))) as BoxedParty<AvssMessage, Vec<u8>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, scheduler);
-    finish(sim, 1 << 26, all_equal)
+    avss_workload(n, seed).measure(&Adversary::Random { seed })
 }
 
 /// Measures a single WCS instance with full input sets.
 pub fn measure_wcs(n: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
+    let (keyring, secrets) = pki(n, seed);
     let input: BTreeSet<usize> = (0..n).collect();
-    let parties: Vec<BoxedParty<WcsMessage, Vec<usize>>> = (0..n)
-        .map(|i| {
-            Box::new(WcsHarness::new(
-                Wcs::new(Sid::new("bench-wcs"), keyring.clone(), secrets[i].clone()),
-                input.clone(),
-            )) as BoxedParty<WcsMessage, Vec<usize>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 26, |_| true)
+    Ensemble::new(n, 1 << 26, |_| true, move |i| {
+        let wcs = Wcs::new(Sid::new("bench-wcs"), keyring.clone(), secrets[i].clone());
+        WcsHarness::new(wcs, input.clone())
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures a single Seeding instance led by `P_0`.
 pub fn measure_seeding(n: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<SeedingMessage, Seed>> = (0..n)
-        .map(|i| {
-            Box::new(Seeding::new(
-                Sid::new("bench-seeding"),
-                PartyId(i),
-                PartyId(0),
-                keyring.clone(),
-                secrets[i].clone(),
-            )) as BoxedParty<SeedingMessage, Seed>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 26, all_equal)
+    let (keyring, secrets) = pki(n, seed);
+    Ensemble::new(n, 1 << 26, all_equal, move |i| {
+        let sid = Sid::new("bench-seeding");
+        Seeding::new(sid, PartyId(i), PartyId(0), keyring.clone(), secrets[i].clone())
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures one instance of the paper's Coin (Alg 4) with the chosen core-set
 /// mode, and whether all honest parties agreed on the bit.
 pub fn measure_coin(n: usize, seed: u64, mode: CoreSetMode) -> Measurement {
-    measure_coin_with(n, seed, mode, Box::new(RandomScheduler::new(seed)))
-}
-
-/// [`measure_coin`] under a caller-chosen delivery schedule.
-pub fn measure_coin_with(
-    n: usize,
-    seed: u64,
-    mode: CoreSetMode,
-    scheduler: Box<dyn Scheduler>,
-) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
-        .map(|i| {
-            Box::new(Coin::with_core_mode(
-                Sid::new(&format!("bench-coin-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                mode,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .collect();
-    let sim = Simulation::new(parties, scheduler);
-    finish(sim, 1 << 28, same_bit)
+    coin_workload(n, seed, mode).measure(&Adversary::Random { seed })
 }
 
 /// Measures the CKLS02-style `n²`-AVSS baseline coin.
 pub fn measure_squared_coin(n: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, CoinOutput>> = (0..n)
-        .map(|i| {
-            Box::new(SquaredAvssCoin::new(
-                Sid::new(&format!("bench-sq-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 28, same_bit)
+    let (keyring, secrets) = pki(n, seed);
+    let sid = Sid::new(&format!("bench-sq-{seed}"));
+    Ensemble::new(n, 1 << 28, same_bit, move |i| {
+        SquaredAvssCoin::new(sid.clone(), PartyId(i), keyring.clone(), secrets[i].clone())
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures the paper's full private-setup-free ABA (every round flips the
 /// real Coin) with mixed inputs.
 pub fn measure_setupfree_aba(n: usize, seed: u64) -> Measurement {
-    measure_setupfree_aba_with(n, seed, Box::new(RandomScheduler::new(seed)))
-}
-
-/// [`measure_setupfree_aba`] under a caller-chosen delivery schedule.
-pub fn measure_setupfree_aba_with(n: usize, seed: u64, scheduler: Box<dyn Scheduler>) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, bool>> = (0..n)
-        .map(|i| {
-            let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(MmrAba::new(
-                Sid::new(&format!("bench-aba-{seed}")),
-                PartyId(i),
-                n,
-                keyring.f(),
-                i % 2 == 0,
-                factory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect();
-    let sim = Simulation::new(parties, scheduler);
-    finish(sim, 1 << 30, all_equal)
+    setupfree_aba_workload(n, seed).measure(&Adversary::Random { seed })
 }
 
 /// Measures the ABA with the idealised trusted-setup coin (the
@@ -282,20 +317,11 @@ pub fn measure_setupfree_aba_with(n: usize, seed: u64, scheduler: Box<dyn Schedu
 /// free).
 pub fn measure_trusted_aba(n: usize, seed: u64) -> Measurement {
     let f = (n - 1) / 3;
-    let parties: Vec<BoxedParty<Envelope, bool>> = (0..n)
-        .map(|i| {
-            Box::new(MmrAba::new(
-                Sid::new(&format!("bench-taba-{seed}")),
-                PartyId(i),
-                n,
-                f,
-                i % 2 == 0,
-                TrustedCoinFactory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 26, all_equal)
+    let sid = Sid::new(&format!("bench-taba-{seed}"));
+    Ensemble::new(n, 1 << 26, all_equal, move |i| {
+        MmrAba::new(sid.clone(), PartyId(i), n, f, i % 2 == 0, TrustedCoinFactory)
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures the ABA with purely local coins (the Ben-Or baseline).  Returns
@@ -303,98 +329,40 @@ pub fn measure_trusted_aba(n: usize, seed: u64) -> Measurement {
 /// larger `n` — that is the point of the comparison).
 pub fn measure_local_coin_aba(n: usize, seed: u64, budget: u64) -> Option<Measurement> {
     let f = (n - 1) / 3;
-    let parties: Vec<BoxedParty<Envelope, bool>> = (0..n)
-        .map(|i| {
-            Box::new(MmrAba::new(
-                Sid::new(&format!("bench-laba-{seed}")),
-                PartyId(i),
-                n,
-                f,
-                i % 2 == 0,
-                LocalCoinFactory::new(PartyId(i)),
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect();
-    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    let report = sim.run(budget);
-    (report.reason == StopReason::AllOutputs)
-        .then(|| measurement(&sim, report.deliveries, all_equal(&sim.outputs())))
-}
-
-/// The full setup-free Election factory used by the VBA and beacon
-/// measurements.
-#[derive(Clone)]
-pub struct FullElectionFactory {
-    me: PartyId,
-    keyring: Arc<Keyring>,
-    secrets: Arc<PartySecrets>,
-}
-
-impl FullElectionFactory {
-    /// Creates the factory for one party.
-    pub fn new(me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
-        FullElectionFactory { me, keyring, secrets }
-    }
-}
-
-impl ElectionFactory for FullElectionFactory {
-    type Instance = Election<MmrAbaFactory<CoinProtocolFactory>>;
-
-    fn create(&self, sid: Sid) -> Self::Instance {
-        let aba = MmrAbaFactory::new(
-            self.me,
-            self.keyring.n(),
-            self.keyring.f(),
-            CoinProtocolFactory::new(self.me, self.keyring.clone(), self.secrets.clone()),
-        );
-        Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-    }
+    let sid = Sid::new(&format!("bench-laba-{seed}"));
+    let (m, run) = Ensemble::new(n, budget, all_equal, move |i| {
+        MmrAba::new(sid.clone(), PartyId(i), n, f, i % 2 == 0, LocalCoinFactory::new(PartyId(i)))
+    })
+    .simulate(&Adversary::Random { seed }, |_| {});
+    (run.report.reason == StopReason::AllOutputs).then_some(m)
 }
 
 /// Measures one full setup-free Election (Alg 5) including its internal Coin
 /// and ABA (whose rounds also use the real Coin).
 pub fn measure_election(n: usize, seed: u64) -> (Measurement, Vec<ElectionOutput>) {
-    let (keyring, secrets) = keys(n, seed);
-    type E = Election<MmrAbaFactory<CoinProtocolFactory>>;
-    let parties: Vec<BoxedParty<<E as ProtocolInstance>::Message, ElectionOutput>> = (0..n)
-        .map(|i| {
-            let factory = FullElectionFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(factory.create(Sid::new(&format!("bench-elec-{seed}"))))
-                as BoxedParty<<E as ProtocolInstance>::Message, ElectionOutput>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    let (m, outputs) = run_to_outputs(sim, 1 << 30, same_leader);
+    let (keyring, secrets) = pki(n, seed);
+    let sid = Sid::new(&format!("bench-elec-{seed}"));
+    let (m, outputs) = Ensemble::new(n, 1 << 30, same_leader, move |i| {
+        let aba = setup_free_aba_factory(PartyId(i), keyring.clone(), secrets[i].clone());
+        Election::new(sid.clone(), PartyId(i), keyring.clone(), secrets[i].clone(), aba)
+    })
+    .run(&Adversary::Random { seed });
     (m, outputs.into_iter().flatten().collect())
 }
 
 /// Measures one full setup-free VBA (proposals of `payload` bytes).
 pub fn measure_vba(n: usize, payload: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    type V = Vba<FullElectionFactory, MmrAbaFactory<CoinProtocolFactory>>;
-    let parties: Vec<BoxedParty<<V as ProtocolInstance>::Message, Vec<u8>>> = (0..n)
-        .map(|i| {
-            let ef = FullElectionFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            let af = MmrAbaFactory::new(
-                PartyId(i),
-                n,
-                keyring.f(),
-                CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone()),
-            );
-            Box::new(Vba::new(
-                Sid::new(&format!("bench-vba-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                vec![i as u8; payload],
-                accept_all(),
-                ef,
-                af,
-            )) as BoxedParty<<V as ProtocolInstance>::Message, Vec<u8>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 30, all_equal)
+    let (keyring, secrets) = pki(n, seed);
+    let sid = Sid::new(&format!("bench-vba-{seed}"));
+    Ensemble::new(n, 1 << 30, all_equal, move |i| {
+        let (me, secrets) = (PartyId(i), secrets[i].clone());
+        let aba = setup_free_aba_factory(me, keyring.clone(), secrets.clone());
+        let elections =
+            ElectionProtocolFactory::new(me, keyring.clone(), secrets.clone(), aba.clone());
+        let input = vec![i as u8; payload];
+        Vba::new(sid.clone(), me, keyring.clone(), secrets, input, accept_all(), elections, aba)
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 // ---------------------------------------------------------------------------
@@ -419,21 +387,13 @@ pub fn bench_committee(n: usize, m: usize, seed: u64) -> Committee {
 pub fn measure_committee_aba(n: usize, m: usize, seed: u64) -> Measurement {
     let committee = bench_committee(n, m, seed);
     let f = (n - 1) / 3;
-    let parties: Vec<BoxedParty<Envelope, bool>> = (0..n)
-        .map(|i| {
-            Box::new(MmrAba::with_committee(
-                Sid::new(&format!("bench-caba-{seed}")),
-                PartyId(i),
-                n,
-                f,
-                i % 2 == 0,
-                TrustedCoinFactory,
-                committee.clone(),
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 28, all_equal)
+    let sid = Sid::new(&format!("bench-caba-{seed}"));
+    Ensemble::new(n, 1 << 28, all_equal, move |i| {
+        let input = i % 2 == 0;
+        let committee = committee.clone();
+        MmrAba::with_committee(sid.clone(), PartyId(i), n, f, input, TrustedCoinFactory, committee)
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures the all-to-all VBA with the trusted (zero-message) election and
@@ -441,24 +401,22 @@ pub fn measure_committee_aba(n: usize, m: usize, seed: u64) -> Measurement {
 /// [`measure_committee_vba`], isolating what committee sampling saves from
 /// what the pluggable election costs.
 pub fn measure_trusted_vba(n: usize, payload: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, Vec<u8>>> = (0..n)
-        .map(|i| {
-            let af = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-            Box::new(Vba::new(
-                Sid::new(&format!("bench-tvba-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                vec![i as u8; payload],
-                accept_all(),
-                TrustedElectionFactory::new(n),
-                af,
-            )) as BoxedParty<Envelope, Vec<u8>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 30, all_equal)
+    let (keyring, secrets) = pki(n, seed);
+    let sid = Sid::new(&format!("bench-tvba-{seed}"));
+    Ensemble::new(n, 1 << 30, all_equal, move |i| {
+        let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+        Vba::new(
+            sid.clone(),
+            PartyId(i),
+            keyring.clone(),
+            secrets[i].clone(),
+            vec![i as u8; payload],
+            accept_all(),
+            TrustedElectionFactory::new(n),
+            aba,
+        )
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures one committee-sampled VBA (trusted election + committee
@@ -467,65 +425,36 @@ pub fn measure_trusted_vba(n: usize, payload: usize, seed: u64) -> Measurement {
 /// `Decide` announcements.
 pub fn measure_committee_vba(n: usize, m: usize, payload: usize, seed: u64) -> Measurement {
     let committee = bench_committee(n, m, seed);
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, Vec<u8>>> = (0..n)
-        .map(|i| {
-            let af = MmrAbaFactory::with_committee(
-                PartyId(i),
-                n,
-                keyring.f(),
-                TrustedCoinFactory,
-                committee.clone(),
-            );
-            Box::new(Vba::with_committee(
-                Sid::new(&format!("bench-cvba-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                vec![i as u8; payload],
-                accept_all(),
-                TrustedElectionFactory::new(n),
-                af,
-                committee.clone(),
-            )) as BoxedParty<Envelope, Vec<u8>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    finish(sim, 1 << 30, all_equal)
+    let (keyring, secrets) = pki(n, seed);
+    let sid = Sid::new(&format!("bench-cvba-{seed}"));
+    Ensemble::new(n, 1 << 30, all_equal, move |i| {
+        let aba = MmrAbaFactory::with_committee(
+            PartyId(i),
+            n,
+            keyring.f(),
+            TrustedCoinFactory,
+            committee.clone(),
+        );
+        Vba::with_committee(
+            sid.clone(),
+            PartyId(i),
+            keyring.clone(),
+            secrets[i].clone(),
+            vec![i as u8; payload],
+            accept_all(),
+            TrustedElectionFactory::new(n),
+            aba,
+            committee.clone(),
+        )
+    })
+    .measure(&Adversary::Random { seed })
 }
 
 /// Measures a multi-epoch run of the DKG-free random beacon (using the
 /// trusted-coin ABA inside the per-epoch elections to keep the sweep
 /// tractable; the election itself and its Coin are the real thing).
 pub fn measure_beacon(n: usize, epochs: u32, seed: u64) -> (Measurement, Vec<BeaconEpoch>) {
-    measure_beacon_with(n, epochs, seed, Box::new(RandomScheduler::new(seed)))
-}
-
-/// [`measure_beacon`] under a caller-chosen delivery schedule.
-pub fn measure_beacon_with(
-    n: usize,
-    epochs: u32,
-    seed: u64,
-    scheduler: Box<dyn Scheduler>,
-) -> (Measurement, Vec<BeaconEpoch>) {
-    let (keyring, secrets) = keys(n, seed);
-    type B = RandomBeacon<MmrAbaFactory<TrustedCoinFactory>>;
-    let parties: Vec<BoxedParty<<B as ProtocolInstance>::Message, Vec<BeaconEpoch>>> = (0..n)
-        .map(|i| {
-            let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-            Box::new(RandomBeacon::new(
-                Sid::new(&format!("bench-beacon-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                aba,
-                epochs,
-            )) as BoxedParty<<B as ProtocolInstance>::Message, Vec<BeaconEpoch>>
-        })
-        .collect();
-    let sim = Simulation::new(parties, scheduler);
-    // Every party must report the same whole history, as over sockets.
-    let (m, outputs) = run_to_outputs(sim, 1 << 30, all_equal);
+    let (m, outputs) = beacon_workload(n, epochs, seed).run(&Adversary::Random { seed });
     (m, outputs.into_iter().flatten().next().unwrap_or_default())
 }
 
@@ -536,8 +465,8 @@ pub fn measure_beacon_with(
 
 /// Summarises a [`ShardedRunReport`] into the common [`Measurement`] shape
 /// (aggregate = per-session sums; `agreed` = per-session output agreement).
-/// Panics unless every session terminated, as [`finish`] does for a single
-/// simulation.
+/// Panics unless every session terminated, as [`Ensemble::run`] does for a
+/// single simulation.
 fn summarize_sharded<O: PartialEq + Clone + std::fmt::Debug>(
     n: usize,
     report: &ShardedRunReport<O>,
@@ -560,34 +489,9 @@ fn summarize_sharded<O: PartialEq + Clone + std::fmt::Debug>(
     }
 }
 
-/// Builds one full setup-free ABA session for [`measure_sharded_abas`]:
-/// session `s` over its own scheduler seeded by `(seed, s)`, with input
-/// `(i + s) % 2 == 0` at party `i`, so every session has mixed inputs.
-fn sharded_aba_session(
-    n: usize,
-    s: usize,
-    seed: u64,
-    keyring: &Arc<Keyring>,
-    secrets: &[Arc<PartySecrets>],
-) -> SessionSetup<Envelope, bool> {
-    let parties: Vec<BoxedParty<Envelope, bool>> = (0..n)
-        .map(|i| {
-            let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(MmrAba::new(
-                Sid::new(&format!("bench-kaba-{seed}-{s}")),
-                PartyId(i),
-                n,
-                keyring.f(),
-                (i + s).is_multiple_of(2),
-                factory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect();
-    SessionSetup::new(
-        parties,
-        Box::new(RandomScheduler::new(seed.wrapping_add((s as u64).wrapping_mul(0x9e37_79b9)))),
-        1 << 30,
-    )
+/// The scheduler of sharded session `s`, seeded by `(seed, s)`.
+fn session_scheduler(seed: u64, s: usize) -> Box<RandomScheduler> {
+    Box::new(RandomScheduler::new(seed.wrapping_add((s as u64).wrapping_mul(0x9e37_79b9))))
 }
 
 /// Measures `k` concurrent full setup-free ABA sessions (every round of
@@ -595,10 +499,16 @@ fn sharded_aba_session(
 /// workload studied for concurrent asynchronous BA (Cohen et al.,
 /// arXiv:2312.14506): sessions partitioned across `workers` shards, one OS
 /// thread per shard, each session with its own scheduler/slab/budget/metrics.
+/// Session `s` runs under sid `bench-kaba-{seed}-{s}` with input
+/// `(i + s) % 2 == 0` at party `i`, so every session has mixed inputs.
 pub fn measure_sharded_abas(n: usize, k: usize, workers: usize, seed: u64) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = ShardedHost::new(workers, k, move |s| {
-        sharded_aba_session(n, s, seed, &keyring, &secrets)
+    let (keyring, secrets) = pki(n, seed);
+    let report = ShardedHost::new(workers, k, move |s: usize| {
+        let sid = Sid::new(&format!("bench-kaba-{seed}-{s}"));
+        let aba = setupfree_aba_parties(keyring.clone(), secrets.clone(), sid, move |i| {
+            (i + s).is_multiple_of(2)
+        });
+        SessionSetup::new(aba.parties(), session_scheduler(seed, s), aba.budget)
     })
     .run_parallel();
     summarize_sharded(n, &report)
@@ -616,7 +526,7 @@ pub fn measure_sharded_pipelined_beacon(
     window: usize,
     seed: u64,
 ) -> Measurement {
-    let (keyring, secrets) = keys(n, seed);
+    let (keyring, secrets) = pki(n, seed);
     let host = ShardedHost::new(workers, epochs, move |e| {
         let parties: Vec<BoxedParty<Envelope, ElectionOutput>> = (0..n)
             .map(|i| {
@@ -630,11 +540,7 @@ pub fn measure_sharded_pipelined_beacon(
                 )) as BoxedParty<Envelope, ElectionOutput>
             })
             .collect::<Vec<_>>();
-        SessionSetup::new(
-            parties,
-            Box::new(RandomScheduler::new(seed.wrapping_add((e as u64).wrapping_mul(0x9e37_79b9)))),
-            1 << 30,
-        )
+        SessionSetup::new(parties, session_scheduler(seed, e), 1 << 30)
     })
     .with_admission(MaxConcurrent(window));
     let report = host.run_parallel();
@@ -659,8 +565,7 @@ pub mod determinism {
     use setupfree_testkit::Adversary;
 
     use super::{
-        measure_avss_with, measure_beacon_with, measure_coin_with, measure_setupfree_aba_with,
-        Measurement,
+        avss_workload, beacon_workload, coin_workload, setupfree_aba_workload, Measurement,
     };
 
     /// The metrics a determinism cell pins seed-for-seed: the paper's three
@@ -712,10 +617,10 @@ pub mod determinism {
     pub fn run_cell(protocol: &str, n: usize, adversary: &Adversary) -> Measurement {
         let seed = 0xD00 + n as u64;
         match protocol {
-            "coin" => measure_coin_with(n, seed, CoreSetMode::Weak, adversary.scheduler()),
-            "avss" => measure_avss_with(n, seed, adversary.scheduler()),
-            "beacon" => measure_beacon_with(n, 2, seed, adversary.scheduler()).0,
-            "aba" => measure_setupfree_aba_with(n, seed, adversary.scheduler()),
+            "coin" => coin_workload(n, seed, CoreSetMode::Weak).measure(adversary),
+            "avss" => avss_workload(n, seed).measure(adversary),
+            "beacon" => beacon_workload(n, 2, seed).measure(adversary),
+            "aba" => setupfree_aba_workload(n, seed).measure(adversary),
             other => panic!("unknown determinism protocol {other:?}"),
         }
     }
@@ -754,128 +659,32 @@ pub struct SocketMeasurement {
     pub redials: u64,
 }
 
-fn socket_group(
-    n: usize,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> setupfree_transport::TcpPeerGroup {
-    // Generous deadline: these runs finish in well under a minute even at
-    // n = 22 on one core; the deadline only exists so a regression terminates
-    // with a recorded failure instead of hanging the bench.
-    let group =
-        setupfree_transport::TcpPeerGroup::new(n).timeout(std::time::Duration::from_secs(240));
-    match plan {
-        Some(plan) => group.chaos(plan.clone()),
-        None => group,
+impl<O: Clone + std::fmt::Debug + Send> Ensemble<Envelope, O> {
+    /// Runs the ensemble over `n` loopback TCP peers, under `plan`'s link
+    /// faults when one is given, so clean and chaos rows run the same
+    /// machines.  A party that never decides is recorded, not a panic.
+    pub fn over_sockets(self, plan: Option<&LinkFaultPlan>) -> SocketMeasurement {
+        // Generous deadline: these runs finish in well under a minute even at
+        // n = 22 on one core; the deadline only exists so a regression
+        // terminates with a recorded failure instead of hanging the bench.
+        let mut group = TcpPeerGroup::new(self.n).timeout(Duration::from_secs(240));
+        if let Some(plan) = plan {
+            group = group.chaos(plan.clone());
+        }
+        let report = group.run(&self.party).expect("loopback socket setup");
+        SocketMeasurement {
+            n: self.n,
+            f: (self.n - 1) / 3,
+            wall_ms: report.wall.as_secs_f64() * 1e3,
+            sent_envelopes: report.total_sent_envelopes(),
+            sent_bytes: report.total_sent_bytes(),
+            agreed: report.all_decided() && (self.agreed)(&report.outputs),
+            failure: report.failure.as_ref().map(|f| f.to_string()),
+            drops_injected: report.total_drops_injected(),
+            retransmitted: report.total_retransmitted(),
+            redials: report.total_redials(),
+        }
     }
-}
-
-fn socket_measurement<O: PartialEq>(
-    n: usize,
-    report: &setupfree_transport::SocketRunReport<O>,
-) -> SocketMeasurement {
-    SocketMeasurement {
-        n,
-        f: (n - 1) / 3,
-        wall_ms: report.wall.as_secs_f64() * 1e3,
-        sent_envelopes: report.total_sent_envelopes(),
-        sent_bytes: report.total_sent_bytes(),
-        agreed: report.all_decided() && report.agreed(),
-        failure: report.failure.as_ref().map(|f| f.to_string()),
-        drops_injected: report.total_drops_injected(),
-        retransmitted: report.total_retransmitted(),
-        redials: report.total_redials(),
-    }
-}
-
-/// Runs the private-setup-free common coin over `n` socket-backed peers.
-pub fn measure_socket_coin(n: usize, seed: u64) -> SocketMeasurement {
-    measure_socket_coin_chaos(n, seed, None)
-}
-
-/// [`measure_socket_coin`] with an optional
-/// [`LinkFaultPlan`](setupfree_transport::LinkFaultPlan) underneath —
-/// the clean-vs-chaos comparison rows of `perf_baseline` run the *same*
-/// machines through both.
-pub fn measure_socket_coin_chaos(
-    n: usize,
-    seed: u64,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> SocketMeasurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
-        .run(|i| {
-            Box::new(Coin::with_core_mode(
-                Sid::new(&format!("socket-coin-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                CoreSetMode::Weak,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .expect("loopback socket setup");
-    let mut m = socket_measurement(n, &report);
-    m.agreed = report.all_decided() && same_bit(&report.outputs);
-    m
-}
-
-/// Runs the full setup-free ABA (real coin inside) over `n` socket peers.
-pub fn measure_socket_aba(n: usize, seed: u64) -> SocketMeasurement {
-    measure_socket_aba_chaos(n, seed, None)
-}
-
-/// [`measure_socket_aba`] over an optionally chaos-shaped mesh.
-pub fn measure_socket_aba_chaos(
-    n: usize,
-    seed: u64,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> SocketMeasurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
-        .run(|i| {
-            let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(MmrAba::new(
-                Sid::new(&format!("socket-aba-{seed}")),
-                PartyId(i),
-                n,
-                keyring.f(),
-                i % 2 == 0,
-                factory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .expect("loopback socket setup");
-    socket_measurement(n, &report)
-}
-
-/// Runs the full randomness beacon (`epochs` sequential elections, real
-/// Election + Coin per epoch) over `n` socket peers — the same construction
-/// as [`measure_beacon`], so the simulated and socket rows are directly
-/// comparable.
-pub fn measure_socket_beacon(n: usize, epochs: u32, seed: u64) -> SocketMeasurement {
-    measure_socket_beacon_chaos(n, epochs, seed, None)
-}
-
-/// [`measure_socket_beacon`] over an optionally chaos-shaped mesh.
-pub fn measure_socket_beacon_chaos(
-    n: usize,
-    epochs: u32,
-    seed: u64,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> SocketMeasurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
-        .run(|i| {
-            let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-            Box::new(RandomBeacon::new(
-                Sid::new(&format!("socket-beacon-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                aba,
-                epochs,
-            )) as BoxedParty<Envelope, Vec<BeaconEpoch>>
-        })
-        .expect("loopback socket setup");
-    socket_measurement(n, &report)
 }
 
 /// Fits the slope of `log(value)` against `log(n)` — the empirical scaling

@@ -12,17 +12,13 @@
 
 use std::time::{Duration, Instant};
 
-use setupfree_aba::{MmrAba, MmrAbaFactory};
-use setupfree_app::beacon::RandomBeacon;
-use setupfree_core::coin::{Coin, CoinOutput, CoinProtocolFactory, CoreSetMode};
-use setupfree_core::TrustedCoinFactory;
-use setupfree_net::{
-    BoxedParty, Envelope, PartyId, RandomScheduler, Sid, Simulation, StopReason,
-};
+use setupfree_core::coin::CoreSetMode;
+use setupfree_net::{Envelope, Simulation, StopReason};
 use setupfree_obs::analysis::aba_rounds_to_decide;
 use setupfree_obs::{ObsPath, TraceEvent, VecSink};
+use setupfree_testkit::Adversary;
 
-use crate::{all_equal, keys, measurement, same_bit, Measurement};
+use crate::{beacon_workload, coin_workload, setupfree_aba_workload, Ensemble, Measurement};
 
 /// One traced execution: the usual metrics plus the recorded event stream.
 pub struct TracedRun {
@@ -32,90 +28,42 @@ pub struct TracedRun {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Drives `parties` to completion with a [`VecSink`] installed and the
-/// envelope-path classifier wired, so sends are attributed to destination
-/// instance paths; `agreed` judges every party's output.
-fn run_traced<O: Clone + std::fmt::Debug>(
-    parties: Vec<BoxedParty<Envelope, O>>,
-    seed: u64,
-    budget: u64,
-    agreed: impl Fn(&[Option<O>]) -> bool,
-) -> TracedRun {
-    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    sim.set_trace_path_of(|e: &Envelope| ObsPath::from_bytes(e.path.as_bytes()));
-    setupfree_obs::install(Box::new(VecSink::new()));
-    let report = sim.run(budget);
-    let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
-    assert_eq!(report.reason, StopReason::AllOutputs, "traced run did not terminate");
-    TracedRun {
-        measurement: measurement(&sim, report.deliveries, agreed(&sim.outputs())),
-        trace,
+impl<O: Clone + std::fmt::Debug + 'static> Ensemble<Envelope, O> {
+    /// [`Ensemble::run`] with a [`VecSink`] installed and the envelope-path
+    /// classifier wired, so sends are attributed to destination instance
+    /// paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the budget runs out before every honest party outputs.
+    pub(crate) fn trace(self, adversary: &Adversary) -> TracedRun {
+        let (measurement, run) = self.simulate(adversary, |sim| {
+            sim.set_trace_path_of(|e: &Envelope| ObsPath::from_bytes(e.path.as_bytes()));
+            setupfree_obs::install(Box::new(VecSink::new()));
+        });
+        let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
+        run.assert_termination();
+        TracedRun { measurement, trace }
     }
-}
-
-fn coin_parties(n: usize, seed: u64) -> Vec<BoxedParty<Envelope, CoinOutput>> {
-    let (keyring, secrets) = keys(n, seed);
-    (0..n)
-        .map(|i| {
-            Box::new(Coin::with_core_mode(
-                Sid::new(&format!("bench-coin-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                CoreSetMode::Weak,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .collect()
-}
-
-fn aba_parties(n: usize, seed: u64) -> Vec<BoxedParty<Envelope, bool>> {
-    let (keyring, secrets) = keys(n, seed);
-    (0..n)
-        .map(|i| {
-            let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(MmrAba::new(
-                Sid::new(&format!("bench-aba-{seed}")),
-                PartyId(i),
-                n,
-                keyring.f(),
-                i % 2 == 0,
-                factory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .collect()
 }
 
 /// Traces one instance of the paper's Coin (weak core-set mode) — the same
 /// workload as [`crate::measure_coin`].
 pub fn trace_coin(n: usize, seed: u64) -> TracedRun {
-    run_traced(coin_parties(n, seed), seed, 1 << 28, same_bit)
+    coin_workload(n, seed, CoreSetMode::Weak).trace(&Adversary::Random { seed })
 }
 
 /// Traces one full setup-free ABA (real coin per round) — the same workload
 /// as [`crate::measure_setupfree_aba`], seed-for-seed.
 pub fn trace_setupfree_aba(n: usize, seed: u64) -> TracedRun {
-    run_traced(aba_parties(n, seed), seed, 1 << 30, all_equal)
+    setupfree_aba_workload(n, seed).trace(&Adversary::Random { seed })
 }
 
 /// Traces a multi-epoch beacon run (real Election + Coin per epoch,
 /// trusted-coin ABA inside) — the same workload as
 /// [`crate::measure_beacon`].
 pub fn trace_beacon(n: usize, epochs: u32, seed: u64) -> TracedRun {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, Vec<setupfree_app::beacon::BeaconEpoch>>> = (0..n)
-        .map(|i| {
-            let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-            Box::new(RandomBeacon::new(
-                Sid::new(&format!("bench-beacon-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                aba,
-                epochs,
-            )) as BoxedParty<Envelope, Vec<setupfree_app::beacon::BeaconEpoch>>
-        })
-        .collect();
-    run_traced(parties, seed, 1 << 30, all_equal)
+    beacon_workload(n, epochs, seed).trace(&Adversary::Random { seed })
 }
 
 /// The three tracing configurations the overhead gate compares.
@@ -136,8 +84,8 @@ pub enum OverheadArm {
 /// arms (tracing observes, never steers), and the wall-clock ratio between
 /// arms is what the overhead test bounds.
 pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64, u64) {
-    let parties = aba_parties(n, seed);
-    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
+    let aba = setupfree_aba_workload(n, seed);
+    let mut sim = Simulation::new(aba.parties(), Adversary::Random { seed }.scheduler());
     let counted = match arm {
         OverheadArm::Plain => None,
         OverheadArm::DisabledSink => {
@@ -152,7 +100,7 @@ pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64
         }
     };
     let start = Instant::now();
-    let report = sim.run(1 << 30);
+    let report = sim.run(aba.budget);
     let wall = start.elapsed();
     let events = counted.map(|c| c.get()).unwrap_or(0);
     setupfree_obs::uninstall();

@@ -780,12 +780,6 @@ impl crate::traits::CoinFactory for CoinProtocolFactory {
     }
 }
 
-impl crate::traits::HasParty for CoinProtocolFactory {
-    fn party(&self) -> PartyId {
-        self.me
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,7 +31,7 @@ use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::Gather;
 
 use crate::coin::Coin;
-use crate::traits::AbaFactory;
+use crate::traits::{AbaFactory, ElectionFactory};
 
 /// Path kind of the embedded Coin.
 pub const K_COIN: u8 = 0;
@@ -299,5 +299,31 @@ impl<F: AbaFactory> ProtocolInstance for Election<F> {
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
         self.coin.pre_activation_stats().merge(self.rbcs.stats()).merge(self.aba.stats())
+    }
+}
+
+/// Factory producing full [`Election`] instances for a fixed party — the
+/// paper's leader election, pluggable into any VBA via [`ElectionFactory`];
+/// each instance runs its single binary agreement from `aba`.
+#[derive(Debug, Clone)]
+pub struct ElectionProtocolFactory<A: AbaFactory + Clone> {
+    me: PartyId,
+    keyring: Arc<Keyring>,
+    secrets: Arc<PartySecrets>,
+    aba: A,
+}
+
+impl<A: AbaFactory + Clone> ElectionProtocolFactory<A> {
+    /// Creates a factory for party `me` whose elections agree through `aba`.
+    pub fn new(me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>, aba: A) -> Self {
+        ElectionProtocolFactory { me, keyring, secrets, aba }
+    }
+}
+
+impl<A: AbaFactory + Clone> ElectionFactory for ElectionProtocolFactory<A> {
+    type Instance = Election<A>;
+
+    fn create(&self, sid: Sid) -> Election<A> {
+        Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), self.aba.clone())
     }
 }

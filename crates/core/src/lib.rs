@@ -32,6 +32,6 @@ pub mod trusted;
 
 pub use coin::{Coin, CoinMessage, CoinOutput};
 pub use committee::{worst_committee_seed, Committee, CommitteeConfig};
-pub use election::{Election, ElectionOutput};
+pub use election::{Election, ElectionOutput, ElectionProtocolFactory};
 pub use traits::{AbaFactory, CoinFactory, ElectionFactory};
 pub use trusted::{TrustedCoin, TrustedCoinFactory, TrustedElection, TrustedElectionFactory};

@@ -14,7 +14,7 @@
 //! envelopes directly; message-typed leaf protocols (the trusted coin, the
 //! local-coin baseline) are adapted with [`Leaf`](setupfree_net::Leaf).
 
-use setupfree_net::{Envelope, PartyId, ProtocolInstance, Sid, Step};
+use setupfree_net::{Envelope, ProtocolInstance, Sid, Step};
 
 use crate::coin::CoinOutput;
 use crate::election::ElectionOutput;
@@ -67,13 +67,4 @@ pub trait ElectionFactory {
     /// Creates an election instance with session identifier `sid` for this
     /// party.
     fn create(&self, sid: Sid) -> Self::Instance;
-}
-
-/// Identifies the local party for factories that need it.
-///
-/// Implemented by all factories in this workspace; exposed as a trait so
-/// higher-level protocols can be written against any factory implementation.
-pub trait HasParty {
-    /// The local party this factory builds instances for.
-    fn party(&self) -> PartyId;
 }

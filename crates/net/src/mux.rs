@@ -1203,4 +1203,25 @@ mod tests {
             prop_assert_eq!(rest, path);
         }
     }
+
+    proptest! {
+        // Enough cases that every depth from 0 to MAX_PATH_SEGMENTS comes up.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `setupfree_obs::ObsPath` keeps its own copy of this layout, so
+        /// that `obs` need not depend on this crate; this pins the copy.
+        #[test]
+        fn prop_obs_path_mirrors_the_instance_path(path in arb_path()) {
+            let obs = setupfree_obs::ObsPath::from_bytes(path.as_bytes());
+            prop_assert_eq!(obs.as_bytes(), path.as_bytes());
+            let segments: Vec<(u8, u16)> = path.segments().map(|s| (s.kind, s.index)).collect();
+            prop_assert_eq!(obs.segments().collect::<Vec<_>>(), segments.clone());
+            // A tracing span descends as routing does, one segment at a time.
+            let mut pushed = setupfree_obs::ObsPath::ROOT;
+            for (kind, index) in segments {
+                pushed.push_back(kind, index);
+            }
+            prop_assert_eq!(pushed, obs);
+        }
+    }
 }

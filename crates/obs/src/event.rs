@@ -15,7 +15,9 @@ const SEG_BYTES: usize = 3;
 /// `setupfree-net`) so the dependency points the right way: the net crate —
 /// and every protocol crate above it — emits *into* obs.  The byte layout is
 /// identical to `InstancePath::as_bytes`, so a path crosses the boundary
-/// with a plain [`ObsPath::from_bytes`].
+/// with a plain [`ObsPath::from_bytes`]; a property test beside
+/// `InstancePath` (`prop_obs_path_mirrors_the_instance_path`) pins the
+/// copy.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObsPath {
     len: u8,

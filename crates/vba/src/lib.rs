@@ -610,31 +610,10 @@ pub type VbaElectionOutput = ElectionOutput;
 mod tests {
     use super::*;
     use setupfree_aba::MmrAbaFactory;
-    use setupfree_core::election::Election;
+    use setupfree_core::election::ElectionProtocolFactory;
     use setupfree_core::TrustedCoinFactory;
     use setupfree_crypto::generate_pki;
     use setupfree_net::{BoxedParty, FifoScheduler, RandomScheduler, Simulation, StopReason};
-
-    /// Election factory over the full Coin but with the idealised ABA-coin:
-    /// the real Election (Alg 5) with the real internal Coin, where the
-    /// internal ABA uses the trusted coin to keep unit tests fast.  The full
-    /// "everything setup-free" stack is exercised in the workspace
-    /// integration tests.
-    #[derive(Clone)]
-    struct TestElectionFactory {
-        me: PartyId,
-        keyring: Arc<Keyring>,
-        secrets: Arc<PartySecrets>,
-    }
-
-    impl ElectionFactory for TestElectionFactory {
-        type Instance = Election<MmrAbaFactory<TrustedCoinFactory>>;
-
-        fn create(&self, sid: Sid) -> Self::Instance {
-            let aba = MmrAbaFactory::new(self.me, self.keyring.n(), self.keyring.f(), TrustedCoinFactory);
-            Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-        }
-    }
 
 
     fn make_parties(
@@ -648,12 +627,17 @@ mod tests {
         let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
         (0..n)
             .map(|i| {
-                let ef = TestElectionFactory {
-                    me: PartyId(i),
-                    keyring: keyring.clone(),
-                    secrets: secrets[i].clone(),
-                };
+                // The real Election (Alg 5) with its real internal Coin; its
+                // ABAs use the trusted coin to keep unit tests fast.  The full
+                // "everything setup-free" stack is exercised in the workspace
+                // integration tests.
                 let af = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+                let ef = ElectionProtocolFactory::new(
+                    PartyId(i),
+                    keyring.clone(),
+                    secrets[i].clone(),
+                    af.clone(),
+                );
                 Box::new(Vba::new(
                     Sid::new("vba"),
                     PartyId(i),

@@ -9,40 +9,26 @@ use std::sync::Arc;
 
 use setupfree::prelude::*;
 
-/// Election factory for the VBA inside the ADKG.  The per-round election runs
-/// the real Coin; its internal ABA uses the trusted coin to keep the example
-/// fast (swap in `setup_free_aba_factory` for the fully setup-free stack).
-#[derive(Clone)]
-struct DemoElectionFactory {
-    me: PartyId,
-    keyring: Arc<Keyring>,
-    secrets: Arc<PartySecrets>,
-}
-
-impl ElectionFactory for DemoElectionFactory {
-    type Instance = Election<MmrAbaFactory<TrustedCoinFactory>>;
-
-    fn create(&self, sid: Sid) -> Self::Instance {
-        let aba = MmrAbaFactory::new(self.me, self.keyring.n(), self.keyring.f(), TrustedCoinFactory);
-        Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-    }
-}
-
 fn main() {
     let n = 4;
     let (keyring, secrets) = generate_pki(n, 2718);
     let keyring = Arc::new(keyring);
     let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
 
-    type DemoAdkg = Adkg<DemoElectionFactory, MmrAbaFactory<TrustedCoinFactory>>;
+    // The VBA inside the ADKG elects each round's leader with the real Coin;
+    // its ABAs use the trusted coin to keep the example fast (swap in
+    // `setup_free_aba_factory` for the fully setup-free stack).
+    type DemoAba = MmrAbaFactory<TrustedCoinFactory>;
+    type DemoAdkg = Adkg<ElectionProtocolFactory<DemoAba>, DemoAba>;
     let parties: Vec<BoxedParty<<DemoAdkg as ProtocolInstance>::Message, AdkgOutput>> = (0..n)
         .map(|i| {
-            let ef = DemoElectionFactory {
-                me: PartyId(i),
-                keyring: keyring.clone(),
-                secrets: secrets[i].clone(),
-            };
             let af = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+            let ef = ElectionProtocolFactory::new(
+                PartyId(i),
+                keyring.clone(),
+                secrets[i].clone(),
+                af.clone(),
+            );
             Box::new(Adkg::new(
                 Sid::new("example-adkg"),
                 PartyId(i),

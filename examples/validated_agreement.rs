@@ -11,23 +11,6 @@ use setupfree::prelude::*;
 use setupfree_aba::MmrAbaFactory;
 use setupfree_core::coin::CoinProtocolFactory;
 
-/// The full setup-free election used by the VBA rounds.
-#[derive(Clone)]
-struct FullElectionFactory {
-    me: PartyId,
-    keyring: Arc<Keyring>,
-    secrets: Arc<PartySecrets>,
-}
-
-impl ElectionFactory for FullElectionFactory {
-    type Instance = Election<MmrAbaFactory<CoinProtocolFactory>>;
-
-    fn create(&self, sid: Sid) -> Self::Instance {
-        let aba = setup_free_aba_factory(self.me, self.keyring.clone(), self.secrets.clone());
-        Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-    }
-}
-
 fn main() {
     let n = 4;
     let (keyring, secrets) = generate_pki(n, 512);
@@ -38,7 +21,10 @@ fn main() {
     // at least one transaction.
     let predicate: Predicate = Arc::new(|v: &[u8]| v.first() == Some(&0xB1) && v.len() > 1);
 
-    type FullVba = Vba<FullElectionFactory, MmrAbaFactory<CoinProtocolFactory>>;
+    // The full setup-free stack: the VBA's elections and vote-ABAs all run
+    // ABAs whose rounds flip the real Coin.
+    type FullAba = MmrAbaFactory<CoinProtocolFactory>;
+    type FullVba = Vba<ElectionProtocolFactory<FullAba>, FullAba>;
     let parties: Vec<BoxedParty<<FullVba as ProtocolInstance>::Message, Vec<u8>>> = (0..n)
         .map(|i| {
             let batch = {
@@ -46,12 +32,13 @@ fn main() {
                 b.extend_from_slice(format!("txs-from-replica-{i}").as_bytes());
                 b
             };
-            let ef = FullElectionFactory {
-                me: PartyId(i),
-                keyring: keyring.clone(),
-                secrets: secrets[i].clone(),
-            };
             let af = setup_free_aba_factory(PartyId(i), keyring.clone(), secrets[i].clone());
+            let ef = ElectionProtocolFactory::new(
+                PartyId(i),
+                keyring.clone(),
+                secrets[i].clone(),
+                af.clone(),
+            );
             Box::new(Vba::new(
                 Sid::new("example-vba"),
                 PartyId(i),

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
     pub use setupfree_avss::{Avss, AvssMessage};
     pub use setupfree_core::coin::{Coin, CoinMessage, CoinOutput, CoinProtocolFactory, CoreSetMode};
-    pub use setupfree_core::election::{Election, ElectionOutput};
+    pub use setupfree_core::election::{Election, ElectionOutput, ElectionProtocolFactory};
     pub use setupfree_core::traits::{AbaFactory, CoinFactory, ElectionFactory};
     pub use setupfree_core::{TrustedCoin, TrustedCoinFactory};
     pub use setupfree_crypto::{generate_pki, generate_pki_with_malicious, Keyring, PartySecrets};

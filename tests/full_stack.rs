@@ -177,21 +177,8 @@ fn vba_full_stack_external_validity_and_agreement() {
     let (keyring, secrets) = keys(n, 6);
     let predicate: Predicate = Arc::new(|v: &[u8]| !v.is_empty() && v[0] == 0x7a);
 
-    #[derive(Clone)]
-    struct Ef {
-        me: PartyId,
-        keyring: Arc<Keyring>,
-        secrets: Arc<PartySecrets>,
-    }
-    impl ElectionFactory for Ef {
-        type Instance = FullElection;
-        fn create(&self, sid: Sid) -> FullElection {
-            let aba = setup_free_aba_factory(self.me, self.keyring.clone(), self.secrets.clone());
-            Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-        }
-    }
-
-    type FullVba = Vba<Ef, MmrAbaFactory<CoinProtocolFactory>>;
+    type FullAba = MmrAbaFactory<CoinProtocolFactory>;
+    type FullVba = Vba<ElectionProtocolFactory<FullAba>, FullAba>;
     type VbaMsg = <FullVba as ProtocolInstance>::Message;
     let inputs: Vec<Vec<u8>> = (0..n).map(|i| vec![0x7a, i as u8]).collect();
     let runs = assert_agreement_sweep(&Adversary::random_sweep(3), 1 << 30, |adv| {
@@ -199,12 +186,13 @@ fn vba_full_stack_external_validity_and_agreement() {
         let parties = (0..n)
             .map(PartyId)
             .map(|i| {
-                let ef = Ef {
-                    me: i,
-                    keyring: keyring.clone(),
-                    secrets: secrets[i.index()].clone(),
-                };
                 let af = setup_free_aba_factory(i, keyring.clone(), secrets[i.index()].clone());
+                let ef = ElectionProtocolFactory::new(
+                    i,
+                    keyring.clone(),
+                    secrets[i.index()].clone(),
+                    af.clone(),
+                );
                 Box::new(Vba::new(
                     sid.clone(),
                     i,

@@ -6,7 +6,10 @@
 //! floods a listener with `Decide`s.  Bracha's rule (each sender's first
 //! vote counts) bounds what an instance keeps to one value per sender and
 //! vote kind, so the live heap the flood leaves behind must not grow with
-//! K.  The honest parties must still decide afterwards.  A child-GC beacon
+//! K.  The honest parties must still decide afterwards.  An ABA is flooded
+//! with `BVal`s and `Aux`es for K distinct rounds: it drops rounds at or
+//! past its 64-round cap, and each kept round holds at most n senders per
+//! set.  A child-GC beacon
 //! is flooded with `Done` acknowledgements for K distinct epochs: it keeps
 //! one "acknowledged up to" counter per sender, so its heap must not grow
 //! either (its liveness under a Byzantine acknowledger is
@@ -21,7 +24,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use setupfree_aba::MmrAbaFactory;
+use setupfree_aba::{AbaMessage, MmrAba, MmrAbaFactory};
 use setupfree_app::beacon::{BeaconMessage, RandomBeacon};
 use setupfree_avss::harness::AvssEndToEnd;
 use setupfree_avss::{Avss, AvssMessage};
@@ -307,6 +310,36 @@ fn a_vba_decide_flood_leaves_a_listener_bounded_state() {
         grown
     });
     assert_bounded("vba decide", growth);
+}
+
+#[test]
+fn an_aba_vote_flood_leaves_bounded_state() {
+    let vote = |msg: AbaMessage| Envelope::seal(InstancePath::root(), &msg);
+    let growth = growth_per_flood(|k| {
+        let mut net = Net::activate(
+            (0..N)
+                .map(|i| {
+                    (i != FLOODER).then(|| {
+                        let (sid, input) = (Sid::new("aba-flood"), i % 2 == 0);
+                        MmrAba::new(sid, PartyId(i), N, 1, input, TrustedCoinFactory)
+                    })
+                })
+                .collect(),
+        );
+        let before = live();
+        for j in 0..k {
+            let (round, value) = (j as u32, j % 2 == 1);
+            net.flood(vote(AbaMessage::BVal { round, value }));
+            net.flood(vote(AbaMessage::Aux { round, value }));
+        }
+        net.flood(vote(AbaMessage::Finish { value: true }));
+        let grown = live() - before;
+        net.run();
+        let decided = net.outputs();
+        assert!(decided.windows(2).all(|w| w[0] == w[1]), "honest parties agree: {decided:?}");
+        grown
+    });
+    assert_bounded("aba votes", growth);
 }
 
 #[test]

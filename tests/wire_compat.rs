@@ -127,23 +127,10 @@ fn vba_messages_survive_the_envelope() {
     let n = 4;
     let (keyring, secrets) = keys(n, 74);
 
-    #[derive(Clone)]
-    struct Ef {
-        me: PartyId,
-        keyring: Arc<Keyring>,
-        secrets: Arc<PartySecrets>,
-    }
-    impl ElectionFactory for Ef {
-        type Instance = Election<MmrAbaFactory<TrustedCoinFactory>>;
-        fn create(&self, sid: Sid) -> Self::Instance {
-            let aba = MmrAbaFactory::new(self.me, self.keyring.n(), self.keyring.f(), TrustedCoinFactory);
-            Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-        }
-    }
-
     let mk = |i: usize| {
-        let ef = Ef { me: PartyId(i), keyring: keyring.clone(), secrets: secrets[i].clone() };
         let af = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+        let ef =
+            ElectionProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone(), af.clone());
         Vba::new(
             Sid::new("wc-vba"),
             PartyId(i),
@@ -200,23 +187,10 @@ fn adkg_messages_survive_the_envelope() {
     let n = 4;
     let (keyring, secrets) = keys(n, 75);
 
-    #[derive(Clone)]
-    struct Ef {
-        me: PartyId,
-        keyring: Arc<Keyring>,
-        secrets: Arc<PartySecrets>,
-    }
-    impl ElectionFactory for Ef {
-        type Instance = Election<MmrAbaFactory<TrustedCoinFactory>>;
-        fn create(&self, sid: Sid) -> Self::Instance {
-            let aba = MmrAbaFactory::new(self.me, self.keyring.n(), self.keyring.f(), TrustedCoinFactory);
-            Election::new(sid, self.me, self.keyring.clone(), self.secrets.clone(), aba)
-        }
-    }
-
     let mk = |i: usize| {
-        let ef = Ef { me: PartyId(i), keyring: keyring.clone(), secrets: secrets[i].clone() };
         let af = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+        let ef =
+            ElectionProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone(), af.clone());
         Adkg::new(Sid::new("wc-adkg"), PartyId(i), keyring.clone(), secrets[i].clone(), ef, af)
     };
     exercise("adkg", mk(0), mk(1));
