@@ -325,9 +325,9 @@ impl<F: CoinFactory> MmrAba<F> {
     }
 
     /// Pokes every live coin other than `round` through the factory:
-    /// rounds share the first round's seed store, so traffic processed by
-    /// one round's coin can publish seeds that unblock siblings whose own
-    /// traffic never arrives.
+    /// later rounds read the seed pool the first round's coin hosts, so
+    /// traffic processed by that coin can publish seeds that unblock
+    /// siblings whose own traffic never arrives.
     fn poke_sibling_coins(&mut self, round: u32) -> Step<Envelope> {
         let live: Vec<usize> =
             self.coins.iter().map(|(i, _)| i).filter(|&i| i != round as usize).collect();

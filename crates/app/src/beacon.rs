@@ -12,9 +12,16 @@
 //! [`K_ELECTION`], keyed by epoch; an epoch's election is created lazily
 //! when this party reaches the epoch or when a faster peer's traffic for it
 //! arrives.  Parties keep participating in earlier epochs after they finish
-//! them (asynchronous stragglers still need their messages), so the
-//! per-epoch election instances are retained until the whole beacon run
-//! completes.
+//! them (asynchronous stragglers still need their messages): without child
+//! GC every epoch's election is retained until the whole beacon run
+//! completes; with it ([`RandomBeacon::with_child_gc`]) an epoch is retired
+//! once `n − f` parties acknowledged it.
+//!
+//! The seeds are run once per beacon, not once per epoch: the beacon hosts
+//! one [`SeedPool`] at path kind [`K_SEEDS`], mounted at activation under
+//! its own sid and never retired, and every epoch's election reads it
+//! through its coin.  Each epoch's coin keeps its own sid, so each epoch
+//! tosses in its own VRF context (ARCHITECTURE.md, "Seeds, run once").
 //!
 //! For the *pipelined* variant — epochs running concurrently — admit one
 //! election per epoch as its own session of the runtime's `ShardedHost`
@@ -22,6 +29,7 @@
 
 use std::sync::Arc;
 
+use setupfree_core::coin::SeedPool;
 use setupfree_core::election::{Election, ElectionOutput};
 use setupfree_core::traits::AbaFactory;
 use setupfree_crypto::{Keyring, PartySecrets};
@@ -31,6 +39,9 @@ use setupfree_wire::codec;
 
 /// Path kind of the per-epoch election instances (keyed by epoch).
 pub const K_ELECTION: u8 = 0;
+/// Path kind of the beacon's seed pool: the `n` Seeding instances, keyed by
+/// leader, whose seeds every epoch's coin reads.
+pub const K_SEEDS: u8 = 1;
 
 /// The beacon's *local* (root-path) messages — only sent when child GC is
 /// enabled ([`RandomBeacon::with_child_gc`]); the default beacon stays
@@ -68,6 +79,8 @@ pub struct RandomBeacon<F: AbaFactory + Clone> {
     aba_factory: F,
     epochs: u32,
     current: u32,
+    /// The seed pool every epoch's election reads, hosted here.
+    pool: SeedPool,
     /// Boxed, so a retired epoch's slot in the router's dense vector costs a
     /// null pointer, not an inline `Option<Election>` of over a kilobyte.
     elections: Router<Box<Election<F>>>,
@@ -115,6 +128,7 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
         assert!(epochs > 0, "the beacon needs at least one epoch");
         assert!(epochs <= u16::MAX as u32, "epoch count exceeds the path-segment width");
         let n = keyring.n();
+        let pool = SeedPool::new(K_SEEDS, me, keyring.clone(), secrets.clone());
         RandomBeacon {
             sid,
             me,
@@ -123,6 +137,7 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
             aba_factory,
             epochs,
             current: 0,
+            pool,
             elections: Router::with_cap(K_ELECTION, composite_cap(n)),
             results: Vec::new(),
             output: None,
@@ -168,14 +183,53 @@ impl<F: AbaFactory + Clone> RandomBeacon<F> {
 
     fn start_epoch(&mut self, epoch: u32) -> Step<Envelope> {
         setupfree_obs::phase(setupfree_obs::Phase::BeaconEpoch, epoch);
-        let election = Election::new(
+        let election = Election::with_shared_seeds(
             self.sid.derive("beacon-epoch", epoch as usize),
             self.me,
             self.keyring.clone(),
             self.secrets.clone(),
             self.aba_factory.clone(),
+            self.pool.seeds(),
         );
         self.elections.insert(epoch as usize, Box::new(election))
+    }
+
+    /// Routes one envelope of the seed pool; once it lands a seed, re-checks
+    /// every live election, since their coins read the pool.
+    fn on_seeds(&mut self, from: PartyId, leader: u16, msg: Envelope) -> Step<Envelope> {
+        let published = self.pool.published();
+        let mut step = self.pool.route(from, leader, msg);
+        if self.pool.published() == published {
+            return step;
+        }
+        let live: Vec<usize> = self.elections.iter().map(|(epoch, _)| epoch).collect();
+        for epoch in live {
+            let seg = self.elections.seg(epoch);
+            // The elections are poked outside their router, so their trace
+            // path is pushed here.
+            let _trace = setupfree_obs::PathGuard::push(seg.kind, seg.index);
+            if let Some(election) = self.elections.get_mut(epoch) {
+                step.extend(election.poke().prefix(seg));
+            }
+        }
+        step.extend(self.advance());
+        step
+    }
+
+    /// Routes one envelope of epoch `epoch`'s election.
+    fn on_election(&mut self, from: PartyId, epoch: u16, msg: Envelope) -> Step<Envelope> {
+        // Lazily create the epoch's election if a faster peer is already
+        // there, and keep finished epochs alive (until quorum-acknowledged
+        // retirement, when GC is on) so stragglers still get our responses;
+        // traffic for a retired epoch is dropped by the router.
+        let mut step = Step::none();
+        let index = epoch as usize;
+        if !self.elections.contains(index) && !self.elections.is_retired(index) {
+            step.extend(self.start_epoch(u32::from(epoch)));
+        }
+        step.extend(self.elections.route(from, epoch, msg));
+        step.extend(self.advance());
+        step
     }
 
     fn advance(&mut self) -> Step<Envelope> {
@@ -232,7 +286,8 @@ impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
     type Output = Vec<BeaconEpoch>;
 
     fn on_activation(&mut self) -> Step<Envelope> {
-        let mut step = self.start_epoch(0);
+        let mut step = self.pool.activate(&self.sid.derive("seeds", 0));
+        step.extend(self.start_epoch(0));
         step.extend(self.advance());
         step
     }
@@ -253,21 +308,14 @@ impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
             }
             return Step::none();
         };
-        let epoch = seg.index as u32;
-        if seg.kind != K_ELECTION || epoch >= self.epochs {
-            return Step::none();
+        let child = Envelope { path, payload: msg.payload };
+        match seg.kind {
+            K_SEEDS => self.on_seeds(from, seg.index, child),
+            K_ELECTION if u32::from(seg.index) < self.epochs => {
+                self.on_election(from, seg.index, child)
+            }
+            _ => Step::none(),
         }
-        // Lazily create the epoch's election if a faster peer is already
-        // there, and keep finished epochs alive (until quorum-acknowledged
-        // retirement, when GC is on) so stragglers still get our responses;
-        // traffic for a retired epoch is dropped by the router.
-        let mut step = Step::none();
-        if !self.elections.contains(epoch as usize) && !self.elections.is_retired(epoch as usize) {
-            step.extend(self.start_epoch(epoch));
-        }
-        step.extend(self.elections.route(from, seg.index, Envelope { path, payload: msg.payload }));
-        step.extend(self.advance());
-        step
     }
 
     fn output(&self) -> Option<Vec<BeaconEpoch>> {
@@ -275,6 +323,137 @@ impl<F: AbaFactory + Clone> ProtocolInstance for RandomBeacon<F> {
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        self.elections.stats()
+        self.elections.stats().merge(self.pool.stats())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use setupfree_aba::MmrAbaFactory;
+    use setupfree_core::{coin, election, TrustedCoinFactory};
+    use setupfree_crypto::generate_pki;
+    use setupfree_net::mux::PathSeg;
+    use setupfree_net::Dest;
+
+    type Beacon = RandomBeacon<MmrAbaFactory<TrustedCoinFactory>>;
+
+    /// The `n` parties of a child-GC beacon of `epochs` epochs.
+    fn beacons(n: usize, epochs: u32, label: &str) -> Vec<Beacon> {
+        let (keyring, secrets) = generate_pki(n, 12);
+        let keyring = Arc::new(keyring);
+        secrets
+            .into_iter()
+            .enumerate()
+            .map(|(i, secrets)| {
+                let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+                let secrets = Arc::new(secrets);
+                RandomBeacon::new(Sid::new(label), PartyId(i), keyring.clone(), secrets, aba, epochs)
+                    .with_child_gc()
+            })
+            .collect()
+    }
+
+    /// Whether `env` is Seeding traffic: the pool's, or a Seeding below an
+    /// epoch's coin.
+    fn is_seeding(env: &Envelope) -> bool {
+        let segs: Vec<PathSeg> = env.path.segments().collect();
+        match segs.as_slice() {
+            [first, ..] if first.kind == K_SEEDS => true,
+            [_, c, s, ..] => c.kind == election::K_COIN && s.kind == coin::K_SEEDING,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn misrouted_and_malformed_pool_envelopes_are_dropped() {
+        let mut parties = beacons(4, 3, "pool-drop");
+        let beacon = &mut parties[0];
+        let _ = beacon.on_activation();
+        let at = |kind, index| InstancePath::of(PathSeg::new(kind, index));
+        // A leader outside 0..n names no Seeding of the pool.
+        assert!(beacon.on_message(PartyId(1), Envelope::seal(at(K_SEEDS, 4), &1u8)).is_empty());
+        assert!(beacon.on_message(PartyId(1), Envelope::seal(at(K_SEEDS, 999), &1u8)).is_empty());
+        // An unknown root path kind.
+        assert!(beacon.on_message(PartyId(1), Envelope::seal(at(200, 0), &1u8)).is_empty());
+        // A junk payload for a live leader's Seeding, and a path below it.
+        let junk = Envelope { path: at(K_SEEDS, 2), payload: vec![99u8, 1, 2].into() };
+        assert!(beacon.on_message(PartyId(1), junk).is_empty());
+        let mut deep = at(K_SEEDS, 2);
+        deep.push_front(PathSeg::new(K_SEEDS, 1));
+        assert!(beacon.on_message(PartyId(1), Envelope::seal(deep, &1u8)).is_empty());
+        assert_eq!(beacon.pre_activation_stats().buffered, 0);
+        // Pool traffic mounts no election.
+        assert_eq!(beacon.live_elections(), 1);
+    }
+
+    type Queue = VecDeque<(usize, usize, Envelope)>;
+
+    /// Queues `from`'s outgoing messages, one copy per recipient.
+    fn enqueue(queue: &mut Queue, n: usize, from: usize, step: Step<Envelope>) {
+        for out in step.outgoing {
+            match out.dest {
+                Dest::All => (0..n).for_each(|to| queue.push_back((from, to, out.msg.clone()))),
+                Dest::One(to) => queue.push_back((from, to.index(), out.msg)),
+            }
+        }
+    }
+
+    /// Delivers queued traffic in FIFO order until `done` holds.
+    fn run_fifo(parties: &mut [Beacon], queue: &mut Queue, done: impl Fn(&[Beacon]) -> bool) {
+        while !done(parties) {
+            let (from, to, msg) = queue.pop_front().expect("traffic left");
+            let step = parties[to].on_message(PartyId(from), msg);
+            enqueue(queue, parties.len(), to, step);
+        }
+    }
+
+    /// What a junk envelope for each of epochs 10..59 makes party 0 send:
+    /// (messages, bytes, Seeding messages) summed over the fifty.
+    fn junk_epochs(victim: &mut Beacon) -> (usize, usize, usize) {
+        let (mut messages, mut bytes, mut seeding) = (0, 0, 0);
+        for epoch in 10..60 {
+            let path = InstancePath::of(PathSeg::new(K_ELECTION, epoch));
+            let junk = Envelope { path, payload: vec![0u8].into() };
+            let step = victim.on_message(PartyId(3), junk);
+            for out in &step.outgoing {
+                messages += 1;
+                bytes += setupfree_wire::to_bytes(&out.msg).len();
+                seeding += usize::from(is_seeding(&out.msg));
+            }
+        }
+        (messages, bytes, seeding)
+    }
+
+    #[test]
+    fn a_named_epoch_mounts_no_seedings() {
+        // Before any seed lands, and again once epoch 0 is recorded (every
+        // seed the pool will hold has landed), party 3 names fifty epochs
+        // party 0 has not reached.  Each mounts an election, but none runs
+        // a Seeding: the only Seeding traffic is the pool's, sent at
+        // activation.
+        let n = 4;
+        let mut parties = beacons(n, 1_000, "junk-epochs");
+        let mut queue = Queue::new();
+        for (i, party) in parties.iter_mut().enumerate() {
+            let step = party.on_activation();
+            assert_eq!(step.outgoing.iter().filter(|o| is_seeding(&o.msg)).count(), n);
+            enqueue(&mut queue, n, i, step);
+        }
+        let mut fresh = beacons(n, 1_000, "junk-epochs").swap_remove(0);
+        let _ = fresh.on_activation();
+        let (messages, _, seeding) = junk_epochs(&mut fresh);
+        assert_eq!((messages, seeding), (0, 0), "before any seed lands, a named epoch sends nothing");
+        assert_eq!(fresh.live_elections(), 51);
+
+        run_fifo(&mut parties, &mut queue, |p| !p[0].results().is_empty());
+        let (messages, bytes, seeding) = junk_epochs(&mut parties[0]);
+        assert_eq!(seeding, 0, "a named epoch mounts no Seeding");
+        // What each named epoch still sends once the pool holds all n
+        // seeds: its coin deals our own AVSS, n 44-byte `KeyShare`s.
+        assert_eq!(parties[0].pool.published(), n);
+        assert_eq!((messages, bytes), (50 * n, 50 * n * 44));
     }
 }

@@ -20,13 +20,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use setupfree_aba::MmrAbaFactory;
-use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
-use setupfree_core::TrustedCoinFactory;
+use setupfree_app::beacon::{BeaconEpoch, RandomBeacon, K_ELECTION, K_SEEDS};
+use setupfree_core::{coin, election, TrustedCoinFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{
-    BoxedParty, Envelope, FifoScheduler, PartyId, ProtocolInstance, RandomScheduler, Scheduler,
-    Sid, Simulation, Step, StopReason, TargetedDelayScheduler,
+    BoxedParty, Envelope, FifoScheduler, PartyId, PathSeg, ProtocolInstance, RandomScheduler,
+    Scheduler, Sid, Simulation, Step, StopReason, TargetedDelayScheduler,
 };
+use setupfree_obs::{EventKind, ObsPath, Phase, VecSink};
 
 type Beacon = RandomBeacon<MmrAbaFactory<TrustedCoinFactory>>;
 
@@ -406,4 +407,119 @@ fn a_retired_epoch_leaves_only_its_record_behind() {
         "{per_epoch} bytes held per retired epoch per party, above the {bound}-byte bound \
          ({short} bytes held after 16 epochs, {long} after 48)"
     );
+}
+
+/// Holds one leader's Seeding traffic of the beacon's seed pool until this
+/// party has retired epoch 0, then delivers it in arrival order.  The
+/// network may delay any message that long, so this is a legal schedule,
+/// and it makes the leader's seed land at each party only after that
+/// party retired epoch 0.
+struct LateSeed {
+    inner: Beacon,
+    leader: u16,
+    held: Vec<(PartyId, Envelope)>,
+}
+
+impl ProtocolInstance for LateSeed {
+    type Message = Envelope;
+    type Output = Vec<BeaconEpoch>;
+
+    fn on_activation(&mut self) -> Step<Envelope> {
+        self.inner.on_activation()
+    }
+
+    fn on_message(&mut self, from: PartyId, msg: Envelope) -> Step<Envelope> {
+        let late = msg.path.segments().next() == Some(PathSeg::new(K_SEEDS, self.leader.into()));
+        if late && self.inner.retired_elections() == 0 {
+            self.held.push((from, msg));
+            return Step::none();
+        }
+        let mut step = self.inner.on_message(from, msg);
+        if self.inner.retired_elections() > 0 {
+            for (from, msg) in std::mem::take(&mut self.held) {
+                step.extend(self.inner.on_message(from, msg));
+            }
+        }
+        step
+    }
+
+    fn output(&self) -> Option<Vec<BeaconEpoch>> {
+        ProtocolInstance::output(&self.inner)
+    }
+}
+
+#[test]
+fn a_seed_that_lands_after_epoch_0_retired_reaches_the_live_epochs() {
+    // One leader's Seeding completes only after epoch 0 is retired at every
+    // party.  Epochs still finish from the other n − f seeds, and when the
+    // late seed lands, the pool's re-check of the live elections spawns the
+    // leader's AVSS in a later epoch's coin in that same delivery.
+    let n = 4;
+    let epochs = 6u32;
+    let leader = 3u16;
+    let (keyring, secrets) = generate_pki(n, 81);
+    let keyring = Arc::new(keyring);
+    let secrets: Vec<Arc<PartySecrets>> = secrets.into_iter().map(Arc::new).collect();
+    let schedules: Vec<(&str, Box<dyn Scheduler>)> = vec![
+        ("fifo", Box::new(FifoScheduler::default())),
+        ("random3", Box::new(RandomScheduler::new(3))),
+    ];
+    for (name, scheduler) in schedules {
+        let parties: Vec<BoxedParty<Envelope, Vec<BeaconEpoch>>> = (0..n)
+            .map(|i| {
+                let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
+                let inner = RandomBeacon::new(
+                    Sid::new(&format!("late-seed-{name}")),
+                    PartyId(i),
+                    keyring.clone(),
+                    secrets[i].clone(),
+                    aba,
+                    epochs,
+                )
+                .with_child_gc();
+                Box::new(LateSeed { inner, leader, held: Vec::new() })
+                    as BoxedParty<Envelope, Vec<BeaconEpoch>>
+            })
+            .collect();
+        let mut sim = Simulation::new(parties, scheduler);
+        setupfree_obs::install(Box::new(VecSink::new()));
+        let report = sim.run(1 << 30);
+        let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
+        assert_eq!(report.reason, StopReason::AllOutputs, "{name}: every epoch finishes");
+        assert_epoch_agreement(&sim.outputs(), epochs);
+
+        let pool = ObsPath::from_segments(&[(K_SEEDS, leader)]);
+        for p in 0..n as u16 {
+            let landed: Vec<u64> = trace
+                .iter()
+                .filter(|e| e.party == p)
+                .filter(|e| match e.kind {
+                    EventKind::Phase { path, phase, .. } => phase == Phase::CoinSeeded && path == pool,
+                    _ => false,
+                })
+                .map(|e| e.clock)
+                .collect();
+            assert_eq!(landed.len(), 1, "{name}: party {p} lands leader {leader}'s seed once");
+            let spawned_in: Vec<u16> = trace
+                .iter()
+                .filter(|e| e.party == p && e.clock == landed[0])
+                .filter_map(|e| match e.kind {
+                    EventKind::Activated { path } => match path.segments().collect::<Vec<_>>()[..] {
+                        [(K_ELECTION, epoch), (election::K_COIN, 0), (coin::K_AVSS, dealer)]
+                            if dealer == leader =>
+                        {
+                            Some(epoch)
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                spawned_in.iter().any(|&epoch| epoch >= 1),
+                "{name}: party {p}: no later epoch spawned dealer {leader}'s AVSS when its seed \
+                 landed (spawned in {spawned_in:?})"
+            );
+        }
+    }
 }

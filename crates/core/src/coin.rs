@@ -16,10 +16,13 @@
 //!    output the lowest bit of the largest verified VRF.
 //!
 //! The sub-protocol instances — the paper's `⟨ID, j⟩` composition — are
-//! mounted in session [`Router`]s: Seeding at path kind [`K_SEEDING`], AVSS
-//! at [`K_AVSS`] (created lazily when the dealer's seed arrives, with the
-//! router's bounded pre-activation buffer replacing the former hand-rolled
-//! `avss_buffers`), and the core-set selection that [`CoreSetMode`] picks:
+//! mounted in session [`Router`]s: Seeding at path kind [`K_SEEDING`] (in
+//! the coin's own [`SeedPool`]; a coin built with
+//! [`Coin::with_shared_seeds`] reads a pool another instance hosts and
+//! mounts none), AVSS at [`K_AVSS`] (created lazily when the dealer's seed
+//! arrives, with the router's bounded pre-activation buffer replacing the
+//! former hand-rolled `avss_buffers`), and the core-set selection that
+//! [`CoreSetMode`] picks:
 //! the WCS at [`K_WCS`], or the gather-ablation RBCs at [`K_GATHER`].  Only
 //! the selection in use exists; envelopes for the other kind are dropped.
 //! The coin's own `RecRequest`/`Candidate` messages travel at the root path
@@ -73,29 +76,122 @@ pub enum CoreSetMode {
     RbcGather,
 }
 
-/// Seeds shared by every coin round of one agreement.
-///
-/// The seeding phase binds each party to a public seed but does not depend
-/// on the coin round (§6.1: the seeds are reusable — only the VRF context,
-/// which includes the round sid, changes per toss).  The first round's coin
-/// *owns* the `n` Seeding instances and publishes each completed seed here;
-/// sibling rounds created via
-/// [`CoinFactory::create_sibling`](crate::traits::CoinFactory::create_sibling)
-/// read the store instead of re-running the seeding — by far the dominant
-/// byte cost of a multi-round ABA — and are re-checked through
-/// [`CoinFactory::poke`](crate::traits::CoinFactory::poke) when it changes.
+/// The seeds a [`SeedPool`] has published: what its readers read.
 #[derive(Debug)]
-pub struct SeedStore {
+pub struct PublishedSeeds {
     seeds: Vec<Option<Seed>>,
-    /// Seeds published so far.  A sibling remembers the count it last read,
-    /// so a poke that finds it unchanged knows nothing new can have happened.
-    published: usize,
+    /// Seeds published so far.  A reader remembers the count it last read,
+    /// so a re-check that finds it unchanged knows nothing new can have
+    /// happened.
+    count: usize,
 }
 
-impl SeedStore {
+impl PublishedSeeds {
     fn publish(&mut self, leader: usize, seed: Seed) {
         self.seeds[leader] = Some(seed);
-        self.published += 1;
+        self.count += 1;
+    }
+
+    /// Leader `leader`'s seed, once published.
+    pub(crate) fn get(&self, leader: usize) -> Option<Seed> {
+        self.seeds.get(leader).copied().flatten()
+    }
+
+    /// The number of seeds published so far.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+}
+
+/// Handle to the seeds one [`SeedPool`] publishes, shared by the pool and
+/// every coin that reads it.
+pub type SharedSeeds = Rc<RefCell<PublishedSeeds>>;
+
+/// The `n` Seeding instances of one run and the seeds they publish.
+///
+/// A seed binds its leader's VRF to an unpredictable string but does not
+/// depend on the coin that reads it (§6.1: the seeds are reusable — each
+/// toss gets its freshness from the VRF context, which carries the coin's
+/// sid).  So one pool serves many coins.  Its *host* owns it, mounts it
+/// once ([`SeedPool::activate`]), routes the pool's path kind to
+/// [`SeedPool::route`], and re-checks the coins that read the pool
+/// ([`SeedPool::seeds`]) after a seed lands ([`Coin::poke`]).  A standalone
+/// [`Coin`] hosts its own pool at [`K_SEEDING`]; the ABA's later rounds read
+/// round 0's pool
+/// ([`CoinFactory::create_sibling`](crate::traits::CoinFactory::create_sibling));
+/// the random beacon hosts one pool that every epoch's coin reads.
+#[derive(Debug)]
+pub struct SeedPool {
+    me: PartyId,
+    keyring: Arc<Keyring>,
+    secrets: Arc<PartySecrets>,
+    seedings: Router<Leaf<Seeding>>,
+    seeds: SharedSeeds,
+}
+
+impl SeedPool {
+    /// Creates party `me`'s pool, whose Seeding instances sit at path kind
+    /// `kind` of the host.
+    pub fn new(kind: u8, me: PartyId, keyring: Arc<Keyring>, secrets: Arc<PartySecrets>) -> Self {
+        let seeds = PublishedSeeds { seeds: vec![None; keyring.n()], count: 0 };
+        SeedPool {
+            me,
+            keyring,
+            secrets,
+            seedings: Router::new(kind),
+            seeds: Rc::new(RefCell::new(seeds)),
+        }
+    }
+
+    /// The seeds this pool publishes, for a reader.
+    pub fn seeds(&self) -> SharedSeeds {
+        Rc::clone(&self.seeds)
+    }
+
+    /// Mounts and activates the `n` Seeding instances, leading our own
+    /// (Alg 4 line 3); leader `j`'s runs under `sid.derive("seeding", j)`.
+    /// The host calls this once, with the pool's sid.
+    pub fn activate(&mut self, sid: &Sid) -> Step<Envelope> {
+        let mut step = Step::none();
+        for j in 0..self.keyring.n() {
+            let seeding = Seeding::new(
+                sid.derive("seeding", j),
+                self.me,
+                PartyId(j),
+                self.keyring.clone(),
+                self.secrets.clone(),
+            );
+            step.extend(self.seedings.insert(j, Leaf::new(seeding)));
+        }
+        step
+    }
+
+    /// Routes one envelope the host stripped of its `(kind, leader)`
+    /// segment, and publishes the leader's seed if it just completed.  A
+    /// leader outside `0..n` names no instance: its traffic is dropped, not
+    /// buffered.
+    pub fn route(&mut self, from: PartyId, leader: u16, msg: Envelope) -> Step<Envelope> {
+        let j = leader as usize;
+        if j >= self.keyring.n() {
+            return Step::none();
+        }
+        let step = self.seedings.route(from, leader, msg);
+        if self.seeds.borrow().get(j).is_none() {
+            if let Some(seed) = self.seedings.get(j).and_then(|s| s.inner().seed()) {
+                self.seeds.borrow_mut().publish(j, seed);
+            }
+        }
+        step
+    }
+
+    /// The number of seeds published so far.
+    pub fn published(&self) -> usize {
+        self.seeds.borrow().count()
+    }
+
+    /// The pre-activation telemetry of the pool's Seeding router.
+    pub fn stats(&self) -> setupfree_net::BufferStats {
+        self.seedings.stats()
     }
 }
 
@@ -111,23 +207,18 @@ enum CoreSelection {
 }
 
 /// The child instance an envelope reached, so that [`Coin::advance`]
-/// re-checks only the conditions that delivery can have changed.
+/// re-checks only the conditions that delivery can have changed.  New
+/// seeds are found through the pool's publish count, whatever was touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Touched {
-    /// Every child: the coin's activation.
-    All,
-    /// The Seeding instance led by this party.
-    Seeding(usize),
     /// The AVSS instance dealt by this party.
     Avss(usize),
     /// A coin message at the root path (a `RecRequest` or `Candidate`).
     Local,
-    /// The WCS, a gather RBC, or a dropped envelope.
+    /// The activation, a Seeding, the WCS, a gather RBC, a re-check, or a
+    /// dropped envelope.
     Other,
 }
-
-/// Handle to a [`SeedStore`] shared between the coin rounds of one ABA.
-pub type SharedSeeds = Rc<RefCell<SeedStore>>;
 
 /// The coin's *local* messages (root instance path); all sub-protocol
 /// traffic travels under the path kinds above.
@@ -169,13 +260,14 @@ pub struct Coin {
     pub(crate) me: PartyId,
     keyring: Arc<Keyring>,
     secrets: Arc<PartySecrets>,
-    seedings: Router<Leaf<Seeding>>,
+    /// The seeds read so far from `shared`.
     seeds: Vec<Option<Seed>>,
-    shared_seeds: SharedSeeds,
-    /// Whether this coin mounts (and publishes from) the Seeding instances.
-    /// `false` for sibling rounds sharing the first round's seeds.
-    seeding_owner: bool,
-    /// The store's publish count when this (sibling) coin last read it.
+    /// The seed pool this coin hosts at [`K_SEEDING`]; `None` for a reader
+    /// of a pool another instance hosts.
+    pool: Option<SeedPool>,
+    /// The seeds of the pool this coin reads, its own or another's.
+    shared: SharedSeeds,
+    /// The publish count of `shared` when this coin last read it.
     seen_published: usize,
     avss: Router<Leaf<Avss>>,
     completed_sharings: BTreeSet<usize>,
@@ -220,6 +312,7 @@ impl Coin {
 
     /// Creates the Coin with an explicit core-set selection strategy (the
     /// [`CoreSetMode::RbcGather`] variant exists as an ablation baseline).
+    /// The coin hosts its own seed pool, under its own sid.
     pub fn with_core_mode(
         sid: Sid,
         me: PartyId,
@@ -227,28 +320,30 @@ impl Coin {
         secrets: Arc<PartySecrets>,
         core_mode: CoreSetMode,
     ) -> Self {
-        let n = keyring.n();
-        let store = Rc::new(RefCell::new(SeedStore { seeds: vec![None; n], published: 0 }));
-        Self::build(sid, me, keyring, secrets, core_mode, store, true)
+        let pool = SeedPool::new(K_SEEDING, me, keyring.clone(), secrets.clone());
+        let shared = pool.seeds();
+        Self::build(sid, me, keyring, secrets, core_mode, Some(pool), shared)
     }
 
-    /// Creates a coin for a *later round* of the same agreement that reads
-    /// the seeds an earlier round's coin publishes into `store` instead of
-    /// mounting its own Seeding instances (§6.1: seeds are round-reusable).
-    pub fn with_seed_store(
+    /// Creates a coin that reads `seeds`, published by a pool another
+    /// instance hosts, instead of mounting Seeding instances of its own
+    /// (§6.1: seeds are reusable; the VRF context still carries this coin's
+    /// `sid`).  The host re-checks the coin through [`Coin::poke`] after a
+    /// seed lands.
+    pub fn with_shared_seeds(
         sid: Sid,
         me: PartyId,
         keyring: Arc<Keyring>,
         secrets: Arc<PartySecrets>,
-        store: SharedSeeds,
+        seeds: SharedSeeds,
     ) -> Self {
-        Self::build(sid, me, keyring, secrets, CoreSetMode::Weak, store, false)
+        Self::build(sid, me, keyring, secrets, CoreSetMode::Weak, None, seeds)
     }
 
-    /// The seed store this coin publishes to (owner) or reads from
-    /// (sibling); hand it to [`Coin::with_seed_store`] to build later rounds.
-    pub fn seed_store(&self) -> SharedSeeds {
-        Rc::clone(&self.shared_seeds)
+    /// The seeds this coin reads, from its own pool or another's; hand them
+    /// to [`Coin::with_shared_seeds`] to build more readers.
+    pub fn shared_seeds(&self) -> SharedSeeds {
+        Rc::clone(&self.shared)
     }
 
     fn build(
@@ -257,8 +352,8 @@ impl Coin {
         keyring: Arc<Keyring>,
         secrets: Arc<PartySecrets>,
         core_mode: CoreSetMode,
-        shared_seeds: SharedSeeds,
-        seeding_owner: bool,
+        pool: Option<SeedPool>,
+        shared: SharedSeeds,
     ) -> Self {
         let n = keyring.n();
         let selection = match core_mode {
@@ -272,10 +367,9 @@ impl Coin {
             me,
             keyring,
             secrets,
-            seedings: Router::new(K_SEEDING),
             seeds: vec![None; n],
-            shared_seeds,
-            seeding_owner,
+            pool,
+            shared,
             seen_published: 0,
             avss: Router::new(K_AVSS),
             completed_sharings: BTreeSet::new(),
@@ -324,55 +418,35 @@ impl Coin {
     /// progress is possible, collecting any messages generated along the way.
     ///
     /// Only the conditions `touched` can have changed are re-checked: a new
-    /// seed comes from the touched Seeding instance (or, in a sibling, from
-    /// the store once the owner has published), a completed sharing from the
-    /// touched AVSS or one a new seed just spawned.  The conditions run in
-    /// the same order as a full rescan would, so the outgoing messages are
-    /// the same, in the same order.
+    /// seed is one the pool published since this coin last read it, a
+    /// completed sharing comes from the touched AVSS or one a new seed just
+    /// spawned.  The conditions run in the same order as a full rescan
+    /// would, so the outgoing messages are the same, in the same order.
     fn advance(&mut self, touched: Touched) -> Step<Envelope> {
         let mut step = Step::none();
 
         // Lines 4–8: seeds that became known spawn the corresponding AVSS
-        // instance (as dealer of our own, as participant otherwise).  The
-        // owner harvests its Seeding instances and publishes into the
-        // shared store; sibling rounds read the store.  Nothing later in
-        // this call can produce a seed, so this runs once.
+        // instance (as dealer of our own, as participant otherwise).  A
+        // hosting coin's pool publishes while routing, so both hosts and
+        // readers read the pool here.  Nothing later in this call can
+        // produce a seed, so this runs once.
         let mut fresh: Vec<usize> = match touched {
             Touched::Avss(j) => vec![j],
             _ => Vec::new(),
         };
-        let leaders = if self.seeding_owner {
-            match touched {
-                Touched::All => 0..self.n(),
-                Touched::Seeding(j) => j..j + 1,
-                _ => 0..0,
-            }
-        } else {
-            let published = self.shared_seeds.borrow().published;
-            if published == self.seen_published {
-                0..0
-            } else {
-                self.seen_published = published;
-                0..self.n()
-            }
-        };
-        for j in leaders {
-            if self.seeds[j].is_some() {
-                continue;
-            }
-            let seed = if self.seeding_owner {
-                let seed = self.seedings.get(j).and_then(|s| s.inner().seed());
-                if let Some(seed) = seed {
-                    self.shared_seeds.borrow_mut().publish(j, seed);
+        let published = self.shared.borrow().count();
+        if published != self.seen_published {
+            self.seen_published = published;
+            for j in 0..self.n() {
+                if self.seeds[j].is_some() {
+                    continue;
                 }
-                seed
-            } else {
-                self.shared_seeds.borrow().seeds[j]
-            };
-            if let Some(seed) = seed {
-                self.seeds[j] = Some(seed);
-                step.extend(self.spawn_avss(j));
-                fresh.push(j);
+                let seed = self.shared.borrow().get(j);
+                if let Some(seed) = seed {
+                    self.seeds[j] = Some(seed);
+                    step.extend(self.spawn_avss(j));
+                    fresh.push(j);
+                }
             }
         }
         fresh.sort_unstable();
@@ -624,13 +698,13 @@ impl Coin {
         }
     }
 
-    /// Re-runs the pending conditions of a sibling round whose progress the
-    /// owner round may have unblocked by publishing seeds into the shared
-    /// store, without any envelope of this round arriving.  Nothing else
-    /// reaches a coin out of band, so the conditions are re-run only after a
-    /// publish: the owner and an up-to-date sibling return at once.
+    /// Re-runs the pending conditions of a coin whose progress its seed
+    /// pool may have unblocked, without any envelope of this coin arriving:
+    /// the pool's host calls it after a seed lands.  Nothing else reaches a
+    /// coin out of band, so the conditions are re-run only after a publish:
+    /// a coin that has read every published seed returns at once.
     pub fn poke(&mut self) -> Step<Envelope> {
-        if self.seeding_owner || self.shared_seeds.borrow().published == self.seen_published {
+        if self.shared.borrow().count() == self.seen_published {
             return Step::none();
         }
         self.advance(Touched::Other)
@@ -642,26 +716,18 @@ impl ProtocolInstance for Coin {
     type Output = CoinOutput;
 
     fn on_activation(&mut self) -> Step<Envelope> {
-        // Line 3: mount and activate all Seeding instances (leading our own),
-        // then the gather RBCs of the ablation mode.  Sibling rounds mount
-        // no seedings — their seeds arrive through the shared store.
-        let mut step = Step::none();
-        if self.seeding_owner {
-            for j in 0..self.n() {
-                let seeding = Seeding::new(
-                    self.sid.derive("seeding", j),
-                    self.me,
-                    PartyId(j),
-                    self.keyring.clone(),
-                    self.secrets.clone(),
-                );
-                step.extend(self.seedings.insert(j, Leaf::new(seeding)));
-            }
-        }
+        // Line 3: a hosting coin mounts and activates its pool's Seeding
+        // instances (leading our own), then the gather RBCs of the ablation
+        // mode.  A reader mounts no seedings: it reads the seeds the pool
+        // already holds, and is re-checked when more land.
+        let mut step = match &mut self.pool {
+            Some(pool) => pool.activate(&self.sid),
+            None => Step::none(),
+        };
         if let CoreSelection::Gather(gather) = &mut self.selection {
             step.extend(gather.activate());
         }
-        step.extend(self.advance(Touched::All));
+        step.extend(self.advance(Touched::Other));
         step
     }
 
@@ -680,12 +746,16 @@ impl ProtocolInstance for Coin {
                 let index = seg.index as usize;
                 let child = Envelope { path, payload: msg.payload };
                 match seg.kind {
-                    // Sibling rounds never mount Seeding instances; honest
-                    // parties never address seeding traffic to them, so it
-                    // is Byzantine and dropped outright (buffering it would
+                    // A reader mounts no Seeding instances; honest parties
+                    // never address seeding traffic to it, so it is
+                    // Byzantine and dropped outright (buffering it would
                     // leak — nothing ever mounts).
-                    K_SEEDING if index < self.n() && self.seeding_owner => {
-                        (self.seedings.route(from, seg.index, child), Touched::Seeding(index))
+                    K_SEEDING => {
+                        let step = match &mut self.pool {
+                            Some(pool) => pool.route(from, seg.index, child),
+                            None => Step::none(),
+                        };
+                        (step, Touched::Other)
                     }
                     K_AVSS if index < self.n() => {
                         (self.avss.route(from, seg.index, child), Touched::Avss(index))
@@ -731,7 +801,11 @@ impl ProtocolInstance for Coin {
     }
 
     fn pre_activation_stats(&self) -> setupfree_net::BufferStats {
-        let stats = self.seedings.stats().merge(self.avss.stats());
+        // A pool is counted once, by its host.
+        let stats = match &self.pool {
+            Some(pool) => pool.stats().merge(self.avss.stats()),
+            None => self.avss.stats(),
+        };
         match &self.selection {
             CoreSelection::Weak(_) => stats,
             CoreSelection::Gather(gather) => stats.merge(gather.stats()),
@@ -764,14 +838,14 @@ impl crate::traits::CoinFactory for CoinProtocolFactory {
     }
 
     fn create_sibling(&self, sid: Sid, first: &Coin) -> Coin {
-        // Later rounds of the same ABA reuse the first round's seeds (§6.1)
-        // instead of re-running the n Seeding instances.
-        Coin::with_seed_store(
+        // Later rounds of the same ABA read the pool the first round's coin
+        // hosts (§6.1) instead of re-running the n Seeding instances.
+        Coin::with_shared_seeds(
             sid,
             self.me,
             self.keyring.clone(),
             self.secrets.clone(),
-            first.seed_store(),
+            first.shared_seeds(),
         )
     }
 
@@ -960,10 +1034,10 @@ mod tests {
         assert!(sibling.on_message(PartyId(1), stray).is_empty());
         assert_eq!(sibling.pre_activation_stats().buffered, 0);
 
-        // Once the owner's store learns a seed, a poke surfaces it in the
+        // Once the owner's pool learns a seed, a poke surfaces it in the
         // sibling (and spawns the dealer's AVSS — the step is non-empty for
         // our own dealer index because we share our VRF evaluation).
-        owner.seed_store().borrow_mut().publish(0, [7u8; 32]);
+        owner.shared_seeds().borrow_mut().publish(0, [7u8; 32]);
         let step = factory.poke(&mut sibling);
         assert_eq!(sibling.seeds[0], Some([7u8; 32]));
         assert!(!step.is_empty());

@@ -16,7 +16,10 @@
 //! when the ballot is cast; earlier ABA traffic waits in the router's
 //! bounded pre-activation buffer, which replaced the hand-rolled
 //! `aba_buffer`).  Broadcast VRFs are verified through the Coin, which
-//! holds the seeds and the memoised verdicts.
+//! holds the seeds it read from its seed pool and the memoised verdicts.
+//! A standalone election's coin hosts its own pool; the random beacon
+//! builds each epoch's election with [`Election::with_shared_seeds`], so all
+//! epochs read one pool.
 //!
 //! Complexity: expected `O(n³)` messages, `O(λn³)` bits, expected `O(1)`
 //! rounds (§7.1).
@@ -30,7 +33,7 @@ use setupfree_net::mux::{composite_cap, Envelope, PathSeg};
 use setupfree_net::{PartyId, ProtocolInstance, Router, Sid, Step};
 use setupfree_rbc::Gather;
 
-use crate::coin::Coin;
+use crate::coin::{Coin, SharedSeeds};
 use crate::traits::{AbaFactory, ElectionFactory};
 
 /// Path kind of the embedded Coin.
@@ -88,6 +91,7 @@ impl<F: AbaFactory> std::fmt::Debug for Election<F> {
 
 impl<F: AbaFactory> Election<F> {
     /// Creates the Election state machine for party `me` in instance `sid`.
+    /// Its coin hosts its own seed pool.
     pub fn new(
         sid: Sid,
         me: PartyId,
@@ -96,6 +100,34 @@ impl<F: AbaFactory> Election<F> {
         aba_factory: F,
     ) -> Self {
         let coin = Coin::new(sid.derive("coin", 0), me, keyring.clone(), secrets);
+        Self::build(sid, me, keyring, coin, aba_factory)
+    }
+
+    /// Creates an Election whose coin reads `seeds`, published by a seed
+    /// pool the caller hosts, instead of running Seeding instances of its
+    /// own.  The coin keeps the sid `sid.derive("coin", 0)`, so its VRF
+    /// context is this election's alone.  The host calls
+    /// [`Election::poke`] after a seed lands.
+    pub fn with_shared_seeds(
+        sid: Sid,
+        me: PartyId,
+        keyring: Arc<Keyring>,
+        secrets: Arc<PartySecrets>,
+        aba_factory: F,
+        seeds: SharedSeeds,
+    ) -> Self {
+        let coin =
+            Coin::with_shared_seeds(sid.derive("coin", 0), me, keyring.clone(), secrets, seeds);
+        Self::build(sid, me, keyring, coin, aba_factory)
+    }
+
+    fn build(
+        sid: Sid,
+        me: PartyId,
+        keyring: Arc<Keyring>,
+        coin: Coin,
+        aba_factory: F,
+    ) -> Self {
         let n = keyring.n();
         let rbcs = Gather::new(K_RBC, me, n, keyring.f());
         Election {
@@ -133,6 +165,16 @@ impl<F: AbaFactory> Election<F> {
     /// The election output, if decided.
     pub fn election_output(&self) -> Option<&ElectionOutput> {
         self.output.as_ref()
+    }
+
+    /// Re-checks the election after its coin's seed pool published a seed
+    /// that no envelope of this election delivered: the coin may spawn the
+    /// seed's AVSS, and a broadcast VRF waiting for that seed may now
+    /// verify.
+    pub fn poke(&mut self) -> Step<Envelope> {
+        let mut step = self.with_coin(Coin::poke);
+        step.extend(self.advance());
+        step
     }
 
     fn advance(&mut self) -> Step<Envelope> {

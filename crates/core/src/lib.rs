@@ -30,7 +30,7 @@ pub mod election;
 pub mod traits;
 pub mod trusted;
 
-pub use coin::{Coin, CoinMessage, CoinOutput};
+pub use coin::{Coin, CoinMessage, CoinOutput, SeedPool, SharedSeeds};
 pub use committee::{worst_committee_seed, Committee, CommitteeConfig};
 pub use election::{Election, ElectionOutput, ElectionProtocolFactory};
 pub use traits::{AbaFactory, CoinFactory, ElectionFactory};

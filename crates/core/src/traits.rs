@@ -31,8 +31,10 @@ pub trait CoinFactory {
     /// Creates the coin for a *later round* of the same agreement, given the
     /// first round's coin.  Coins whose setup phase is reusable across
     /// rounds (the paper's seeding, §6.1) override this to share that setup
-    /// with `first` instead of re-running it; the default ignores the
-    /// sibling and builds an independent instance.
+    /// with `first` instead of re-running it — the real
+    /// [`Coin`](crate::coin::Coin) reads the [`SeedPool`](crate::coin::SeedPool)
+    /// that `first` hosts; the default ignores the sibling and builds an
+    /// independent instance.
     fn create_sibling(&self, sid: Sid, _first: &Self::Instance) -> Self::Instance {
         self.create(sid)
     }
@@ -40,9 +42,9 @@ pub trait CoinFactory {
     /// Re-evaluates `coin`'s pending conditions although no envelope of its
     /// own arrived.  The ABA calls this on every live round's coin after
     /// another round's coin processed traffic: a sibling built by
-    /// [`create_sibling`](Self::create_sibling) can be unblocked by setup the
-    /// first round shared with it.  Coins that share nothing — the default —
-    /// have nothing to re-evaluate.
+    /// [`create_sibling`](Self::create_sibling) can be unblocked by a seed
+    /// landing in the first round's pool.  Coins that share nothing — the
+    /// default — have nothing to re-evaluate.
     fn poke(&self, _coin: &mut Self::Instance) -> Step<Envelope> {
         Step::none()
     }

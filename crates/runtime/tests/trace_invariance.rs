@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use setupfree_aba::{MmrAba, MmrAbaFactory};
-use setupfree_app::beacon::{BeaconEpoch, RandomBeacon, K_ELECTION};
+use setupfree_app::beacon::{BeaconEpoch, RandomBeacon, K_ELECTION, K_SEEDS};
 use setupfree_core::{coin, election, TrustedCoinFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{BoxedParty, Envelope, PartyId, RandomScheduler, Sid};
@@ -185,8 +185,10 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
     // Phases land on their own instance's span, also inside the children a
     // parent holds directly rather than in a router (the election's coin,
     // the coin's WCS): each epoch's election has a coin child that reveals
-    // the bit, its WCS commits at the coin's WCS path, and every sharing and
-    // seeding phase sits below that coin.
+    // the bit, its WCS commits at the coin's WCS path, and every sharing
+    // phase sits below that coin.  The seeds are run once per beacon, by
+    // the pool at the beacon's root: every seeding mark sits at a leader's
+    // Seeding there, `(K_SEEDS, j)` with j < n, and none below a coin.
     let has = |node: &SpanNode, phase: Phase| node.phases.iter().any(|&(p, ..)| p == phase);
     let coins: Vec<ObsPath> = (0..epochs as u16)
         .map(|epoch| ObsPath::from_segments(&[(K_ELECTION, epoch), (election::K_COIN, 0)]))
@@ -202,6 +204,9 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
         let wcs = tree.find(&wcs_of(coin));
         assert!(wcs.is_some_and(|w| has(w, Phase::WcsCommit)), "epoch {epoch}: no WCS commit");
     }
+    let pool: Vec<ObsPath> =
+        (0..n as u16).map(|leader| ObsPath::from_segments(&[(K_SEEDS, leader)])).collect();
+    let mut seeded = 0;
     fn visit(node: &SpanNode, check: &mut impl FnMut(&SpanNode)) {
         check(node);
         node.children.iter().for_each(|c| visit(c, check));
@@ -210,8 +215,13 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
         for &(phase, ..) in &node.phases {
             let below_a_coin = coins.iter().any(|c| node.path.starts_with(c) && node.path != *c);
             match phase {
-                Phase::AvssShare | Phase::AvssCipher | Phase::CoinSeeded => {
+                Phase::AvssShare | Phase::AvssCipher => {
                     assert!(below_a_coin, "{} at {:?} is not below a coin", phase.name(), node.path)
+                }
+                Phase::CoinSeeded => {
+                    let at = node.path;
+                    assert!(pool.contains(&at), "CoinSeeded at {at:?} is not in the pool");
+                    seeded += 1;
                 }
                 Phase::WcsCommit => assert!(
                     coins.iter().any(|c| node.path == wcs_of(c)),
@@ -222,4 +232,9 @@ fn a_full_stack_beacon_session_reconstructs_its_span_tree() {
             }
         }
     });
+    // Every coin needs n − f seeds, and each leader's Seeding marks once.
+    assert!(
+        (keyring.quorum()..=n).contains(&seeded),
+        "{seeded} seeding marks at party 0, not one per landed leader"
+    );
 }
